@@ -17,7 +17,6 @@ import numpy as np
 
 RANK_CHARS = "23456789TJQKA"
 SUIT_CHARS = "cdhs"
-SUIT_GLYPHS = {"c": "♣", "d": "♦", "h": "♥", "s": "♠"}
 
 DECK_SIZE = 52
 N_COMBOS = 1326
@@ -230,14 +229,21 @@ def hand_score(cards: Sequence[int]) -> int:
     return _TOP5_PY[m1]
 
 
-def score_cards_batch(cards: np.ndarray, board: Sequence[int] = ()) -> np.ndarray:
+def score_cards_batch(
+    cards: np.ndarray, board: Sequence[int] = (), holes: Sequence[Sequence[int]] | None = None
+) -> np.ndarray:
     """Vectorized hand_score over an (n, k) array of card indices plus an
     optional board shared by every row; k + len(board) must be in 5..7.
 
     A shared board is folded into rank masks and suit counts once; only the
-    row cards are then added per row."""
+    row cards are then added per row. With holes, a sequence of two-card
+    hands, the rows are runouts shared by every hand: the result is
+    (len(holes), n), each hand scored with each row and the board, and the
+    rows are folded once before each hand's two cards are added."""
     cards = np.asarray(cards, dtype=np.int64)
     n, k = cards.shape
+    if holes is not None:
+        return _score_holes_on_rows(cards, board, holes)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     if len(board):
@@ -303,6 +309,65 @@ def _row_masks_on_board(cards: np.ndarray, board: Sequence[int]):
         fmask = np.where(hit, fm, fmask)
         has_flush |= hit
     return m1, m2, m3, m4, fmask, has_flush
+
+
+def _score_holes_on_rows(cards: np.ndarray, board: Sequence[int], holes) -> np.ndarray:
+    """score_cards_batch with holes. The board and each row are folded once
+    into rank masks m1..m4 and, packed four suits to an integer, per-suit
+    card counts (4 bits a suit) and rank masks (16 bits a suit); then each
+    hand's two cards are added to the folded masks."""
+    m1 = m2 = m3 = m4 = cnt = msk = 0
+    board_count = [0, 0, 0, 0]
+    for c in board:
+        b = 1 << (c >> 2)
+        m4 |= m3 & b
+        m3 |= m2 & b
+        m2 |= m1 & b
+        m1 |= b
+        cnt += 1 << 4 * (c & 3)
+        msk |= b << 16 * (c & 3)
+        board_count[c & 3] += 1
+    n, k = cards.shape
+    m1, m2, m3, m4, cnt, msk = (np.full(n, v, dtype=np.int64) for v in (m1, m2, m3, m4, cnt, msk))
+    bits = np.int64(1) << (cards >> 2)
+    suits = cards & 3
+    suit_ones = np.int64(1) << (suits << 2)
+    suit_bits = bits << (suits << 4)
+    for j in range(k):
+        b = bits[:, j]
+        m4 |= m3 & b
+        m3 |= m2 & b
+        m2 |= m1 & b
+        m1 |= b
+        cnt += suit_ones[:, j]
+        msk |= suit_bits[:, j]
+    counts = [(cnt >> 4 * suit) & 0xF for suit in range(4)]
+    masks = [(msk >> 16 * suit) & 0x1FFF for suit in range(4)]
+
+    out = np.empty((len(holes), n), dtype=np.int64)
+    for i, hole in enumerate(holes):
+        h1, h2, h3, h4 = m1, m2, m3, m4
+        for c in hole:
+            b = 1 << (c >> 2)
+            h4 = h4 | (h3 & b)
+            h3 = h3 | (h2 & b)
+            h2 = h2 | (h1 & b)
+            h1 = h1 | b
+        has_flush = np.zeros(n, dtype=bool)
+        fmask = np.zeros(n, dtype=np.int64)
+        # At most one suit reaches five cards among seven.
+        for suit in range(4):
+            in_hole = [c for c in hole if c & 3 == suit]
+            if board_count[suit] + k + len(in_hole) < 5:
+                continue
+            hole_mask = 0
+            for c in in_hole:
+                hole_mask |= 1 << (c >> 2)
+            hit = counts[suit] >= 5 - len(in_hole)
+            np.copyto(fmask, masks[suit] | hole_mask, where=hit)
+            has_flush |= hit
+        out[i] = _score_masks(h1, h2, h3, h4, fmask, has_flush)
+    return out
 
 
 # Derived tables for the vectorized scorer: the top rank index of a mask,
@@ -445,14 +510,6 @@ class DealRng:
     def random(self) -> float:
         return float(self._gen.random())
 
-    def choice_index(self, weights: Sequence[float]) -> int:
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
-        return int(self._gen.choice(len(w), p=w))
-
-    def spawn(self, stream: int) -> "DealRng":
-        return DealRng(self.seed, stream)
-
 
 # ---------------------------------------------------------------------------
 # Equity oracles
@@ -490,6 +547,16 @@ def _unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pot_shares(holes: Sequence[Sequence[int]], runs: np.ndarray, board: Sequence[int]) -> np.ndarray:
+    """Per runout, the first hand's share of the pot against the others:
+    1/k when it is one of k best hands, else 0."""
+    scores = score_cards_batch(runs, board, holes=holes)  # (hands, runouts)
+    best = scores.max(axis=0)
+    first_best = scores[0] == best
+    n_best = (scores == best).sum(axis=0)
+    return np.where(first_best, 1.0 / n_best, 0.0)
+
+
 def equity_exhaustive(hero: Sequence[int], villain: Sequence[int], board: Sequence[int]) -> float:
     """Exact equity of hero vs one known villain hand: wins plus half of ties,
     enumerating every remaining runout."""
@@ -498,25 +565,13 @@ def equity_exhaustive(hero: Sequence[int], villain: Sequence[int], board: Sequen
     _require_distinct(used)
     if len(hero) != 2 or len(villain) != 2:
         raise InvalidCardsError("both hands need exactly 2 cards")
-    need = 5 - len(board)
-    if need == 0:
-        hs = hand_score(tuple(hero) + board)
-        vs = hand_score(tuple(villain) + board)
-        return 1.0 if hs > vs else (0.5 if hs == vs else 0.0)
     deck = [c for c in range(DECK_SIZE) if c not in set(used)]
-    wins = ties = total = 0
-    hero_a = np.array(hero, dtype=np.int64)
-    vill_a = np.array(villain, dtype=np.int64)
-    board_a = np.array(board, dtype=np.int64)
-    for runs in _runout_chunks(deck, need):
-        m = runs.shape[0]
-        full_board = np.concatenate([np.broadcast_to(board_a, (m, len(board))), runs], axis=1)
-        hs = score_cards_batch(np.concatenate([np.broadcast_to(hero_a, (m, 2)), full_board], axis=1))
-        vs = score_cards_batch(np.concatenate([np.broadcast_to(vill_a, (m, 2)), full_board], axis=1))
-        wins += int((hs > vs).sum())
-        ties += int((hs == vs).sum())
-        total += m
-    return (wins + 0.5 * ties) / total
+    points = 0.0
+    total = 0
+    for runs in _runout_chunks(deck, 5 - len(board)):
+        points += float(_pot_shares((hero, villain), runs, board).sum())
+        total += len(runs)
+    return points / total
 
 
 def equity_vs_range(
@@ -617,6 +672,3 @@ def equity_vs_range(
     if total_weight <= 0:
         raise UndefinedRangeError("no combo in range has a legal runout")
     return total_equity / total_weight
-
-
-FULL_DECK: tuple[int, ...] = tuple(range(DECK_SIZE))

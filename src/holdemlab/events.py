@@ -28,15 +28,8 @@ class ActionType(IntEnum):
     def key(self) -> str:
         return _ACTION_KEYS[self]
 
-    @property
-    def aggressive(self) -> bool:
-        return self in (ActionType.BET, ActionType.RAISE, ActionType.ALL_IN)
-
 
 _ACTION_KEYS = tuple({"ALL_IN": "allin"}.get(a.name, a.name.lower()) for a in ActionType)
-
-
-POSITIONS_6MAX = ("utg", "hj", "co", "btn", "sb", "bb")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .cards import DECK_SIZE, _unrank_combinations, score_cards_batch
-from .table import HandRecord
+from .cards import DECK_SIZE, _pot_shares, _unrank_combinations
+from .table import HandRecord, positions_for
 
 Z_95 = 1.959963984540054
 
@@ -131,18 +131,7 @@ def _equity_multiway(hero_hole, villain_holes, board, sample_above: int = 100_00
     else:
         picks = np.arange(total)
     runs = deck[_unrank_combinations(len(deck), need, picks)]
-    m = len(runs)
-    scores = np.stack(
-        [
-            score_cards_batch(np.concatenate([np.broadcast_to(np.array(h, dtype=np.int64), (m, 2)), runs], axis=1), board)
-            for h in [tuple(hero_hole)] + [tuple(v) for v in villain_holes]
-        ]
-    )  # (players, m)
-    best = scores.max(axis=0)
-    hero_best = scores[0] == best
-    n_best = (scores == best).sum(axis=0)
-    share = np.where(hero_best, 1.0 / n_best, 0.0)
-    return float(share.mean())
+    return float(_pot_shares([hero_hole, *villain_holes], runs, board).mean())
 
 
 def all_in_adjusted(record: HandRecord, hero_id: str) -> int:
@@ -152,6 +141,11 @@ def all_in_adjusted(record: HandRecord, hero_id: str) -> int:
     hero_seat = record.hero_seat_of(hero_id)
     if hero_seat is None:
         raise LedgerError(f"{hero_id} not in hand {record.hand_id}")
+    return _adjusted_at_seat(record, hero_seat)
+
+
+def _adjusted_at_seat(record: HandRecord, hero_seat: int) -> int:
+    """all_in_adjusted for the hero's seat, once it is found."""
     actual = record.net.get(hero_seat, 0)
     if len(record.showdown) < 2 or hero_seat not in dict(record.showdown):
         return actual
@@ -161,11 +155,7 @@ def all_in_adjusted(record: HandRecord, hero_id: str) -> int:
     street_board_len = {"preflop": 0, "flop": 3, "turn": 4, "river": 5}
     stacks = {seat: stack for seat, _, stack in record.seats}
     committed = {seat: 0 for seat, _, _ in record.seats}
-    street_b = {seat: 0 for seat, _, _ in record.seats}
     live = {seat for seat, _, _ in record.seats}
-    sb_seat = bb_seat = None
-    from .table import positions_for
-
     pos = positions_for(sorted(live), record.button)
     for seat, name in pos.items():
         if name == "sb":
@@ -222,7 +212,7 @@ def ledger_from_records(
             continue
         net = record.net.get(seat, 0)
         rake = record.rake_paid.get(seat, 0)
-        ledger.add_hand(record.hand_id, net, rake, all_in_adjusted(record, hero_id))
+        ledger.add_hand(record.hand_id, net, rake, _adjusted_at_seat(record, seat))
     return ledger
 
 

@@ -68,19 +68,8 @@ def _build_percentiles() -> np.ndarray:
 # 0.0 for the best class, approaching 1.0 for the worst.
 CLASS_PERCENTILE = _build_percentiles()
 
-_PCT_BY_NAME = {name: float(CLASS_PERCENTILE[i]) for i, name in enumerate(CLASS_NAMES)}
-
-
-def class_percentile(name: str) -> float:
-    return _PCT_BY_NAME[name]
-
 
 def combo_percentile(c1: int, c2: int) -> float:
     from .rangegrid import CLASS_OF_COMBO, combo_index
 
     return float(CLASS_PERCENTILE[CLASS_OF_COMBO[combo_index(c1, c2)]])
-
-
-def classes_in_top(fraction: float) -> list[str]:
-    """All class names whose strength band starts inside the top fraction."""
-    return [name for name in CLASS_NAMES if _PCT_BY_NAME[name] < fraction]

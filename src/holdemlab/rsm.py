@@ -15,6 +15,7 @@ quads on a paired board that cripple the board and choke off action.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -433,6 +434,11 @@ _IS_ONE_PAIR = np.isin(np.arange(16), [int(c) for c in _ONE_PAIR_CLASSES])
 _IS_BIG_MADE = np.isin(np.arange(16), [int(c) for c in _BIG_MADE_CLASSES])
 
 
+# Every RsmTable takes the next number as its cache token: unlike id(), a
+# token is never reused after the table is freed.
+_TABLE_TOKENS = itertools.count()
+
+
 class RsmTable:
     """Rule base plus an additive learned overlay, queried per (hole, board).
 
@@ -447,6 +453,7 @@ class RsmTable:
         self.clamp = float(clamp)
         self.overlay: dict[str, float] = {}
         self.version = 0  # bumped on every overlay change; keys caches
+        self._token = next(_TABLE_TOKENS)
         self._bucket_parts: dict[str, tuple[str, ...]] = {}  # bucket key -> its "|" fields
         self._made_values = np.array([self.rules.made_value[MadeClass(m)] for m in range(16)])
 
@@ -521,7 +528,7 @@ class RsmTable:
     def categories_many(self, ctx: BoardContext) -> np.ndarray:
         """Category per combo; dead combos get -1. Cached per (table,
         overlay version) on the context."""
-        key = (id(self), self.version)
+        key = (self._token, self.version)
         cached = ctx._category_cache.get(key)
         if cached is not None:
             return cached

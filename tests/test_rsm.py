@@ -195,6 +195,28 @@ class TestDeltas:
         other.overlay_from_dict(data)
         assert other.overlay == table.overlay
 
+    def test_new_table_in_a_freed_tables_place_gets_its_own_categories(self):
+        # Board contexts are shared by the whole process. A table created
+        # where a freed one lived, at the same overlay version, must not be
+        # served the freed table's cached categories.
+        rules = RsmRules.shipped()
+        hole = cards("Ah9h")
+        own = RsmTable(rules).query(hole, FLOP)
+        reused = False
+        for _ in range(1000):
+            a = RsmTable(rules)
+            a.apply_delta("flop|PAIR_TOP_GOOD|NONE|dry", -1.5)
+            assert a.query(hole, FLOP) < own
+            freed = id(a)
+            del a
+            b = RsmTable(rules)
+            b.apply_delta("river|PAIR_WEAK|NONE|dry", 0.5)
+            assert b.query(hole, FLOP) == own
+            if id(b) == freed:
+                reused = True
+                break
+        assert reused, "no table was created in a freed table's place"
+
 
 class TestRules:
     def test_shipped_rules_parse(self):

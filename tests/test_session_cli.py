@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import holdemlab
 from holdemlab.cli import main as cli_main
 from holdemlab.heatmap import intensity, render_ppm, render_svg
 from holdemlab.rangegrid import ComboGrid, parse_range_lines
 from holdemlab.session import SessionConfig, run_fastfold_session
+from holdemlab.metrics import all_in_adjusted
 from holdemlab.table import parse_history, replay_hand, write_history
 
 
@@ -155,3 +162,24 @@ class TestCli:
         out = tmp_path / "sim"
         assert cli_main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
         assert (out / "session_8.hh").exists()
+
+
+class TestReportAcrossProcesses:
+    def test_report_same_under_two_hash_seeds(self, tmp_path):
+        # `holdemlab report` in fresh interpreters: set and dict order must
+        # not leak into the text or the CSV, the all-in adjusted column
+        # included.
+        _, _, records, history = run_and_write(tmp_path, "session.hh", hands=500, seed=1)
+        assert any(all_in_adjusted(r, "hero") != r.net[r.hero_seat_of("hero")] for r in records)
+        src = str(Path(holdemlab.__file__).resolve().parent.parent)
+        outputs = []
+        for hash_seed in ("0", "1"):
+            csv = tmp_path / f"report_{hash_seed}.csv"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "holdemlab.cli", "report", str(history), "--out", str(csv)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append((run.stdout, csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "all-in adjusted" in outputs[0][0]

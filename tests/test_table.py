@@ -179,6 +179,101 @@ class TestHistoryFormat:
             parse_history(str(path))
 
 
+class TestHistoryParser:
+    """Each malformed line fails with its own line number; accepted input
+    parses as before."""
+
+    @staticmethod
+    def lines():
+        # one checked-down six-way hand: every tag, showdown included
+        record = play_hand(1, "t", six_seats(Station), 0, 1, 2, DealRng(0, 2).shuffled_deck())
+        return record_to_lines(record)
+
+    @staticmethod
+    def parse(tmp_path, lines):
+        path = tmp_path / "hh.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return parse_history(str(path))
+
+    @staticmethod
+    def line_of(lines, prefix):
+        return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+    def test_body_line_before_any_header(self, tmp_path):
+        lines = self.lines()
+        with pytest.raises(HistoryFormatError, match=r"^line 1: record body before header"):
+            self.parse(tmp_path, lines[1:2] + lines)
+
+    def test_body_line_between_records(self, tmp_path):
+        lines = self.lines()
+        with pytest.raises(HistoryFormatError, match=rf"^line {len(lines) + 1}: record body before header"):
+            self.parse(tmp_path, lines + ["NET 0 0"] + lines)
+
+    def test_act_line_seen_before_is_still_checked_between_records(self, tmp_path):
+        lines = self.lines()
+        act = lines[self.line_of(lines, "ACT")]
+        with pytest.raises(HistoryFormatError, match=rf"^line {len(lines) + 1}: record body before header"):
+            self.parse(tmp_path, lines + [act] + lines)
+
+    @pytest.mark.parametrize("tag", ["HOLE", "BOARD", "SHOW"])
+    def test_bad_card(self, tmp_path, tag):
+        lines = self.lines()
+        i = self.line_of(lines, tag)
+        lines[i] = lines[i][:-2] + "Zz"
+        with pytest.raises(HistoryFormatError, match=rf"^line {i + 1}: cannot parse card 'Zz'"):
+            self.parse(tmp_path, lines)
+
+    def test_non_integer_act_amount(self, tmp_path):
+        lines = self.lines()
+        i = self.line_of(lines, "ACT flop")
+        lines[i] = "ACT flop 1 bet 4x"
+        with pytest.raises(HistoryFormatError, match=rf"^line {i + 1}: invalid literal for int"):
+            self.parse(tmp_path, lines)
+
+    def test_unterminated_record_at_end(self, tmp_path):
+        lines = self.lines()
+        with pytest.raises(HistoryFormatError, match=rf"^line {len(lines) + 1}: unterminated record"):
+            self.parse(tmp_path, lines + lines[:-1])
+
+    def test_header_inside_unterminated_record(self, tmp_path):
+        lines = self.lines()
+        with pytest.raises(HistoryFormatError, match=rf"^line {len(lines)}: header inside the unterminated record of line 1"):
+            self.parse(tmp_path, lines[:-1] + lines)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        lines = self.lines()
+        spaced = ["", *lines[:5], "   ", "\t", *lines[5:], ""]
+        assert self.parse(tmp_path, spaced) == self.parse(tmp_path, lines)
+
+    def test_other_card_spellings_parse_as_parse_cards(self, tmp_path):
+        lines = self.lines()
+        hole, board, show = (self.line_of(lines, tag) for tag in ("HOLE 0", "BOARD", "SHOW 0"))
+        lines[hole] = "HOLE 0 ahKD"
+        lines[board] = "BOARD 5H6dah6h9S"
+        lines[show] = "SHOW 0 kcKS"
+        (record,) = self.parse(tmp_path, lines)
+        assert record.holes[0] == tuple(parse_cards("ahKD"))
+        assert record.board == tuple(parse_cards("5H6dah6h9S"))
+        assert record.showdown[0] == (0, tuple(parse_cards("kcKS")))
+
+    def test_fast_fold_session_round_trips(self, tmp_path):
+        from holdemlab.session import SessionConfig, run_fastfold_session
+
+        records = []
+        run_fastfold_session(SessionConfig(hands=300), on_record=records.append)
+        path = tmp_path / "session.hh"
+        write_history(records, str(path))
+        parsed = parse_history(str(path))
+        assert len(parsed) == len(records) == 300
+        all_ins = [r for r in parsed if any(action == "allin" for _, _, action, _ in r.actions)]
+        assert any(len(r.showdown) >= 2 for r in parsed)
+        assert any(sum(1 for won in r.awards.values() if won) >= 2 for r in all_ins)  # a side pot
+        for written, record in zip(records, parsed):
+            assert record_to_lines(record) == record_to_lines(written)
+            assert replay_hand(record).net == record.net
+        assert "".join("\n".join(record_to_lines(r)) + "\n" for r in parsed) == path.read_text()
+
+
 class TestBots:
     def test_bot_strength_reasonable(self):
         from holdemlab.table import quick_strength
