@@ -84,4 +84,29 @@ __all__ = [
     "PlayerStats",
     "ProfileStore",
     "classify",
+    "Brain",
+    "BrainConfig",
+    "DecisionContext",
+    "Recommendation",
+    "StyleState",
+    "BotPolicy",
+    "HandRecord",
+    "RakeModel",
+    "SeatConfig",
+    "play_hand",
+    "replay_hand",
+    "SessionConfig",
+    "run_fastfold_session",
+    "FailureCostModel",
+    "ResultLedger",
+    "TrialReport",
+    "all_in_adjusted",
+    "bb100",
+    "failure_cost",
+    "segment_analysis",
+    "PredictionRecord",
+    "apply_learning",
+    "replay_with_perfect_info",
+    "load_scenario",
+    "run_scenario",
 ]

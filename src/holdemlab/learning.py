@@ -67,7 +67,7 @@ def realized_category(hole: Sequence[int], board: Sequence[int], ctx: BoardConte
     opposing combos on this board, independent of the learned table."""
     ctx = ctx or BoardContext.cached(board)
     idx = combo_index(hole[0], hole[1])
-    q = ctx.percentile_of(idx)
+    q = ctx.percentile[idx]
     cat = int(np.floor(q * 9.0 + 0.5))
     if ctx.scores[idx] == ctx.max_score:
         cat = max(cat, 9)

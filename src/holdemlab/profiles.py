@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -77,23 +76,6 @@ class PlayerStats:
             "fold_to_steal": self.fold_to_steal.as_tuple(),
             "wtsd": self.wtsd.as_tuple(),
         }
-
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "PlayerStats":
-        def ctr(t):
-            return _Counter(hits=t[0], opportunities=t[1])
-
-        s = cls()
-        s.hands = data["hands"]
-        s.vpip = ctr(data["vpip"])
-        s.pfr = ctr(data["pfr"])
-        s.postflop_aggressive = data["postflop_aggressive"]
-        s.postflop_calls = data["postflop_calls"]
-        s.fold_to_cbet = {k: ctr(v) for k, v in data["fold_to_cbet"].items()}
-        s.donk = ctr(data["donk"])
-        s.fold_to_steal = ctr(data["fold_to_steal"])
-        s.wtsd = ctr(data["wtsd"])
-        return s
 
 
 @dataclass(frozen=True)
@@ -468,41 +450,43 @@ class ProfileStore:
 
     @classmethod
     def load(cls, log_path: str, snapshot_path: str, **kwargs) -> tuple["ProfileStore", dict[str, float]]:
+        """The store and the RSM overlay that `save` wrote. A missing file
+        raises FileNotFoundError naming it; a snapshot of another version
+        raises ValueError."""
         store = cls(**kwargs)
-        if os.path.exists(log_path):
-            with open(log_path, encoding="utf-8") as f:
-                for line in f:
-                    if line.startswith("#") or not line.strip():
-                        continue
-                    parts = line.rstrip("\n").split("\t")
-                    if parts[0] == "act":
-                        store.record_event(
-                            ActionEvent(
-                                hand_id=int(parts[1]),
-                                player_id=parts[2],
-                                street=Street[parts[3].upper()],
-                                action=ActionType["ALL_IN" if parts[4] == "allin" else parts[4].upper()],
-                                amount_bb=float(parts[5]),
-                                pot_before_bb=float(parts[6]),
-                                position=parts[7],
-                                timestamp=float(parts[8]),
-                            )
+        with open(log_path, encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("#") or not line.strip():
+                    continue
+                parts = line.rstrip("\n").split("\t")
+                if parts[0] == "act":
+                    store.record_event(
+                        ActionEvent(
+                            hand_id=int(parts[1]),
+                            player_id=parts[2],
+                            street=Street[parts[3].upper()],
+                            action=ActionType["ALL_IN" if parts[4] == "allin" else parts[4].upper()],
+                            amount_bb=float(parts[5]),
+                            pot_before_bb=float(parts[6]),
+                            position=parts[7],
+                            timestamp=float(parts[8]),
                         )
-                    elif parts[0] == "reveal":
-                        store.record_showdown(int(parts[1]), parts[2], parts[3])
-        overlay: dict[str, float] = {}
-        if os.path.exists(snapshot_path):
-            with open(snapshot_path, encoding="utf-8") as f:
-                snap = json.load(f)
-            store.player_class_multipliers = {
-                pid: {int(k): float(v) for k, v in m.items()}
-                for pid, m in snap.get("player_class_multipliers", {}).items()
-            }
-            store.archetype_class_multipliers = {
-                a: {int(k): float(v) for k, v in m.items()}
-                for a, m in snap.get("archetype_class_multipliers", {}).items()
-            }
-            overlay = {str(k): float(v) for k, v in snap.get("rsm_overlay", {}).items()}
+                    )
+                elif parts[0] == "reveal":
+                    store.record_showdown(int(parts[1]), parts[2], parts[3])
+        with open(snapshot_path, encoding="utf-8") as f:
+            snap = json.load(f)
+        if snap.get("version") != 1:
+            raise ValueError(f"{snapshot_path}: snapshot version {snap.get('version')!r}, expected 1")
+        store.player_class_multipliers = {
+            pid: {int(k): float(v) for k, v in m.items()}
+            for pid, m in snap.get("player_class_multipliers", {}).items()
+        }
+        store.archetype_class_multipliers = {
+            a: {int(k): float(v) for k, v in m.items()}
+            for a, m in snap.get("archetype_class_multipliers", {}).items()
+        }
+        overlay = {str(k): float(v) for k, v in snap.get("rsm_overlay", {}).items()}
         return store, overlay
 
 

@@ -187,7 +187,10 @@ def reshape(grid: ComboGrid, board: Sequence[int], ret: RET, rsm: RsmTable, ctx:
 def rs_distribution(grid: ComboGrid, board: Sequence[int], rsm: RsmTable, ctx: BoardContext | None = None) -> np.ndarray:
     """Probability mass over the 11 categories for a normalized grid."""
     ctx = ctx or BoardContext.cached(board)
-    cats = rsm.categories_many(ctx)
+    return _category_mass(grid, rsm.categories_many(ctx))
+
+
+def _category_mass(grid: ComboGrid, cats: np.ndarray) -> np.ndarray:
     w = grid.weights
     live = (cats >= 0) & (w > 0)
     w_live = w[live]
@@ -222,12 +225,25 @@ def chib(hero: Sequence[int], grid: ComboGrid, board: Sequence[int], ctx: BoardC
 
 @dataclass
 class PipelineStep:
+    """One stage of a tracker's range. `support` and `distribution` are
+    computed on read, from the grid and the categories it was reshaped
+    under, because only traces read them."""
+
     stage: str  # "assign" / "street" / "action"
     street: str  # preflop/flop/turn/river
     ret_id: str | None
-    support: int
-    distribution: np.ndarray | None
     grid: ComboGrid
+    categories: np.ndarray | None = None  # None before the flop
+
+    @property
+    def support(self) -> int:
+        return self.grid.support_count()
+
+    @property
+    def distribution(self) -> np.ndarray | None:
+        if self.categories is None:
+            return None
+        return _category_mass(self.grid, self.categories)
 
 
 @dataclass
@@ -245,9 +261,7 @@ class OpponentRangeTracker:
     history: list[PipelineStep] = field(default_factory=list)
 
     def __post_init__(self):
-        self.history.append(
-            PipelineStep("assign", "preflop", None, self.grid.support_count(), None, self.grid)
-        )
+        self.history.append(PipelineStep("assign", "preflop", None, self.grid))
 
     def strip_dead(self, dead: Iterable[int]) -> None:
         """Remove hero-known cards (e.g. hero's own holes) without logging a
@@ -259,14 +273,7 @@ class OpponentRangeTracker:
         self.grid = self.grid.strip(board)
         flat = self.rets[FLAT_RET_ID]
         self.grid = reshape(self.grid, board, flat, self.rsm, ctx)
-        step = PipelineStep(
-            "street",
-            ctx.street,
-            FLAT_RET_ID,
-            self.grid.support_count(),
-            rs_distribution(self.grid, board, self.rsm, ctx),
-            self.grid,
-        )
+        step = PipelineStep("street", ctx.street, FLAT_RET_ID, self.grid, self.rsm.categories_many(ctx))
         self.history.append(step)
         return step
 
@@ -282,14 +289,7 @@ class OpponentRangeTracker:
         ctx = ctx or BoardContext.cached(board)
         ret_id = self.dispatch.select(ctx.street, self.archetype, action, aggressor, position)
         self.grid = reshape(self.grid, board, self.rets[ret_id], self.rsm, ctx)
-        step = PipelineStep(
-            "action",
-            ctx.street,
-            ret_id,
-            self.grid.support_count(),
-            rs_distribution(self.grid, board, self.rsm, ctx),
-            self.grid,
-        )
+        step = PipelineStep("action", ctx.street, ret_id, self.grid, self.rsm.categories_many(ctx))
         self.history.append(step)
         return step
 

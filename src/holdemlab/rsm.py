@@ -16,6 +16,7 @@ quads on a paired board that cripple the board and choke off action.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -140,25 +141,36 @@ def street_kind(board: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _rank_class_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables over hole ranks, by the board's top rank t0 and second
+    distinct rank t1 (-1 when none): the class of an unpaired holding by
+    its higher rank [t0, r], of a pocket pair by its rank [t0, t1 + 1, r],
+    and of a pair made with one hole card by rank and kicker >= T
+    [t0, t1 + 1, 2r + kicker]."""
+    r = np.arange(13)
+    t0 = r[:, None, None]
+    t1 = np.arange(-1, 13)[None, :, None]
+    high = np.where((r > t0[:, 0]) | (r == 12), MadeClass.HIGH_CARD, MadeClass.NOTHING)
+    pocket = np.where(
+        r > t0,
+        np.where(r >= 11, MadeClass.OVERPAIR_BIG, MadeClass.OVERPAIR_MID),
+        np.where(r > t1, MadeClass.PAIR_MID, MadeClass.PAIR_WEAK),
+    )
+    side = np.where(r == t1, MadeClass.PAIR_MID, MadeClass.PAIR_WEAK)[..., None]
+    top = np.array([MadeClass.PAIR_TOP_WEAK, MadeClass.PAIR_TOP_GOOD])
+    hole_pair = np.where((r == t0)[..., None], top, side).reshape(13, 14, 26)
+    return high.astype(np.int64), pocket.astype(np.int64), hole_pair.astype(np.int64)
+
+
+_HIGH_CLASS, _POCKET_CLASS, _HOLE_PAIR_CLASS = _rank_class_tables()
+
+
 def _board_rank_tables(board: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-board lookup tables over hole ranks: the class of an unpaired
-    holding by its higher rank, of a pocket pair by its rank, and of a pair
-    made with one hole card by (rank, kicker >= T)."""
+    """The _rank_class_tables rows of the board."""
     distinct = sorted({c >> 2 for c in board}, reverse=True)
-    bt0 = distinct[0]
-    bt1 = distinct[1] if len(distinct) > 1 else -1
-    high, pocket, hole_pair = [], [], []
-    for r in range(13):
-        high.append(MadeClass.HIGH_CARD if r > bt0 or r == 12 else MadeClass.NOTHING)
-        if r > bt0:
-            pocket.append(MadeClass.OVERPAIR_BIG if r >= 11 else MadeClass.OVERPAIR_MID)
-        else:
-            pocket.append(MadeClass.PAIR_MID if r > bt1 else MadeClass.PAIR_WEAK)
-        if r == bt0:
-            hole_pair += [MadeClass.PAIR_TOP_WEAK, MadeClass.PAIR_TOP_GOOD]
-        else:
-            hole_pair += [MadeClass.PAIR_MID if r == bt1 else MadeClass.PAIR_WEAK] * 2
-    return tuple(np.array(t, dtype=np.int64) for t in (high, pocket, hole_pair))
+    t0 = distinct[0]
+    t1 = distinct[1] if len(distinct) > 1 else -1
+    return _HIGH_CLASS[t0], _POCKET_CLASS[t0, t1 + 1], _HOLE_PAIR_CLASS[t0, t1 + 1]
 
 
 # Class of a made hand of category >= trips that the hole cards play in,
@@ -234,28 +246,14 @@ _DRAW_TIER = np.array(
 )
 
 
-def _draw_tiers(holes: np.ndarray, board: Sequence[int]) -> np.ndarray:
-    """Draw tier per combo; all NONE on a complete board."""
-    n = holes.shape[0]
-    if len(board) >= 5:
-        return np.zeros(n, dtype=np.int64)
+def _straight_outs(holes: np.ndarray, board: Sequence[int]) -> np.ndarray:
+    """Ranks that complete a straight for each holding, capped at 2. A rank
+    counts when it is absent and the straight it makes beats whatever the
+    board plus that rank makes alone."""
     board_mask = 0
     for c in board:
         board_mask |= 1 << (c >> 2)
-    suit_counts = np.bincount([c & 3 for c in board], minlength=4)
-
-    r1 = holes[:, 0] >> 2
-    r2 = holes[:, 1] >> 2
-    s1 = holes[:, 0] & 3
-    s2 = holes[:, 1] & 3
-
-    tot1 = suit_counts[s1] + 1 + (s1 == s2)
-    tot2 = suit_counts[s2] + 1 + (s1 == s2)
-    fd = (tot1 == 4) | (tot2 == 4)
-
-    # A rank completes a straight for the combo when it is absent and the
-    # straight it makes beats whatever the board plus that rank makes alone.
-    mask_full = board_mask | (np.int64(1) << r1) | (np.int64(1) << r2)
+    mask_full = board_mask | (np.int64(1) << (holes[:, 0] >> 2)) | (np.int64(1) << (holes[:, 1] >> 2))
     ranks_out = STRAIGHT_OUTS[mask_full]
     for r in range(13):
         board_with = int(STRAIGHT_TOP[board_mask | (1 << r)])
@@ -263,44 +261,94 @@ def _draw_tiers(holes: np.ndarray, board: Sequence[int]) -> np.ndarray:
             continue
         made_with = STRAIGHT_TOP[mask_full | (1 << r)]
         ranks_out -= ((mask_full >> r) & 1 == 0) & (made_with >= 0) & (made_with <= board_with)
-    return _DRAW_TIER[3 * fd + np.minimum(ranks_out, 2)]
+    return np.minimum(ranks_out, 2)
 
 
-# Without a flush, a combo's score and made class depend only on its two
-# hole ranks: the combos share 91 rank pairs, each stood for by two cards of
-# one suit (the same card twice for a pocket pair; duplicates count by
-# multiplicity, exactly as for dead combos).
+# Without a flush, a combo's score, made class and straight outs depend only
+# on its two hole ranks: the combos share 91 rank pairs, each stood for by
+# two cards of one suit (the same card twice for a pocket pair; duplicates
+# count by multiplicity, exactly as for dead combos).
 _COMBO_RANK_PAIRS, _RANK_PAIR_OF_COMBO = np.unique((COMBO_CARDS >> 2) @ [13, 1], return_inverse=True)
 _RANK_PAIR_CARDS = np.stack([_COMBO_RANK_PAIRS // 13, _COMBO_RANK_PAIRS % 13], axis=1) * 4
-_COMBO_SUITS = COMBO_CARDS & 3
+_IN_SUIT = ((COMBO_CARDS & 3)[None, :, :] == np.arange(4)[:, None, None]).sum(axis=2)  # [suit, combo]
+
+# And the board counts only by its rank multiset. The rank table has one
+# row per multiset of 3, 4 or 5 ranks (455 + 1,820 + 6,188) and one packed
+# entry per rank pair: score | made class << 24 | straight outs << 28. Rows
+# are filled on first use; a multiset's row within its street is the sum of
+# C(r_i + i, i + 1) over its ranks in ascending order.
+_STREET_ROW_OFFSET = {3: 0, 4: 455, 5: 455 + 1820}
+_MULTISET_TERM = [[math.comb(r + i, i + 1) for r in range(13)] for i in range(5)]
+_RANK_ROWS = np.zeros((455 + 1820 + 6188, len(_COMBO_RANK_PAIRS)), dtype=np.int32)
+_RANK_ROW_FILLED = np.zeros(len(_RANK_ROWS), dtype=bool)
 
 
-def _combo_scores_and_made(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and _made_classes of all 1,326 combos on the board: the
-    rank pairs are scored once in a suit that cannot make a flush, and only
-    the combos that do make one are scored with their own cards."""
+def _rank_row_index(board: Sequence[int]) -> int:
+    """Row of the board's rank multiset in the rank table."""
+    ranks = sorted(c >> 2 for c in board)
+    return _STREET_ROW_OFFSET[len(ranks)] + sum(_MULTISET_TERM[i][r] for i, r in enumerate(ranks))
+
+
+def _rank_pair_row(board: Sequence[int], suit_counts: list[int]) -> np.ndarray:
+    """The board's rank-table row, filled on first use. The rank pairs are
+    scored in a suit that cannot make a flush: the board must not hold five
+    cards of one suit."""
+    row = _rank_row_index(board)
+    if not _RANK_ROW_FILLED[row]:
+        off_suit = suit_counts.index(min(suit_counts))  # at most 1 + 2 cards: no flush
+        pair_cards = _RANK_PAIR_CARDS + off_suit
+        scores = score_cards_batch(pair_cards, board)
+        packed = scores | _made_classes(pair_cards, scores, board) << 24
+        if len(board) < 5:
+            packed |= _straight_outs(pair_cards, board) << 28
+        _RANK_ROWS[row] = packed
+        _RANK_ROW_FILLED[row] = True
+    return _RANK_ROWS[row]
+
+
+def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores, _made_classes and draw tiers of all 1,326 combos on the
+    board: the rank pairs come from the rank table, and only the combos that
+    make a flush are scored with their own cards."""
     suit_counts = [0, 0, 0, 0]
     for c in board:
         suit_counts[c & 3] += 1
-    off_suit = suit_counts.index(min(suit_counts))  # at most 1 + 2 cards: no flush
-    pair_cards = _RANK_PAIR_CARDS + off_suit
-    pair_scores = score_cards_batch(pair_cards, board)
-    scores = pair_scores[_RANK_PAIR_OF_COMBO]
-    made = _made_classes(pair_cards, pair_scores, board)[_RANK_PAIR_OF_COMBO]
     flush_suit = max(range(4), key=suit_counts.__getitem__)
-    if suit_counts[flush_suit] >= 3:  # only then can two more cards make five
-        in_suit = (_COMBO_SUITS == flush_suit).sum(axis=1)
-        rows = np.flatnonzero(suit_counts[flush_suit] + in_suit >= 5)
+    n_suited = suit_counts[flush_suit]
+    if n_suited < 5:
+        packed = _rank_pair_row(board, suit_counts).astype(np.int64)[_RANK_PAIR_OF_COMBO]
+        scores = packed & 0xFFFFFF
+        made = (packed >> 24) & 0xF
+        outs = packed >> 28
+    else:  # every combo plays the board's flush and is scored below
+        scores = np.empty(N_COMBOS, dtype=np.int64)
+        made = np.empty(N_COMBOS, dtype=np.int64)
+    if n_suited >= 3:  # only then can two more cards make five
+        rows = np.flatnonzero(_IN_SUIT[flush_suit] >= 5 - n_suited)
         holes = COMBO_CARDS[rows]
         scores[rows] = flush_scores = score_cards_batch(holes, board)
         made[rows] = _made_classes(holes, flush_scores, board)
-    return scores, made
+    if len(board) >= 5:  # no draws on a complete board
+        return scores, made, np.zeros(N_COMBOS, dtype=np.int64)
+    fd = np.zeros(N_COMBOS, dtype=bool)  # a flush draw: four of a suit with the hole cards
+    for suit, n in enumerate(suit_counts):
+        if n == 2 or n == 3:
+            fd |= _IN_SUIT[suit] == 4 - n
+    return scores, made, _DRAW_TIER[3 * fd + outs]
 
 
 class BoardContext:
     """Everything strength-related that depends only on the board: scores,
     features, and the river percentile table for all 1,326 combos. Built
-    once per street and shared across every grid on that board."""
+    once per street and shared across every grid on that board.
+
+    The no-flush part of a build comes from the rank table: per rank
+    multiset of the board, the 91 rank pairs' scores, made classes and
+    straight outs. It is a pure function of ranks with a fixed 8,463 rows
+    (3.1 MB, filled on first use, never evicted), so what it serves cannot
+    depend on which boards came before. A river with five cards of one suit
+    bypasses it, since there every rank pair scores as that flush; all its
+    combos are scored with their own cards."""
 
     def __init__(self, board: Sequence[int]):
         self.board = validate_board(board)
@@ -309,10 +357,9 @@ class BoardContext:
         self.street = street_kind(self.board)
         self.texture = board_texture(self.board)
         self.dead_mask = combos_with_any(self.board)
-        scores, self.made = _combo_scores_and_made(self.board)
+        scores, self.made, self.draw = _combo_features(self.board)
         self.scores = np.where(self.dead_mask, -1, scores)
         self.max_score = int(self.scores.max())
-        self.draw = _draw_tiers(COMBO_CARDS, self.board)
         self._percentile: np.ndarray | None = None
         self._category_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -354,20 +401,6 @@ class BoardContext:
                 cls._CTX_CACHE.pop(next(iter(cls._CTX_CACHE)))
             cls._CTX_CACHE[key] = ctx
         return ctx
-
-    def percentile_of(self, idx: int) -> float:
-        """Scalar percentile for one combo without building the full table."""
-        if self._percentile is not None:
-            return float(self._percentile[idx])
-        live = ~self.dead_mask
-        s = self.scores
-        si = int(s[idx])
-        pool = s[live]
-        if pool.size == 0:
-            return 0.5
-        less = int((pool < si).sum())
-        ties = int((pool == si).sum())
-        return (less + 0.5 * ties) / pool.size
 
 
 # ---------------------------------------------------------------------------

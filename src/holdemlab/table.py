@@ -863,7 +863,8 @@ def _field_cards(text: str) -> tuple[int, ...]:
 
 
 def parse_history(path: str) -> list[HandRecord]:
-    """Records of a history file, read line by line. A malformed line raises
+    """Records of a history file, read line by line. A malformed line,
+    including one with a field too many or too few, raises
     HistoryFormatError naming it. Tags are tested most common first, and
     repeated street, action, player and table names share one string.
 
@@ -892,30 +893,35 @@ def parse_history(path: str) -> list[HandRecord]:
                 raise HistoryFormatError(f"line {lineno}: record body before header")
             try:
                 if tag == "ACT":
-                    street = parts[1]
-                    action = parts[3]
-                    act = act_of[raw] = (intern(street, street), int(parts[2]), intern(action, action), int(parts[4]))
+                    _, street, seat, action, committed = parts
+                    act = act_of[raw] = (intern(street, street), int(seat), intern(action, action), int(committed))
                     actions.append(act)
                 elif tag == "SEAT":
-                    pid = parts[2]
-                    seats.append((int(parts[1]), intern(pid, pid), int(parts[3])))
+                    _, seat, pid, stack = parts
+                    seats.append((int(seat), intern(pid, pid), int(stack)))
                 elif tag == "HOLE":
-                    holes[int(parts[1])] = cards(parts[2])
+                    _, seat, pair = parts
+                    holes[int(seat)] = cards(pair)
                 elif tag == "NET":
-                    net[int(parts[1])] = int(parts[2])
+                    _, seat, amount = parts
+                    net[int(seat)] = int(amount)
                 elif tag == "END":
+                    (_,) = parts
                     records.append(
                         HandRecord(*head, seats, holes, board, actions, showdown, awards, rake_paid, net, *flags)
                     )
                     opened = 0
                 elif tag == "AWARD":
-                    seat = int(parts[1])
-                    awards[seat] = int(parts[2])
-                    rake_paid[seat] = int(parts[3])
+                    _, seat, amount, rake = parts
+                    seat = int(seat)
+                    awards[seat] = int(amount)
+                    rake_paid[seat] = int(rake)
                 elif tag == "BOARD":
-                    board = cards(parts[1])
+                    _, dealt = parts
+                    board = cards(dealt)
                 elif tag == "SHOW":
-                    showdown.append((int(parts[1]), cards(parts[2])))
+                    _, seat, pair = parts
+                    showdown.append((int(seat), cards(pair)))
                 elif tag == HISTORY_VERSION:
                     if opened:
                         raise HistoryFormatError(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -260,3 +262,26 @@ class TestPersistence:
             assert stats.snapshot() == loaded.player_stats(pid).snapshot()
         assert loaded.player_class_multipliers == store.player_class_multipliers
         assert overlay == {"flop|SET|NONE|dry": 0.2}
+
+    def test_missing_files_raise_naming_the_path(self, tmp_path):
+        store = ProfileStore()
+        log, snap = tmp_path / "events.log", tmp_path / "snap.json"
+        store.save(str(log), str(snap))
+        missing = tmp_path / "absent"
+        with pytest.raises(FileNotFoundError, match="absent"):
+            ProfileStore.load(str(missing), str(snap))
+        with pytest.raises(FileNotFoundError, match="absent"):
+            ProfileStore.load(str(log), str(missing))
+
+    @pytest.mark.parametrize("version", [2, None])
+    def test_snapshot_of_another_version_raises(self, tmp_path, version):
+        log, snap = tmp_path / "events.log", tmp_path / "snap.json"
+        ProfileStore().save(str(log), str(snap))
+        data = json.loads(snap.read_text())
+        if version is None:
+            del data["version"]
+        else:
+            data["version"] = version
+        snap.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"{snap}: snapshot version {version!r}"):
+            ProfileStore.load(str(log), str(snap))

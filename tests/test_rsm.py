@@ -83,6 +83,105 @@ class TestBoardContextFeatures:
             assert (ctx.scores == np.where(ctx.dead_mask, -1, scores)).all()
             assert (ctx.made == _made_classes(COMBO_CARDS, scores, board)).all()
 
+    # Boards sharing a rank multiset: a five-suited river with a four-flush
+    # and a rainbow one, a four-flush turn, paired, trips and quads boards.
+    SAME_RANKS = [
+        ("AhKhQh7h2h", "AhKhQh7h2c", "AsKdQc7h2h"),
+        ("9h8h6h2h", "9c8d6s2h", "9h8h6h2c"),
+        ("KhKd7c", "KsKc7h", "KhKs7h"),
+        ("7h7d7cKsKh", "7s7h7dKcKs", "7h7d7sKhKd"),
+        ("5s5d5c5hKh", "5h5d5c5sKc"),
+        ("JhTh9h8h7h", "JhTh9h8h7d", "JcTd9s8h7h"),
+    ]
+
+    @pytest.mark.parametrize("group", SAME_RANKS)
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_rank_table_equals_per_combo_features(self, monkeypatch, group, order):
+        """Whichever board of a rank multiset fills its rank-table row, every
+        board served from it matches scoring, classing and drawing each combo
+        with its own cards."""
+        from holdemlab import rsm
+        from holdemlab.cards import score_cards_batch
+        from holdemlab.rangegrid import COMBO_CARDS
+        from holdemlab.rsm import _made_classes
+
+        monkeypatch.setattr(rsm, "_RANK_ROWS", np.zeros_like(rsm._RANK_ROWS))
+        monkeypatch.setattr(rsm, "_RANK_ROW_FILLED", np.zeros_like(rsm._RANK_ROW_FILLED))
+        for text in group[::order]:
+            board = cards(text)
+            ctx = BoardContext(board)
+            scores = score_cards_batch(COMBO_CARDS, board)
+            assert (ctx.scores == np.where(ctx.dead_mask, -1, scores)).all(), text
+            assert (ctx.made == _made_classes(COMBO_CARDS, scores, board)).all(), text
+            assert (ctx.draw == _per_combo_draw_tiers(COMBO_CARDS, board)).all(), text
+
+    def test_every_rank_multiset_has_its_own_row(self):
+        from itertools import combinations_with_replacement
+
+        from holdemlab.rsm import _RANK_ROWS, _rank_row_index
+
+        rows = [
+            _rank_row_index([4 * r for r in ranks])
+            for n in (3, 4, 5)
+            for ranks in combinations_with_replacement(range(13), n)
+        ]
+        assert sorted(rows) == list(range(len(_RANK_ROWS))) == list(range(455 + 1820 + 6188))
+        # the row does not depend on the order the cards come in
+        assert _rank_row_index(cards("2h9cKdKs")) == _rank_row_index(cards("KsKd9c2h"))
+
+
+def test_rank_class_tables_equal_per_rank_rules():
+    """The board's rank-class tables equal the rules applied rank by rank."""
+    from itertools import combinations
+
+    from holdemlab.rsm import _board_rank_tables
+
+    for n in (1, 2):
+        for distinct in combinations(range(13), n):
+            t0 = distinct[-1]
+            t1 = distinct[0] if n == 2 else -1
+            high, pocket, hole_pair = [], [], []
+            for r in range(13):
+                high.append(MadeClass.HIGH_CARD if r > t0 or r == 12 else MadeClass.NOTHING)
+                if r > t0:
+                    pocket.append(MadeClass.OVERPAIR_BIG if r >= 11 else MadeClass.OVERPAIR_MID)
+                else:
+                    pocket.append(MadeClass.PAIR_MID if r > t1 else MadeClass.PAIR_WEAK)
+                if r == t0:
+                    hole_pair += [MadeClass.PAIR_TOP_WEAK, MadeClass.PAIR_TOP_GOOD]
+                else:
+                    hole_pair += [MadeClass.PAIR_MID if r == t1 else MadeClass.PAIR_WEAK] * 2
+            board = [4 * r for r in distinct] + [4 * t0 + 1, 4 * t0 + 2]
+            got = _board_rank_tables(board)
+            for want, table in zip((high, pocket, hole_pair), got):
+                assert table.dtype == np.int64
+                assert table.tolist() == [int(m) for m in want], (distinct, want, table)
+
+
+def _per_combo_draw_tiers(holes, board):
+    """Draw tier of each combo from its own cards, one rank at a time."""
+    from holdemlab.cards import STRAIGHT_OUTS, STRAIGHT_TOP
+    from holdemlab.rsm import _DRAW_TIER
+
+    if len(board) >= 5:
+        return np.zeros(holes.shape[0], dtype=np.int64)
+    board_mask = 0
+    for c in board:
+        board_mask |= 1 << (c >> 2)
+    suit_counts = np.bincount([c & 3 for c in board], minlength=4)
+    r1, r2 = holes[:, 0] >> 2, holes[:, 1] >> 2
+    s1, s2 = holes[:, 0] & 3, holes[:, 1] & 3
+    fd = (suit_counts[s1] + 1 + (s1 == s2) == 4) | (suit_counts[s2] + 1 + (s1 == s2) == 4)
+    mask_full = board_mask | (np.int64(1) << r1) | (np.int64(1) << r2)
+    ranks_out = STRAIGHT_OUTS[mask_full]
+    for r in range(13):
+        board_with = int(STRAIGHT_TOP[board_mask | (1 << r)])
+        if board_with < 0:
+            continue
+        made_with = STRAIGHT_TOP[mask_full | (1 << r)]
+        ranks_out -= ((mask_full >> r) & 1 == 0) & (made_with >= 0) & (made_with <= board_with)
+    return _DRAW_TIER[3 * fd + np.minimum(ranks_out, 2)]
+
 
 class TestQueries:
     def test_top_set_is_nuts(self, table):

@@ -183,3 +183,24 @@ class TestReportAcrossProcesses:
             outputs.append((run.stdout, csv.read_bytes()))
         assert outputs[0] == outputs[1]
         assert "all-in adjusted" in outputs[0][0]
+
+    def test_simulate_same_under_two_hash_seeds(self, tmp_path):
+        # `holdemlab simulate --trace` in fresh interpreters: every file it
+        # writes (history, report, trace, profile log and snapshot) must
+        # not depend on set or dict order.
+        src = str(Path(holdemlab.__file__).resolve().parent.parent)
+        files = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "holdemlab.cli", "simulate", "--hands", "300", "--seed", "2023",
+                 "--trace", "--out", str(out)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(files[0]) == [
+            "profile_events_2023.log", "profile_snapshot_2023.json", "report_2023.csv",
+            "report_2023.txt", "session_2023.hh", "trace_2023.txt",
+        ]
+        assert files[0] == files[1]

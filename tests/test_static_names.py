@@ -4,6 +4,7 @@ A missing import only fails when its code path runs (a `NameError` deep in
 a session), so this walks the compiled code of every module instead: each
 `LOAD_GLOBAL` must name a module global or a builtin.
 """
+import ast
 import builtins
 import dis
 import importlib
@@ -48,3 +49,16 @@ def test_every_module_is_walked():
 def test_every_global_load_resolves():
     missing = [m for module in _modules() for m in _unresolved_globals(module)]
     assert not missing, "names read but never defined or imported:\n" + "\n".join(missing)
+
+
+def test_all_lists_every_imported_name():
+    path = Path(holdemlab.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    assert sorted(holdemlab.__all__) == sorted(imported)
+    assert all(hasattr(holdemlab, name) for name in holdemlab.__all__)

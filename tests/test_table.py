@@ -230,6 +230,22 @@ class TestHistoryParser:
         with pytest.raises(HistoryFormatError, match=rf"^line {i + 1}: invalid literal for int"):
             self.parse(tmp_path, lines)
 
+    @pytest.mark.parametrize("tag", ["SEAT", "HOLE", "BOARD", "ACT", "SHOW", "AWARD", "NET", "END"])
+    def test_field_too_many(self, tmp_path, tag):
+        lines = self.lines()
+        i = self.line_of(lines, tag)
+        lines[i] += " 7"
+        with pytest.raises(HistoryFormatError, match=rf"^line {i + 1}: too many values"):
+            self.parse(tmp_path, lines)
+
+    @pytest.mark.parametrize("tag", ["SEAT", "HOLE", "BOARD", "ACT", "SHOW", "AWARD", "NET"])
+    def test_field_too_few(self, tmp_path, tag):
+        lines = self.lines()
+        i = self.line_of(lines, tag)
+        lines[i] = lines[i].rsplit(" ", 1)[0]
+        with pytest.raises(HistoryFormatError, match=rf"^line {i + 1}: not enough values"):
+            self.parse(tmp_path, lines)
+
     def test_unterminated_record_at_end(self, tmp_path):
         lines = self.lines()
         with pytest.raises(HistoryFormatError, match=rf"^line {len(lines) + 1}: unterminated record"):
