@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every output of a fixed-seed run, so that two
+"""Print the sha256 of every output of the seed-2023 run, so that two
 checkouts can be shown to write the same bytes.
 
-    python3 scripts/digest.py [--hands 10000] [--seed 2023] [--advise-hands 1000] [--keep DIR]
+    python3 scripts/digest.py [--advise-hands 1000] [--keep DIR]
 
 The program is imported from the checkout's src/. Each command runs in a
 fresh interpreter in the output directory DIR, as a user would run it:
 
-    holdemlab simulate --hands N --seed S --trace --out simulate
-    holdemlab report simulate/session_S.hh --out report.csv
+    holdemlab simulate --hands 10000 --seed 2023 --trace --out simulate
+    holdemlab report simulate/session_2023.hh --out report.csv
     holdemlab replay hand6.scn --out replay
 
 Every file they write and the stdout of `report` and `replay` are hashed.
@@ -27,6 +27,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 2023
+HANDS = 10000
 
 
 def cli(out: Path, *args: str) -> str:
@@ -54,12 +56,12 @@ def advise_lines(seed: int, hands: int) -> list[str]:
     return lines
 
 
-def digests(out: Path, seed: int, hands: int, advise_hands: int) -> dict[str, str]:
-    cli(out, "simulate", "--hands", str(hands), "--seed", str(seed), "--trace", "--out", "simulate")
+def digests(out: Path, advise_hands: int) -> dict[str, str]:
+    cli(out, "simulate", "--hands", str(HANDS), "--seed", str(SEED), "--trace", "--out", "simulate")
     texts = {
-        "report.stdout": cli(out, "report", f"simulate/session_{seed}.hh", "--out", "report.csv"),
+        "report.stdout": cli(out, "report", f"simulate/session_{SEED}.hh", "--out", "report.csv"),
         "replay.stdout": cli(out, "replay", "hand6.scn", "--out", "replay"),
-        f"advise_{seed}_{advise_hands}.lines": "\n".join(advise_lines(seed, advise_hands)),
+        f"advise_{SEED}_{advise_hands}.lines": "\n".join(advise_lines(SEED, advise_hands)),
     }
     sums = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
     for path in out.rglob("*"):
@@ -70,15 +72,13 @@ def digests(out: Path, seed: int, hands: int, advise_hands: int) -> dict[str, st
 
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--hands", type=int, default=10000, help="simulated hands")
-    p.add_argument("--seed", type=int, default=2023, help="simulate and advise seed")
     p.add_argument("--advise-hands", type=int, default=1000, help="advised hands")
     p.add_argument("--keep", help="write the outputs here instead of a temporary directory")
     args = p.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(args.keep or tmp).resolve()
         out.mkdir(parents=True, exist_ok=True)
-        for name, digest in sorted(digests(out, args.seed, args.hands, args.advise_hands).items()):
+        for name, digest in sorted(digests(out, args.advise_hands).items()):
             print(f"{digest}  {name}")
 
 

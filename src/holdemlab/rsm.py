@@ -15,8 +15,8 @@ quads on a paired board that cripple the board and choke off action.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -141,36 +141,33 @@ def street_kind(board: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _rank_class_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables over hole ranks, by the board's top rank t0 and second
-    distinct rank t1 (-1 when none): the class of an unpaired holding by
-    its higher rank [t0, r], of a pocket pair by its rank [t0, t1 + 1, r],
-    and of a pair made with one hole card by rank and kicker >= T
-    [t0, t1 + 1, 2r + kicker]."""
-    r = np.arange(13)
-    t0 = r[:, None, None]
-    t1 = np.arange(-1, 13)[None, :, None]
-    high = np.where((r > t0[:, 0]) | (r == 12), MadeClass.HIGH_CARD, MadeClass.NOTHING)
-    pocket = np.where(
-        r > t0,
-        np.where(r >= 11, MadeClass.OVERPAIR_BIG, MadeClass.OVERPAIR_MID),
-        np.where(r > t1, MadeClass.PAIR_MID, MadeClass.PAIR_WEAK),
-    )
-    side = np.where(r == t1, MadeClass.PAIR_MID, MadeClass.PAIR_WEAK)[..., None]
-    top = np.array([MadeClass.PAIR_TOP_WEAK, MadeClass.PAIR_TOP_GOOD])
-    hole_pair = np.where((r == t0)[..., None], top, side).reshape(13, 14, 26)
-    return high.astype(np.int64), pocket.astype(np.int64), hole_pair.astype(np.int64)
-
-
-_HIGH_CLASS, _POCKET_CLASS, _HOLE_PAIR_CLASS = _rank_class_tables()
-
-
 def _board_rank_tables(board: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The _rank_class_tables rows of the board."""
+    """Per-board lookup tables over hole ranks: the class of an unpaired
+    holding by its higher rank, of a pocket pair by its rank, and of a pair
+    made with one hole card by (rank, kicker >= T)."""
     distinct = sorted({c >> 2 for c in board}, reverse=True)
-    t0 = distinct[0]
-    t1 = distinct[1] if len(distinct) > 1 else -1
-    return _HIGH_CLASS[t0], _POCKET_CLASS[t0, t1 + 1], _HOLE_PAIR_CLASS[t0, t1 + 1]
+    return _rank_tables(distinct[0], distinct[1] if len(distinct) > 1 else -1)
+
+
+@functools.cache
+def _rank_tables(bt0: int, bt1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_board_rank_tables of a board whose top two distinct ranks are bt0
+    and bt1 (-1 when none). Cached: they are shared, so read-only."""
+    high, pocket, hole_pair = [], [], []
+    for r in range(13):
+        high.append(MadeClass.HIGH_CARD if r > bt0 or r == 12 else MadeClass.NOTHING)
+        if r > bt0:
+            pocket.append(MadeClass.OVERPAIR_BIG if r >= 11 else MadeClass.OVERPAIR_MID)
+        else:
+            pocket.append(MadeClass.PAIR_MID if r > bt1 else MadeClass.PAIR_WEAK)
+        if r == bt0:
+            hole_pair += [MadeClass.PAIR_TOP_WEAK, MadeClass.PAIR_TOP_GOOD]
+        else:
+            hole_pair += [MadeClass.PAIR_MID if r == bt1 else MadeClass.PAIR_WEAK] * 2
+    tables = tuple(np.array(t, dtype=np.int64) for t in (high, pocket, hole_pair))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 # Class of a made hand of category >= trips that the hole cards play in,
@@ -272,37 +269,30 @@ _COMBO_RANK_PAIRS, _RANK_PAIR_OF_COMBO = np.unique((COMBO_CARDS >> 2) @ [13, 1],
 _RANK_PAIR_CARDS = np.stack([_COMBO_RANK_PAIRS // 13, _COMBO_RANK_PAIRS % 13], axis=1) * 4
 _IN_SUIT = ((COMBO_CARDS & 3)[None, :, :] == np.arange(4)[:, None, None]).sum(axis=2)  # [suit, combo]
 
-# And the board counts only by its rank multiset. The rank table has one
-# row per multiset of 3, 4 or 5 ranks (455 + 1,820 + 6,188) and one packed
-# entry per rank pair: score | made class << 24 | straight outs << 28. Rows
-# are filled on first use; a multiset's row within its street is the sum of
-# C(r_i + i, i + 1) over its ranks in ascending order.
-_STREET_ROW_OFFSET = {3: 0, 4: 455, 5: 455 + 1820}
-_MULTISET_TERM = [[math.comb(r + i, i + 1) for r in range(13)] for i in range(5)]
+# And the board counts only by its rank multiset: the rank table has a row
+# for each sorted multiset of 3, 4 or 5 ranks (455 + 1,820 + 6,188), with one
+# packed entry per rank pair: score | made class << 24 | straight outs << 28.
+# Rows are handed out in the order of first use, so the filled ones are
+# contiguous and only their memory pages are touched.
 _RANK_ROWS = np.zeros((455 + 1820 + 6188, len(_COMBO_RANK_PAIRS)), dtype=np.int32)
-_RANK_ROW_FILLED = np.zeros(len(_RANK_ROWS), dtype=bool)
-
-
-def _rank_row_index(board: Sequence[int]) -> int:
-    """Row of the board's rank multiset in the rank table."""
-    ranks = sorted(c >> 2 for c in board)
-    return _STREET_ROW_OFFSET[len(ranks)] + sum(_MULTISET_TERM[i][r] for i, r in enumerate(ranks))
+_RANK_ROW_OF: dict[tuple[int, ...], int] = {}
 
 
 def _rank_pair_row(board: Sequence[int], suit_counts: list[int]) -> np.ndarray:
     """The board's rank-table row, filled on first use. The rank pairs are
     scored in a suit that cannot make a flush: the board must not hold five
     cards of one suit."""
-    row = _rank_row_index(board)
-    if not _RANK_ROW_FILLED[row]:
+    ranks = tuple(sorted(c >> 2 for c in board))
+    row = _RANK_ROW_OF.get(ranks)
+    if row is None:
         off_suit = suit_counts.index(min(suit_counts))  # at most 1 + 2 cards: no flush
         pair_cards = _RANK_PAIR_CARDS + off_suit
         scores = score_cards_batch(pair_cards, board)
         packed = scores | _made_classes(pair_cards, scores, board) << 24
         if len(board) < 5:
             packed |= _straight_outs(pair_cards, board) << 28
+        row = _RANK_ROW_OF[ranks] = len(_RANK_ROW_OF)
         _RANK_ROWS[row] = packed
-        _RANK_ROW_FILLED[row] = True
     return _RANK_ROWS[row]
 
 
@@ -345,10 +335,10 @@ class BoardContext:
     The no-flush part of a build comes from the rank table: per rank
     multiset of the board, the 91 rank pairs' scores, made classes and
     straight outs. It is a pure function of ranks with a fixed 8,463 rows
-    (3.1 MB, filled on first use, never evicted), so what it serves cannot
-    depend on which boards came before. A river with five cards of one suit
-    bypasses it, since there every rank pair scores as that flush; all its
-    combos are scored with their own cards."""
+    (3.1 MB, allocated empty, a row filled on first use and never evicted),
+    so what it serves cannot depend on which boards came before. A river
+    with five cards of one suit bypasses it, since there every rank pair
+    scores as that flush; all its combos are scored with their own cards."""
 
     def __init__(self, board: Sequence[int]):
         self.board = validate_board(board)

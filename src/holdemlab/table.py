@@ -808,6 +808,7 @@ class BotPolicy:
 # ---------------------------------------------------------------------------
 
 HISTORY_VERSION = "HHv1"
+_HEADER_KEYS = {"hand", "table", "btn", "sb", "bb", "flop"}  # plus an optional "fail"
 
 
 def record_to_lines(record: HandRecord) -> list[str]:
@@ -928,6 +929,11 @@ def parse_history(path: str) -> list[HandRecord]:
                             f"line {lineno}: header inside the unterminated record of line {opened}"
                         )
                     kv = dict(p.split("=", 1) for p in parts[1:])
+                    if len(kv) < len(parts) - 1 or not _HEADER_KEYS <= kv.keys() <= _HEADER_KEYS | {"fail"}:
+                        raise HistoryFormatError(
+                            f"line {lineno}: header keys must be hand, table, btn, sb, bb, flop"
+                            " and an optional fail, each once"
+                        )
                     hand_id = int(kv["hand"])
                     table_id = kv["table"]
                     head = (hand_id, intern(table_id, table_id), int(kv["btn"]), int(kv["sb"]), int(kv["bb"]))

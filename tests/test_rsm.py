@@ -88,7 +88,7 @@ class TestBoardContextFeatures:
     SAME_RANKS = [
         ("AhKhQh7h2h", "AhKhQh7h2c", "AsKdQc7h2h"),
         ("9h8h6h2h", "9c8d6s2h", "9h8h6h2c"),
-        ("KhKd7c", "KsKc7h", "KhKs7h"),
+        ("KhKd7c", "KsKc7h", "KhKs7h", "7dKsKh"),
         ("7h7d7cKsKh", "7s7h7dKcKs", "7h7d7sKhKd"),
         ("5s5d5c5hKh", "5h5d5c5sKc"),
         ("JhTh9h8h7h", "JhTh9h8h7d", "JcTd9s8h7h"),
@@ -106,7 +106,7 @@ class TestBoardContextFeatures:
         from holdemlab.rsm import _made_classes
 
         monkeypatch.setattr(rsm, "_RANK_ROWS", np.zeros_like(rsm._RANK_ROWS))
-        monkeypatch.setattr(rsm, "_RANK_ROW_FILLED", np.zeros_like(rsm._RANK_ROW_FILLED))
+        monkeypatch.setattr(rsm, "_RANK_ROW_OF", {})
         for text in group[::order]:
             board = cards(text)
             ctx = BoardContext(board)
@@ -114,48 +114,15 @@ class TestBoardContextFeatures:
             assert (ctx.scores == np.where(ctx.dead_mask, -1, scores)).all(), text
             assert (ctx.made == _made_classes(COMBO_CARDS, scores, board)).all(), text
             assert (ctx.draw == _per_combo_draw_tiers(COMBO_CARDS, board)).all(), text
+        # one row, keyed by the sorted ranks whatever order the cards come in
+        assert list(rsm._RANK_ROW_OF) == [tuple(sorted(c >> 2 for c in cards(group[0])))]
 
-    def test_every_rank_multiset_has_its_own_row(self):
+    def test_rank_table_has_a_row_for_every_rank_multiset(self):
         from itertools import combinations_with_replacement
 
-        from holdemlab.rsm import _RANK_ROWS, _rank_row_index
+        from holdemlab.rsm import _RANK_ROWS
 
-        rows = [
-            _rank_row_index([4 * r for r in ranks])
-            for n in (3, 4, 5)
-            for ranks in combinations_with_replacement(range(13), n)
-        ]
-        assert sorted(rows) == list(range(len(_RANK_ROWS))) == list(range(455 + 1820 + 6188))
-        # the row does not depend on the order the cards come in
-        assert _rank_row_index(cards("2h9cKdKs")) == _rank_row_index(cards("KsKd9c2h"))
-
-
-def test_rank_class_tables_equal_per_rank_rules():
-    """The board's rank-class tables equal the rules applied rank by rank."""
-    from itertools import combinations
-
-    from holdemlab.rsm import _board_rank_tables
-
-    for n in (1, 2):
-        for distinct in combinations(range(13), n):
-            t0 = distinct[-1]
-            t1 = distinct[0] if n == 2 else -1
-            high, pocket, hole_pair = [], [], []
-            for r in range(13):
-                high.append(MadeClass.HIGH_CARD if r > t0 or r == 12 else MadeClass.NOTHING)
-                if r > t0:
-                    pocket.append(MadeClass.OVERPAIR_BIG if r >= 11 else MadeClass.OVERPAIR_MID)
-                else:
-                    pocket.append(MadeClass.PAIR_MID if r > t1 else MadeClass.PAIR_WEAK)
-                if r == t0:
-                    hole_pair += [MadeClass.PAIR_TOP_WEAK, MadeClass.PAIR_TOP_GOOD]
-                else:
-                    hole_pair += [MadeClass.PAIR_MID if r == t1 else MadeClass.PAIR_WEAK] * 2
-            board = [4 * r for r in distinct] + [4 * t0 + 1, 4 * t0 + 2]
-            got = _board_rank_tables(board)
-            for want, table in zip((high, pocket, hole_pair), got):
-                assert table.dtype == np.int64
-                assert table.tolist() == [int(m) for m in want], (distinct, want, table)
+        assert len(_RANK_ROWS) == sum(1 for n in (3, 4, 5) for _ in combinations_with_replacement(range(13), n))
 
 
 def _per_combo_draw_tiers(holes, board):

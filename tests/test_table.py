@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,22 @@ class TestHistoryParser:
         lines[i] = lines[i].rsplit(" ", 1)[0]
         with pytest.raises(HistoryFormatError, match=rf"^line {i + 1}: not enough values"):
             self.parse(tmp_path, lines)
+
+    @pytest.mark.parametrize("edit", ["unknown", "repeated", "missing"])
+    def test_header_keys_exact(self, tmp_path, edit):
+        lines = self.lines()
+        lines[0] = {
+            "unknown": lines[0] + " junk=1",
+            "repeated": lines[0] + " hand=2",
+            "missing": re.sub(" flop=.", "", lines[0]),
+        }[edit]
+        with pytest.raises(HistoryFormatError, match=r"^line 1: header keys must be"):
+            self.parse(tmp_path, lines)
+
+    def test_header_fail_optional(self, tmp_path):
+        lines = self.lines()
+        assert lines[0].endswith(" fail=0")
+        assert self.parse(tmp_path, [lines[0][: -len(" fail=0")]] + lines[1:]) == self.parse(tmp_path, lines)
 
     def test_unterminated_record_at_end(self, tmp_path):
         lines = self.lines()
