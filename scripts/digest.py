@@ -11,10 +11,12 @@ fresh interpreter in the output directory DIR, as a user would run it:
     holdemlab report simulate/session_2023.hh --out report.csv
     holdemlab replay hand6.scn --out replay
 
-Every file they write and the stdout of `report` and `replay` are hashed.
-Last comes the hero's advice, one line per decision, over the benchmark's
-seeded `advise` hands (holdembench/workloads.py). One `sha256  name` line
-is printed per output, sorted by name; diff the lines of two checkouts.
+Each demo in demos/ runs there too (`python demos/01_cards_and_equity.py`
+and so on). Every file they write and the stdout of `report`, `replay` and
+each demo are hashed. Last comes the hero's advice, one line per decision,
+over the benchmark's seeded `advise` hands (holdembench/workloads.py). One
+`sha256  name` line is printed per output, sorted by name; diff the lines
+of two checkouts.
 """
 from __future__ import annotations
 
@@ -31,16 +33,18 @@ SEED = 2023
 HANDS = 10000
 
 
-def cli(out: Path, *args: str) -> str:
-    """stdout of one command run in `out`, where the relative paths it is
-    given and prints resolve."""
+def run(out: Path, *args: str) -> str:
+    """stdout of `python args...` run in `out`, where the relative paths it
+    is given and prints resolve."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run(
-        [sys.executable, "-m", "holdemlab.cli", *args], cwd=out, env=env, capture_output=True, text=True
-    )
-    if run.returncode != 0:
-        sys.exit(f"holdemlab {' '.join(args)} exited {run.returncode}:\n{run.stderr}")
-    return run.stdout
+    done = subprocess.run([sys.executable, *args], cwd=out, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout
+
+
+def cli(out: Path, *args: str) -> str:
+    return run(out, "-m", "holdemlab.cli", *args)
 
 
 def advise_lines(seed: int, hands: int) -> list[str]:
@@ -63,6 +67,8 @@ def digests(out: Path, advise_hands: int) -> dict[str, str]:
         "replay.stdout": cli(out, "replay", "hand6.scn", "--out", "replay"),
         f"advise_{SEED}_{advise_hands}.lines": "\n".join(advise_lines(SEED, advise_hands)),
     }
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        texts[f"{demo.stem}.stdout"] = run(out, str(demo))
     sums = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
     for path in out.rglob("*"):
         if path.is_file():

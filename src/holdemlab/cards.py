@@ -163,10 +163,6 @@ def _straight_outs() -> np.ndarray:
 # straight with it (each rank is four outs).
 STRAIGHT_OUTS = _straight_outs()
 
-_CARD_RANK = np.repeat(np.arange(13, dtype=np.int64), 4)
-_CARD_SUIT = np.tile(np.arange(4, dtype=np.int64), 13)
-_POW2 = (1 << np.arange(13)).astype(np.int64)
-
 # Score layout: category << 20 | up to five rank nibbles (bit 16 highest).
 _CAT_SHIFT = 20
 
@@ -232,142 +228,74 @@ def hand_score(cards: Sequence[int]) -> int:
 def score_cards_batch(
     cards: np.ndarray, board: Sequence[int] = (), holes: Sequence[Sequence[int]] | None = None
 ) -> np.ndarray:
-    """Vectorized hand_score over an (n, k) array of card indices plus an
-    optional board shared by every row; k + len(board) must be in 5..7.
+    """Vectorized hand_score over the rows of an (n, k) array of card
+    indices, each scored with a board shared by every row.
 
-    A shared board is folded into rank masks and suit counts once; only the
-    row cards are then added per row. With holes, a sequence of two-card
-    hands, the rows are runouts shared by every hand: the result is
-    (len(holes), n), each hand scored with each row and the board, and the
-    rows are folded once before each hand's two cards are added."""
+    Without holes the result has one score per row. With holes, hands of
+    j cards each (usually two), the rows are runouts shared by every hand:
+    the result is (len(holes), n), hand i scored with row r and the board.
+    Each scored set must hold 5..7 cards. Cards may repeat (dead combos in
+    a range sweep) and then count with multiplicity.
+
+    The board is folded once into rank masks and suit data, then the rows
+    once on top of it; only then are the hands added, by broadcasting over
+    the rows, a block of hands at a time."""
     cards = np.asarray(cards, dtype=np.int64)
     n, k = cards.shape
-    if holes is not None:
-        return _score_holes_on_rows(cards, board, holes)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if len(board):
-        return _score_masks(*_row_masks_on_board(cards, board))
-    r = _CARD_RANK[cards]
-    s = _CARD_SUIT[cards]
-    rows13 = (np.arange(n) * 13)[:, None]
-    rows4 = (np.arange(n) * 4)[:, None]
-    rc = np.bincount((rows13 + r).ravel(), minlength=n * 13).reshape(n, 13)
-    sc = np.bincount((rows4 + s).ravel(), minlength=n * 4).reshape(n, 4)
-
-    m1 = (rc >= 1) @ _POW2
-    m2 = (rc >= 2) @ _POW2
-    m3 = (rc >= 3) @ _POW2
-    m4 = (rc >= 4) @ _POW2
-
-    has_flush = (sc >= 5).any(axis=1)
-    fsuit = np.argmax(sc >= 5, axis=1)
-    # OR, not sum: duplicated cards (dead-combo sweeps) must not overflow
-    fmask = np.bitwise_or.reduce(np.where(s == fsuit[:, None], np.int64(1) << r, 0), axis=1)
-    fmask = np.where(has_flush, fmask, 0)
-    return _score_masks(m1, m2, m3, m4, fmask, has_flush)
-
-
-def _row_masks_on_board(cards: np.ndarray, board: Sequence[int]):
-    """Rank masks m1..m4 (bit set where a rank occurs at least 1..4 times),
-    flush-suit rank mask and flush flag for each row of cards plus the
-    shared board. Duplicated cards count with multiplicity, as in the
-    bincount path."""
-    m1 = m2 = m3 = m4 = 0
-    scnt = [0, 0, 0, 0]
-    smask = [0, 0, 0, 0]
+    hands = _NO_HANDS if holes is None else np.asarray(holes, dtype=np.int64).reshape(len(holes), -1)
+    fold = (0, 0, 0, 0, 0, 0)
     for c in board:
-        b = 1 << (c >> 2)
-        m4 |= m3 & b
-        m3 |= m2 & b
-        m2 |= m1 & b
-        m1 |= b
-        scnt[c & 3] += 1
-        smask[c & 3] |= b
-    n, k = cards.shape
-    m1, m2, m3, m4 = (np.full(n, m, dtype=np.int64) for m in (m1, m2, m3, m4))
-    ranks = cards >> 2
-    suits = cards & 3
-    bits = np.int64(1) << ranks
-    for j in range(k):
-        b = bits[:, j]
-        m4 |= m3 & b
-        m3 |= m2 & b
-        m2 |= m1 & b
-        m1 |= b
-    has_flush = np.zeros(n, dtype=bool)
-    fmask = np.zeros(n, dtype=np.int64)
-    # At most one suit reaches five cards among seven; scan in suit order
-    # like the argmax of the bincount path.
-    for suit in range(4):
-        if scnt[suit] + k < 5:
-            continue
-        in_suit = suits == suit
-        cnt = scnt[suit] + in_suit.sum(axis=1)
-        fm = smask[suit] | np.bitwise_or.reduce(np.where(in_suit, bits, 0), axis=1)
-        hit = (cnt >= 5) & ~has_flush
-        fmask = np.where(hit, fm, fmask)
-        has_flush |= hit
-    return m1, m2, m3, m4, fmask, has_flush
+        fold = _add_card(fold, int(c))
+    # Suit data is kept only when some suit can reach five cards.
+    suits = [s for s in range(4) if (fold[4] >> 4 * s & 0xF) + k + hands.shape[1] >= 5]
+    fold = tuple(np.full(n, v, dtype=np.int64) for v in fold[: 6 if suits else 4])
+    for col in cards.T:
+        fold = _add_card(fold, col)
+    m1, m2, m3, m4 = fold[:4]
+    counts = {s: fold[4] >> 4 * s & 0xF for s in suits}
+    masks = {s: fold[5] >> 16 * s & 0x1FFF for s in suits}
 
-
-def _score_holes_on_rows(cards: np.ndarray, board: Sequence[int], holes) -> np.ndarray:
-    """score_cards_batch with holes. The board and each row are folded once
-    into rank masks m1..m4 and, packed four suits to an integer, per-suit
-    card counts (4 bits a suit) and rank masks (16 bits a suit); then each
-    hand's two cards are added to the folded masks."""
-    m1 = m2 = m3 = m4 = cnt = msk = 0
-    board_count = [0, 0, 0, 0]
-    for c in board:
-        b = 1 << (c >> 2)
-        m4 |= m3 & b
-        m3 |= m2 & b
-        m2 |= m1 & b
-        m1 |= b
-        cnt += 1 << 4 * (c & 3)
-        msk |= b << 16 * (c & 3)
-        board_count[c & 3] += 1
-    n, k = cards.shape
-    m1, m2, m3, m4, cnt, msk = (np.full(n, v, dtype=np.int64) for v in (m1, m2, m3, m4, cnt, msk))
-    bits = np.int64(1) << (cards >> 2)
-    suits = cards & 3
-    suit_ones = np.int64(1) << (suits << 2)
-    suit_bits = bits << (suits << 4)
-    for j in range(k):
-        b = bits[:, j]
-        m4 |= m3 & b
-        m3 |= m2 & b
-        m2 |= m1 & b
-        m1 |= b
-        cnt += suit_ones[:, j]
-        msk |= suit_bits[:, j]
-    counts = [(cnt >> 4 * suit) & 0xF for suit in range(4)]
-    masks = [(msk >> 16 * suit) & 0x1FFF for suit in range(4)]
-
-    out = np.empty((len(holes), n), dtype=np.int64)
-    for i, hole in enumerate(holes):
-        h1, h2, h3, h4 = m1, m2, m3, m4
-        for c in hole:
-            b = 1 << (c >> 2)
-            h4 = h4 | (h3 & b)
-            h3 = h3 | (h2 & b)
-            h2 = h2 | (h1 & b)
-            h1 = h1 | b
-        has_flush = np.zeros(n, dtype=bool)
-        fmask = np.zeros(n, dtype=np.int64)
+    out = np.empty((len(hands), n), dtype=np.int64)
+    step = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, len(hands), step):
+        # Hand columns are (hands, 1), so the masks become (hands, rows).
+        fold = (m1, m2, m3, m4, 0, 0)[: 6 if suits else 4]
+        for col in hands[lo : lo + step].T:
+            fold = _add_card(fold, col[:, None])
+        h1, h2, h3, h4 = fold[:4]
+        fmask = np.zeros(h1.shape, dtype=np.int64)
+        has_flush = np.zeros(h1.shape, dtype=bool)
         # At most one suit reaches five cards among seven.
-        for suit in range(4):
-            in_hole = [c for c in hole if c & 3 == suit]
-            if board_count[suit] + k + len(in_hole) < 5:
-                continue
-            hole_mask = 0
-            for c in in_hole:
-                hole_mask |= 1 << (c >> 2)
-            hit = counts[suit] >= 5 - len(in_hole)
-            np.copyto(fmask, masks[suit] | hole_mask, where=hit)
+        for s in suits:
+            hit = counts[s] >= 5 - (fold[4] >> 4 * s & 0xF)
+            np.copyto(fmask, masks[s] | (fold[5] >> 16 * s & 0x1FFF), where=hit)
             has_flush |= hit
-        out[i] = _score_masks(h1, h2, h3, h4, fmask, has_flush)
-    return out
+        out[lo : lo + step] = _score_masks(h1, h2, h3, h4, fmask, has_flush)
+    return out if holes is not None else out[0]
+
+
+# Hands are added a block at a time, so that each (hands x rows) temporary
+# of a block holds about this many entries whatever the hand and row counts:
+# 1,326 range combos x 1,081 flop runouts would otherwise make about 11 MB
+# per temporary, and _score_masks makes dozens. A pre-flop all-in (12,000
+# runouts) runs one hand per block. Without holes the rows are scored as
+# one hand with no cards.
+_BLOCK = 1 << 14
+_NO_HANDS = np.zeros((1, 0), dtype=np.int64)
+
+
+def _add_card(fold, c):
+    """fold with card c added. fold holds rank masks m1..m4 (bit r set when
+    rank r is held at least 1..4 times) and, optionally, per-suit card counts
+    (4 bits a suit) and rank masks (16 bits a suit) packed four suits to an
+    integer. c and the entries are Python ints or broadcasting arrays."""
+    b = 1 << (c >> 2)
+    if len(fold) == 4:
+        m1, m2, m3, m4 = fold
+        return m1 | b, m2 | (m1 & b), m3 | (m2 & b), m4 | (m3 & b)
+    m1, m2, m3, m4, cnt, msk = fold
+    s = c & 3
+    return m1 | b, m2 | (m1 & b), m3 | (m2 & b), m4 | (m3 & b), cnt + (1 << 4 * s), msk | b << 16 * s
 
 
 # Derived tables for the vectorized scorer: the top rank index of a mask,
@@ -516,15 +444,6 @@ class DealRng:
 # ---------------------------------------------------------------------------
 
 
-def _runout_chunks(deck: list[int], need: int, chunk: int = 200_000):
-    it = itertools.combinations(deck, need)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
-
-
 def _unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
     """Row i holds the element positions of combination number ranks[i] of
     range(n) choose k, numbered in itertools.combinations order, so a sample
@@ -565,12 +484,13 @@ def equity_exhaustive(hero: Sequence[int], villain: Sequence[int], board: Sequen
     _require_distinct(used)
     if len(hero) != 2 or len(villain) != 2:
         raise InvalidCardsError("both hands need exactly 2 cards")
-    deck = [c for c in range(DECK_SIZE) if c not in set(used)]
+    deck = np.array([c for c in range(DECK_SIZE) if c not in set(used)], dtype=np.int64)
+    need = 5 - len(board)
+    total = math.comb(len(deck), need)
     points = 0.0
-    total = 0
-    for runs in _runout_chunks(deck, 5 - len(board)):
+    for lo in range(0, total, 200_000):
+        runs = deck[_unrank_combinations(len(deck), need, np.arange(lo, min(lo + 200_000, total)))]
         points += float(_pot_shares((hero, villain), runs, board).sum())
-        total += len(runs)
     return points / total
 
 
@@ -644,31 +564,19 @@ def equity_vs_range(
     runs = deck[_unrank_combinations(len(deck), need, picks)]
 
     m = runs.shape[0]
-    hero_rows = np.concatenate([np.broadcast_to(np.array(hero, dtype=np.int64), (m, 2)), runs], axis=1)
-    hero_scores = score_cards_batch(hero_rows, board)
-    # 52-bit card set of each runout, to find the runouts a villain combo blocks
+    scores = score_cards_batch(runs, board, holes=np.concatenate([np.array([hero], dtype=np.int64), combos]))
+    hs, vscores = scores[:1], scores[1:]
+    # villain cards colliding with a runout invalidate that runout; the
+    # 52-bit card sets of the runouts and combos find them
     run_cards = np.bitwise_or.reduce(np.int64(1) << runs, axis=1)
-
-    total_equity = 0.0
-    total_weight = 0.0
-    chunk = max(1, 2_000_000 // max(m, 1))
-    for lo in range(0, len(support), chunk):
-        cc = combos[lo : lo + chunk]  # (c, 2)
-        cw = sub_w[lo : lo + chunk]
-        c = cc.shape[0]
-        # villain cards colliding with a runout invalidate that runout
-        combo_cards = (np.int64(1) << cc[:, 0]) | (np.int64(1) << cc[:, 1])
-        collide = (combo_cards[:, None] & run_cards[None, :]) != 0
-        vb = np.concatenate([np.repeat(cc, m, axis=0), np.tile(runs, (c, 1))], axis=1)
-        vscores = score_cards_batch(vb, board).reshape(c, m)
-        hs = hero_scores[None, :]
-        pts = np.where(hs > vscores, 1.0, np.where(hs == vscores, 0.5, 0.0))
-        pts[collide] = 0.0
-        valid = m - collide.sum(axis=1)
-        eq = pts.sum(axis=1) / np.maximum(valid, 1)
-        ok = valid > 0
-        total_equity += float((eq[ok] * cw[ok]).sum())
-        total_weight += float(cw[ok].sum())
+    combo_cards = (np.int64(1) << combos[:, 0]) | (np.int64(1) << combos[:, 1])
+    collide = (combo_cards[:, None] & run_cards[None, :]) != 0
+    pts = np.where(hs > vscores, 1.0, np.where(hs == vscores, 0.5, 0.0))
+    pts[collide] = 0.0
+    valid = m - collide.sum(axis=1)
+    eq = pts.sum(axis=1) / np.maximum(valid, 1)
+    ok = valid > 0
+    total_weight = float(sub_w[ok].sum())
     if total_weight <= 0:
         raise UndefinedRangeError("no combo in range has a legal runout")
-    return total_equity / total_weight
+    return float((eq[ok] * sub_w[ok]).sum()) / total_weight

@@ -16,12 +16,11 @@ import numpy as np
 
 from .brain import Brain
 from .cards import DealRng, card_str, parse_cards
-from .events import ActionType
 from .profiles import ProfileStore
 from .rangegrid import grid_to_lines
 from .rsm import RsmTable
 from .session import HeroSeatPolicy, SessionConfig
-from .table import HandRecord, SeatConfig, play_hand
+from .table import HandRecord, SeatConfig, _ScriptedSeatPolicy, _stacked_deck, play_hand
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
@@ -115,31 +114,6 @@ def load_scenario(path) -> ScenarioFile:
     return parse_scenario(Path(path).read_text(encoding="utf-8"), source=str(path))
 
 
-class _ScriptPolicy:
-    """Plays the queued actions; past the end of the script the seat simply
-    checks when free and folds when facing a bet, so action-light scenarios
-    (including empty ones) still run to completion."""
-
-    def __init__(self, player_id: str, bb_cents: int):
-        self.player_id = player_id
-        self.bb = bb_cents
-        self.queue: list[tuple[str, float | None]] = []
-
-    def push(self, action: str, amount_bb: float | None) -> None:
-        self.queue.append((action, amount_bb))
-
-    def __call__(self, view):
-        if not self.queue:
-            return (ActionType.CHECK, 0) if view.to_call_cents <= 0 else (ActionType.FOLD, 0)
-        action, amount_bb = self.queue.pop(0)
-        at = ActionType["ALL_IN" if action == "allin" else action.upper()]
-        if at in (ActionType.BET, ActionType.RAISE):
-            if amount_bb is None:
-                raise ScenarioError(f"{self.player_id}: {action} needs an amount")
-            return (at, int(round(amount_bb * self.bb)))
-        return (at, 0)
-
-
 @dataclass
 class StepTrace:
     player_id: str
@@ -182,16 +156,6 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
-def _build_deck(scenario: ScenarioFile) -> list[int]:
-    deck: list[int] = []
-    for seat in sorted(scenario.seats, key=lambda s: s.seat):
-        deck.extend(seat.hole)
-    deck.extend(scenario.board)
-    used = set(deck)
-    deck.extend(c for c in range(52) if c not in used)
-    return deck
-
-
 def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None, trace: bool = True) -> ScenarioResult:
     store = ProfileStore()
     rsm = rsm or RsmTable()
@@ -207,15 +171,18 @@ def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None, trace: 
         hero.hole,
         [(s.player_id, s.archetype) for s in scenario.seats if s.archetype != "hero"],
     )
-    scripts: dict[str, _ScriptPolicy] = {
-        s.player_id: _ScriptPolicy(s.player_id, scenario.bb_cents)
-        for s in scenario.seats
-        if s.archetype != "hero"
+    moves: dict[str, list[tuple[None, str, int]]] = {
+        s.player_id: [] for s in scenario.seats if s.archetype != "hero"
     }
-    for pid, action, amount in scenario.script:
-        if pid not in scripts:
+    for pid, action, amount_bb in scenario.script:
+        if pid not in moves:
             raise ScenarioError(f"script references unknown player {pid!r}")
-        scripts[pid].push(action, amount)
+        if amount_bb is None and action.upper() in ("BET", "RAISE"):
+            raise ScenarioError(f"{pid}: {action} needs an amount")
+        # the engine ignores the amount of an all-in
+        cents = 0 if amount_bb is None else int(round(amount_bb * scenario.bb_cents))
+        moves[pid].append((None, action, cents))
+    scripts = {pid: _ScriptedSeatPolicy(m, fallback=True) for pid, m in moves.items()}
     seats = [
         SeatConfig(
             s.player_id,
@@ -231,10 +198,10 @@ def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None, trace: 
         scenario.button,
         scenario.sb_cents,
         scenario.bb_cents,
-        _build_deck(scenario),
+        _stacked_deck((s.hole for s in sorted(scenario.seats, key=lambda s: s.seat)), scenario.board),
         observer=policy,
     )
-    leftovers = [pid for pid, sp in scripts.items() if sp.queue]
+    leftovers = [pid for pid, sp in scripts.items() if sp.moves]
     failures: list[str] = []
     if leftovers:
         failures.append(f"unconsumed script actions for: {', '.join(sorted(leftovers))}")

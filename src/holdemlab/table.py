@@ -568,21 +568,39 @@ def play_hand(
 
 
 class _ScriptedSeatPolicy:
-    """Replays a recorded action stream for one seat."""
+    """Plays a scripted action stream for one seat: (street, action, amount
+    in cents) moves, where street None matches any street and the amount
+    counts only for bets, raises and all-ins. Past the end of the script the
+    seat checks when free and folds facing a bet if fallback is set, so
+    action-light scenarios still run to completion; replays set no fallback
+    and raise instead."""
 
-    def __init__(self, moves: Iterable[tuple[str, str, int]]):
-        self.moves = deque(moves)  # (street, action, committed_to)
+    def __init__(self, moves: Iterable[tuple[str | None, str, int]], fallback: bool = False):
+        self.moves = deque(moves)
+        self.fallback = fallback
 
     def __call__(self, view: PolicyView):
         if not self.moves:
-            raise IllegalActionError("script exhausted")
-        street, action, committed = self.moves.popleft()
-        if street != view.street:
+            if not self.fallback:
+                raise IllegalActionError("script exhausted")
+            return (ActionType.CHECK, 0) if view.to_call_cents <= 0 else (ActionType.FOLD, 0)
+        street, action, amount = self.moves.popleft()
+        if street is not None and street != view.street:
             raise IllegalActionError(f"script expected street {street}, engine at {view.street}")
         at = ActionType["ALL_IN" if action == "allin" else action.upper()]
         if at in (ActionType.BET, ActionType.RAISE, ActionType.ALL_IN):
-            return (at, committed)
+            return (at, amount)
         return (at, 0)
+
+
+def _stacked_deck(holes: Iterable[Sequence[int]], board: Sequence[int]) -> list[int]:
+    """A deck that deals the holes in seat order, then the board; the other
+    cards follow in index order."""
+    deck = [c for hole in holes for c in hole]
+    deck.extend(board)
+    used = set(deck)
+    deck.extend(c for c in range(52) if c not in used)
+    return deck
 
 
 def replay_hand(record: HandRecord, observer=None) -> HandRecord:
@@ -595,13 +613,7 @@ def replay_hand(record: HandRecord, observer=None) -> HandRecord:
         SeatConfig(pid, stack, _ScriptedSeatPolicy(per_seat.get(seat, [])))
         for seat, pid, stack in record.seats
     ]
-    deck: list[int] = []
-    for seat, pid, stack in record.seats:
-        if seat in record.holes:
-            deck.extend(record.holes[seat])
-    deck.extend(record.board)
-    used = set(deck)
-    deck.extend(c for c in range(52) if c not in used)
+    holes = [record.holes[seat] for seat, _, _ in record.seats if seat in record.holes]
     engine = HandEngine(
         record.hand_id,
         record.table_id,
@@ -609,7 +621,7 @@ def replay_hand(record: HandRecord, observer=None) -> HandRecord:
         record.button,
         record.sb_cents,
         record.bb_cents,
-        deck,
+        _stacked_deck(holes, record.board),
         _FixedRake(record.total_rake()),
         observer,
     )

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from holdemlab.cards import (
     parse_cards,
     score_cards_batch,
 )
-from holdemlab.rangegrid import ComboGrid, combo_index
+from holdemlab.rangegrid import COMBO_CARDS, ComboGrid, combo_index
 
 from reference_eval import ref_eval7
 
@@ -127,6 +129,41 @@ class TestEvaluate7:
                 dup = np.array([rng.choice(52, size=k, replace=False) for _ in range(300)])
                 full = np.concatenate([dup, np.broadcast_to(np.array(board, dtype=np.int64), (300, n_board))], axis=1)
                 assert (score_cards_batch(dup, board) == score_cards_batch(full)).all()
+        # with holes, every hand is scored on every row: (hands, rows)
+        for n_board in (0, 3, 4, 5):
+            board = rng.choice(52, size=n_board, replace=False).tolist()
+            rest = [c for c in range(52) if c not in board]
+            n = 1 if n_board == 5 else 200  # the river has one, empty, runout
+            for n_hands in (1, 2, 3, 4):
+                picked = rng.choice(rest, size=2 * n_hands, replace=False)
+                holes = picked.reshape(n_hands, 2).tolist()
+                live = [c for c in rest if c not in picked]
+                rows = np.array([rng.choice(live, size=5 - n_board, replace=False) for _ in range(n)])
+                rows = rows.reshape(n, 5 - n_board)
+                got = score_cards_batch(rows, board, holes=holes)
+                assert got.shape == (n_hands, n)
+                for hole, line in zip(holes, got):
+                    scalar = [hand_score((*hole, *(int(x) for x in row), *board)) for row in rows]
+                    assert line.tolist() == scalar
+                # hands that repeat a row or board card count it twice, as
+                # the rows with the hand's cards appended do
+                dup = rng.choice(52, size=(n_hands, 2)) if n_board else rows[:n_hands, :2]
+                self._check_holes_against_joined_rows(rows, board, dup)
+        # hands spanning several blocks of the kernel
+        deck = [c for c in range(52) if c not in (0, 5, 10, 15, 20, 25)]
+        runs = np.array([rng.choice(deck, size=5, replace=False) for _ in range(12_000)])
+        self._check_holes_against_joined_rows(runs, (), [[0, 5], [10, 15], [20, 25]])
+        flop = [3, 22, 47]
+        deck = [c for c in range(52) if c not in flop]
+        runs = np.array([rng.choice(deck, size=2, replace=False) for _ in range(40)])
+        self._check_holes_against_joined_rows(runs, flop, COMBO_CARDS)
+
+    @staticmethod
+    def _check_holes_against_joined_rows(rows, board, holes):
+        got = score_cards_batch(rows, board, holes=holes)
+        holes = np.asarray(holes)
+        joined = np.concatenate([np.repeat(holes, len(rows), axis=0), np.tile(rows, (len(holes), 1))], axis=1)
+        assert (got == score_cards_batch(joined, board).reshape(len(holes), len(rows))).all()
 
 
 class TestDealRng:
@@ -216,6 +253,43 @@ class TestEquityVsRange:
         w[combo_index(*cards("AsQs"))] = 1.0  # collides with hero
         with pytest.raises(UndefinedRangeError):
             equity_vs_range(hero, w, cards("2c3c4c"))
+
+    @pytest.mark.parametrize("seed,spot", [(1, "9d5s2c"), (2, "Ks7h7c2d"), (3, "AhTh6h5c2s"), (4, "QdJd3s")])
+    def test_sampled_equity_equals_a_scalar_reference(self, seed, spot):
+        # the decision layer's budget: 40 combos, 40 runouts
+        hero, board = cards("AcKd"), cards(spot)
+        weights = np.random.default_rng(seed).random(1326)
+        got = equity_vs_range(hero, weights, board, combo_samples=40, runout_samples=40, rng=DealRng(seed))
+        assert got == self._sampled_reference(hero, weights, board, 40, 40, DealRng(seed).generator)
+
+    @staticmethod
+    def _sampled_reference(hero, weights, board, combo_samples, runout_samples, gen):
+        """The same draws from the same generator, each runout scored with
+        hand_score and skipped where it holds a villain card."""
+        dead = set(hero) | set(board)
+        w = np.where([bool(dead & set(c)) for c in COMBO_CARDS.tolist()], 0.0, weights)
+        w = w / w.sum()
+        support = np.flatnonzero(w > 0)
+        picks = gen.choice(support, size=combo_samples, p=w[support] / w[support].sum())
+        combos, counts = np.unique(picks, return_counts=True)
+        deck = [c for c in range(52) if c not in dead]
+        runouts = list(itertools.combinations(deck, 5 - len(board)))
+        if runout_samples < len(runouts):
+            runouts = [runouts[i] for i in gen.choice(len(runouts), size=runout_samples, replace=False)]
+        eqs, wts = [], []
+        for combo, count in zip(combos, counts):
+            villain = COMBO_CARDS[combo].tolist()
+            pts = []
+            for run in runouts:
+                if set(villain) & set(run):
+                    continue
+                h = hand_score((*hero, *board, *run))
+                v = hand_score((*villain, *board, *run))
+                pts.append(1.0 if h > v else 0.5 if h == v else 0.0)
+            if pts:
+                eqs.append(sum(pts) / len(pts))
+                wts.append(float(count))
+        return float((np.array(eqs) * np.array(wts)).sum()) / float(np.array(wts).sum())
 
     def test_preflop_monte_carlo_sane(self):
         hero = cards("AsAh")

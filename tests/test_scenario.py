@@ -29,6 +29,11 @@ class TestParse:
         with pytest.raises(ScenarioError, match="nobody"):
             run_scenario(parse_scenario(text))
 
+    def test_bet_without_amount_rejected(self):
+        text = HAND6.read_text().replace("act whale_bb bet 4", "act whale_bb bet")
+        with pytest.raises(ScenarioError, match="whale_bb: bet needs an amount"):
+            run_scenario(parse_scenario(text))
+
 
 class TestRun:
     def test_hand6_passes_and_pot_goes_to_the_full_house(self):

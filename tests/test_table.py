@@ -140,6 +140,12 @@ class TestReplay:
             assert again.awards == record.awards
             assert again.rake_paid == record.rake_paid
 
+    def test_replay_raises_when_its_script_runs_out(self):
+        record = play_hand(1, "t", six_seats(Station), 0, 1, 2, DealRng(1, 1).shuffled_deck())
+        record.actions = record.actions[:-1]
+        with pytest.raises(IllegalActionError, match="script exhausted"):
+            replay_hand(record)
+
 
 class TestHistoryFormat:
     def make_records(self, n=10):
