@@ -18,13 +18,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cards import DealRng, equity_vs_range
+from .cards import DealRng, UndefinedRangeError, equity_vs_range
 from .events import ActionType
 from .preflop import combo_percentile
 from .profiles import MODELING_CAPABLE, ProfileStore
 from .rangegrid import ComboGrid, PreflopContext, RangeLibrary, assign_preflop_range, default_library
 from .rets import (
     RET,
+    DegenerateRangeError,
     OpponentRangeTracker,
     RetDispatch,
     chib,
@@ -308,17 +309,6 @@ class Brain:
         for arch, grid in self.perceived.items():
             self.perceived[arch] = reshape(grid, self._board_ctx.board, self.rets[ret_id], self.rsm, self._board_ctx)
 
-    def update_perceived_hero_range(self, villain_archetype: str, hero_action: str, board: Sequence[int]) -> ComboGrid | None:
-        """Direct single-archetype variant (the observe_* path batches it)."""
-        if villain_archetype not in MODELING_CAPABLE:
-            return None
-        ctx = BoardContext.cached(board)
-        grid = self.perceived.get(villain_archetype, ComboGrid.uniform().strip(board))
-        ret_id = {"check": "VPCHECK", "call": "VPCALL", "bet": "VPBET", "raise": "VPRAISE", "allin": "VPRAISE"}[hero_action]
-        out = reshape(grid, board, self.rets[ret_id], self.rsm, ctx)
-        self.perceived[villain_archetype] = out
-        return out
-
     # ---------------------------------------------------------------- decide
 
     def _reads_for(self, ctx: DecisionContext) -> list[OpponentRead]:
@@ -330,7 +320,7 @@ class Brain:
                 continue
             try:
                 cb = chib(ctx.hero_hole, tracker.grid, ctx.board, ctx.board_ctx)
-            except Exception:
+            except DegenerateRangeError:
                 cb = None
             reads.append(OpponentRead(pid, tracker.archetype, tracker.grid, cb))
         return reads
@@ -352,8 +342,7 @@ class Brain:
             if lawn:
                 recs.append(lawn)
         final = self.ma_decide(recs, ctx)
-        if ctx.street != "preflop":
-            self._record_snapshot(ctx, final)
+        self.record_snapshot(ctx, final.action.key)
         if self.trace:
             opts = "; ".join(f"{r.source}:{r.action.key}{f'({r.size_bb:g})' if r.size_bb else ''}@{r.conviction:.2f}" for r in recs)
             self.trace_lines.append(
@@ -389,7 +378,7 @@ class Brain:
                 runout_samples=self.config.equity_runout_samples,
                 rng=self.rng,
             )
-        except Exception:
+        except UndefinedRangeError:
             return max(0.0, 1.0 - (primary.chib or 0.5))
 
     def _fold_equity(self, ctx: DecisionContext) -> float:
@@ -673,7 +662,14 @@ class Brain:
 
     # -- learning capture ------------------------------------------------------
 
-    def _record_snapshot(self, ctx: DecisionContext, final: Recommendation) -> None:
+    def record_snapshot(self, ctx: DecisionContext, hero_action: str) -> None:
+        """Keep each live read of a post-flop decision for showdown learning:
+        its grid, strength distribution, ChiB and the BoardContext it was
+        read under. `decide` passes the action it picks; a replay of a
+        finished hand passes the action that was played."""
+        if ctx.street == "preflop":
+            return
+        self._ensure_reads(ctx)
         if ctx.board_ctx is None:
             return
         for read in ctx.opponents:
@@ -685,11 +681,12 @@ class Brain:
                     "hand_id": ctx.hand_id,
                     "street": ctx.street,
                     "board": tuple(ctx.board),
+                    "board_ctx": ctx.board_ctx,
                     "player_id": read.player_id,
                     "archetype": read.archetype,
                     "grid": read.grid,
                     "distribution": dist,
                     "chib": read.chib,
-                    "hero_action": final.action.key,
+                    "hero_action": hero_action,
                 }
             )

@@ -499,21 +499,22 @@ def equity_vs_range(
     range_weights: np.ndarray,
     board: Sequence[int],
     *,
-    preflop_samples: int = 10_000,
     runout_samples: int | None = None,
     combo_samples: int | None = None,
     rng: DealRng | None = None,
 ) -> float:
     """Weight-averaged equity of hero against a 1326-combo weighted range.
 
-    Post-flop the runouts are enumerated exhaustively unless runout_samples
-    is given; pre-flop falls back to Monte Carlo with preflop_samples draws.
+    The runouts are enumerated exhaustively unless runout_samples is given;
+    pre-flop, where 2,118,760 runouts are too many to list, it must be.
     combo_samples optionally subsamples the range support (weighted), which
     is what the decision layer uses to keep per-decision cost flat.
     """
     from . import rangegrid  # local import; rangegrid depends on cards
 
     board = validate_board(board)
+    if not board and runout_samples is None:
+        raise ValueError("pre-flop equity needs runout_samples")
     _require_distinct(tuple(hero) + board)
     w = np.asarray(range_weights, dtype=float).copy()
     dead = set(hero) | set(board)
@@ -534,26 +535,6 @@ def equity_vs_range(
         sub_w = w[support]
 
     combos = rangegrid.COMBO_CARDS[support]  # (c, 2)
-
-    if len(board) == 0:
-        # Monte Carlo: sample a combo, then a 5-card runout avoiding collisions.
-        n = preflop_samples
-        pick = gen.choice(len(support), size=n, p=sub_w / sub_w.sum())
-        vill = combos[pick]
-        deck = np.array([c for c in range(DECK_SIZE) if c not in set(hero)], dtype=np.int64)
-        hero_a = np.array(hero, dtype=np.int64)
-        wins = ties = 0
-        for i in range(n):
-            avail = deck[(deck != vill[i, 0]) & (deck != vill[i, 1])]
-            run = gen.choice(avail, size=5, replace=False)
-            hs = hand_score((hero[0], hero[1], *run))
-            vs = hand_score((int(vill[i, 0]), int(vill[i, 1]), *run))
-            if hs > vs:
-                wins += 1
-            elif hs == vs:
-                ties += 1
-        return (wins + 0.5 * ties) / n
-
     need = 5 - len(board)
     deck = np.array(sorted(set(range(DECK_SIZE)) - dead), dtype=np.int64)
     total = math.comb(len(deck), need)

@@ -1,13 +1,17 @@
 """Prediction-anchored learning from showdowns.
 
-After a showdown the hand is re-run with perfect information: at every
-post-flop decision point the system pairs the range snapshot it actually
-held with the ground truth the reveal makes available. Predictions judged
-correct (the realized category landed in the two highest-mass predicted
-categories) earn a small reinforcement delta; misses earn a larger
-corrective delta toward the realized category. The hand's monetary result
-is not an input anywhere in this loop, so two hands with identical cards
-and actions produce identical delta sets regardless of who won the pot.
+At every post-flop decision the hero's brain keeps a snapshot of each
+live range read (`Brain.record_snapshot`); after a showdown
+`records_from_snapshots` pairs those snapshots with the ground truth the
+reveal makes available. A finished hand can be re-run with perfect
+information too: `replay_with_perfect_info` plays its record through the
+engine under the hero's live observer, so it takes the snapshots a
+session took. Predictions judged correct (the realized category landed in
+the two highest-mass predicted categories) earn a small reinforcement
+delta; misses earn a larger corrective delta toward the realized
+category. The hand's monetary result is not an input anywhere in this
+loop, so two hands with identical cards and actions produce identical
+delta sets regardless of who won the pot.
 
 Ground truth for the realized category is the revealed hand's standing
 among all live opposing combos at that point (share beaten, ties half),
@@ -18,16 +22,18 @@ model minusculely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .brain import Brain
+from .cards import DealRng
 from .profiles import ProfileStore
-from .rangegrid import ComboGrid, PreflopContext, assign_preflop_range, combo_index
-from .rets import RET, OpponentRangeTracker, RetDispatch, rs_distribution
+from .rangegrid import ComboGrid, combo_index
+from .rets import RET, RetDispatch
 from .rsm import BoardContext, RsmTable
-from .table import HandRecord
+from .table import HandRecord, replay_hand
 
 DELTA_REINFORCE = 0.02
 DELTA_CORRECT = 0.10
@@ -90,15 +96,12 @@ def records_from_snapshots(
     from .cards import hand_score
 
     out: list[PredictionRecord] = []
-    ctx_cache: dict[tuple, BoardContext] = {}
     for snap in snapshots:
         pid = snap["player_id"]
         if pid not in reveals:
             continue
-        board = tuple(snap["board"])
-        if board not in ctx_cache:
-            ctx_cache[board] = BoardContext.cached(board)
-        ctx = ctx_cache[board]
+        board = snap["board"]
+        ctx = snap["board_ctx"]
         hole = reveals[pid]
         dist = snap["distribution"]
         top1, top2 = _top2(dist)
@@ -136,102 +139,55 @@ def replay_with_perfect_info(
     archetypes: Mapping[str, str] | None = None,
     library=None,
 ) -> list[PredictionRecord]:
-    """Deterministically re-run the range pipeline over a finished hand and
-    pair each hero decision point with the showdown ground truth. Players
-    whose cards were never revealed are skipped."""
+    """Re-run a finished hand through the engine and pair each range
+    snapshot the hero took with the showdown ground truth.
+
+    `table.replay_hand` plays the record while a `HeroSeatPolicy` over a
+    fresh `Brain` and a throwaway `ProfileStore` observes it, as it observes
+    a live hand. At each of the hero's scripted decisions the brain takes
+    the snapshot `Brain.decide` takes, from `derive_context` of the same
+    view, so the records equal those a live session pairs, in the same
+    order. A villain's archetype comes from `archetypes`, else from `store`
+    (only read), else is "Unknown"; learned class multipliers are not
+    applied. A decision the session timed out (`failure_rate`) took no live
+    snapshot; the replay cannot tell which one that was and snapshots it.
+    Players whose cards were never revealed are skipped."""
+    # imported here because session imports this module
+    from .session import HERO_ID, HeroSeatPolicy, SessionConfig, derive_context
+
     hero_seat = record.hero_seat_of(hero_id)
     if hero_seat is None or not record.showdown:
         return []
     reveals = {record.player_of(seat): hole for seat, hole in record.showdown if seat != hero_seat}
-    if not reveals:
-        return []
     hero_hole = record.holes.get(hero_seat)
-    if hero_hole is None:
+    if not reveals or hero_hole is None:
         return []
+    if hero_id != HERO_ID:  # the observer knows the hero by the session's id
+        if any(pid == HERO_ID for _, pid, _ in record.seats):
+            raise ValueError(f"a villain is named {HERO_ID!r}")
+        record = replace(record, seats=[(s, HERO_ID if s == hero_seat else pid, st) for s, pid, st in record.seats])
 
     def archetype_of(pid: str) -> str:
         if archetypes and pid in archetypes:
             return archetypes[pid]
-        if store is not None:
-            return store.archetype_of(pid)
-        return "Unknown"
+        return store.archetype_of(pid) if store is not None else "Unknown"
 
-    from .table import positions_for
+    throwaway = ProfileStore()
+    brain = Brain(throwaway, rsm_table=rsm, rets=rets, dispatch=dispatch, library=library)
+    observer = HeroSeatPolicy(brain, throwaway, SessionConfig(sb_cents=record.sb_cents, bb_cents=record.bb_cents), DealRng(0))
+    observer.new_hand_reset(record.hand_id, hero_seat)
+    brain.begin_hand(record.hand_id, hero_hole, [(pid, archetype_of(pid)) for s, pid, _ in record.seats if s != hero_seat])
 
-    seat_player = {seat: pid for seat, pid, _ in record.seats}
-    positions = positions_for(sorted(seat_player), record.button)
+    def snapshotting(scripted):
+        def act(view):
+            move = scripted(view)
+            brain.record_snapshot(derive_context(view, record.bb_cents), move[0].key)
+            return move
 
-    trackers: dict[str, OpponentRangeTracker] = {}
-    folded: set[str] = set()
-    street_board = {"preflop": 0, "flop": 3, "turn": 4, "river": 5}
-    cur_street = "preflop"
-    ctx: BoardContext | None = None
-    snapshots: list[dict] = []
-    aggressor: str | None = None
-    street_aggr: dict[str, str | None] = {}
-    street_has_bet = False
-    aggressor_acted: set[str] = set()
+        return act
 
-    for street, seat, action, committed in record.actions:
-        pid = seat_player[seat]
-        if street != cur_street:
-            cur_street = street
-            board = record.board[: street_board[street]]
-            ctx = BoardContext.cached(board) if len(board) >= 3 else None
-            street_has_bet = False
-            aggressor_acted = set()
-            if ctx is not None:
-                for tracker in trackers.values():
-                    if tracker.player_id not in folded:
-                        tracker.on_new_street(board, ctx)
-        if pid == hero_id:
-            # A hero decision point: snapshot every live tracked villain.
-            if ctx is not None:
-                for tracker in trackers.values():
-                    if tracker.player_id in folded or tracker.player_id not in reveals:
-                        continue
-                    dist = rs_distribution(tracker.grid, ctx.board, rsm, ctx)
-                    try:
-                        from .rets import chib as chib_fn
-
-                        cb = chib_fn(hero_hole, tracker.grid, ctx.board, ctx)
-                    except Exception:
-                        cb = None
-                    snapshots.append(
-                        {
-                            "hand_id": record.hand_id,
-                            "street": street,
-                            "board": tuple(ctx.board),
-                            "player_id": tracker.player_id,
-                            "archetype": tracker.archetype,
-                            "grid": tracker.grid,
-                            "distribution": dist,
-                            "chib": cb,
-                        }
-                    )
-        else:
-            if street == "preflop":
-                if action != "fold" and pid not in trackers:
-                    arch = archetype_of(pid)
-                    situation = "open" if action in ("bet", "raise", "allin") else "call"
-                    grid = assign_preflop_range(arch, PreflopContext(positions.get(seat, "any"), situation), library=library)
-                    tracker = OpponentRangeTracker(pid, arch, grid, rsm, rets, dispatch)
-                    tracker.strip_dead(hero_hole)
-                    trackers[pid] = tracker
-            elif pid in trackers and pid not in folded and ctx is not None:
-                name = action
-                if action == "bet" and aggressor is not None and aggressor != pid and aggressor not in aggressor_acted and not street_has_bet:
-                    name = "donk"
-                agg_state = "hero_agg" if aggressor == hero_id else ("villain_agg" if aggressor else "none")
-                trackers[pid].on_action(name, ctx.board, aggressor=agg_state, position="oop", ctx=ctx)
-        if action == "fold":
-            folded.add(pid)
-        aggressor_acted.add(pid)
-        if action in ("bet", "raise", "allin"):
-            street_has_bet = True
-            street_aggr[street] = pid
-            aggressor = pid
-    return records_from_snapshots(snapshots, reveals, hero_hole, rsm)
+    replay_hand(record, observer, {hero_seat: snapshotting})
+    return records_from_snapshots(brain.snapshots, reveals, hero_hole, rsm)
 
 
 def apply_learning(

@@ -212,7 +212,6 @@ class _HandTracker:
         self.steal_situation = False
         self.saw_flop: set[str] = set()
         self.folded: set[str] = set()
-        self.last_seq = -1
 
     def cbet_street_aggressor(self) -> str | None:
         prev = Street(self.street - 1) if self.street > Street.PREFLOP else None

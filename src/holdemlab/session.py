@@ -175,6 +175,8 @@ class HeroSeatPolicy:
                     self.villains_all_in.add(player_id)
         elif all_in:
             self.hero_all_in = True
+        if street != self.street:
+            return  # the read froze on an earlier street (see on_street)
         if street == "preflop":
             if not is_hero:
                 self.brain.observe_villain_preflop(player_id, action)
@@ -416,8 +418,4 @@ def _was_bad_beat(record: HandRecord, hero_seat: int, rsm: RsmTable) -> bool:
         return False
     if len(record.board) < 5:
         return False
-    try:
-        cat = rsm.query(record.holes[hero_seat], record.board)
-    except Exception:
-        return False
-    return int(cat) >= 8
+    return int(rsm.query(record.holes[hero_seat], record.board)) >= 8

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .cards import STRAIGHT_OUTS, DealRng, card_str, hand_score, parse_cards
 from .events import ActionType
@@ -267,20 +267,12 @@ class HandEngine:
         self.preflop_raised = False
         self.street_aggressor: dict[str, int | None] = {s: None for s in STREET_NAMES}
         self.failure_injected = False
-        self._seq = 0
         # Running state, kept in step with every commit and fold.
         self._pot = 0
         self._live = [s for s in self.seats if s.in_hand]
         self._board_view: tuple[int, ...] = ()
 
     # -- helpers --------------------------------------------------------------
-
-    def pot(self) -> int:
-        return self._pot
-
-    def live(self) -> list[_Seat]:
-        """Seats still in the hand, in seat order (the engine's own list)."""
-        return self._live
 
     def _commit(self, seat: _Seat, pay: int) -> None:
         seat.stack -= pay
@@ -469,7 +461,6 @@ class HandEngine:
         self._board_view = tuple(self.board)
 
     def _post_blinds(self) -> None:
-        order = sorted(self.positions.items(), key=lambda kv: kv[0])
         sb_seat = next(s for s in self.seats if self.positions.get(s.idx) == "sb")
         bb_seat = next(s for s in self.seats if self.positions.get(s.idx) == "bb")
         for seat, amount in ((sb_seat, self.sb), (bb_seat, self.bb)):
@@ -603,16 +594,20 @@ def _stacked_deck(holes: Iterable[Sequence[int]], board: Sequence[int]) -> list[
     return deck
 
 
-def replay_hand(record: HandRecord, observer=None) -> HandRecord:
+def replay_hand(
+    record: HandRecord, observer=None, wrappers: Mapping[int, Callable[[Callable], Callable]] | None = None
+) -> HandRecord:
     """Re-run a recorded hand through the engine; the result must reproduce
-    the record exactly (same actions, board, awards, and net)."""
+    the record exactly (same actions, board, awards, and net). A seat listed
+    in wrappers plays wrappers[seat](its scripted policy) instead."""
     per_seat: dict[int, list[tuple[str, str, int]]] = {}
     for street, seat, action, committed in record.actions:
         per_seat.setdefault(seat, []).append((street, action, committed))
-    seats = [
-        SeatConfig(pid, stack, _ScriptedSeatPolicy(per_seat.get(seat, [])))
-        for seat, pid, stack in record.seats
-    ]
+    wrappers = wrappers or {}
+    seats = []
+    for seat, pid, stack in record.seats:
+        policy = _ScriptedSeatPolicy(per_seat.get(seat, []))
+        seats.append(SeatConfig(pid, stack, wrappers[seat](policy) if seat in wrappers else policy))
     holes = [record.holes[seat] for seat, _, _ in record.seats if seat in record.holes]
     engine = HandEngine(
         record.hand_id,

@@ -319,8 +319,8 @@ class TestLawnmower:
         from holdemlab.rets import rs_distribution
 
         before = rs_distribution(brain.perceived["MediumReg"], FLOP, brain.rsm)
-        out = brain.update_perceived_hero_range("MediumReg", "raise", FLOP)
-        after = rs_distribution(out, FLOP, brain.rsm)
+        brain.observe_hero_action("raise", "flop")
+        after = rs_distribution(brain.perceived["MediumReg"], FLOP, brain.rsm)
         assert after[8:].sum() > before[8:].sum()
 
     def test_flat_template_leaves_perceived_unchanged(self):
@@ -334,3 +334,34 @@ class TestLawnmower:
         grid = brain.perceived["MediumReg"]
         out = reshape(grid, FLOP, brain.rets[FLAT_RET_ID], brain.rsm)
         assert np.allclose(out.weights, grid.weights, atol=1e-9)
+
+
+class TestFailsLoudly:
+    def _spot(self):
+        brain = make_brain()
+        brain.begin_hand(1, cards("9h9s"), [("v", "Fish")])
+        brain.observe_villain_preflop("v", "call")
+        brain.observe_new_street(FLOP)
+        return brain, ctx_for(brain, cards("9h9s"), FLOP, live=("v",))
+
+    def test_unexpected_chib_error_propagates_out_of_decide(self, monkeypatch):
+        brain, ctx = self._spot()
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("chib broke")
+
+        monkeypatch.setattr("holdemlab.brain.chib", broken)
+        with pytest.raises(RuntimeError, match="chib broke"):
+            brain.decide(ctx)
+
+    def test_degenerate_range_reads_without_chib(self, monkeypatch):
+        from holdemlab.rets import DegenerateRangeError
+
+        brain, ctx = self._spot()
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateRangeError("no live combos")
+
+        monkeypatch.setattr("holdemlab.brain.chib", degenerate)
+        brain.decide(ctx)
+        assert [(r.player_id, r.chib) for r in ctx.opponents] == [("v", None)]

@@ -294,5 +294,11 @@ class TestEquityVsRange:
     def test_preflop_monte_carlo_sane(self):
         hero = cards("AsAh")
         grid = ComboGrid.uniform().strip(hero)
-        eq = equity_vs_range(hero, grid.weights, (), preflop_samples=4000, rng=DealRng(9))
+        eq = equity_vs_range(hero, grid.weights, (), runout_samples=4000, combo_samples=400, rng=DealRng(9))
         assert 0.80 < eq < 0.90  # aces vs a random hand
+
+    def test_preflop_without_runout_samples_raises(self):
+        hero = cards("AsAh")
+        grid = ComboGrid.uniform().strip(hero)
+        with pytest.raises(ValueError, match="runout_samples"):
+            equity_vs_range(hero, grid.weights, ())

@@ -8,6 +8,7 @@ from holdemlab.learning import (
     PredictionRecord,
     apply_learning,
     realized_category,
+    records_from_snapshots,
     replay_with_perfect_info,
     write_audit_log,
 )
@@ -249,6 +250,40 @@ class TestReplayPerfectInfo:
         )
         rets = load_ret_set()
         assert replay_with_perfect_info(record, "hero", RsmTable(), rets, RetDispatch.shipped(rets)) == []
+
+    def test_replay_reproduces_the_live_records(self):
+        """Replaying a session hand gives exactly the records the live
+        snapshots gave: same order, bit-equal grids and distributions."""
+        from holdemlab.brain import Brain
+
+        def fields(rec):
+            return (
+                rec.hand_id, rec.street, rec.board, rec.player_id, rec.archetype,
+                rec.grid.weights.tobytes(), rec.distribution.tobytes(), rec.chib, rec.predicted_top,
+                rec.revealed_hole, rec.realized_category, rec.realized_beat_hero, rec.bucket, rec.in_support,
+            )
+
+        store = ProfileStore()
+        rsm = RsmTable()
+        brain = Brain(store, rsm_table=rsm, seed=2023)
+        compared, differ = [], []
+
+        def check(record):
+            hero_seat = record.hero_seat_of(HERO_ID)
+            if hero_seat not in dict(record.showdown) or len(record.showdown) < 2:
+                return
+            reveals = {record.player_of(s): h for s, h in record.showdown if s != hero_seat}
+            live = records_from_snapshots(brain.snapshots, reveals, record.holes[hero_seat], rsm)
+            # archetypes as the live brain read them, before this hand's events
+            archetypes = {snap["player_id"]: snap["archetype"] for snap in brain.snapshots}
+            replayed = replay_with_perfect_info(record, HERO_ID, rsm, brain.rets, brain.dispatch, archetypes=archetypes)
+            compared.append(len(live))
+            if [fields(r) for r in replayed] != [fields(r) for r in live]:
+                differ.append(record.hand_id)
+
+        run_fastfold_session(SessionConfig(hands=300, seed=2023, learning=False), brain=brain, store=store, on_record=check)
+        assert len(compared) >= 15 and sum(compared) >= 30
+        assert differ == []
 
 
 class TestSessionLearning:

@@ -63,6 +63,39 @@ class TestSessionDeterminism:
         assert any(r.failure_injected for r in records)
 
 
+class TestHeroObservation:
+    def test_read_freezes_after_the_hero_is_all_in(self):
+        """Once the hero shoves the flop no decision can follow, so villain
+        actions on later streets must not reshape the flop read."""
+        from holdemlab.brain import Brain
+        from holdemlab.cards import DealRng, parse_cards
+        from holdemlab.profiles import ProfileStore
+        from holdemlab.session import HeroSeatPolicy
+
+        store = ProfileStore()
+        brain = Brain(store, seed=1)
+        hero = HeroSeatPolicy(brain, store, SessionConfig(), DealRng(1))
+        hero.new_hand_reset(1, 0)
+        brain.begin_hand(1, tuple(parse_cards("AsKs")), [("v1", "Fish"), ("v2", "Fish")])
+        board = tuple(parse_cards("9d5s2cKd7h"))
+        hero.on_action("preflop", 1, "v1", "call", 2, 3, "utg", False)
+        hero.on_action("preflop", 2, "v2", "call", 2, 5, "btn", False)
+        hero.on_action("preflop", 0, "hero", "check", 2, 7, "bb", False)
+        hero.on_street("flop", board[:3])
+        hero.on_action("flop", 0, "hero", "allin", 200, 7, "bb", True)
+        hero.on_action("flop", 1, "v1", "call", 200, 207, "utg", False)
+        hero.on_action("flop", 2, "v2", "call", 200, 407, "btn", False)
+        steps = {pid: len(t.history) for pid, t in brain.trackers.items()}
+        assert set(steps) == {"v1", "v2"}
+        hero.on_street("turn", board[:4])
+        hero.on_action("turn", 1, "v1", "bet", 50, 607, "utg", False)
+        hero.on_action("turn", 2, "v2", "call", 50, 657, "btn", False)
+        hero.on_street("river", board)
+        hero.on_action("river", 1, "v1", "check", 0, 707, "utg", False)
+        assert {pid: len(t.history) for pid, t in brain.trackers.items()} == steps
+        assert len(store.events) == 9  # the profile store still sees every action
+
+
 class TestHistoryRoundTrip:
     def test_parse_write_round_trip(self, tmp_path):
         _, _, records, path = run_and_write(tmp_path, "a.hh", hands=40)
