@@ -268,7 +268,7 @@ class Brain:
             if pid not in self.folded:
                 tracker.on_new_street(board, self._board_ctx)
         for arch in list(self.perceived):
-            self.perceived[arch] = self.perceived[arch].strip(board)
+            self.perceived[arch] = self.perceived[arch].strip_mask(self._board_ctx.dead_mask)
 
     def observe_villain_action(
         self, player_id: str, action: str, *, aggressor: str = "none", position: str = "oop"
@@ -664,18 +664,21 @@ class Brain:
 
     def record_snapshot(self, ctx: DecisionContext, hero_action: str) -> None:
         """Keep each live read of a post-flop decision for showdown learning:
-        its grid, strength distribution, ChiB and the BoardContext it was
-        read under. `decide` passes the action it picks; a replay of a
-        finished hand passes the action that was played."""
+        its grid, ChiB, the BoardContext it was read under and the strength
+        categories it was read with (`categories`, the table's read-only
+        array, from which `learning.records_from_snapshots` computes the
+        strength distribution when a showdown needs it). `decide` passes the
+        action it picks; a replay of a finished hand passes the action that
+        was played."""
         if ctx.street == "preflop":
             return
         self._ensure_reads(ctx)
         if ctx.board_ctx is None:
             return
+        categories = self.rsm.categories_many(ctx.board_ctx)
         for read in ctx.opponents:
             if read.grid is None:
                 continue
-            dist = rs_distribution(read.grid, ctx.board, self.rsm, ctx.board_ctx)
             self.snapshots.append(
                 {
                     "hand_id": ctx.hand_id,
@@ -685,7 +688,7 @@ class Brain:
                     "player_id": read.player_id,
                     "archetype": read.archetype,
                     "grid": read.grid,
-                    "distribution": dist,
+                    "categories": categories,
                     "chib": read.chib,
                     "hero_action": hero_action,
                 }

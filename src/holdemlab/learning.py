@@ -28,10 +28,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .brain import Brain
-from .cards import DealRng
+from .cards import DealRng, hand_score
 from .profiles import ProfileStore
 from .rangegrid import ComboGrid, combo_index
-from .rets import RET, RetDispatch
+from .rets import RET, RetDispatch, _category_mass
 from .rsm import BoardContext, RsmTable
 from .table import HandRecord, replay_hand
 
@@ -73,7 +73,7 @@ def realized_category(hole: Sequence[int], board: Sequence[int], ctx: BoardConte
     opposing combos on this board, independent of the learned table."""
     ctx = ctx or BoardContext.cached(board)
     idx = combo_index(hole[0], hole[1])
-    q = ctx.percentile[idx]
+    q = ctx.percentile_of(idx)
     cat = int(np.floor(q * 9.0 + 0.5))
     if ctx.scores[idx] == ctx.max_score:
         cat = max(cat, 9)
@@ -92,9 +92,8 @@ def records_from_snapshots(
     rsm: RsmTable,
 ) -> list[PredictionRecord]:
     """Pair live decision-point snapshots (captured during play) with the
-    showdown ground truth."""
-    from .cards import hand_score
-
+    showdown ground truth. A snapshot's strength distribution is computed
+    here, from its grid and the categories it was read with."""
     out: list[PredictionRecord] = []
     for snap in snapshots:
         pid = snap["player_id"]
@@ -103,7 +102,7 @@ def records_from_snapshots(
         board = snap["board"]
         ctx = snap["board_ctx"]
         hole = reveals[pid]
-        dist = snap["distribution"]
+        dist = _category_mass(snap["grid"], snap["categories"])
         top1, top2 = _top2(dist)
         realized = realized_category(hole, board, ctx)
         hero_score = hand_score(tuple(hero_hole) + board)

@@ -142,6 +142,15 @@ class ComboGrid:
         object.__setattr__(self, "weights", w)
 
     @classmethod
+    def _trusted(cls, weights: np.ndarray, degenerate: bool = False) -> "ComboGrid":
+        """A grid over weights this module computed: a float array of the
+        right shape, nonnegative by construction, so not checked again."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "weights", weights)
+        object.__setattr__(grid, "degenerate", degenerate)
+        return grid
+
+    @classmethod
     def uniform(cls) -> "ComboGrid":
         return cls(np.full(N_COMBOS, 1.0 / N_COMBOS))
 
@@ -176,8 +185,8 @@ class ComboGrid:
     def normalized(self) -> "ComboGrid":
         t = self.weights.sum()
         if t <= 0:
-            return ComboGrid(np.zeros(N_COMBOS), degenerate=True)
-        return ComboGrid(self.weights / t, degenerate=self.degenerate)
+            return ComboGrid._trusted(np.zeros(N_COMBOS), degenerate=True)
+        return ComboGrid._trusted(self.weights / t, degenerate=self.degenerate)
 
     def is_normalized(self) -> bool:
         return abs(self.weights.sum() - 1.0) <= _NORM_TOL
@@ -188,8 +197,11 @@ class ComboGrid:
         Idempotent. If nothing survives, fall back to uniform over combos
         that avoid the dead cards and flag the grid degenerate.
         """
-        dead = set(dead)
-        kill = combos_with_any(dead)
+        return self.strip_mask(combos_with_any(set(dead)))
+
+    def strip_mask(self, kill: np.ndarray) -> "ComboGrid":
+        """`strip` with the dead combos given as a mask, such as a board's
+        `BoardContext.dead_mask`."""
         w = np.where(kill, 0.0, self.weights)
         t = w.sum()
         if t <= 0:
@@ -197,21 +209,29 @@ class ComboGrid:
             n_live = int(live.sum())
             if n_live == 0:
                 raise RangeConfigError("all combos dead; cannot strip")
-            return ComboGrid(live / n_live, degenerate=True)
-        return ComboGrid(w / t, degenerate=self.degenerate)
+            return ComboGrid._trusted(live / n_live, degenerate=True)
+        return ComboGrid._trusted(w / t, degenerate=self.degenerate)
 
     def reweighted(self, factors: np.ndarray) -> "ComboGrid":
         """Multiply per-combo factors in, renormalizing; degenerate fallback
-        keeps the old support uniform if everything zeroes out."""
+        keeps the old support uniform if everything zeroes out. A factor
+        that leaves a negative weight raises RangeConfigError."""
         w = self.weights * np.asarray(factors, dtype=float)
+        if (w < 0).any():
+            raise RangeConfigError("negative combo weight")
+        return self._renormalized(w)
+
+    def _renormalized(self, w: np.ndarray) -> "ComboGrid":
+        """`reweighted` for weights w = self.weights * factors that are
+        nonnegative by construction."""
         t = w.sum()
         if t <= 0:
             support = self.support_mask()
             n = int(support.sum())
             if n == 0:
                 raise RangeConfigError("reweighting an empty grid")
-            return ComboGrid(support / n, degenerate=True)
-        return ComboGrid(w / t, degenerate=self.degenerate)
+            return ComboGrid._trusted(support / n, degenerate=True)
+        return ComboGrid._trusted(w / t, degenerate=self.degenerate)
 
     def class_view(self) -> ClassGrid169:
         agg = np.bincount(CLASS_OF_COMBO, weights=self.weights, minlength=169)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cards import hand_score, validate_board
+from .cards import validate_board
 from .rangegrid import ComboGrid
 from .rsm import BoardContext, N_CATEGORIES, RsmTable
 
@@ -36,6 +36,8 @@ class RET:
     label: str
     weights: np.ndarray  # (11,) nonnegative
     description: str = ""
+    # [0.0, *weights]: the factor of each category + 1, dead combos (-1) first
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -44,6 +46,7 @@ class RET:
         if (w < 0).any() or w.sum() <= 0:
             raise RetFileError(f"{self.ret_id}: weights must be nonnegative, not all zero")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "factors", np.concatenate(([0.0], w)))
 
     @property
     def is_flat(self) -> bool:
@@ -181,7 +184,7 @@ def reshape(grid: ComboGrid, board: Sequence[int], ret: RET, rsm: RsmTable, ctx:
     ctx = ctx or BoardContext.cached(board)
     cats = rsm.categories_many(ctx)
     # Dead combos (category -1) take the leading 0.0.
-    return grid.reweighted(np.concatenate(([0.0], ret.weights))[cats + 1])
+    return grid._renormalized(grid.weights * ret.factors[cats + 1])
 
 
 def rs_distribution(grid: ComboGrid, board: Sequence[int], rsm: RsmTable, ctx: BoardContext | None = None) -> np.ndarray:
@@ -203,19 +206,17 @@ def _category_mass(grid: ComboGrid, cats: np.ndarray) -> np.ndarray:
 
 def chib(hero: Sequence[int], grid: ComboGrid, board: Sequence[int], ctx: BoardContext | None = None) -> float:
     """Chance the hero is beaten right now: the normalized mass of combos
-    whose current made hand outranks the hero's on this board."""
+    whose current made hand outranks the hero's on this board. Combos that
+    hold a hero card or a board card weigh nothing; both masks come from
+    `BoardContext.hero_masks`, built once per board and hero."""
     board = validate_board(board)
     ctx = ctx or BoardContext.cached(board)
-    hero_score = hand_score(tuple(hero) + tuple(board))
-    w = grid.weights.copy()
-    from .rangegrid import combos_with_any
-
-    w[combos_with_any(tuple(hero))] = 0.0
-    w[ctx.dead_mask] = 0.0
+    kill, beats_hero = ctx.hero_masks(hero)
+    w = np.where(kill, 0.0, grid.weights)
     total = w.sum()
     if total <= 0:
         raise DegenerateRangeError("no live combos against this hero")
-    return float(w[ctx.scores > hero_score].sum() / total)
+    return float(w[beats_hero].sum() / total)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ class OpponentRangeTracker:
 
     def on_new_street(self, board: Sequence[int], ctx: BoardContext | None = None) -> PipelineStep:
         ctx = ctx or BoardContext.cached(board)
-        self.grid = self.grid.strip(board)
+        self.grid = self.grid.strip_mask(ctx.dead_mask)
         flat = self.rets[FLAT_RET_ID]
         self.grid = reshape(self.grid, board, flat, self.rsm, ctx)
         step = PipelineStep("street", ctx.street, FLAT_RET_ID, self.grid, self.rsm.categories_many(ctx))

@@ -29,10 +29,11 @@ from .cards import (
     STRAIGHT_TOP,
     HandCategory,
     InvalidCardsError,
+    hand_score,
     score_cards_batch,
     validate_board,
 )
-from .rangegrid import COMBO_CARDS, N_COMBOS, combos_with_any
+from .rangegrid import COMBO_CARDS, N_COMBOS, combo_index, combos_with_any
 
 
 class RsCategory(IntEnum):
@@ -170,6 +171,18 @@ def _rank_tables(bt0: int, bt1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tables
 
 
+# The hand categories and made class the hot paths read, as plain ints: an
+# enum member read costs an attribute lookup each time.
+_PAIR = int(HandCategory.PAIR)
+_TWO_PAIR = int(HandCategory.TWO_PAIR)
+_TRIPS = int(HandCategory.TRIPS)
+_STRAIGHT = int(HandCategory.STRAIGHT)
+_FLUSH = int(HandCategory.FLUSH)
+_FULL_HOUSE = int(HandCategory.FULL_HOUSE)
+_QUADS = int(HandCategory.QUADS)
+_STRAIGHT_FLUSH = int(HandCategory.STRAIGHT_FLUSH)
+_MADE_TWO_PAIR = int(MadeClass.TWO_PAIR)
+
 # Class of a made hand of category >= trips that the hole cards play in,
 # by (category, pocket pair): a pocket pair that makes trips is a set.
 _BIG_MADE = np.zeros((9, 2), dtype=np.int64)
@@ -213,25 +226,25 @@ def _made_classes(holes: np.ndarray, scores: np.ndarray, board: Sequence[int]) -
     # One pair or two pair: which hole cards pair a paired rank. Both do
     # in a two pair without a pocket pair; a pocket pair is ranked against
     # the board; one hole card pairing is ranked with its kicker.
-    two_pair = cat == HandCategory.TWO_PAIR
+    two_pair = cat == _TWO_PAIR
     in1 = hit1 | (two_pair & second1)
     in2 = hit2 | (two_pair & second2)
     pr = np.where(in1, r1, r2)
     kick = np.where(in1, r2, r1)
-    paired = np.where(in1 & in2, MadeClass.TWO_PAIR, hole_pair_t[2 * pr + (kick >= 10)])
+    paired = np.where(in1 & in2, _MADE_TWO_PAIR, hole_pair_t[2 * pr + (kick >= 10)])
     paired = np.where(pocket, pocket_t[r1], paired)
-    np.copyto(made, paired, where=((cat == HandCategory.PAIR) | two_pair) & (in1 | in2))
+    np.copyto(made, paired, where=((cat == _PAIR) | two_pair) & (in1 | in2))
 
     # Trips and better count only when a hole card plays: trips/set/quads
     # hold the hole rank, a full house holds it in either part, a straight
     # must beat the board's own, a flush needs a hole card of the suit.
     tot1 = suit_counts[s1] + 1 + (s1 == s2)
     tot2 = suit_counts[s2] + 1 + (s1 == s2)
-    plays = hit1 | hit2 | ((cat == HandCategory.FULL_HOUSE) & (second1 | second2))
-    plays |= cat == HandCategory.STRAIGHT_FLUSH
-    plays = np.where(cat == HandCategory.STRAIGHT, nib0 > board_straight, plays)
-    plays = np.where(cat == HandCategory.FLUSH, (tot1 >= 5) | (tot2 >= 5), plays)
-    np.copyto(made, _BIG_MADE[2 * cat + pocket], where=(cat >= HandCategory.TRIPS) & plays)
+    plays = hit1 | hit2 | ((cat == _FULL_HOUSE) & (second1 | second2))
+    plays |= cat == _STRAIGHT_FLUSH
+    plays = np.where(cat == _STRAIGHT, nib0 > board_straight, plays)
+    plays = np.where(cat == _FLUSH, (tot1 >= 5) | (tot2 >= 5), plays)
+    np.copyto(made, _BIG_MADE[2 * cat + pocket], where=(cat >= _TRIPS) & plays)
     return made
 
 
@@ -352,11 +365,27 @@ class BoardContext:
         self.max_score = int(self.scores.max())
         self._percentile: np.ndarray | None = None
         self._category_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._hero_masks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def combo_index_of(self, hole: Sequence[int]) -> int:
-        from .rangegrid import combo_index
-
         return combo_index(hole[0], hole[1])
+
+    _HERO_MASKS_MAX = 4
+
+    def hero_masks(self, hero: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """For `rets.chib`: the combos that hold a hero or a board card, and
+        the combos whose made hand beats the hero's. Kept for the last few
+        heroes' cards read on this board; the arrays are read-only."""
+        key = tuple(hero)
+        masks = self._hero_masks.get(key)
+        if masks is None:
+            kill = self.dead_mask | combos_with_any(key)
+            beats_hero = self.scores > hand_score(key + self.board)
+            kill.flags.writeable = beats_hero.flags.writeable = False
+            if len(self._hero_masks) >= self._HERO_MASKS_MAX:
+                self._hero_masks.pop(next(iter(self._hero_masks)))
+            masks = self._hero_masks[key] = (kill, beats_hero)
+        return masks
 
     @property
     def percentile(self) -> np.ndarray:
@@ -376,6 +405,15 @@ class BoardContext:
             ties = pos_leq - pos_less
             self._percentile = (pos_less + 0.5 * ties) / n_live
         return self._percentile
+
+    def percentile_of(self, idx: int) -> float:
+        """`percentile[idx]` of one combo, counted without building the
+        table: the same integers in the same arithmetic give the same float."""
+        live_scores = self.scores[~self.dead_mask]
+        s = self.scores[idx]
+        less = int(np.count_nonzero(live_scores < s))
+        ties = int(np.count_nonzero(live_scores == s))
+        return (less + 0.5 * ties) / max(live_scores.size, 1)
 
     _CTX_CACHE: "dict[tuple[int, ...], BoardContext]" = {}
     _CTX_CACHE_MAX = 24
@@ -456,6 +494,14 @@ _BIG_MADE_CLASSES = (MadeClass.TWO_PAIR, MadeClass.TRIPS, MadeClass.SET)
 _IS_ONE_PAIR = np.isin(np.arange(16), [int(c) for c in _ONE_PAIR_CLASSES])
 _IS_BIG_MADE = np.isin(np.arange(16), [int(c) for c in _BIG_MADE_CLASSES])
 
+# The axes of a category table: combo state, made class, draw tier. A nut
+# combo holds the best live score; a crippled one is a nut of quads or
+# better on a paired board.
+_NUT, _CRIPPLED = 1, 2
+_STATE = np.arange(3)[:, None, None]
+_MADE = np.arange(16)[None, :, None]
+_DRAW = np.arange(4)[None, None, :]
+
 
 # Every RsmTable takes the next number as its cache token: unlike id(), a
 # token is never reused after the table is freed.
@@ -479,50 +525,25 @@ class RsmTable:
         self._token = next(_TABLE_TOKENS)
         self._bucket_parts: dict[str, tuple[str, ...]] = {}  # bucket key -> its "|" fields
         self._made_values = np.array([self.rules.made_value[MadeClass(m)] for m in range(16)])
+        self._memo_version = -1
+        self._memo_entries: dict[tuple, np.ndarray | None] = {}
 
     # -- values ------------------------------------------------------------
 
-    def _base_values(self, ctx: BoardContext) -> np.ndarray:
-        made = ctx.made
-        draw = ctx.draw
-        vals = self._made_values[made]
-        if ctx.street in ("flop", "turn"):
-            dv = np.zeros(4)
-            for tier in DrawTier:
-                dv[int(tier)] = self.rules.draw_value.get((ctx.street, tier), 0.0)
-            vals = np.maximum(vals, dv[draw])
-            wet = ctx.texture.wet
-            if wet and "wet_pairs" in self.rules.adjustments:
-                sel = _IS_ONE_PAIR[made]
-                vals = np.where(sel, vals + self.rules.adjustments["wet_pairs"], vals)
-            if ctx.texture.flush_level == "suited" and "suited_bigmade" in self.rules.adjustments:
-                sel = _IS_BIG_MADE[made]
-                vals = np.where(sel, vals + self.rules.adjustments["suited_bigmade"], vals)
-        else:
-            # Complete board: anchor to the percentile among live opposing
-            # combos, a pure function of absolute strength, so a better made
-            # hand can never map lower than a worse one once draws are dead.
-            vals = ctx.percentile * 9.0
-        # Nut promotion and the crippled-board ceiling.
-        is_nut = ctx.scores == ctx.max_score
-        vals = np.where(is_nut, np.maximum(vals, 9.0), vals)
-        cripple = (
-            is_nut
-            & ((ctx.scores >> 20) >= int(HandCategory.QUADS))
-            & ctx.texture.paired
-        )
-        vals = np.where(cripple, 10.0, vals)
-        return vals
+    def _memo(self) -> dict:
+        """Overlay slices and category tables built for the current overlay
+        version; a new version starts an empty memo."""
+        if self._memo_version != self.version:
+            self._memo_version, self._memo_entries = self.version, {}
+        return self._memo_entries
 
     def _overlay_table(self, street: str, wet: bool) -> np.ndarray | None:
-        """(made, draw) delta lattice for one street/texture slice, cached
-        per slice until the overlay version changes."""
-        wet_tag = "wet" if wet else "dry"
-        cached = getattr(self, "_overlay_cache", None)
-        if cached is None or cached[0] != self.version:
-            cached = self._overlay_cache = (self.version, {})
-        slices = cached[1]
-        if (street, wet_tag) not in slices:
+        """(made, draw) delta lattice for one street/texture slice, or None
+        when no bucket of the slice has a delta."""
+        memo = self._memo()
+        key = ("overlay", street, wet)
+        if key not in memo:
+            wet_tag = "wet" if wet else "dry"
             parts = self._bucket_parts
             table = None
             for bucket, delta in self.overlay.items():
@@ -535,29 +556,71 @@ class RsmTable:
                 if table is None:
                     table = np.zeros((16, 4))
                 table[int(MadeClass[made_name]), int(DrawTier[draw_name])] += delta
-            slices[(street, wet_tag)] = table
-        return slices[(street, wet_tag)]
+            memo[key] = table
+        return memo[key]
 
-    def _overlay_values(self, ctx: BoardContext) -> np.ndarray:
-        table = self._overlay_table(ctx.street, ctx.texture.wet)
+    def _categories(
+        self, vals: np.ndarray, state: np.ndarray, made: np.ndarray, draw: np.ndarray, street: str, wet: bool
+    ) -> np.ndarray:
+        """Round base values to categories: nut combos are promoted to at
+        least Nuts and crippled ones set to Alcatraz, then the overlay of
+        their (made, draw) bucket is added and the value clipped to [0, 10]."""
+        vals = np.where(state >= _NUT, np.maximum(vals, 9.0), vals)
+        vals = np.where(state == _CRIPPLED, 10.0, vals)
+        overlay = self._overlay_table(street, wet)
+        if overlay is not None:
+            vals = vals + overlay[made, draw]
+        vals = np.clip(vals, 0.0, 10.0)
+        return np.clip(np.floor(vals + 0.5).astype(np.int64), 0, 10)
+
+    def _category_table(self, street: str, texture: BoardTexture) -> np.ndarray:
+        """Flop or turn category of each (combo state, made class, draw
+        tier), flattened to 3 x 16 x 4 entries. A base value is the made
+        class's or the draw's, whichever is higher, with the wet-board pair
+        and suited-board big-hand adjustments."""
+        wet, suited = texture.wet, texture.flush_level == "suited"
+        memo = self._memo()
+        key = ("categories", street, wet, suited)
+        table = memo.get(key)
         if table is None:
-            return np.zeros(N_COMBOS)
-        return table[ctx.made, ctx.draw]
-
-    def values_many(self, ctx: BoardContext) -> np.ndarray:
-        vals = self._base_values(ctx) + self._overlay_values(ctx)
-        return np.clip(vals, 0.0, 10.0)
+            dv = np.array([self.rules.draw_value.get((street, tier), 0.0) for tier in DrawTier])
+            vals = np.maximum(self._made_values[_MADE], dv[_DRAW])
+            adjust = self.rules.adjustments
+            if wet and "wet_pairs" in adjust:
+                vals = np.where(_IS_ONE_PAIR[_MADE], vals + adjust["wet_pairs"], vals)
+            if suited and "suited_bigmade" in adjust:
+                vals = np.where(_IS_BIG_MADE[_MADE], vals + adjust["suited_bigmade"], vals)
+            table = memo[key] = self._categories(vals, _STATE, _MADE, _DRAW, street, wet).ravel()
+        return table
 
     def categories_many(self, ctx: BoardContext) -> np.ndarray:
-        """Category per combo; dead combos get -1. Cached per (table,
-        overlay version) on the context."""
+        """Category per combo; dead combos get -1. The array is read-only
+        and cached on the context per (table, overlay version).
+
+        Flop and turn categories are a function of each combo's state
+        (normal, nut, or crippled: a nut of quads or better on a paired
+        board), made class and draw tier, so they are gathered from a
+        category table the RsmTable builds per (street, wet texture, suited
+        board) and keeps until its overlay version changes. On the river
+        the base value is the combo's percentile among live combos."""
         key = (self._token, self.version)
         cached = ctx._category_cache.get(key)
         if cached is not None:
             return cached
-        cats = np.floor(self.values_many(ctx) + 0.5).astype(np.int64)
-        cats = np.clip(cats, 0, 10)
+        is_nut = ctx.scores == ctx.max_score
+        state = is_nut.astype(np.int64)
+        if ctx.texture.paired:
+            state += is_nut & ((ctx.scores >> 20) >= _QUADS)
+        if ctx.street == "river":
+            # Complete board: anchor to the percentile among live opposing
+            # combos, a pure function of absolute strength, so a better made
+            # hand can never map lower than a worse one once draws are dead.
+            cats = self._categories(ctx.percentile * 9.0, state, ctx.made, ctx.draw, ctx.street, ctx.texture.wet)
+        else:
+            table = self._category_table(ctx.street, ctx.texture)  # flattened (3, 16, 4)
+            cats = table[state * 64 + ctx.made * 4 + ctx.draw]
         cats = np.where(ctx.dead_mask, -1, cats)
+        cats.flags.writeable = False
         ctx._category_cache.clear()
         ctx._category_cache[key] = cats
         return cats

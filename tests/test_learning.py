@@ -51,6 +51,40 @@ class TestRealizedCategory:
         assert realized_category(cards("2h2s"), board) >= 9
 
 
+class TestSnapshots:
+    def test_distribution_is_the_one_read_at_snapshot_time(self):
+        """A snapshot keeps the categories it was read with, so a learning
+        delta that lands after it does not move the distribution the
+        showdown record computes from it."""
+        from holdemlab.brain import Brain, DecisionContext
+        from holdemlab.rets import rs_distribution
+        from holdemlab.rsm import BoardContext
+
+        rsm = RsmTable()
+        brain = Brain(ProfileStore(), rsm_table=rsm, seed=1)
+        hero, board, villain = cards("AhKh"), cards("Jh8d3c"), cards("JdTd")
+        brain.begin_hand(1, hero, [("v1", "Fish")])
+        brain.observe_villain_preflop("v1", "call")
+        brain.observe_new_street(board)
+        brain.observe_villain_action("v1", "bet")
+        ctx = DecisionContext(
+            hand_id=1, street="flop", hero_hole=tuple(hero), board=tuple(board), pot_bb=6.0, to_call_bb=3.0,
+            min_raise_to_bb=6.0, hero_stack_bb=97.0, effective_stack_bb=97.0, spr=16.0, pot_odds=0.33,
+            action_level=1.0, position="btn", in_position=True, hero_is_aggressor=False,
+            legal=("fold", "call", "raise"), live_player_ids=("v1",), facing_allin=False,
+        )
+        ctx.board_ctx = BoardContext.cached(board)
+        brain.record_snapshot(ctx, "call")
+        (snap,) = brain.snapshots
+        at_snapshot = rs_distribution(snap["grid"], board, rsm, ctx.board_ctx)
+        version = rsm.version
+        rsm.apply_delta(rsm.bucket_for(villain, board, ctx.board_ctx), -1.5)
+        assert rsm.version > version
+        assert not np.array_equal(rs_distribution(snap["grid"], board, rsm, ctx.board_ctx), at_snapshot)
+        (rec,) = records_from_snapshots(brain.snapshots, {"v1": tuple(villain)}, tuple(hero), rsm)
+        assert rec.distribution.tobytes() == at_snapshot.tobytes()
+
+
 def synthetic_record(dist, realized, bucket, hole=None, board=None, pid="v", hand_id=1):
     board = board or tuple(cards("9d5s2c"))
     hole = hole or tuple(cards("8h7h"))

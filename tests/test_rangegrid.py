@@ -83,6 +83,44 @@ class TestStrip:
         assert s.total() == pytest.approx(1.0)
 
 
+    def test_board_mask_strip_equals_card_strip(self):
+        from holdemlab.rsm import BoardContext
+
+        rng = np.random.default_rng(12)
+        g = ComboGrid(rng.random(1326)).normalized()
+        for text in ("9d5s2c", "9d5s2cAh", "9d5s2cAhKh"):
+            board = parse_cards(text)
+            a, b = g.strip(board), g.strip_mask(BoardContext(board).dead_mask)
+            assert a.weights.tobytes() == b.weights.tobytes() and a.degenerate == b.degenerate
+
+
+class TestValidation:
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(RangeConfigError, match="1326 weights"):
+            ComboGrid(np.ones(1325))
+
+    def test_negative_weight_rejected(self):
+        w = np.full(1326, 1.0)
+        w[7] = -0.5
+        with pytest.raises(RangeConfigError, match="negative"):
+            ComboGrid(w)
+
+    def test_negative_reweighting_factor_rejected(self):
+        factors = np.ones(1326)
+        factors[3] = -2.0
+        with pytest.raises(RangeConfigError, match="negative"):
+            ComboGrid.uniform().reweighted(factors)
+        with pytest.raises(RangeConfigError, match="negative"):
+            ComboGrid.uniform().reweighted(-factors)  # even when the total goes negative
+
+    def test_built_grids_are_float_vectors(self):
+        dead = parse_cards("9d5s2c")
+        g = ComboGrid.uniform()
+        for built in (g.normalized(), g.strip(dead), g.reweighted(np.arange(1326) % 3), ComboGrid.zeros().normalized()):
+            assert built.weights.shape == (1326,) and built.weights.dtype == np.float64
+            assert (built.weights >= 0).all()
+
+
 class TestRangeFiles:
     def test_parse_classes_and_combos(self):
         g = parse_range_lines(["AA 1.0", "AKs 0.5", "7h6h 0.25", "# comment", ""])

@@ -185,6 +185,24 @@ class TestChiB:
                 beat += w[idx]
         assert got == pytest.approx(beat / total, abs=1e-9)
 
+    def test_two_heroes_on_one_context_match_the_reference(self):
+        """chib with the context's cached hero masks equals copying the
+        grid, zeroing the hero's and the board's combos and summing, bit
+        for bit, for each of two heroes read in turn on one context."""
+        from holdemlab.cards import hand_score
+
+        rng = np.random.default_rng(5150)
+        for text in ("Jh8d3c2s", "9d5s2c", "KhKd7h2h6h"):
+            board = cards(text)
+            ctx = BoardContext(board)
+            g = random_grid(rng, board)
+            for hero in (cards("AcKc"), cards("8h8c"), cards("AcKc")):
+                w = g.weights.copy()
+                w[combos_with_any(hero)] = 0.0
+                w[ctx.dead_mask] = 0.0
+                want = float(w[ctx.scores > hand_score(tuple(hero) + tuple(board))].sum() / w.sum())
+                assert chib(hero, g, board, ctx) == want
+
     def test_empty_support_raises(self):
         w = np.zeros(1326)
         w[combo_index(*cards("Ah9d"))] = 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from holdemlab.cards import InvalidCardsError, parse_cards
+from holdemlab.rangegrid import COMBO_CARDS
 from holdemlab.rsm import (
     BoardContext,
     DrawTier,
@@ -117,6 +118,16 @@ class TestBoardContextFeatures:
         # one row, keyed by the sorted ranks whatever order the cards come in
         assert list(rsm._RANK_ROW_OF) == [tuple(sorted(c >> 2 for c in cards(group[0])))]
 
+    def test_percentile_of_one_combo_equals_the_table(self):
+        """Counting one combo's live scores below and equal gives exactly
+        its entry of the percentile table, ties included."""
+        for text in ("9d5s2c", "KhKd7h2h", "9d5s2c2dKs", "AhKhQhJhTh", "7c7d7h7s2c"):
+            ctx = BoardContext(cards(text))
+            table = ctx.percentile
+            live = np.flatnonzero(~ctx.dead_mask)
+            assert len(np.unique(ctx.scores[live])) < live.size  # tied scores
+            assert all(ctx.percentile_of(int(i)) == table[i] for i in live), text
+
     def test_rank_table_has_a_row_for_every_rank_multiset(self):
         from itertools import combinations_with_replacement
 
@@ -148,6 +159,88 @@ def _per_combo_draw_tiers(holes, board):
         made_with = STRAIGHT_TOP[mask_full | (1 << r)]
         ranks_out -= ((mask_full >> r) & 1 == 0) & (made_with >= 0) & (made_with <= board_with)
     return _DRAW_TIER[3 * fd + np.minimum(ranks_out, 2)]
+
+
+def _reference_categories(table, ctx):
+    """The per-combo vector formula the flop and turn categories were once
+    computed with: base value, draw, texture adjustments, nut promotion,
+    the crippled ceiling, the learned overlay, clip and round."""
+    from holdemlab.cards import HandCategory
+
+    rules, made, draw = table.rules, ctx.made, ctx.draw
+    vals = np.array([rules.made_value[MadeClass(m)] for m in range(16)])[made]
+    dv = np.zeros(4)
+    for tier in DrawTier:
+        dv[int(tier)] = rules.draw_value.get((ctx.street, tier), 0.0)
+    vals = np.maximum(vals, dv[draw])
+    one_pair = [MadeClass.PAIR_WEAK, MadeClass.PAIR_MID, MadeClass.PAIR_TOP_WEAK,
+                MadeClass.PAIR_TOP_GOOD, MadeClass.OVERPAIR_MID, MadeClass.OVERPAIR_BIG]
+    if ctx.texture.wet and "wet_pairs" in rules.adjustments:
+        vals = np.where(np.isin(made, one_pair), vals + rules.adjustments["wet_pairs"], vals)
+    if ctx.texture.flush_level == "suited" and "suited_bigmade" in rules.adjustments:
+        big = [MadeClass.TWO_PAIR, MadeClass.TRIPS, MadeClass.SET]
+        vals = np.where(np.isin(made, big), vals + rules.adjustments["suited_bigmade"], vals)
+    is_nut = ctx.scores == ctx.max_score
+    vals = np.where(is_nut, np.maximum(vals, 9.0), vals)
+    cripple = is_nut & ((ctx.scores >> 20) >= int(HandCategory.QUADS)) & ctx.texture.paired
+    vals = np.where(cripple, 10.0, vals)
+    overlay = np.zeros(len(made))
+    wet_tag = "wet" if ctx.texture.wet else "dry"
+    for bucket, delta in table.overlay.items():
+        street, made_name, draw_name, tag = bucket.split("|")
+        if street == ctx.street and tag == wet_tag:
+            cell = (made == MadeClass[made_name]) & (draw == DrawTier[draw_name])
+            overlay = np.where(cell, overlay + delta, overlay)
+    vals = np.clip(vals + overlay, 0.0, 10.0)
+    cats = np.clip(np.floor(vals + 0.5).astype(np.int64), 0, 10)
+    return np.where(ctx.dead_mask, -1, cats)
+
+
+class TestCategoryTables:
+    def _boards(self):
+        rng = np.random.default_rng(8080)
+        boards = [cards(t) for t in ("7h7d7c", "7h7d2c", "KhKd7h2h", "JhTh9h", "AhKhQh2h", "9d5s2c", "5s5d5c5h")]
+        boards += [tuple(rng.choice(52, size=n, replace=False).tolist()) for n in (3, 4) for _ in range(110)]
+        return boards
+
+    def test_categories_equal_the_per_combo_formula(self):
+        """The flop and turn categories gathered from the category tables
+        equal the per-combo formula: with no overlay, with learned deltas,
+        and after one more delta on the same context, which a stale table
+        would miss."""
+        from holdemlab.cards import HandCategory
+
+        rng = np.random.default_rng(4040)
+        plain, learned = RsmTable(), RsmTable()
+        for street in ("flop", "turn"):
+            for made in MadeClass:
+                for draw in DrawTier:
+                    for wet in (False, True):
+                        if rng.random() < 0.4:
+                            learned.apply_delta(bucket_key(street, made, draw, wet), float(rng.uniform(-1.5, 1.5)))
+        seen = {"wet": 0, "suited": 0, "nut": 0, "crippled": 0, "moved": 0}
+        for board in self._boards():
+            ctx = BoardContext(board)
+            seen["wet"] += ctx.texture.wet
+            seen["suited"] += ctx.texture.flush_level == "suited"
+            nut = ctx.scores == ctx.max_score
+            seen["nut"] += int(nut.sum())
+            seen["crippled"] += int((nut & ((ctx.scores >> 20) >= int(HandCategory.QUADS)) & ctx.texture.paired).sum())
+            for table in (plain, learned):
+                assert np.array_equal(table.categories_many(ctx), _reference_categories(table, ctx)), board
+            live = np.flatnonzero(~ctx.dead_mask)
+            hole = [int(c) for c in COMBO_CARDS[live[rng.integers(live.size)]]]
+            before = learned.categories_many(ctx)
+            learned.apply_delta(learned.bucket_for(hole, board, ctx), 1.0 if rng.random() < 0.5 else -1.0)
+            after = learned.categories_many(ctx)
+            assert np.array_equal(after, _reference_categories(learned, ctx)), board
+            seen["moved"] += not np.array_equal(before, after)
+        assert all(seen.values()), seen
+
+    def test_categories_are_read_only(self):
+        cats = RsmTable().categories_many(BoardContext(FLOP))
+        with pytest.raises(ValueError):
+            cats[0] = 3
 
 
 class TestQueries:
