@@ -98,6 +98,16 @@ def load_ret_set(path=None) -> dict[str, RET]:
 # ---------------------------------------------------------------------------
 
 
+# What each match field but the archetype may hold besides "*", as the
+# header of data/ret_dispatch.txt documents. Archetypes are declared freely.
+_DISPATCH_VOCABULARY = {
+    "street": ("flop", "turn", "river"),
+    "action": ("check", "call", "bet", "donk", "raise", "allin"),
+    "aggressor": ("hero_agg", "villain_agg", "none"),
+    "position": ("ip", "oop"),
+}
+
+
 @dataclass(frozen=True)
 class DispatchRule:
     street: str
@@ -144,7 +154,12 @@ class RetDispatch:
             fields = lhs.split()
             if len(fields) != 5:
                 raise RetFileError(f"{source}:{lineno}: expected 5 match fields")
-            rules.append(DispatchRule(*fields, ret_id=ret_id))
+            rule = DispatchRule(*fields, ret_id=ret_id)
+            for name, allowed in _DISPATCH_VOCABULARY.items():
+                value = getattr(rule, name)
+                if value != "*" and value not in allowed:
+                    raise RetFileError(f"{source}:{lineno}: {name} {value!r} is not * or one of {', '.join(allowed)}")
+            rules.append(rule)
         return cls(rules, rets)
 
     @classmethod

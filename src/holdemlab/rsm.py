@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -27,6 +28,7 @@ import numpy as np
 from .cards import (
     STRAIGHT_OUTS,
     STRAIGHT_TOP,
+    TOP5,
     HandCategory,
     InvalidCardsError,
     hand_score,
@@ -111,8 +113,13 @@ class BoardTexture:
         return self.flush_level == "suited" or self.connectivity == "high"
 
 
-# Rank windows a straight can use (index 0 = deuce), the wheel included.
-_STRAIGHT_WINDOWS = [frozenset(range(lo, lo + 5)) for lo in range(0, 9)] + [frozenset({12, 0, 1, 2, 3})]
+# Rank windows a straight can use (index 0 = deuce), the wheel included, as
+# rank masks; and by a board's rank mask, the most of its ranks one window
+# holds.
+_STRAIGHT_WINDOWS = np.array([0b11111 << lo for lo in range(9)] + [(1 << 12) | 0b1111])
+_BEST_IN_WINDOW = (
+    sum((np.arange(8192)[:, None] & _STRAIGHT_WINDOWS) >> r & 1 for r in range(13)).max(axis=1).tolist()
+)
 
 
 def board_texture(board: Sequence[int]) -> BoardTexture:
@@ -126,7 +133,7 @@ def board_texture(board: Sequence[int]) -> BoardTexture:
     paired = len(ranks) < len(board)
     ms = max(suit_counts)
     flush_level = "rainbow" if ms <= 1 else ("twotone" if ms == 2 else "suited")
-    best_in_window = max(len(w & ranks) for w in _STRAIGHT_WINDOWS)
+    best_in_window = _BEST_IN_WINDOW[sum(1 << r for r in ranks)]
     connectivity = "high" if best_in_window >= 3 else ("med" if best_in_window == 2 else "low")
     top = max(ranks)
     high_card = "high" if top >= 9 else ("mid" if top >= 6 else "low")
@@ -280,7 +287,16 @@ def _straight_outs(holes: np.ndarray, board: Sequence[int]) -> np.ndarray:
 # count by multiplicity, exactly as for dead combos).
 _COMBO_RANK_PAIRS, _RANK_PAIR_OF_COMBO = np.unique((COMBO_CARDS >> 2) @ [13, 1], return_inverse=True)
 _RANK_PAIR_CARDS = np.stack([_COMBO_RANK_PAIRS // 13, _COMBO_RANK_PAIRS % 13], axis=1) * 4
-_IN_SUIT = ((COMBO_CARDS & 3)[None, :, :] == np.arange(4)[:, None, None]).sum(axis=2)  # [suit, combo]
+_CARD_IN_SUIT = (COMBO_CARDS & 3)[None, :, :] == np.arange(4)[:, None, None]  # [suit, combo, card]
+_IN_SUIT = _CARD_IN_SUIT.sum(axis=2)  # [suit, combo]
+_SUIT_BITS = (_CARD_IN_SUIT << (COMBO_CARDS >> 2)).sum(axis=2)  # [suit, combo]: its hole ranks in the suit
+
+# A flush's score and made class by its suit's rank mask. On a board with
+# at most four cards of the suit, a combo that makes the flush holds a card
+# of the suit, which plays in it: so its class is a flush or a straight
+# flush.
+_FLUSH_SCORE = np.where(STRAIGHT_TOP >= 0, _STRAIGHT_FLUSH << 20 | STRAIGHT_TOP << 16, _FLUSH << 20 | TOP5)
+_FLUSH_MADE = np.where(STRAIGHT_TOP >= 0, int(MadeClass.STRAIGHT_FLUSH), int(MadeClass.FLUSH))
 
 # And the board counts only by its rank multiset: the rank table has a row
 # for each sorted multiset of 3, 4 or 5 ranks (455 + 1,820 + 6,188), with one
@@ -311,26 +327,32 @@ def _rank_pair_row(board: Sequence[int], suit_counts: list[int]) -> np.ndarray:
 
 def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scores, _made_classes and draw tiers of all 1,326 combos on the
-    board: the rank pairs come from the rank table, and only the combos that
-    make a flush are scored with their own cards."""
+    board. The rank pairs come from the rank table. A combo that makes a
+    flush takes its flush's score and class from the suit-mask tables,
+    unless its rank-table entry is higher: a full house or quads, which a
+    dead combo can make by repeating a board card."""
     suit_counts = [0, 0, 0, 0]
     for c in board:
         suit_counts[c & 3] += 1
     flush_suit = max(range(4), key=suit_counts.__getitem__)
     n_suited = suit_counts[flush_suit]
-    if n_suited < 5:
-        packed = _rank_pair_row(board, suit_counts).astype(np.int64)[_RANK_PAIR_OF_COMBO]
-        scores = packed & 0xFFFFFF
-        made = (packed >> 24) & 0xF
-        outs = packed >> 28
-    else:  # every combo plays the board's flush and is scored below
-        scores = np.empty(N_COMBOS, dtype=np.int64)
-        made = np.empty(N_COMBOS, dtype=np.int64)
+    if n_suited == 5:  # every combo plays the board's flush: each is scored with its own cards
+        scores = score_cards_batch(COMBO_CARDS, board)
+        return scores, _made_classes(COMBO_CARDS, scores, board), np.zeros(N_COMBOS, dtype=np.int64)
+    packed = _rank_pair_row(board, suit_counts).astype(np.int64)[_RANK_PAIR_OF_COMBO]
+    scores = packed & 0xFFFFFF
+    made = (packed >> 24) & 0xF
+    outs = packed >> 28
     if n_suited >= 3:  # only then can two more cards make five
         rows = np.flatnonzero(_IN_SUIT[flush_suit] >= 5 - n_suited)
-        holes = COMBO_CARDS[rows]
-        scores[rows] = flush_scores = score_cards_batch(holes, board)
-        made[rows] = _made_classes(holes, flush_scores, board)
+        board_bits = 0
+        for c in board:
+            if c & 3 == flush_suit:
+                board_bits |= 1 << (c >> 2)
+        masks = board_bits | _SUIT_BITS[flush_suit, rows]
+        flush, ranked = _FLUSH_SCORE[masks], scores[rows]
+        scores[rows] = np.maximum(flush, ranked)
+        made[rows] = np.where(flush > ranked, _FLUSH_MADE[masks], made[rows])
     if len(board) >= 5:  # no draws on a complete board
         return scores, made, np.zeros(N_COMBOS, dtype=np.int64)
     fd = np.zeros(N_COMBOS, dtype=bool)  # a flush draw: four of a suit with the hole cards
@@ -349,9 +371,13 @@ class BoardContext:
     multiset of the board, the 91 rank pairs' scores, made classes and
     straight outs. It is a pure function of ranks with a fixed 8,463 rows
     (3.1 MB, allocated empty, a row filled on first use and never evicted),
-    so what it serves cannot depend on which boards came before. A river
-    with five cards of one suit bypasses it, since there every rank pair
-    scores as that flush; all its combos are scored with their own cards."""
+    so what it serves cannot depend on which boards came before. On a board
+    with three or four cards of one suit, a combo that makes a flush reads
+    its flush's score and class from two 8,192-entry tables indexed by the
+    suit's rank mask, and keeps its rank-table entry where that is higher.
+    A river with five cards of one suit bypasses the tables, since there
+    every rank pair scores as that flush; all its combos are scored with
+    their own cards."""
 
     def __init__(self, board: Sequence[int]):
         self.board = validate_board(board)
@@ -570,8 +596,8 @@ class RsmTable:
         overlay = self._overlay_table(street, wet)
         if overlay is not None:
             vals = vals + overlay[made, draw]
-        vals = np.clip(vals, 0.0, 10.0)
-        return np.clip(np.floor(vals + 0.5).astype(np.int64), 0, 10)
+        vals = np.minimum(np.maximum(vals, 0.0), 10.0)
+        return np.floor(vals + 0.5).astype(np.int64)
 
     def _category_table(self, street: str, texture: BoardTexture) -> np.ndarray:
         """Flop or turn category of each (combo state, made class, draw
@@ -665,7 +691,13 @@ class RsmTable:
         return dict(self.overlay)
 
     def overlay_from_dict(self, data: dict[str, float]) -> None:
-        self.overlay = {str(k): float(v) for k, v in data.items()}
+        """Replace the overlay. A value that is not a finite number is
+        rejected: it would leave the [0, 10] value clip undefined."""
+        overlay = {str(k): float(v) for k, v in data.items()}
+        bad = sorted(k for k, v in overlay.items() if not math.isfinite(v))
+        if bad:
+            raise ValueError(f"overlay values must be finite numbers: {bad}")
+        self.overlay = overlay
         self.version += 1
 
 

@@ -234,6 +234,31 @@ class TestDispatch:
         with pytest.raises(RetFileError):
             RetDispatch.parse(["* * bet * * -> NOPE"], rets)
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("flpo * call hero_agg * -> RET33", "street"),
+            ("flop * calls hero_agg * -> RET33", "action"),
+            ("flop * call hero * -> RET33", "aggressor"),
+            ("flop * call hero_agg IP -> RET33", "position"),
+        ],
+    )
+    def test_value_outside_the_vocabulary_rejected(self, rets, line, field):
+        with pytest.raises(RetFileError, match=rf"^<dispatch>:2: {field} "):
+            RetDispatch.parse(["# header", line], rets)
+
+    def test_archetype_is_free(self, rets):
+        d = RetDispatch.parse(["river Calling_Station bet villain_agg oop -> RET7"], rets)
+        assert d.select("river", "Calling_Station", "bet", "villain_agg", "oop") == "RET7"
+
+    def test_shipped_file_parses_unchanged(self, rets):
+        from importlib import resources
+
+        text = resources.files("holdemlab").joinpath("data/ret_dispatch.txt").read_text(encoding="utf-8")
+        rows = [line for line in text.splitlines() if line.split("#", 1)[0].strip()]
+        d = RetDispatch.parse(text.splitlines(), rets, source="ret_dispatch.txt")
+        assert len(d.rules) == len(rows) == 15
+
 
 class TestTracker:
     def test_hand6_pipeline_order(self, rsm, rets):

@@ -5,6 +5,7 @@ from holdemlab.cards import InvalidCardsError, parse_cards
 from holdemlab.rangegrid import COMBO_CARDS
 from holdemlab.rsm import (
     BoardContext,
+    BoardTexture,
     DrawTier,
     MadeClass,
     RsCategory,
@@ -65,6 +66,39 @@ class TestBoardTexture:
             t = board_texture(b)
             assert t.flush_level in ("rainbow", "twotone", "suited")
             assert t.connectivity in ("low", "med", "high")
+
+
+def _reference_texture(board):
+    """board_texture as first written: the straight-window count from ten
+    frozenset intersections."""
+    windows = [frozenset(range(lo, lo + 5)) for lo in range(0, 9)] + [frozenset({12, 0, 1, 2, 3})]
+    ranks = {c >> 2 for c in board}
+    suit_counts = [0, 0, 0, 0]
+    for c in board:
+        suit_counts[c & 3] += 1
+    ms = max(suit_counts)
+    flush_level = "rainbow" if ms <= 1 else ("twotone" if ms == 2 else "suited")
+    best_in_window = max(len(w & ranks) for w in windows)
+    connectivity = "high" if best_in_window >= 3 else ("med" if best_in_window == 2 else "low")
+    top = max(ranks)
+    high_card = "high" if top >= 9 else ("mid" if top >= 6 else "low")
+    return BoardTexture(len(ranks) < len(board), flush_level, connectivity, high_card)
+
+
+class TestBoardTextureTable:
+    def test_every_flop_and_seeded_turns_and_rivers_match_the_window_sets(self):
+        from itertools import combinations
+
+        rng = np.random.default_rng(2121)
+        boards = list(combinations(range(52), 3))
+        assert len(boards) == 22100
+        boards += [tuple(rng.choice(52, size=n, replace=False).tolist()) for n in (4, 5) for _ in range(3000)]
+        seen = set()
+        for board in boards:
+            texture = board_texture(board)
+            assert texture == _reference_texture(board), board
+            seen.add((len(board), texture.connectivity))
+        assert len(seen) == 9, seen  # low, med and high on every street
 
 
 class TestBoardContextFeatures:
@@ -136,6 +170,73 @@ class TestBoardContextFeatures:
         assert len(_RANK_ROWS) == sum(1 for n in (3, 4, 5) for _ in combinations_with_replacement(range(13), n))
 
 
+def _suited_boards(rng, size, n_suited, count):
+    """Seeded boards of `size` cards with exactly `n_suited` of one suit."""
+    boards = []
+    for _ in range(count):
+        suit = int(rng.integers(4))
+        in_suit = rng.choice(13, size=n_suited, replace=False) * 4 + suit
+        rest = rng.choice([c for c in range(52) if c & 3 != suit], size=size - n_suited, replace=False)
+        boards.append(tuple(rng.permutation(np.concatenate([in_suit, rest])).tolist()))
+    return boards
+
+
+class TestFlushCombos:
+    """On a board with three or more cards of one suit, the combos that make
+    a flush: every combo, dead ones included, against the kernel."""
+
+    def _assert_matches_kernel(self, board):
+        from holdemlab import rsm
+        from holdemlab.cards import score_cards_batch
+
+        scores = score_cards_batch(COMBO_CARDS, board)
+        made = rsm._made_classes(COMBO_CARDS, scores, board)
+        draw = _per_combo_draw_tiers(COMBO_CARDS, board)
+        features = rsm._combo_features(board)
+        assert (features[0] == scores).all(), board  # dead combos' scores too
+        ctx = BoardContext(board)
+        assert (ctx.scores == np.where(ctx.dead_mask, -1, scores)).all(), board
+        assert (ctx.made == made).all() and (features[1] == made).all(), board
+        assert (ctx.draw == draw).all() and (features[2] == draw).all(), board
+        return scores
+
+    def test_every_three_suited_flop(self):
+        from itertools import combinations
+
+        flops = [b for b in combinations(range(52), 3) if len({c & 3 for c in b}) == 1]
+        assert len(flops) == 1144
+        for board in flops:
+            self._assert_matches_kernel(board)
+
+    def test_seeded_turns_and_rivers(self):
+        rng = np.random.default_rng(6060)
+        for size, n_suited in ((4, 3), (4, 4), (5, 3), (5, 4), (5, 5)):
+            for board in _suited_boards(rng, size, n_suited, 110):
+                self._assert_matches_kernel(board)
+
+    @pytest.mark.parametrize(
+        "board, hole, category",
+        [
+            ("Kh9h9d5h", "9h5h", "FULL_HOUSE"),  # the dead 9h makes nines full
+            ("Kh9h9d5h", "9h9c", "QUADS"),
+            ("Kh9h5h2h9d", "9h9c", "QUADS"),  # four-flush river, a flush row
+            ("Kh9h5h9d9c", "9h2h", "QUADS"),
+            ("Kh9h5h7d7c", "7h5h", "FULL_HOUSE"),
+            ("9h8h7h2c", "6h5h", "STRAIGHT_FLUSH"),
+        ],
+    )
+    def test_paired_suited_boards(self, board, hole, category):
+        """A repeated dead card can make a full house or quads over the
+        flush; those combos keep the rank table's entry. A straight flush
+        beats both."""
+        from holdemlab.cards import HandCategory
+        from holdemlab.rangegrid import combo_index
+
+        board = tuple(cards(board))
+        scores = self._assert_matches_kernel(board)
+        assert scores[combo_index(*cards(hole))] >> 20 == HandCategory[category], (board, hole)
+
+
 def _per_combo_draw_tiers(holes, board):
     """Draw tier of each combo from its own cards, one rank at a time."""
     from holdemlab.cards import STRAIGHT_OUTS, STRAIGHT_TOP
@@ -161,25 +262,29 @@ def _per_combo_draw_tiers(holes, board):
     return _DRAW_TIER[3 * fd + np.minimum(ranks_out, 2)]
 
 
-def _reference_categories(table, ctx):
-    """The per-combo vector formula the flop and turn categories were once
-    computed with: base value, draw, texture adjustments, nut promotion,
-    the crippled ceiling, the learned overlay, clip and round."""
+def _reference_values(table, ctx):
+    """The per-combo vector formula the categories were once computed with,
+    up to the clip: base value (on the river the percentile, elsewhere the
+    made class or draw with the texture adjustments), nut promotion, the
+    crippled ceiling and the learned overlay."""
     from holdemlab.cards import HandCategory
 
     rules, made, draw = table.rules, ctx.made, ctx.draw
-    vals = np.array([rules.made_value[MadeClass(m)] for m in range(16)])[made]
-    dv = np.zeros(4)
-    for tier in DrawTier:
-        dv[int(tier)] = rules.draw_value.get((ctx.street, tier), 0.0)
-    vals = np.maximum(vals, dv[draw])
-    one_pair = [MadeClass.PAIR_WEAK, MadeClass.PAIR_MID, MadeClass.PAIR_TOP_WEAK,
-                MadeClass.PAIR_TOP_GOOD, MadeClass.OVERPAIR_MID, MadeClass.OVERPAIR_BIG]
-    if ctx.texture.wet and "wet_pairs" in rules.adjustments:
-        vals = np.where(np.isin(made, one_pair), vals + rules.adjustments["wet_pairs"], vals)
-    if ctx.texture.flush_level == "suited" and "suited_bigmade" in rules.adjustments:
-        big = [MadeClass.TWO_PAIR, MadeClass.TRIPS, MadeClass.SET]
-        vals = np.where(np.isin(made, big), vals + rules.adjustments["suited_bigmade"], vals)
+    if ctx.street == "river":
+        vals = ctx.percentile * 9.0
+    else:
+        vals = np.array([rules.made_value[MadeClass(m)] for m in range(16)])[made]
+        dv = np.zeros(4)
+        for tier in DrawTier:
+            dv[int(tier)] = rules.draw_value.get((ctx.street, tier), 0.0)
+        vals = np.maximum(vals, dv[draw])
+        one_pair = [MadeClass.PAIR_WEAK, MadeClass.PAIR_MID, MadeClass.PAIR_TOP_WEAK,
+                    MadeClass.PAIR_TOP_GOOD, MadeClass.OVERPAIR_MID, MadeClass.OVERPAIR_BIG]
+        if ctx.texture.wet and "wet_pairs" in rules.adjustments:
+            vals = np.where(np.isin(made, one_pair), vals + rules.adjustments["wet_pairs"], vals)
+        if ctx.texture.flush_level == "suited" and "suited_bigmade" in rules.adjustments:
+            big = [MadeClass.TWO_PAIR, MadeClass.TRIPS, MadeClass.SET]
+            vals = np.where(np.isin(made, big), vals + rules.adjustments["suited_bigmade"], vals)
     is_nut = ctx.scores == ctx.max_score
     vals = np.where(is_nut, np.maximum(vals, 9.0), vals)
     cripple = is_nut & ((ctx.scores >> 20) >= int(HandCategory.QUADS)) & ctx.texture.paired
@@ -191,7 +296,12 @@ def _reference_categories(table, ctx):
         if street == ctx.street and tag == wet_tag:
             cell = (made == MadeClass[made_name]) & (draw == DrawTier[draw_name])
             overlay = np.where(cell, overlay + delta, overlay)
-    vals = np.clip(vals + overlay, 0.0, 10.0)
+    return vals + overlay
+
+
+def _reference_categories(table, ctx):
+    """_reference_values clipped to [0, 10] and rounded, dead combos -1."""
+    vals = np.clip(_reference_values(table, ctx), 0.0, 10.0)
     cats = np.clip(np.floor(vals + 0.5).astype(np.int64), 0, 10)
     return np.where(ctx.dead_mask, -1, cats)
 
@@ -236,6 +346,26 @@ class TestCategoryTables:
             assert np.array_equal(after, _reference_categories(learned, ctx)), board
             seen["moved"] += not np.array_equal(before, after)
         assert all(seen.values()), seen
+
+    def test_river_categories_with_overlays_beyond_the_scale(self):
+        """River values pushed below 0 by a negative overlay and above 10 by
+        a positive one on nut and crippled combos clip as the reference."""
+        rng = np.random.default_rng(5151)
+        table = RsmTable()
+        for made in MadeClass:
+            for wet in (False, True):
+                delta = -1.5 if made <= MadeClass.PAIR_MID else 1.5
+                table.apply_delta(bucket_key("river", made, DrawTier.NONE, wet), delta)
+        boards = [cards(t) for t in ("7c7d7h7s2c", "AhKhQhJhTh", "KhKd7h2h2c", "9d5s2c2dKs")]
+        boards += [tuple(rng.choice(52, size=5, replace=False).tolist()) for _ in range(60)]
+        below = above = 0
+        for board in boards:
+            ctx = BoardContext(board)
+            vals = _reference_values(table, ctx)[~ctx.dead_mask]
+            below += int((vals < 0).sum())
+            above += int((vals > 10).sum())
+            assert np.array_equal(table.categories_many(ctx), _reference_categories(table, ctx)), board
+        assert below and above, (below, above)
 
     def test_categories_are_read_only(self):
         cats = RsmTable().categories_many(BoardContext(FLOP))
@@ -353,6 +483,14 @@ class TestDeltas:
         other = RsmTable()
         other.overlay_from_dict(data)
         assert other.overlay == table.overlay
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_overlay_with_a_non_finite_value_rejected(self, value):
+        table = RsmTable()
+        table.apply_delta("turn|TRIPS|NONE|wet", 0.4)
+        with pytest.raises(ValueError, match="river"):
+            table.overlay_from_dict({"river|NOTHING|NONE|dry": value, "turn|TRIPS|NONE|wet": 0.2})
+        assert table.overlay == {"turn|TRIPS|NONE|wet": 0.4} and table.version == 1
 
     def test_new_table_in_a_freed_tables_place_gets_its_own_categories(self):
         # Board contexts are shared by the whole process. A table created
