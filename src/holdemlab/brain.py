@@ -22,7 +22,7 @@ from .cards import DealRng, UndefinedRangeError, equity_vs_range
 from .events import ActionType
 from .preflop import combo_percentile
 from .profiles import MODELING_CAPABLE, ProfileStore
-from .rangegrid import ComboGrid, PreflopContext, RangeLibrary, assign_preflop_range, default_library
+from .rangegrid import ComboGrid, PreflopContext, assign_preflop_range, combo_index
 from .rets import (
     RET,
     DegenerateRangeError,
@@ -175,7 +175,6 @@ class Brain:
         dispatch: RetDispatch | None = None,
         config: BrainConfig | None = None,
         seed: int = 0,
-        library: RangeLibrary | None = None,
         trace: bool = False,
     ):
         self.store = store
@@ -183,7 +182,6 @@ class Brain:
         self.rets = dict(rets or load_ret_set())
         self.dispatch = dispatch or RetDispatch.shipped(self.rets)
         self.config = config or BrainConfig()
-        self.library = library or default_library()
         self.rng = DealRng(seed, stream=7)
         self.style = StyleState()
         self.trace = trace
@@ -251,15 +249,11 @@ class Brain:
             action, "call" if action != "check" else "check"
         )
         mults = self.store.class_multipliers_for(player_id, archetype)
-        grid = assign_preflop_range(
-            archetype,
-            PreflopContext("any", situation),
-            library=self.library,
-            class_multipliers=mults or None,
-        )
+        grid = assign_preflop_range(archetype, PreflopContext("any", situation), class_multipliers=mults or None)
         tracker = OpponentRangeTracker(player_id, archetype, grid, self.rsm, self.rets, self.dispatch)
         if self.hero_hole:
-            tracker.strip_dead(self.hero_hole)
+            # after the "assign" step, which keeps the archetype's grid as read
+            tracker.grid = grid.strip(self.hero_hole)
         self.trackers[player_id] = tracker
 
     def observe_new_street(self, board: Sequence[int]) -> None:
@@ -290,9 +284,7 @@ class Brain:
             situation = {"bet": "open", "raise": "open", "allin": "open", "call": "call"}.get(action)
             for arch in {self.archetype_of(pid) for pid in self.trackers} & MODELING_CAPABLE:
                 if arch not in self.perceived and situation:
-                    self.perceived[arch] = assign_preflop_range(
-                        "MediumReg", PreflopContext("any", situation), library=self.library
-                    )
+                    self.perceived[arch] = assign_preflop_range("MediumReg", PreflopContext("any", situation))
             return
         if self._board_ctx is None:
             return
@@ -359,7 +351,7 @@ class Brain:
 
     def _hero_draw(self, ctx: DecisionContext) -> DrawTier:
         assert ctx.board_ctx is not None
-        idx = ctx.board_ctx.combo_index_of(ctx.hero_hole)
+        idx = combo_index(*ctx.hero_hole)
         return DrawTier(int(ctx.board_ctx.draw[idx]))
 
     def _equity_estimate(self, ctx: DecisionContext) -> float:

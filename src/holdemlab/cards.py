@@ -476,22 +476,39 @@ def _pot_shares(holes: Sequence[Sequence[int]], runs: np.ndarray, board: Sequenc
     return np.where(first_best, 1.0 / n_best, 0.0)
 
 
+def pot_equity(
+    holes: Sequence[Sequence[int]], board: Sequence[int], *, samples: int | None = None, seed: int = 0
+) -> float:
+    """The first hand's expected share of the pot against the others' known
+    hands, ties split evenly. Every runout is listed, in
+    itertools.combinations order and 200,000 at a time, unless there are
+    more than `samples` of them: then `samples` runout numbers drawn with
+    PCG64(seed) are unranked straight to their cards, so the result is
+    deterministic per seed and the full runout list is never built."""
+    used = {c for hole in holes for c in hole} | set(board)
+    deck = np.array([c for c in range(DECK_SIZE) if c not in used], dtype=np.int64)
+    need = 5 - len(board)
+    total = math.comb(len(deck), need)
+    if samples is not None and total > samples:
+        gen = np.random.Generator(np.random.PCG64(seed))
+        chunks, n = [gen.choice(total, size=samples, replace=False)], samples
+    else:
+        chunks, n = (np.arange(lo, min(lo + 200_000, total)) for lo in range(0, total, 200_000)), total
+    points = 0.0
+    for picks in chunks:
+        runs = deck[_unrank_combinations(len(deck), need, picks)]
+        points += float(_pot_shares(holes, runs, board).sum())
+    return points / n
+
+
 def equity_exhaustive(hero: Sequence[int], villain: Sequence[int], board: Sequence[int]) -> float:
     """Exact equity of hero vs one known villain hand: wins plus half of ties,
     enumerating every remaining runout."""
     board = validate_board(board)
-    used = tuple(hero) + tuple(villain) + board
-    _require_distinct(used)
+    _require_distinct(tuple(hero) + tuple(villain) + board)
     if len(hero) != 2 or len(villain) != 2:
         raise InvalidCardsError("both hands need exactly 2 cards")
-    deck = np.array([c for c in range(DECK_SIZE) if c not in set(used)], dtype=np.int64)
-    need = 5 - len(board)
-    total = math.comb(len(deck), need)
-    points = 0.0
-    for lo in range(0, total, 200_000):
-        runs = deck[_unrank_combinations(len(deck), need, np.arange(lo, min(lo + 200_000, total)))]
-        points += float(_pot_shares((hero, villain), runs, board).sum())
-    return points / total
+    return pot_equity((hero, villain), board)
 
 
 def equity_vs_range(

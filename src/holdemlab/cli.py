@@ -151,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("replay", help="replay a scripted scenario with assertions")
     rep.add_argument("scenario", help="scenario file (hand6.scn is shipped)")
-    rep.add_argument("--trace", action="store_true", help="(trace always prints)")
     rep.add_argument("--out", help="directory for per-step grid snapshots")
     rep.set_defaults(func=cmd_replay)
 

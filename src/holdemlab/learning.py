@@ -136,7 +136,6 @@ def replay_with_perfect_info(
     dispatch: RetDispatch,
     store: ProfileStore | None = None,
     archetypes: Mapping[str, str] | None = None,
-    library=None,
 ) -> list[PredictionRecord]:
     """Re-run a finished hand through the engine and pair each range
     snapshot the hero took with the showdown ground truth.
@@ -172,7 +171,7 @@ def replay_with_perfect_info(
         return store.archetype_of(pid) if store is not None else "Unknown"
 
     throwaway = ProfileStore()
-    brain = Brain(throwaway, rsm_table=rsm, rets=rets, dispatch=dispatch, library=library)
+    brain = Brain(throwaway, rsm_table=rsm, rets=rets, dispatch=dispatch)
     observer = HeroSeatPolicy(brain, throwaway, SessionConfig(sb_cents=record.sb_cents, bb_cents=record.bb_cents), DealRng(0))
     observer.new_hand_reset(record.hand_id, hero_seat)
     brain.begin_hand(record.hand_id, hero_hole, [(pid, archetype_of(pid)) for s, pid, _ in record.seats if s != hero_seat])

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cards import DECK_SIZE, _pot_shares, _unrank_combinations
+from .cards import pot_equity
 from .table import HandRecord, positions_for
 
 Z_95 = 1.959963984540054
@@ -113,25 +113,16 @@ def failure_cost(model: FailureCostModel) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _equity_multiway(hero_hole, villain_holes, board, sample_above: int = 100_000, seed: int = 0) -> float:
-    """Hero's expected share of the pot vs revealed hands, enumerating every
-    remaining runout (ties split evenly). Pre-flop locks have 1.7M runouts;
-    beyond sample_above a seeded subsample keeps the cost flat while staying
-    deterministic per hand. Sampled runout numbers are unranked straight to
-    their cards, so the full runout list is never built."""
-    used = set(hero_hole) | set(board)
-    for h in villain_holes:
-        used |= set(h)
-    need = 5 - len(board)
-    deck = np.array([c for c in range(DECK_SIZE) if c not in used], dtype=np.int64)
-    total = math.comb(len(deck), need)
-    if total > sample_above:
-        gen = np.random.Generator(np.random.PCG64(seed))
-        picks = gen.choice(total, size=12_000, replace=False)
-    else:
-        picks = np.arange(total)
-    runs = deck[_unrank_combinations(len(deck), need, picks)]
-    return float(_pot_shares([hero_hole, *villain_holes], runs, board).mean())
+# Runouts sampled per pre-flop lock. Flop and turn locks have at most 990
+# runouts and are listed; a pre-flop lock has at least 201,376, even with
+# ten players.
+ALL_IN_RUNOUT_SAMPLES = 12_000
+
+
+def _equity_multiway(hero_hole, villain_holes, board, seed: int = 0) -> float:
+    """Hero's expected share of the pot vs revealed hands (ties split
+    evenly), deterministic per seed."""
+    return pot_equity([hero_hole, *villain_holes], board, samples=ALL_IN_RUNOUT_SAMPLES, seed=seed)
 
 
 def all_in_adjusted(record: HandRecord, hero_id: str) -> int:
@@ -231,12 +222,10 @@ class SegmentReport:
     partial_segment: bool
 
 
-def segment_analysis(ledger: ResultLedger, segment_size: int = 10_000, use_adjusted: bool = False) -> SegmentReport:
+def segment_analysis(ledger: ResultLedger, segment_size: int = 10_000) -> SegmentReport:
     if ledger.hands == 0:
         raise LedgerError("empty ledger")
-    nets = np.array(
-        [r.adjusted_cents if use_adjusted else r.net_cents for r in ledger.rows], dtype=float
-    ) / ledger.bb_cents
+    nets = np.array([r.net_cents for r in ledger.rows], dtype=float) / ledger.bb_cents
     segments = []
     for lo in range(0, len(nets) - segment_size + 1, segment_size):
         chunk = nets[lo : lo + segment_size]

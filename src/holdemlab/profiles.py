@@ -243,7 +243,6 @@ class ProfileStore:
         if event.hand_id < self._last_hand_id:
             raise EventOrderError(f"hand id {event.hand_id} after {self._last_hand_id}")
         if self._hand is None or event.hand_id != self._hand.hand_id:
-            self._finish_hand()
             self._hand = _HandTracker(event.hand_id)
             self._last_hand_id = event.hand_id
         if event.street < self._hand.street:
@@ -339,12 +338,9 @@ class ProfileStore:
         if stats.wtsd.hits > stats.wtsd.opportunities:
             stats.wtsd.opportunities = stats.wtsd.hits
 
-    def _finish_hand(self) -> None:
-        self._hand = None
-
     def finish_hand(self) -> None:
         """Mark the current hand complete (idempotent)."""
-        self._finish_hand()
+        self._hand = None
 
     # -- queries ---------------------------------------------------------------
 

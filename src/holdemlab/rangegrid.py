@@ -249,7 +249,7 @@ def parse_range_lines(lines: Iterable[str], *, source: str = "<range>") -> Combo
     Class lines set every member combo to the weight; combo lines override.
     The loaded grid is normalized.
     """
-    w = np.zeros(N_COMBOS)
+    class_w = np.zeros(169)
     combo_overrides: list[tuple[int, float]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -272,9 +272,10 @@ def parse_range_lines(lines: Iterable[str], *, source: str = "<range>") -> Combo
                 raise RangeConfigError(f"{source}:{lineno}: unknown combo {token!r}") from None
             combo_overrides.append((idx, weight))
         elif token in _CLASS_ID:
-            w[CLASS_OF_COMBO == _CLASS_ID[token]] = weight
+            class_w[_CLASS_ID[token]] = weight
         else:
             raise RangeConfigError(f"{source}:{lineno}: unknown class {token!r}")
+    w = class_w[CLASS_OF_COMBO]
     for idx, weight in combo_overrides:
         w[idx] = weight
     grid = ComboGrid(w)
@@ -288,17 +289,11 @@ def load_range_file(path) -> ComboGrid:
         return parse_range_lines(f, source=str(path))
 
 
-def grid_to_lines(grid: ComboGrid, *, class_level: bool = False) -> list[str]:
-    """Serialize a grid for snapshots; combo level by default."""
+def grid_to_lines(grid: ComboGrid) -> list[str]:
+    """Serialize a grid for snapshots, one `<combo> <weight>` line per live combo."""
     lines = []
-    if class_level:
-        view = grid.class_view().weights.ravel()
-        for cid, wt in enumerate(view):
-            if wt > 0:
-                lines.append(f"{CLASS_NAMES[cid]} {wt:.10g}")
-    else:
-        for idx in np.flatnonzero(grid.weights > 0):
-            lines.append(f"{combo_str(int(idx))} {grid.weights[idx]:.10g}")
+    for idx in np.flatnonzero(grid.weights > 0):
+        lines.append(f"{combo_str(int(idx))} {grid.weights[idx]:.10g}")
     return lines
 
 
@@ -329,7 +324,6 @@ class PreflopContext:
 
     position: str  # utg/hj/co/btn/sb/bb
     action: str  # open / call / threebet / check
-    pot_odds: float | None = None
 
 
 def _situation_for(ctx: PreflopContext) -> str | None:
@@ -345,65 +339,35 @@ def _situation_for(ctx: PreflopContext) -> str | None:
     raise RangeConfigError(f"unknown pre-flop action {ctx.action!r}")
 
 
-class RangeLibrary:
-    """Loads and caches the shipped per-(archetype, situation) range files."""
-
-    def __init__(self, root=None):
-        self._root = root
-        self._cache: dict[tuple[str, str], ComboGrid] = {}
-
-    def _read(self, archetype: str, situation: str) -> ComboGrid:
-        key = (archetype, situation)
-        if key not in self._cache:
-            name = f"{archetype.lower()}/{situation}.rng"
-            if self._root is not None:
-                path = self._root / archetype.lower() / f"{situation}.rng"
-                grid = load_range_file(path)
-            else:
-                ref = resources.files("holdemlab").joinpath("data/ranges").joinpath(name)
-                try:
-                    text = ref.read_text(encoding="utf-8")
-                except FileNotFoundError:
-                    raise RangeConfigError(f"no shipped range file for {archetype}/{situation}") from None
-                grid = parse_range_lines(text.splitlines(), source=name)
-            self._cache[key] = grid
-        return self._cache[key]
-
-    def grid(self, archetype: str, situation: str) -> ComboGrid:
-        if archetype not in ARCHETYPES:
-            raise RangeConfigError(f"unknown archetype {archetype!r}")
-        if situation not in SITUATIONS:
-            raise RangeConfigError(f"unknown situation {situation!r}")
-        return self._read(archetype, situation)
+def _read_shipped(archetype: str, situation: str) -> ComboGrid:
+    name = f"{archetype.lower()}/{situation}.rng"
+    text = resources.files("holdemlab").joinpath("data/ranges").joinpath(name).read_text(encoding="utf-8")
+    return parse_range_lines(text.splitlines(), source=name)
 
 
-_DEFAULT_LIBRARY: RangeLibrary | None = None
-
-
-def default_library() -> RangeLibrary:
-    global _DEFAULT_LIBRARY
-    if _DEFAULT_LIBRARY is None:
-        _DEFAULT_LIBRARY = RangeLibrary()
-    return _DEFAULT_LIBRARY
+# The shipped range of every (archetype, situation), read once at import.
+SHIPPED_RANGES: dict[tuple[str, str], ComboGrid] = {
+    (archetype, situation): _read_shipped(archetype, situation) for archetype in ARCHETYPES for situation in SITUATIONS
+}
 
 
 def assign_preflop_range(
     archetype: str,
     context: PreflopContext,
     *,
-    library: RangeLibrary | None = None,
     class_multipliers: Mapping[int, float] | None = None,
 ) -> ComboGrid:
     """Starting grid for an opponent given their archetype and observed
     pre-flop action. Per-player class multipliers (learned from showdowns)
     rescale classes before normalization. No dead cards are applied here.
     """
-    lib = library or default_library()
     situation = _situation_for(context)
     if situation is None:
         grid = ComboGrid.uniform()
+    elif archetype not in ARCHETYPES:
+        raise RangeConfigError(f"unknown archetype {archetype!r}")
     else:
-        grid = lib.grid(archetype, situation)
+        grid = SHIPPED_RANGES[archetype, situation]
     if class_multipliers:
         per_class = np.ones(169)
         for cid, mult in class_multipliers.items():

@@ -81,6 +81,8 @@ def parse_ret_lines(lines: Iterable[str], *, source: str = "<rets>") -> dict[str
         raise RetFileError(f"{source}: no templates found")
     if FLAT_RET_ID not in rets:
         raise RetFileError(f"{source}: flat template {FLAT_RET_ID} must be present")
+    if not rets[FLAT_RET_ID].is_flat:
+        raise RetFileError(f"{source}: flat template {FLAT_RET_ID} needs equal weights")
     return rets
 
 
@@ -265,8 +267,8 @@ class PipelineStep:
 @dataclass
 class OpponentRangeTracker:
     """Carries one opponent's grid through a hand, recording every template
-    application. New community cards strip the grid and rebaseline through
-    the flat template; observed actions reshape through the dispatched one."""
+    application. New community cards strip the grid; observed actions
+    reshape through the dispatched template."""
 
     player_id: str
     archetype: str
@@ -279,16 +281,12 @@ class OpponentRangeTracker:
     def __post_init__(self):
         self.history.append(PipelineStep("assign", "preflop", None, self.grid))
 
-    def strip_dead(self, dead: Iterable[int]) -> None:
-        """Remove hero-known cards (e.g. hero's own holes) without logging a
-        template application."""
-        self.grid = self.grid.strip(dead)
-
     def on_new_street(self, board: Sequence[int], ctx: BoardContext | None = None) -> PipelineStep:
+        """Strip the new board's cards. The step is labelled with the flat
+        template, whose reshape would leave the stripped grid as it is:
+        `parse_ret_lines` rejects a flat template with unequal weights."""
         ctx = ctx or BoardContext.cached(board)
         self.grid = self.grid.strip_mask(ctx.dead_mask)
-        flat = self.rets[FLAT_RET_ID]
-        self.grid = reshape(self.grid, board, flat, self.rsm, ctx)
         step = PipelineStep("street", ctx.street, FLAT_RET_ID, self.grid, self.rsm.categories_many(ctx))
         self.history.append(step)
         return step

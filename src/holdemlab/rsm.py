@@ -393,9 +393,6 @@ class BoardContext:
         self._category_cache: dict[tuple[int, int], np.ndarray] = {}
         self._hero_masks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    def combo_index_of(self, hole: Sequence[int]) -> int:
-        return combo_index(hole[0], hole[1])
-
     _HERO_MASKS_MAX = 4
 
     def hero_masks(self, hero: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -658,13 +655,13 @@ class RsmTable:
         if len(set(tuple(hole) + board)) != 2 + len(board):
             raise InvalidCardsError("hole cards collide with the board")
         ctx = ctx or BoardContext.cached(board)
-        idx = ctx.combo_index_of(hole)
+        idx = combo_index(hole[0], hole[1])
         cats = self.categories_many(ctx)
         return RsCategory(int(cats[idx]))
 
     def bucket_for(self, hole: Sequence[int], board: Sequence[int], ctx: BoardContext | None = None) -> str:
         ctx = ctx or BoardContext.cached(board)
-        idx = ctx.combo_index_of(hole)
+        idx = combo_index(hole[0], hole[1])
         return bucket_key(
             ctx.street, MadeClass(int(ctx.made[idx])), DrawTier(int(ctx.draw[idx])), ctx.texture.wet
         )

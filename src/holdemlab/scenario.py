@@ -122,7 +122,6 @@ class StepTrace:
     ret_id: str | None
     support: int
     distribution: np.ndarray | None
-    chib_vs_hero: float | None
 
 
 @dataclass
@@ -144,10 +143,9 @@ class ScenarioResult:
             dist = ""
             if step.distribution is not None:
                 dist = " dist=[" + " ".join(f"{x:.3f}" for x in step.distribution) + "]"
-            cb = f" chib={step.chib_vs_hero:.4f}" if step.chib_vs_hero is not None else ""
             ret = step.ret_id or "-"
             lines.append(
-                f"{step.player_id:>12} {step.street:<7} {step.stage:<7} ret={ret:<7} support={step.support:<5}{cb}{dist}"
+                f"{step.player_id:>12} {step.street:<7} {step.stage:<7} ret={ret:<7} support={step.support:<5}{dist}"
             )
         for street, cb in sorted(self.hero_chib.items()):
             lines.append(f"hero ChiB on {street}: {cb:.4f}")
@@ -210,9 +208,7 @@ def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None, trace: 
     snapshots: dict[tuple[str, str], list[str]] = {}
     for pid, tracker in brain.trackers.items():
         for i, step in enumerate(tracker.history):
-            steps.append(
-                StepTrace(pid, step.stage, step.street, step.ret_id, step.support, step.distribution, None)
-            )
+            steps.append(StepTrace(pid, step.stage, step.street, step.ret_id, step.support, step.distribution))
             snapshots[(pid, f"{i:02d}_{step.street}_{step.ret_id or 'assign'}")] = grid_to_lines(step.grid)
 
     hero_chib: dict[str, float] = {}

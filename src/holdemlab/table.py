@@ -77,7 +77,6 @@ class PolicyView:
 
     hand_id: int
     street: str
-    seat: int
     position: str
     hole: tuple[int, int]
     board: tuple[int, ...]
@@ -88,8 +87,6 @@ class PolicyView:
     stack_cents: int
     min_raise_to_cents: int
     bb_cents: int
-    sb_cents: int
-    num_live: int
     num_limpers: int
     facing_allin: bool
     preflop_raised: bool
@@ -98,7 +95,6 @@ class PolicyView:
     action_level: float
     live_player_ids: tuple[str, ...]
     legal: tuple[str, ...]
-    hand6_tag: str = ""
 
 
 @dataclass
@@ -266,7 +262,6 @@ class HandEngine:
         self.num_limpers = 0
         self.preflop_raised = False
         self.street_aggressor: dict[str, int | None] = {s: None for s in STREET_NAMES}
-        self.failure_injected = False
         # Running state, kept in step with every commit and fold.
         self._pot = 0
         self._live = [s for s in self.seats if s.in_hand]
@@ -317,7 +312,6 @@ class HandEngine:
         return PolicyView(
             self.hand_id,  # hand_id
             self.street,  # street
-            seat.idx,  # seat
             self.positions.get(seat.idx, "?"),  # position
             seat.hole,  # hole
             self._board_view,  # board
@@ -328,8 +322,6 @@ class HandEngine:
             seat.stack,  # stack_cents
             self.current_bet + self.min_raise_inc,  # min_raise_to_cents
             self.bb,  # bb_cents
-            self.sb,  # sb_cents
-            len(self._live),  # num_live
             self.num_limpers,  # num_limpers
             to_call > 0 and any([s.all_in for s in others]),  # facing_allin
             self.preflop_raised,  # preflop_raised
@@ -531,7 +523,6 @@ class HandEngine:
             rake_paid=rake_paid,
             net=net,
             saw_flop=self.saw_flop,
-            failure_injected=self.failure_injected,
         )
         if self.observer:
             self.observer.on_end(record)
@@ -715,17 +706,21 @@ def quick_strength(hole: Sequence[int], board: Sequence[int]) -> float:
     return made
 
 
+# How far each bot's tendencies stray from its archetype's targets.
+BOT_JITTER = 0.02
+
+
 class BotPolicy:
     """Archetype-shaped policy: pre-flop chart from the hand's strength
     percentile, post-flop mixed responses parameterized by aggression and
     fold tendencies. All randomness comes from the bot's own seeded stream,
     so sessions replay identically."""
 
-    def __init__(self, player_id: str, archetype: str, rng: DealRng, jitter: float = 0.02):
+    def __init__(self, player_id: str, archetype: str, rng: DealRng):
         self.player_id = player_id
         self.archetype = archetype
         t = ARCHETYPE_TARGETS[archetype]
-        j = lambda: (rng.random() * 2 - 1) * jitter
+        j = lambda: (rng.random() * 2 - 1) * BOT_JITTER
         self.vpip = min(0.95, t.vpip + j())
         self.pfr = max(0.01, t.pfr + j())
         self.af = max(0.1, t.af * (1 + j()))

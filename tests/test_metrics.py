@@ -11,6 +11,7 @@ from holdemlab.metrics import (
     ResultLedger,
     TrialReport,
     Z_95,
+    _equity_multiway,
     all_in_adjusted,
     bb100,
     failure_cost,
@@ -150,6 +151,21 @@ class TestAllInAdjusted:
         adjusted = all_in_adjusted(record, "hero")
         # hero was drawing dead when the money went in: expectation is -invested
         assert adjusted == -120
+
+    @pytest.mark.parametrize(
+        "hero, villains, board, seed, equity",
+        [
+            # pre-flop locks sample 12,000 runouts; flop and turn locks list theirs
+            ("AsAh", ["KdKc"], "", 7, 0.81625),
+            ("AsAh", ["KdKc", "7h6h"], "", 11, 0.6148055555555555),
+            ("9h9s", ["4d3d"], "9d5s2c", 0, 0.7262626262626263),
+            ("9h9s", ["4d3d", "AcKc"], "9d5s2c", 3, 0.7131782945736435),
+            ("JhTh", ["AdAc"], "9h8c2h3s", 5, 0.3409090909090909),
+        ],
+    )
+    def test_lock_equity_is_pinned(self, hero, villains, board, seed, equity):
+        got = _equity_multiway(parse_cards(hero), [parse_cards(v) for v in villains], tuple(parse_cards(board)), seed=seed)
+        assert got == equity
 
     def test_ledger_yellow_equals_green_without_allins(self):
         class Meek:

@@ -1,12 +1,17 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from holdemlab.cards import parse_cards
 from holdemlab.rangegrid import (
+    ARCHETYPES,
     CLASS_MEMBER_COUNT,
     CLASS_NAMES,
     ComboGrid,
     PreflopContext,
+    SHIPPED_RANGES,
+    SITUATIONS,
     RangeConfigError,
     assign_preflop_range,
     class_id,
@@ -157,6 +162,16 @@ class TestPreflopAssignment:
     def test_unknown_archetype_rejected(self):
         with pytest.raises(RangeConfigError):
             assign_preflop_range("Martian", PreflopContext("bb", "call"))
+
+    def test_unknown_action_rejected(self):
+        with pytest.raises(RangeConfigError, match="pre-flop action"):
+            assign_preflop_range("Rock", PreflopContext("utg", "squeeze"))
+
+    def test_every_shipped_file_is_in_the_table(self):
+        root = resources.files("holdemlab").joinpath("data/ranges")
+        files = sorted((d.name, f.name) for d in root.iterdir() for f in d.iterdir())
+        assert files == sorted((a.lower(), f"{s}.rng") for a, s in SHIPPED_RANGES)
+        assert len(SHIPPED_RANGES) == len(ARCHETYPES) * len(SITUATIONS) == 27
 
     def test_class_multipliers_rescale(self):
         base = assign_preflop_range("Rock", PreflopContext("utg", "open"))

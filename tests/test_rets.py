@@ -70,6 +70,12 @@ class TestRetFiles:
         with pytest.raises(RetFileError, match="RET11"):
             parse_ret_lines(["RET99; x; 1 1 1 1 1 1 1 1 1 1 2; y"])
 
+    def test_uneven_flat_rejected(self):
+        # a street step strips without reshaping, which only an even RET11 allows
+        with pytest.raises(RetFileError, match="mine.txt: .*RET11"):
+            parse_ret_lines(["RET11; flat; 1 1 1 1 1 1 1 1 1 1 2; y"], source="mine.txt")
+        assert parse_ret_lines(["RET11; flat; 3 3 3 3 3 3 3 3 3 3 3; y"])["RET11"].is_flat
+
 
 class TestReshape:
     def test_flat_is_identity(self, rsm, rets):
@@ -265,7 +271,7 @@ class TestTracker:
         d = RetDispatch.shipped(rets)
         g = ComboGrid.uniform()
         t = OpponentRangeTracker("w", "Whale", g, rsm, rets, d)
-        t.strip_dead(HERO)
+        t.grid = t.grid.strip(HERO)
         t.on_new_street(FLOP)
         t.on_action("donk", FLOP)
         t.on_action("call", FLOP, aggressor="hero_agg")
@@ -275,6 +281,18 @@ class TestTracker:
         assert t.applied_ret_ids() == ["RET11", "RET18", "RET33", "RET11", "RET73"]
         supports = [s.support for s in t.history]
         assert all(b <= a for a, b in zip(supports[1:], supports[2:]))
+
+    def test_street_step_only_strips(self, rsm, rets):
+        rng = np.random.default_rng(8)
+        g = random_grid(rng, HERO)
+        t = OpponentRangeTracker("w", "Whale", g, rsm, rets, RetDispatch.shipped(rets))
+        for board in (FLOP, cards("9d5s2c2d"), cards("9d5s2c2dKh")):
+            before = t.grid
+            ctx = BoardContext(board)
+            step = t.on_new_street(board, ctx)
+            assert step.ret_id == FLAT_RET_ID
+            assert np.array_equal(step.grid.weights, before.strip_mask(ctx.dead_mask).weights)
+            t.on_action("call", board)
 
     def test_property_suite_thousand_instances(self, rsm, rets):
         """Randomized pipeline invariants: normalization, flat identity,
