@@ -102,7 +102,9 @@ def cmd_report(args) -> int:
 
     try:
         records = parse_history(args.history)
-    except (HistoryFormatError, FileNotFoundError) as e:
+    except HistoryFormatError as e:
+        return _err(f"{args.history}: {e}")
+    except FileNotFoundError as e:
         return _err(str(e))
     bb = records[0].bb_cents
     ledger = ledger_from_records(records, args.hero, bb, rakeback_rate=args.rakeback_rate)

@@ -163,7 +163,7 @@ def replay_with_perfect_info(
     if hero_id != HERO_ID:  # the observer knows the hero by the session's id
         if any(pid == HERO_ID for _, pid, _ in record.seats):
             raise ValueError(f"a villain is named {HERO_ID!r}")
-        record = replace(record, seats=[(s, HERO_ID if s == hero_seat else pid, st) for s, pid, st in record.seats])
+        record = replace(record, seats=tuple([(s, HERO_ID if s == hero_seat else pid, st) for s, pid, st in record.seats]))
 
     def archetype_of(pid: str) -> str:
         if archetypes and pid in archetypes:

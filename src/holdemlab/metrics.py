@@ -33,7 +33,7 @@ def bb100(amount_cents: int | float, hands: int, bb_cents: int | float) -> float
     return (amount_cents / bb_cents) / (hands / 100.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerRow:
     hand_id: int
     net_cents: int

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .rangegrid import CLASS_MEMBER_COUNT, CLASS_NAMES, RANKS_DESC
+from .rangegrid import CLASS_MEMBER_COUNT, CLASS_NAMES, CLASS_OF_COMBO, RANKS_DESC, combo_index
 
 _RANK_VALUE = {"A": 10.0, "K": 8.0, "Q": 7.0, "J": 6.0, "T": 5.0}
 for _i, _ch in enumerate("98765432"):
@@ -67,9 +67,9 @@ def _build_percentiles() -> np.ndarray:
 # Percentile of the _start_ of each class in the strength ordering:
 # 0.0 for the best class, approaching 1.0 for the worst.
 CLASS_PERCENTILE = _build_percentiles()
+# The same percentile per combo, as plain floats for the bots' per-decision read.
+_COMBO_PERCENTILE = tuple(CLASS_PERCENTILE[CLASS_OF_COMBO].tolist())
 
 
 def combo_percentile(c1: int, c2: int) -> float:
-    from .rangegrid import CLASS_OF_COMBO, combo_index
-
-    return float(CLASS_PERCENTILE[CLASS_OF_COMBO[combo_index(c1, c2)]])
+    return _COMBO_PERCENTILE[combo_index(c1, c2)]

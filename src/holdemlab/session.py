@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .brain import Brain, DecisionContext
-from .cards import DealRng
+from .cards import DealRng, card_str
 from .events import ActionEvent, ActionType, Street
 from .learning import apply_learning, records_from_snapshots
 from .metrics import ResultLedger, TrialReport, all_in_adjusted
@@ -225,8 +225,6 @@ class HeroSeatPolicy:
         if self.hero_folded:
             return
         for seat, player_id, hole in reveals:
-            from .cards import card_str
-
             self.store.record_showdown(self.hand_id, player_id, card_str(hole[0]) + card_str(hole[1]))
 
     def on_end(self, record):

@@ -10,6 +10,7 @@ unaffected.
 """
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -97,21 +98,24 @@ class PolicyView:
     legal: tuple[str, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class HandRecord:
-    """Full perfect-information record of one hand; replayable."""
+    """Full perfect-information record of one hand; replayable. The engine
+    and the history parser build its sequences once, as tuples: CPython's
+    cyclic collector stops tracking a tuple of atomic values, so parsed
+    records add little to what each collection walks."""
 
     hand_id: int
     table_id: str
     button: int
     sb_cents: int
     bb_cents: int
-    seats: list[tuple[int, str, int]]  # (seat, player_id, starting stack cents)
+    seats: tuple[tuple[int, str, int], ...]  # (seat, player_id, starting stack cents)
     holes: dict[int, tuple[int, int]]
     board: tuple[int, ...]
-    actions: list[tuple[str, int, str, int]]  # (street, seat, action, committed-to cents)
-    showdown: list[tuple[int, tuple[int, int]]]
-    awards: dict[int, int]
+    actions: tuple[tuple[str, int, str, int], ...]  # (street, seat, action, committed-to cents)
+    showdown: tuple[tuple[int, tuple[int, int]], ...]
+    awards: dict[int, int]  # seats that won chips or paid rake, as the history lists them
     rake_paid: dict[int, int]
     net: dict[int, int]
     saw_flop: bool
@@ -508,19 +512,20 @@ class HandEngine:
             s.stack += gain
             net[s.idx] = s.stack - start_stacks[s.idx]
         assert sum(net.values()) + sum(rake_paid.values()) == 0, "chip conservation violated"
+        paid = [s for s in awards if awards[s] or rake_paid[s]]  # the seats an AWARD line lists
         record = HandRecord(
             hand_id=self.hand_id,
             table_id=self.table_id,
             button=self.button,
             sb_cents=self.sb,
             bb_cents=self.bb,
-            seats=[(s.idx, s.player_id, start_stacks[s.idx]) for s in self.seats],
+            seats=tuple([(s.idx, s.player_id, start_stacks[s.idx]) for s in self.seats]),
             holes={s.idx: s.hole for s in self.seats if s.hole},
             board=tuple(self.board),
-            actions=list(self.actions),
-            showdown=showdown,
-            awards=awards,
-            rake_paid=rake_paid,
+            actions=tuple(self.actions),
+            showdown=tuple(showdown),
+            awards={s: awards[s] for s in paid},
+            rake_paid={s: rake_paid[s] for s in paid},
             net=net,
             saw_flop=self.saw_flop,
         )
@@ -810,7 +815,12 @@ class BotPolicy:
 # ---------------------------------------------------------------------------
 
 HISTORY_VERSION = "HHv1"
-_HEADER_KEYS = {"hand", "table", "btn", "sb", "bb", "flop"}  # plus an optional "fail"
+# The header as record_to_lines writes it: these keys in this order, each
+# once, "fail" optional, any whitespace run between fields.
+_HEADER = re.compile(
+    rf"\s*{HISTORY_VERSION}\s+hand=(\S*)\s+table=(\S*)\s+btn=(\S*)\s+sb=(\S*)\s+bb=(\S*)\s+flop=(\S*)"
+    r"(?:\s+fail=(\S*))?\s*"
+)
 
 
 def record_to_lines(record: HandRecord) -> list[str]:
@@ -869,18 +879,23 @@ def parse_history(path: str) -> list[HandRecord]:
     """Records of a history file, read line by line. A malformed line,
     including one with a field too many or too few, raises
     HistoryFormatError naming it. Tags are tested most common first, and
-    repeated street, action, player and table names share one string.
+    repeated street, action, player and table names share one string. The
+    header must match _HEADER; each record's seats, actions and showdown
+    become tuples at its END line.
 
     An ACT line seen before reuses its parsed tuple. At fixed blinds bet
-    sizes repeat: a 10,000-hand simulate history has 121k ACT lines, of
-    which 5.4k are distinct (15.9k at 200-cent blinds). There the reuse
-    makes parsing 1.13-1.25x faster and the records a quarter smaller. A
-    file whose ACT lines all differ parses 1.3x slower for it."""
+    sizes repeat: a 10,000-hand simulate history (seed 2023) has 121k ACT
+    lines, of which 5.4k are distinct (15.9k at 200-cent blinds). There
+    the reuse makes parsing about 1.18x faster (median of six paired runs
+    at each blind size) and the records 26-29% smaller (20.4 against
+    28.7 MiB by tracemalloc at 1/2-cent blinds). A copy whose ACT lines
+    all differ parses 1.24x slower for it and peaks at 45 against 32 MiB."""
     records: list[HandRecord] = []
     names: dict[str, str] = {}
     intern = names.setdefault
     act_of: dict[str, tuple[str, int, str, int]] = {}
     cards = _field_cards
+    header_of = _HEADER.fullmatch
     opened = 0  # line of the open record's header; 0 when none is open
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -911,7 +926,9 @@ def parse_history(path: str) -> list[HandRecord]:
                 elif tag == "END":
                     (_,) = parts
                     records.append(
-                        HandRecord(*head, seats, holes, board, actions, showdown, awards, rake_paid, net, *flags)
+                        HandRecord(
+                            *head, tuple(seats), holes, board, tuple(actions), tuple(showdown), awards, rake_paid, net, *flags
+                        )
                     )
                     opened = 0
                 elif tag == "AWARD":
@@ -930,16 +947,15 @@ def parse_history(path: str) -> list[HandRecord]:
                         raise HistoryFormatError(
                             f"line {lineno}: header inside the unterminated record of line {opened}"
                         )
-                    kv = dict(p.split("=", 1) for p in parts[1:])
-                    if len(kv) < len(parts) - 1 or not _HEADER_KEYS <= kv.keys() <= _HEADER_KEYS | {"fail"}:
+                    header = header_of(raw)
+                    if header is None:
                         raise HistoryFormatError(
                             f"line {lineno}: header keys must be hand, table, btn, sb, bb, flop"
-                            " and an optional fail, each once"
+                            " and an optional fail, each once, in that order"
                         )
-                    hand_id = int(kv["hand"])
-                    table_id = kv["table"]
-                    head = (hand_id, intern(table_id, table_id), int(kv["btn"]), int(kv["sb"]), int(kv["bb"]))
-                    flags = (bool(int(kv["flop"])), bool(int(kv.get("fail", "0"))))
+                    hand_id, table_id, btn, sb, bb, flop, fail = header.groups()
+                    head = (int(hand_id), intern(table_id, table_id), int(btn), int(sb), int(bb))
+                    flags = (bool(int(flop)), fail is not None and bool(int(fail)))
                     seats, holes, board, actions, showdown, awards, rake_paid, net = [], {}, (), [], [], {}, {}, {}
                     opened = lineno
                 else:

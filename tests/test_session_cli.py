@@ -186,6 +186,15 @@ class TestCli:
         bad.write_text("banana banana banana\n")
         assert cli_main(["heatmap", str(bad)]) == 2
 
+    def test_malformed_history_names_file_and_line(self, tmp_path, capsys):
+        *_, path = run_and_write(tmp_path, "session.hh", hands=5)
+        lines = path.read_text().splitlines()
+        lines[3] = "GARBAGE here"
+        bad = tmp_path / "bad.hh"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli_main(["report", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 4: unknown tag 'GARBAGE'")
+
     def test_config_file(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text(

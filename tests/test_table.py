@@ -165,6 +165,9 @@ class TestHistoryFormat:
         path2 = tmp_path / "hh2.txt"
         write_history(parsed, str(path2))
         assert path2.read_bytes() == first
+        assert parsed == records
+        for record in records + parsed:
+            assert all(type(seq) is tuple for seq in (record.seats, record.actions, record.showdown))
 
     def test_parsed_records_replay(self, tmp_path):
         records = self.make_records(5)
@@ -254,13 +257,14 @@ class TestHistoryParser:
         with pytest.raises(HistoryFormatError, match=rf"^line {i + 1}: not enough values"):
             self.parse(tmp_path, lines)
 
-    @pytest.mark.parametrize("edit", ["unknown", "repeated", "missing"])
+    @pytest.mark.parametrize("edit", ["unknown", "repeated", "missing", "reordered"])
     def test_header_keys_exact(self, tmp_path, edit):
         lines = self.lines()
         lines[0] = {
             "unknown": lines[0] + " junk=1",
             "repeated": lines[0] + " hand=2",
             "missing": re.sub(" flop=.", "", lines[0]),
+            "reordered": re.sub(r"hand=(\S+) table=(\S+)", r"table=\2 hand=\1", lines[0]),
         }[edit]
         with pytest.raises(HistoryFormatError, match=r"^line 1: header keys must be"):
             self.parse(tmp_path, lines)
@@ -269,6 +273,17 @@ class TestHistoryParser:
         lines = self.lines()
         assert lines[0].endswith(" fail=0")
         assert self.parse(tmp_path, [lines[0][: -len(" fail=0")]] + lines[1:]) == self.parse(tmp_path, lines)
+
+    def test_header_whitespace_runs(self, tmp_path):
+        lines = self.lines()
+        spaced = " " + lines[0].replace(" ", "  ").replace("table=", "\ttable=") + " \t"
+        assert self.parse(tmp_path, [spaced] + lines[1:]) == self.parse(tmp_path, lines)
+
+    def test_non_integer_header_value(self, tmp_path):
+        lines = self.lines()
+        lines[0] = lines[0].replace(" btn=0 ", " btn=x ")
+        with pytest.raises(HistoryFormatError, match=r"^line 1: invalid literal for int\(\) with base 10: 'x'"):
+            self.parse(tmp_path, lines)
 
     def test_unterminated_record_at_end(self, tmp_path):
         lines = self.lines()
@@ -305,6 +320,9 @@ class TestHistoryParser:
         write_history(records, str(path))
         parsed = parse_history(str(path))
         assert len(parsed) == len(records) == 300
+        assert parsed == records
+        for record in records + parsed:
+            assert all(type(seq) is tuple for seq in (record.seats, record.actions, record.showdown))
         all_ins = [r for r in parsed if any(action == "allin" for _, _, action, _ in r.actions)]
         assert any(len(r.showdown) >= 2 for r in parsed)
         assert any(sum(1 for won in r.awards.values() if won) >= 2 for r in all_ins)  # a side pot
