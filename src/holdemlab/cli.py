@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 EXIT_OK = 0
@@ -74,11 +73,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .rangegrid import DATA_DIR
     from .scenario import ScenarioError, load_scenario, run_scenario
 
     path = args.scenario
     if path == "hand6.scn":
-        path = resources.files("holdemlab").joinpath("data/hand6.scn")
+        path = DATA_DIR / "hand6.scn"
     try:
         scenario = load_scenario(path)
         result = run_scenario(scenario, trace=True)
@@ -106,6 +106,8 @@ def cmd_report(args) -> int:
         return _err(f"{args.history}: {e}")
     except FileNotFoundError as e:
         return _err(str(e))
+    if not any(r.hero_seat_of(args.hero) is not None for r in records):
+        return _err(f"{args.history}: hero {args.hero!r} is in no hand")
     bb = records[0].bb_cents
     ledger = ledger_from_records(records, args.hero, bb, rakeback_rate=args.rakeback_rate)
     report = TrialReport.from_ledger(ledger)

@@ -4,12 +4,16 @@ variance segmentation, confidence intervals, and the failure cost model.
 Ledger arithmetic is integer cents; the identity
     net = pre-rake - rake + rakeback
 holds exactly per hand and cumulatively. The all-in adjusted column swaps a
-hand's actual result for its expectation at the moment the money went in,
-locked at the first point the hero was fully committed with a live caller.
+hand's actual result for its expectation at the moment the money went in:
+the street on which the hero, or every opponent who reached showdown, had
+put in a whole stack. That expectation ignores uncalled excess and side
+pots, so with unequal stakes the column is approximate (see
+`all_in_adjusted`).
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable
@@ -126,70 +130,64 @@ def _equity_multiway(hero_hole, villain_holes, board, seed: int = 0) -> float:
 
 
 def all_in_adjusted(record: HandRecord, hero_id: str) -> int:
-    """Adjusted net for the hero: if the hand locked all-in before the river
-    with live callers, replace the actual result with equity x (pot - rake)
-    minus what the hero invested; otherwise the actual net."""
+    """Adjusted net for the hero: if the hand locked all-in before the river,
+    equity x (pot - rake) minus what the hero invested; otherwise the actual
+    net.
+
+    Only showdown seats count. Each is all-in from the first street by whose
+    end its total reaches its starting stack (from the start of the hand if
+    a blind covered it). The hand locks on the earlier of the hero's street
+    and the last opponent's; the equity is taken against every showdown hand
+    on the board dealt by then.
+
+    Known limit: `pot` is every chip awarded, uncalled excess included, and
+    one equity is applied to every side pot, so the value is off whenever the
+    stakes differ. Hero 4d3d with 300 cents against 9h9s with 120, jam and
+    call pre-flop, gives -213 against an actual -123."""
     hero_seat = record.hero_seat_of(hero_id)
     if hero_seat is None:
         raise LedgerError(f"{hero_id} not in hand {record.hand_id}")
     return _adjusted_at_seat(record, hero_seat)
 
 
+# Board cards dealt when a hand locks pre-flop, on the flop or on the turn;
+# a river lock, or none, keeps the actual net.
+_LOCK_BOARD_LEN = (0, 3, 4)
+
+
 def _adjusted_at_seat(record: HandRecord, hero_seat: int) -> int:
     """all_in_adjusted for the hero's seat, once it is found."""
     actual = record.net.get(hero_seat, 0)
-    if len(record.showdown) < 2 or hero_seat not in dict(record.showdown):
+    if len(record.showdown) < 2 or hero_seat not in (holes := dict(record.showdown)) or not record.actions:
         return actual
-
-    # Walk the action stream to find the lock point: the first moment the
-    # hero is all-in (or every opponent is) while the hand is still live.
-    street_board_len = {"preflop": 0, "flop": 3, "turn": 4, "river": 5}
+    # Every action carries its seat's street total, so the last one per seat
+    # and street is what the seat put in on that street.
+    street_total = {(seat, street): to for street, seat, _, to in record.actions}
     stacks = {seat: stack for seat, _, stack in record.seats}
-    committed = {seat: 0 for seat, _, _ in record.seats}
-    live = {seat for seat, _, _ in record.seats}
-    pos = positions_for(sorted(live), record.button)
-    for seat, name in pos.items():
-        if name == "sb":
-            committed[seat] = min(record.sb_cents, stacks[seat])
-        elif name == "bb":
-            committed[seat] = min(record.bb_cents, stacks[seat])
-    street_b = dict(committed)
-    cur_street = "preflop"
-    lock_board_len: int | None = None
-    showdown_seats = {s for s, _ in record.showdown}
 
-    def allin(seat: int) -> bool:
-        return committed[seat] >= stacks[seat]
+    def running_totals(seat: int) -> tuple[int, int, int, int]:
+        """What the seat has put in by the end of each street."""
+        preflop = street_total.get((seat, "preflop"))
+        if preflop is None:  # never acted pre-flop: what it posted, if a blind
+            position = positions_for(sorted(stacks), record.button).get(seat)
+            preflop = min({"sb": record.sb_cents, "bb": record.bb_cents}.get(position, 0), stacks[seat])
+        flop = preflop + street_total.get((seat, "flop"), 0)
+        turn = flop + street_total.get((seat, "turn"), 0)
+        return preflop, flop, turn, turn + street_total.get((seat, "river"), 0)
 
-    for street, seat, action, to_amount in record.actions:
-        if street != cur_street:
-            cur_street = street
-            street_b = {s: 0 for s in street_b}
-        if action == "fold":
-            live.discard(seat)
-        elif action in ("call", "bet", "raise", "allin"):
-            committed[seat] += to_amount - street_b[seat]
-            street_b[seat] = to_amount
-        live_sd = live & showdown_seats
-        # Lock at the first moment the hero's chips are fully committed with
-        # a live caller, or every live opponent's are (hero merely covers).
-        if (
-            lock_board_len is None
-            and hero_seat in live
-            and len(live_sd) >= 2
-            and (allin(hero_seat) or all(allin(s) for s in live_sd if s != hero_seat))
-        ):
-            lock_board_len = street_board_len[cur_street]
-    if lock_board_len is None or lock_board_len >= 5:
+    totals = {seat: running_totals(seat) for seat in holes}
+    # The index of the first street by whose end the seat is all-in; 4 if never.
+    all_in_from = {seat: bisect_left(totals[seat], stacks[seat]) for seat in holes}
+    lock = min(all_in_from.pop(hero_seat), max(all_in_from.values()))
+    if lock >= len(_LOCK_BOARD_LEN):
         return actual
 
-    board = record.board[:lock_board_len]
+    board = record.board[: _LOCK_BOARD_LEN[lock]]
     villains = [h for s, h in record.showdown if s != hero_seat]
-    hero_hole = dict(record.showdown)[hero_seat]
-    equity = _equity_multiway(hero_hole, villains, board, seed=record.hand_id)
+    equity = _equity_multiway(holes[hero_seat], villains, board, seed=record.hand_id)
     pot = sum(record.awards.values())
     rake = record.total_rake()
-    invested = committed[hero_seat]
+    invested = totals[hero_seat][-1]
     return int(round(equity * (pot - rake))) - invested
 
 

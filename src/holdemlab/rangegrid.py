@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,6 +18,8 @@ import numpy as np
 from .cards import DECK_SIZE, N_COMBOS, InvalidCardsError, card_str, parse_cards
 
 RANKS_DESC = "AKQJT98765432"
+# The data files shipped beside the modules.
+DATA_DIR = Path(__file__).with_name("data")
 
 
 class RangeConfigError(ValueError):
@@ -341,7 +343,7 @@ def _situation_for(ctx: PreflopContext) -> str | None:
 
 def _read_shipped(archetype: str, situation: str) -> ComboGrid:
     name = f"{archetype.lower()}/{situation}.rng"
-    text = resources.files("holdemlab").joinpath("data/ranges").joinpath(name).read_text(encoding="utf-8")
+    text = (DATA_DIR / "ranges" / name).read_text(encoding="utf-8")
     return parse_range_lines(text.splitlines(), source=name)
 
 

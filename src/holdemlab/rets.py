@@ -10,13 +10,12 @@ range whose current made hand beats the hero's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .cards import validate_board
-from .rangegrid import ComboGrid
+from .rangegrid import DATA_DIR, ComboGrid
 from .rsm import BoardContext, N_CATEGORIES, RsmTable
 
 
@@ -89,7 +88,7 @@ def parse_ret_lines(lines: Iterable[str], *, source: str = "<rets>") -> dict[str
 def load_ret_set(path=None) -> dict[str, RET]:
     """Load templates from a file path, or the shipped defaults."""
     if path is None:
-        text = resources.files("holdemlab").joinpath("data/rets.txt").read_text(encoding="utf-8")
+        text = (DATA_DIR / "rets.txt").read_text(encoding="utf-8")
         return parse_ret_lines(text.splitlines(), source="rets.txt")
     with open(path, encoding="utf-8") as f:
         return parse_ret_lines(f, source=str(path))
@@ -166,7 +165,7 @@ class RetDispatch:
 
     @classmethod
     def shipped(cls, rets: Mapping[str, RET]) -> "RetDispatch":
-        text = resources.files("holdemlab").joinpath("data/ret_dispatch.txt").read_text(encoding="utf-8")
+        text = (DATA_DIR / "ret_dispatch.txt").read_text(encoding="utf-8")
         return cls.parse(text.splitlines(), rets, source="ret_dispatch.txt")
 
     def select(self, street: str, archetype: str, action: str, aggressor: str, position: str) -> str:

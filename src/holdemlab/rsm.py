@@ -20,7 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from importlib import resources
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +34,7 @@ from .cards import (
     score_cards_batch,
     validate_board,
 )
-from .rangegrid import COMBO_CARDS, N_COMBOS, combo_index, combos_with_any
+from .rangegrid import COMBO_CARDS, DATA_DIR, N_COMBOS, combo_index, combos_with_any
 
 
 class RsCategory(IntEnum):
@@ -497,7 +496,7 @@ class RsmRules:
 
     @classmethod
     def shipped(cls) -> "RsmRules":
-        text = resources.files("holdemlab").joinpath("data/rsm_rules.txt").read_text(encoding="utf-8")
+        text = (DATA_DIR / "rsm_rules.txt").read_text(encoding="utf-8")
         return cls.parse(text.splitlines(), source="rsm_rules.txt")
 
 

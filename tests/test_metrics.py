@@ -11,6 +11,7 @@ from holdemlab.metrics import (
     ResultLedger,
     TrialReport,
     Z_95,
+    _adjusted_at_seat,
     _equity_multiway,
     all_in_adjusted,
     bb100,
@@ -20,6 +21,7 @@ from holdemlab.metrics import (
 )
 from holdemlab.table import SeatConfig, play_hand
 from holdemlab.events import ActionType
+from reference_allin import adjusted_at_seat_by_walk
 
 
 class TestBB100:
@@ -109,33 +111,38 @@ class TestSegments:
         assert seg.partial_segment
 
 
+class Script:
+    """Takes its planned action the first time it acts on a street; otherwise
+    calls any bet and checks."""
+
+    def __init__(self, **plan):
+        self.plan = plan  # street -> (ActionType, to cents)
+        self.done = set()
+
+    def __call__(self, view):
+        if view.street in self.plan and view.street not in self.done:
+            self.done.add(view.street)
+            return self.plan[view.street]
+        return (ActionType.CALL, 0) if view.to_call_cents > 0 else (ActionType.CHECK, 0)
+
+
+JAM = (ActionType.ALL_IN, 0)
+
+
 def allin_record(hero_equity_high: bool):
     """Money goes in on the turn: a full house against a dead combo draw."""
-
-    class TurnJam:
-        def __call__(self, view):
-            if view.to_call_cents > 0:
-                return (ActionType.CALL, 0)
-            if view.street == "turn" and view.stack_cents > 0:
-                return (ActionType.ALL_IN, 0)
-            return (ActionType.CHECK, 0)
-
     hero_hole = parse_cards("9h9s") if hero_equity_high else parse_cards("4d3d")
     vill_hole = parse_cards("4d3d") if hero_equity_high else parse_cards("9h9s")
     deck = hero_hole + vill_hole + parse_cards("9d5s2c2dKs")
     deck += [c for c in range(52) if c not in set(deck)]
-    seats = [SeatConfig("hero", 120, TurnJam()), SeatConfig("villain", 120, TurnJam())]
+    seats = [SeatConfig("hero", 120, Script(turn=JAM)), SeatConfig("villain", 120, Script(turn=JAM))]
     return play_hand(1, "t", seats, 0, 1, 2, deck)
 
 
 class TestAllInAdjusted:
     def test_no_allin_equals_actual(self):
-        class Meek:
-            def __call__(self, view):
-                return (ActionType.CHECK, 0) if view.to_call_cents <= 0 else (ActionType.CALL, 0)
-
         deck = DealRng(3).shuffled_deck()
-        seats = [SeatConfig("hero", 200, Meek()), SeatConfig("villain", 200, Meek())]
+        seats = [SeatConfig("hero", 200, Script()), SeatConfig("villain", 200, Script())]
         record = play_hand(1, "t", seats, 0, 1, 2, deck)
         assert all_in_adjusted(record, "hero") == record.net[record.hero_seat_of("hero")]
 
@@ -182,6 +189,92 @@ class TestAllInAdjusted:
         ledger = ledger_from_records(records, "hero", 2)
         t = ledger.totals()
         assert t["adjusted"] == t["net"]
+
+
+def scripted_hand(*seats, button=0, deck_seed=5):
+    """One engine hand; each seat is (player id, stack cents, Script)."""
+    deck = DealRng(deck_seed).shuffled_deck()
+    return play_hand(1, "t", [SeatConfig(*s) for s in seats], button, 1, 2, deck)
+
+
+def assert_matches_walk(record):
+    """all_in_adjusted equals the action-by-action reference for every seat."""
+    for _, pid, _ in record.seats:
+        assert all_in_adjusted(record, pid) == adjusted_at_seat_by_walk(record, record.hero_seat_of(pid)), pid
+
+
+class TestLockFinderOracle:
+    def test_fastfold_session_every_seat(self):
+        from holdemlab.session import SessionConfig, run_fastfold_session
+
+        records = []
+        run_fastfold_session(SessionConfig(hands=2000, seed=31), on_record=records.append)
+        adjusted = 0
+        for record in records:
+            assert_matches_walk(record)
+            adjusted += sum(_adjusted_at_seat(record, s) != record.net[s] for s, _, _ in record.seats)
+        assert adjusted > 0
+
+    @pytest.mark.parametrize(
+        "seats",
+        [
+            # heads-up, the villain's big blind is its whole stack
+            (("hero", 400, Script()), ("villain", 2, Script())),
+            # heads-up, the hero's big blind is its whole stack
+            (("villain", 400, Script()), ("hero", 2, Script())),
+        ],
+    )
+    def test_preflop_lock_from_a_blind(self, seats):
+        record = scripted_hand(*seats)
+        assert len(record.showdown) == 2 and len(record.actions) == 1
+        assert_matches_walk(record)
+        assert all_in_adjusted(record, "hero") != record.net[record.hero_seat_of("hero")]
+
+    def test_blinds_covering_both_stacks_never_lock(self):
+        # both seats are all-in from posting, so no action is ever taken and
+        # the walk never tests for a lock
+        record = scripted_hand(("hero", 1, Script()), ("villain", 2, Script()))
+        assert len(record.showdown) == 2 and record.actions == ()
+        assert_matches_walk(record)
+        assert all_in_adjusted(record, "hero") == record.net[0]
+
+    def test_flop_lock_with_a_small_blind_all_in_from_posting(self):
+        # seat 1 posts its whole stack as the small blind and never acts;
+        # seat 2 jams the flop and the hero covers both
+        record = scripted_hand(("hero", 500, Script()), ("sb", 1, Script()), ("bb", 300, Script(flop=JAM)))
+        assert len(record.showdown) == 3 and not any(seat == 1 for _, seat, _, _ in record.actions)
+        assert_matches_walk(record)
+        assert all_in_adjusted(record, "hero") != record.net[0]
+
+    def test_flop_lock_by_a_short_call(self):
+        # the villain calls a 200 bet with its last 148, recorded as a call
+        record = scripted_hand(("hero", 500, Script(flop=(ActionType.BET, 200))), ("villain", 150, Script()))
+        assert ("flop", 1, "call", 148) in record.actions
+        assert_matches_walk(record)
+        assert all_in_adjusted(record, "hero") != record.net[0]
+
+    def test_turn_lock_three_way_side_pot_hero_covers(self):
+        record = scripted_hand(
+            ("hero", 600, Script()), ("v1", 100, Script(turn=JAM)), ("v2", 250, Script(turn=JAM))
+        )
+        # both villains are all-in for different amounts: a main and a side pot
+        assert len(record.showdown) == 3
+        assert {seat for street, seat, action, _ in record.actions if action == "allin"} == {1, 2}
+        assert_matches_walk(record)
+        assert all_in_adjusted(record, "hero") != record.net[0]
+
+    @pytest.mark.parametrize("street", ["preflop", "flop", "turn"])
+    def test_hero_jam_locks(self, street):
+        record = scripted_hand(("hero", 300, Script(**{street: JAM})), ("villain", 400, Script()))
+        assert (street, 0, "allin", 300 if street == "preflop" else 298) in record.actions
+        assert_matches_walk(record)
+        assert all_in_adjusted(record, "hero") != record.net[0]
+
+    def test_river_allin_keeps_the_actual_net(self):
+        record = scripted_hand(("hero", 300, Script(river=JAM)), ("villain", 300, Script()))
+        assert len(record.showdown) == 2 and record.actions[-2][2] == "allin"
+        assert_matches_walk(record)
+        assert all_in_adjusted(record, "hero") == record.net[0]
 
 
 class TestZeroSum:

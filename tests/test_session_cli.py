@@ -195,6 +195,12 @@ class TestCli:
         assert cli_main(["report", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: line 4: unknown tag 'GARBAGE'")
 
+    def test_report_hero_in_no_hand_exits_2(self, tmp_path, capsys):
+        *_, path = run_and_write(tmp_path, "session.hh", hands=5)
+        assert cli_main(["report", str(path), "--hero", "nobody"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: hero 'nobody' is in no hand\n" and captured.out == ""
+
     def test_config_file(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text(
