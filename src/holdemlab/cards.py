@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,6 +21,8 @@ SUIT_CHARS = "cdhs"
 
 DECK_SIZE = 52
 N_COMBOS = 1326
+# The data files shipped beside the modules.
+DATA_DIR = Path(__file__).with_name("data")
 
 
 class InvalidCardsError(ValueError):
@@ -237,12 +240,20 @@ def score_cards_batch(
     Each scored set must hold 5..7 cards. Cards may repeat (dead combos in
     a range sweep) and then count with multiplicity.
 
-    The board is folded once into rank masks and suit data, then the rows
-    once on top of it; only then are the hands added, by broadcasting over
-    the rows, a block of hands at a time."""
+    Two paths give the same scores. Two-card hands on rows that complete
+    the board to five cards (len(board) + k == 5: every runout an equity
+    sweep or an all-in lock scores) are read from the rank table, one
+    gather per (hand, row), with the flush scores of the few rows whose
+    suit can reach five taken from FLUSH_SCORE. Every other shape (no
+    holes, other hand sizes, five or six cards before the hands) runs the
+    fold: the board is folded once into rank masks and suit data, then
+    the rows once on top of it; only then are the hands added, by
+    broadcasting over the rows, a block of hands at a time."""
     cards = np.asarray(cards, dtype=np.int64)
     n, k = cards.shape
     hands = _NO_HANDS if holes is None else np.asarray(holes, dtype=np.int64).reshape(len(holes), -1)
+    if holes is not None and hands.shape[1] == 2 and len(board) + k == 5:
+        return _score_from_rank_table(cards, board, hands)
     fold = (0, 0, 0, 0, 0, 0)
     for c in board:
         fold = _add_card(fold, int(c))
@@ -343,6 +354,100 @@ def _score_masks(m1, m2, m3, m4, fmask, has_flush) -> np.ndarray:
     np.copyto(out, full, where=has_trips & (fh_rest > 0))
     np.copyto(out, quads, where=m4 > 0)
     np.copyto(out, (8 << _CAT_SHIFT) | (sf_top << 16), where=sf_top >= 0)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The rank table.
+#
+# Without a flush, what two hole cards make with a board depends only on
+# ranks. The table has a row for each sorted multiset of 3, 4 or 5 board
+# ranks (455 + 1,820 + 6,188) and a column for each hole-rank pair lo <= hi
+# (91, in (lo, hi) order). An entry packs the pair's score with the ranks,
+# its rsm.MadeClass and, below five ranks, how many ranks complete a
+# straight for it: score | made << 24 | outs << 28. Rows run block by block
+# and, within a block, in colex order: sorted ranks r_0 <= r_1 <= ... are
+# the set {r_i + i}, numbered sum C(r_i + i, i + 1).
+#
+# scripts/make_rank_table.py builds every row with rsm's row builder; the
+# table is read once here, whole, and never written.
+# ---------------------------------------------------------------------------
+
+RANK_PAIRS = np.array([(lo, hi) for lo in range(13) for hi in range(lo, 13)], dtype=np.int64)
+# The column of a pair of ranks, in either order.
+RANK_PAIR_COLUMN = np.zeros((13, 13), dtype=np.int64)
+RANK_PAIR_COLUMN[RANK_PAIRS[:, 0], RANK_PAIRS[:, 1]] = np.arange(len(RANK_PAIRS))
+RANK_PAIR_COLUMN[RANK_PAIRS[:, 1], RANK_PAIRS[:, 0]] = np.arange(len(RANK_PAIRS))
+RANK_TABLE_ROWS = 455 + 1820 + 6188
+_ROW_OFFSET = {3: 0, 4: 455, 5: 455 + 1820}
+# _COLEX[i, r] = C(r + i, i + 1), the term of a rank r that is i-th smallest.
+_COLEX = np.array([[math.comb(r + i, i + 1) for r in range(13)] for i in range(5)], dtype=np.int64)
+_COLEX_PY = _COLEX.tolist()
+_FIVE = np.arange(5)
+# Per card, a one in its suit's count (4 bits a suit) and its rank's bit in
+# its suit's rank mask (16 bits a suit).
+_CARD_COUNT = np.int64(1) << 4 * (np.arange(DECK_SIZE) & 3)
+_CARD_BITS = np.int64(1) << 16 * (np.arange(DECK_SIZE) & 3) + (np.arange(DECK_SIZE) >> 2)
+
+
+def rank_table_row(ranks: Iterable[int]) -> int:
+    """The rank table's row of a multiset of 3, 4 or 5 ranks (0 = deuce)."""
+    ranks = sorted(ranks)
+    return _ROW_OFFSET[len(ranks)] + sum(_COLEX_PY[i][r] for i, r in enumerate(ranks))
+
+
+def _load_rank_table() -> np.ndarray:
+    path = DATA_DIR / "rank_table.npy"
+    table = np.load(path)
+    if table.dtype != np.int32 or table.shape != (RANK_TABLE_ROWS, len(RANK_PAIRS)):
+        raise ValueError(f"{path}: want int32 {(RANK_TABLE_ROWS, len(RANK_PAIRS))}, got {table.dtype} {table.shape}")
+    table.flags.writeable = False
+    return table
+
+
+RANK_TABLE = _load_rank_table()
+
+# A flush's score by its suit's rank mask.
+FLUSH_SCORE = np.where(STRAIGHT_TOP >= 0, 8 << _CAT_SHIFT | STRAIGHT_TOP << 16, 5 << _CAT_SHIFT | TOP5)
+
+
+def _score_from_rank_table(rows: np.ndarray, board: Sequence[int], hands: np.ndarray) -> np.ndarray:
+    """score_cards_batch of two-card hands on rows that complete the board
+    to five cards. The rank table gives each (hand, row) its score without
+    a flush. A flush scores in another category than anything without one,
+    so where the hand brings a suit to five cards the score is the higher
+    of the two."""
+    n, k = rows.shape
+    ranks = np.empty((n, 5), dtype=np.int64)
+    ranks[:, :k] = rows >> 2
+    ranks[:, k:] = [c >> 2 for c in board]
+    ranks.sort(axis=1)
+    table_rows = _COLEX[_FIVE, ranks].sum(axis=1) + _ROW_OFFSET[5]
+    columns = RANK_PAIR_COLUMN[hands[:, 0] >> 2, hands[:, 1] >> 2]
+    out = RANK_TABLE[table_rows[None, :], columns[:, None]].astype(np.int64)
+    out &= 0xFFFFFF
+
+    # Suit counts and rank masks packed as the fold packs them. Adding 5 (or
+    # 3) to a count sets the count's top bit when it holds 3 (or 5) or more.
+    # Two hole cards make a flush only with three of a suit among the five
+    # other cards, and only one suit can have three of five.
+    board_count = board_bits = 0
+    for c in board:
+        board_count += 1 << 4 * (c & 3)
+        board_bits |= 1 << 16 * (c & 3) + (c >> 2)
+    count = _CARD_COUNT[rows].sum(axis=1) + board_count
+    three = (count + 0x5555) & 0x8888
+    near = np.flatnonzero(three)
+    if near.size:
+        hand, at = np.nonzero((count[near] + _CARD_COUNT[hands].sum(axis=1)[:, None] + 0x3333) & 0x8888)
+        if hand.size:
+            col = near[at]
+            bits = np.bitwise_or.reduce(_CARD_BITS[rows[col]], axis=1) | board_bits
+            bits |= _CARD_BITS[hands[hand, 0]] | _CARD_BITS[hands[hand, 1]]
+            top = three[col]
+            suit = (top > 0x8).astype(np.int64) + (top > 0x80) + (top > 0x800)
+            flush = FLUSH_SCORE[bits >> 16 * suit & 0x1FFF]
+            out[hand, col] = np.maximum(out[hand, col], flush)
     return out
 
 

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cards import DECK_SIZE, N_COMBOS, InvalidCardsError, card_str, parse_cards
+from .cards import DATA_DIR, DECK_SIZE, N_COMBOS, InvalidCardsError, card_str, parse_cards
 
 RANKS_DESC = "AKQJT98765432"
-# The data files shipped beside the modules.
-DATA_DIR = Path(__file__).with_name("data")
 
 
 class RangeConfigError(ValueError):

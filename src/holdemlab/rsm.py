@@ -25,12 +25,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cards import (
+    FLUSH_SCORE,
+    RANK_PAIR_COLUMN,
+    RANK_PAIRS,
+    RANK_TABLE,
     STRAIGHT_OUTS,
     STRAIGHT_TOP,
-    TOP5,
     HandCategory,
     InvalidCardsError,
     hand_score,
+    rank_table_row,
     score_cards_batch,
     validate_board,
 )
@@ -281,47 +285,35 @@ def _straight_outs(holes: np.ndarray, board: Sequence[int]) -> np.ndarray:
 
 
 # Without a flush, a combo's score, made class and straight outs depend only
-# on its two hole ranks: the combos share 91 rank pairs, each stood for by
-# two cards of one suit (the same card twice for a pocket pair; duplicates
-# count by multiplicity, exactly as for dead combos).
-_COMBO_RANK_PAIRS, _RANK_PAIR_OF_COMBO = np.unique((COMBO_CARDS >> 2) @ [13, 1], return_inverse=True)
-_RANK_PAIR_CARDS = np.stack([_COMBO_RANK_PAIRS // 13, _COMBO_RANK_PAIRS % 13], axis=1) * 4
+# on its two hole ranks: the combos share the rank table's 91 columns.
+_RANK_PAIR_OF_COMBO = RANK_PAIR_COLUMN[COMBO_CARDS[:, 0] >> 2, COMBO_CARDS[:, 1] >> 2]
 _CARD_IN_SUIT = (COMBO_CARDS & 3)[None, :, :] == np.arange(4)[:, None, None]  # [suit, combo, card]
 _IN_SUIT = _CARD_IN_SUIT.sum(axis=2)  # [suit, combo]
 _SUIT_BITS = (_CARD_IN_SUIT << (COMBO_CARDS >> 2)).sum(axis=2)  # [suit, combo]: its hole ranks in the suit
 
-# A flush's score and made class by its suit's rank mask. On a board with
-# at most four cards of the suit, a combo that makes the flush holds a card
-# of the suit, which plays in it: so its class is a flush or a straight
-# flush.
-_FLUSH_SCORE = np.where(STRAIGHT_TOP >= 0, _STRAIGHT_FLUSH << 20 | STRAIGHT_TOP << 16, _FLUSH << 20 | TOP5)
+# A flush's made class by its suit's rank mask. On a board with at most four
+# cards of the suit, a combo that makes the flush holds a card of the suit,
+# which plays in it: so its class is a flush or a straight flush.
 _FLUSH_MADE = np.where(STRAIGHT_TOP >= 0, int(MadeClass.STRAIGHT_FLUSH), int(MadeClass.FLUSH))
 
-# And the board counts only by its rank multiset: the rank table has a row
-# for each sorted multiset of 3, 4 or 5 ranks (455 + 1,820 + 6,188), with one
-# packed entry per rank pair: score | made class << 24 | straight outs << 28.
-# Rows are handed out in the order of first use, so the filled ones are
-# contiguous and only their memory pages are touched.
-_RANK_ROWS = np.zeros((455 + 1820 + 6188, len(_COMBO_RANK_PAIRS)), dtype=np.int32)
-_RANK_ROW_OF: dict[tuple[int, ...], int] = {}
 
+def _build_rank_row(ranks: Sequence[int]) -> np.ndarray:
+    """The rank table's row for a multiset of 3, 4 or 5 ranks, from the
+    kernel: each rank pair's score with the ranks, _made_classes and, below
+    five ranks, _straight_outs, packed score | made << 24 | outs << 28.
 
-def _rank_pair_row(board: Sequence[int], suit_counts: list[int]) -> np.ndarray:
-    """The board's rank-table row, filled on first use. The rank pairs are
-    scored in a suit that cannot make a flush: the board must not hold five
-    cards of one suit."""
-    ranks = tuple(sorted(c >> 2 for c in board))
-    row = _RANK_ROW_OF.get(ranks)
-    if row is None:
-        off_suit = suit_counts.index(min(suit_counts))  # at most 1 + 2 cards: no flush
-        pair_cards = _RANK_PAIR_CARDS + off_suit
-        scores = score_cards_batch(pair_cards, board)
-        packed = scores | _made_classes(pair_cards, scores, board) << 24
-        if len(board) < 5:
-            packed |= _straight_outs(pair_cards, board) << 28
-        row = _RANK_ROW_OF[ranks] = len(_RANK_ROW_OF)
-        _RANK_ROWS[row] = packed
-    return _RANK_ROWS[row]
+    The ranks go on a board round-robin over the suits in sorted order (so
+    no suit holds more than two), and each pair takes two cards of the suit
+    the board holds least (the same card twice for a pocket pair; repeated
+    cards count by multiplicity), so nothing makes a flush."""
+    board = [r * 4 + i % 4 for i, r in enumerate(sorted(ranks))]
+    suit_counts = [sum(c & 3 == s for c in board) for s in range(4)]
+    pair_cards = RANK_PAIRS * 4 + suit_counts.index(min(suit_counts))
+    scores = score_cards_batch(pair_cards, board)
+    packed = scores | _made_classes(pair_cards, scores, board) << 24
+    if len(board) < 5:
+        packed |= _straight_outs(pair_cards, board) << 28
+    return packed
 
 
 def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,7 +330,7 @@ def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.
     if n_suited == 5:  # every combo plays the board's flush: each is scored with its own cards
         scores = score_cards_batch(COMBO_CARDS, board)
         return scores, _made_classes(COMBO_CARDS, scores, board), np.zeros(N_COMBOS, dtype=np.int64)
-    packed = _rank_pair_row(board, suit_counts).astype(np.int64)[_RANK_PAIR_OF_COMBO]
+    packed = RANK_TABLE[rank_table_row([c >> 2 for c in board])].astype(np.int64)[_RANK_PAIR_OF_COMBO]
     scores = packed & 0xFFFFFF
     made = (packed >> 24) & 0xF
     outs = packed >> 28
@@ -349,7 +341,7 @@ def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.
             if c & 3 == flush_suit:
                 board_bits |= 1 << (c >> 2)
         masks = board_bits | _SUIT_BITS[flush_suit, rows]
-        flush, ranked = _FLUSH_SCORE[masks], scores[rows]
+        flush, ranked = FLUSH_SCORE[masks], scores[rows]
         scores[rows] = np.maximum(flush, ranked)
         made[rows] = np.where(flush > ranked, _FLUSH_MADE[masks], made[rows])
     if len(board) >= 5:  # no draws on a complete board
@@ -366,11 +358,11 @@ class BoardContext:
     features, and the river percentile table for all 1,326 combos. Built
     once per street and shared across every grid on that board.
 
-    The no-flush part of a build comes from the rank table: per rank
-    multiset of the board, the 91 rank pairs' scores, made classes and
-    straight outs. It is a pure function of ranks with a fixed 8,463 rows
-    (3.1 MB, allocated empty, a row filled on first use and never evicted),
-    so what it serves cannot depend on which boards came before. On a board
+    The no-flush part of a build is one row of the rank table
+    (`cards.RANK_TABLE`): per rank multiset of the board, the 91 rank
+    pairs' scores, made classes and straight outs. The table is complete
+    (8,463 rows, 3.1 MB, read whole at import) and read-only, so what it
+    serves cannot depend on which boards came before. On a board
     with three or four cards of one suit, a combo that makes a flush reads
     its flush's score and class from two 8,192-entry tables indexed by the
     suit's rank mask, and keeps its rank-table entry where that is higher.

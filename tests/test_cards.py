@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from holdemlab import cards as cards_module
 from holdemlab.cards import (
     Card,
     DealRng,
@@ -22,6 +23,7 @@ from holdemlab.cards import (
 from holdemlab.rangegrid import COMBO_CARDS, ComboGrid, combo_index
 
 from reference_eval import ref_eval7
+from test_rsm import _suited_boards
 
 
 def cards(text):
@@ -164,6 +166,71 @@ class TestEvaluate7:
         holes = np.asarray(holes)
         joined = np.concatenate([np.repeat(holes, len(rows), axis=0), np.tile(rows, (len(holes), 1))], axis=1)
         assert (got == score_cards_batch(joined, board).reshape(len(holes), len(rows))).all()
+
+
+class TestRankTablePath:
+    """Two-card hands on rows that complete the board to five cards are
+    scored from the rank table; the fold over the rows with the hands'
+    cards appended is the oracle."""
+
+    @staticmethod
+    def _check(rows, board, holes):
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), 5 - len(board))
+        holes = np.asarray(holes, dtype=np.int64)
+        TestEvaluate7._check_holes_against_joined_rows(rows, board, holes)
+        got = cards_module._score_from_rank_table(rows, board, holes)
+        assert (got == score_cards_batch(rows, board, holes=holes)).all(), board
+
+    @staticmethod
+    def _runouts(board, count=None, rng=None):
+        """Every runout of the board, or `count` seeded ones."""
+        deck = [c for c in range(52) if c not in board]
+        if count is None:
+            runs = list(itertools.combinations(deck, 5 - len(board)))
+        else:
+            runs = [rng.choice(deck, size=5 - len(board), replace=False) for _ in range(count)]
+        return np.array(runs, dtype=np.int64).reshape(len(runs), 5 - len(board))
+
+    @pytest.mark.parametrize("n_suited", [5, 4, 3])
+    def test_suited_rivers_every_combo(self, n_suited):
+        # every combo, dead ones included, on the river's one empty runout
+        rng = np.random.default_rng(400 + n_suited)
+        for board in _suited_boards(rng, 5, n_suited, 60):
+            self._check(np.zeros((1, 0)), board, COMBO_CARDS)
+
+    @pytest.mark.parametrize(
+        "board", ["KhKd7c2s9h", "7h7d7cKs2h", "7h7d7sKhKd", "5s5d5c5hKh", "KhKd7c", "5s5d5c", "KhKd7h7c", "5s5d5c5h"]
+    )
+    def test_paired_trips_and_quads_boards(self, board):
+        board = cards(board)
+        if len(board) == 5:
+            self._check(np.zeros((1, 0)), board, COMBO_CARDS)
+        elif len(board) == 4:
+            self._check(self._runouts(board), board, COMBO_CARDS)
+        else:
+            rng = np.random.default_rng(len(board))
+            self._check(self._runouts(board), board, COMBO_CARDS[rng.choice(len(COMBO_CARDS), 40, replace=False)])
+
+    def test_boards_of_zero_three_and_four_cards_with_runouts(self):
+        rng = np.random.default_rng(77)
+        hands = COMBO_CARDS[rng.choice(len(COMBO_CARDS), 30, replace=False)]
+        self._check(self._runouts((), 3000, rng), (), hands)
+        for size in (3, 4):
+            for n_suited in range(size + 1):
+                for board in _suited_boards(rng, size, n_suited, 4):
+                    self._check(self._runouts(board, 200 if size == 3 else None, rng), board, hands)
+
+    def test_hands_that_repeat_a_row_or_board_card(self):
+        # repeated cards count by multiplicity in both paths, flushes too
+        rng = np.random.default_rng(78)
+        for size in (0, 3, 4, 5):
+            for n_suited in range(min(size, 4) + 1):
+                for board in _suited_boards(rng, size, n_suited, 3):
+                    runs = self._runouts(board, 1 if size == 5 else 60, rng)
+                    used = np.concatenate([np.array(board, dtype=np.int64), runs.ravel()])
+                    holes = [rng.choice(used, 2) for _ in range(20)]  # pocket copies of one card too
+                    holes += [[rng.choice(used), rng.integers(52)] for _ in range(20)]
+                    self._check(runs, board, holes)
 
 
 class TestDealRng:

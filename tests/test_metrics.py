@@ -1,10 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from holdemlab.cards import DealRng, _unrank_combinations, parse_cards
+from holdemlab.cards import DealRng, _unrank_combinations, hand_score, parse_cards
 from holdemlab.metrics import (
     FailureCostModel,
     LedgerError,
@@ -245,6 +246,31 @@ class TestLockFinderOracle:
         assert len(record.showdown) == 3 and not any(seat == 1 for _, seat, _, _ in record.actions)
         assert_matches_walk(record)
         assert all_in_adjusted(record, "hero") != record.net[0]
+
+    def test_flop_lock_with_a_listed_seat_of_no_chips(self):
+        # seat 1 is listed with no chips, so the engine deals it out and
+        # seat 3 posts the big blind with its only chip; seat 2 jams the
+        # flop and the hero covers both. The walk names the blinds over
+        # every listed seat, so the flop-lock value is counted here instead:
+        # the hero's pot share over every turn and river, with the scalar
+        # evaluator and exact fractions.
+        record = scripted_hand(
+            ("hero", 500, Script()), ("busted", 0, Script()), ("v", 300, Script(flop=JAM)), ("short", 1, Script())
+        )
+        holes = dict(record.showdown)
+        assert set(holes) == {0, 2, 3} and not any(seat == 3 for _, seat, _, _ in record.actions)
+        flop = record.board[:3]
+        live = [c for c in range(52) if c not in {*flop, *holes[0], *holes[2], *holes[3]}]
+        runs = list(itertools.combinations(live, 2))
+        share = Fraction(0)
+        for run in runs:
+            scores = [hand_score((*holes[seat], *flop, *run)) for seat in (0, 2, 3)]
+            if scores[0] == max(scores):
+                share += Fraction(1, scores.count(scores[0]))
+        pot = sum(record.awards.values()) - record.total_rake()
+        invested = 300  # 2 pre-flop and the 298 of the flop jam
+        expected = round(share / len(runs) * pot) - invested
+        assert all_in_adjusted(record, "hero") == expected != record.net[0]
 
     def test_flop_lock_by_a_short_call(self):
         # the villain calls a 200 bet with its last 148, recorded as a call

@@ -131,17 +131,14 @@ class TestBoardContextFeatures:
 
     @pytest.mark.parametrize("group", SAME_RANKS)
     @pytest.mark.parametrize("order", [1, -1])
-    def test_rank_table_equals_per_combo_features(self, monkeypatch, group, order):
-        """Whichever board of a rank multiset fills its rank-table row, every
-        board served from it matches scoring, classing and drawing each combo
+    def test_rank_table_equals_per_combo_features(self, group, order):
+        """Every board of a rank multiset, in either order, is served one
+        rank-table row, and matches scoring, classing and drawing each combo
         with its own cards."""
-        from holdemlab import rsm
-        from holdemlab.cards import score_cards_batch
+        from holdemlab.cards import rank_table_row, score_cards_batch
         from holdemlab.rangegrid import COMBO_CARDS
         from holdemlab.rsm import _made_classes
 
-        monkeypatch.setattr(rsm, "_RANK_ROWS", np.zeros_like(rsm._RANK_ROWS))
-        monkeypatch.setattr(rsm, "_RANK_ROW_OF", {})
         for text in group[::order]:
             board = cards(text)
             ctx = BoardContext(board)
@@ -150,7 +147,8 @@ class TestBoardContextFeatures:
             assert (ctx.made == _made_classes(COMBO_CARDS, scores, board)).all(), text
             assert (ctx.draw == _per_combo_draw_tiers(COMBO_CARDS, board)).all(), text
         # one row, keyed by the sorted ranks whatever order the cards come in
-        assert list(rsm._RANK_ROW_OF) == [tuple(sorted(c >> 2 for c in cards(group[0])))]
+        rows = {rank_table_row(c >> 2 for c in cards(text)) for text in group}
+        assert rows == {rank_table_row(sorted(c >> 2 for c in cards(group[0])))}
 
     def test_percentile_of_one_combo_equals_the_table(self):
         """Counting one combo's live scores below and equal gives exactly
@@ -165,9 +163,32 @@ class TestBoardContextFeatures:
     def test_rank_table_has_a_row_for_every_rank_multiset(self):
         from itertools import combinations_with_replacement
 
-        from holdemlab.rsm import _RANK_ROWS
+        from holdemlab.cards import RANK_TABLE
 
-        assert len(_RANK_ROWS) == sum(1 for n in (3, 4, 5) for _ in combinations_with_replacement(range(13), n))
+        assert len(RANK_TABLE) == sum(1 for n in (3, 4, 5) for _ in combinations_with_replacement(range(13), n))
+
+    def test_every_rank_table_row_equals_the_row_builder(self):
+        """The shipped table holds, at each multiset's own row, exactly what
+        the kernel-backed builder makes; every row is some multiset's."""
+        from itertools import combinations_with_replacement
+
+        from holdemlab.cards import RANK_TABLE, rank_table_row
+        from holdemlab.rsm import _build_rank_row
+
+        seen = set()
+        for n in (3, 4, 5):
+            for ranks in combinations_with_replacement(range(13), n):
+                row = rank_table_row(ranks)
+                assert (RANK_TABLE[row] == _build_rank_row(ranks)).all(), ranks
+                seen.add(row)
+        assert seen == set(range(len(RANK_TABLE)))
+
+    def test_rank_table_is_read_only(self):
+        from holdemlab.cards import RANK_TABLE
+
+        assert not RANK_TABLE.flags.writeable
+        with pytest.raises(ValueError):
+            RANK_TABLE[0, 0] = 1
 
 
 def _suited_boards(rng, size, n_suited, count):
