@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Build the rank table that holdemlab.cards reads at import.
+"""Build the rank table that holdemlab.cards.rank_table reads.
 
 The table (src/holdemlab/data/rank_table.npy, see the rank-table comment in
 cards.py) holds one row per multiset of 3, 4 or 5 ranks. Each row comes from
 rsm._build_rank_row, which scores, classes and counts straight outs with
-the kernel and never reads the shipped table, so a stale table is rebuilt
-correctly. Run from the repo root after changing what a row holds:
+the kernel. Nothing this script runs reads the shipped table, so a stale,
+missing or misshapen file is rebuilt correctly. Run from the repo root
+after changing what a row holds:
 
     python3 scripts/make_rank_table.py           # regenerate the table
     python3 scripts/make_rank_table.py --check   # rebuild and compare only
@@ -52,6 +53,9 @@ def main(argv: list[str] | None = None) -> int:
         np.save(PATH, table)
         print(f"wrote {PATH} ({table.shape[0]} rows)")
         return 0
+    if not PATH.exists():
+        print(f"{PATH}: missing")
+        return 1
     shipped = np.load(PATH)
     if shipped.shape != table.shape or shipped.dtype != table.dtype:
         print(f"{PATH}: shipped {shipped.dtype} {shipped.shape}, built {table.dtype} {table.shape}")

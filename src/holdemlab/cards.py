@@ -7,6 +7,7 @@ which is what range-wide strength queries and equity sweeps need.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -232,74 +233,51 @@ def score_cards_batch(
     cards: np.ndarray, board: Sequence[int] = (), holes: Sequence[Sequence[int]] | None = None
 ) -> np.ndarray:
     """Vectorized hand_score over the rows of an (n, k) array of card
-    indices, each scored with a board shared by every row.
+    indices, each scored with a board shared by every row. Cards may repeat
+    (dead combos in a range sweep) and then count with multiplicity.
 
-    Without holes the result has one score per row. With holes, hands of
-    j cards each (usually two), the rows are runouts shared by every hand:
-    the result is (len(holes), n), hand i scored with row r and the board.
-    Each scored set must hold 5..7 cards. Cards may repeat (dead combos in
-    a range sweep) and then count with multiplicity.
+    Without holes the result has one score per row, by the fold: the board
+    is folded once into rank masks and suit data, then the rows once on top
+    of it. Each row with the board must hold 5..7 cards.
 
-    Two paths give the same scores. Two-card hands on rows that complete
-    the board to five cards (len(board) + k == 5: every runout an equity
-    sweep or an all-in lock scores) are read from the rank table, one
-    gather per (hand, row), with the flush scores of the few rows whose
-    suit can reach five taken from FLUSH_SCORE. Every other shape (no
-    holes, other hand sizes, five or six cards before the hands) runs the
-    fold: the board is folded once into rank masks and suit data, then
-    the rows once on top of it; only then are the hands added, by
-    broadcasting over the rows, a block of hands at a time."""
+    With holes, two-card hands, the rows are runouts that complete the
+    board to five cards (len(board) + k == 5: every runout an equity sweep
+    or an all-in lock scores), shared by every hand. The result is
+    (len(holes), n), hand i scored with row r and the board, read from the
+    rank table (_score_from_rank_table). Other shapes raise ValueError."""
     cards = np.asarray(cards, dtype=np.int64)
     n, k = cards.shape
-    hands = _NO_HANDS if holes is None else np.asarray(holes, dtype=np.int64).reshape(len(holes), -1)
-    if holes is not None and hands.shape[1] == 2 and len(board) + k == 5:
+    if holes is not None:
+        hands = np.asarray(holes, dtype=np.int64).reshape(len(holes), -1)
+        if hands.shape[1] != 2 or len(board) + k != 5:
+            raise InvalidCardsError(
+                f"holes must be two-card hands on rows that complete the board to five cards,"
+                f" not {hands.shape[1]}-card hands on {len(board)} + {k} cards"
+            )
         return _score_from_rank_table(cards, board, hands)
     fold = (0, 0, 0, 0, 0, 0)
     for c in board:
         fold = _add_card(fold, int(c))
     # Suit data is kept only when some suit can reach five cards.
-    suits = [s for s in range(4) if (fold[4] >> 4 * s & 0xF) + k + hands.shape[1] >= 5]
+    suits = [s for s in range(4) if (fold[4] >> 4 * s & 0xF) + k >= 5]
     fold = tuple(np.full(n, v, dtype=np.int64) for v in fold[: 6 if suits else 4])
     for col in cards.T:
         fold = _add_card(fold, col)
-    m1, m2, m3, m4 = fold[:4]
-    counts = {s: fold[4] >> 4 * s & 0xF for s in suits}
-    masks = {s: fold[5] >> 16 * s & 0x1FFF for s in suits}
-
-    out = np.empty((len(hands), n), dtype=np.int64)
-    step = max(1, _BLOCK // max(n, 1))
-    for lo in range(0, len(hands), step):
-        # Hand columns are (hands, 1), so the masks become (hands, rows).
-        fold = (m1, m2, m3, m4, 0, 0)[: 6 if suits else 4]
-        for col in hands[lo : lo + step].T:
-            fold = _add_card(fold, col[:, None])
-        h1, h2, h3, h4 = fold[:4]
-        fmask = np.zeros(h1.shape, dtype=np.int64)
-        has_flush = np.zeros(h1.shape, dtype=bool)
-        # At most one suit reaches five cards among seven.
-        for s in suits:
-            hit = counts[s] >= 5 - (fold[4] >> 4 * s & 0xF)
-            np.copyto(fmask, masks[s] | (fold[5] >> 16 * s & 0x1FFF), where=hit)
-            has_flush |= hit
-        out[lo : lo + step] = _score_masks(h1, h2, h3, h4, fmask, has_flush)
-    return out if holes is not None else out[0]
-
-
-# Hands are added a block at a time, so that each (hands x rows) temporary
-# of a block holds about this many entries whatever the hand and row counts:
-# 1,326 range combos x 1,081 flop runouts would otherwise make about 11 MB
-# per temporary, and _score_masks makes dozens. A pre-flop all-in (12,000
-# runouts) runs one hand per block. Without holes the rows are scored as
-# one hand with no cards.
-_BLOCK = 1 << 14
-_NO_HANDS = np.zeros((1, 0), dtype=np.int64)
+    fmask = np.zeros(n, dtype=np.int64)
+    has_flush = np.zeros(n, dtype=bool)
+    # At most one suit reaches five cards among seven.
+    for s in suits:
+        hit = (fold[4] >> 4 * s & 0xF) >= 5
+        np.copyto(fmask, fold[5] >> 16 * s & 0x1FFF, where=hit)
+        has_flush |= hit
+    return _score_masks(*fold[:4], fmask, has_flush)
 
 
 def _add_card(fold, c):
     """fold with card c added. fold holds rank masks m1..m4 (bit r set when
     rank r is held at least 1..4 times) and, optionally, per-suit card counts
     (4 bits a suit) and rank masks (16 bits a suit) packed four suits to an
-    integer. c and the entries are Python ints or broadcasting arrays."""
+    integer. c and the entries are Python ints or arrays of one length."""
     b = 1 << (c >> 2)
     if len(fold) == 4:
         m1, m2, m3, m4 = fold
@@ -365,12 +343,14 @@ def _score_masks(m1, m2, m3, m4, fmask, has_flush) -> np.ndarray:
 # ranks (455 + 1,820 + 6,188) and a column for each hole-rank pair lo <= hi
 # (91, in (lo, hi) order). An entry packs the pair's score with the ranks,
 # its rsm.MadeClass and, below five ranks, how many ranks complete a
-# straight for it: score | made << 24 | outs << 28. Rows run block by block
-# and, within a block, in colex order: sorted ranks r_0 <= r_1 <= ... are
-# the set {r_i + i}, numbered sum C(r_i + i, i + 1).
+# straight for it: score | made << 24 | outs << 28 (pack_rank_entries,
+# rank_table_entries). Rows run block by block and, within a block, in
+# colex order: sorted ranks r_0 <= r_1 <= ... are the set {r_i + i},
+# numbered sum C(r_i + i, i + 1).
 #
-# scripts/make_rank_table.py builds every row with rsm's row builder; the
-# table is read once here, whole, and never written.
+# scripts/make_rank_table.py builds every row with rsm's row builder, which
+# scores with the fold and never reads the table. rank_table() reads the
+# file whole on first use; the table is never written.
 # ---------------------------------------------------------------------------
 
 RANK_PAIRS = np.array([(lo, hi) for lo in range(13) for hi in range(lo, 13)], dtype=np.int64)
@@ -396,7 +376,14 @@ def rank_table_row(ranks: Iterable[int]) -> int:
     return _ROW_OFFSET[len(ranks)] + sum(_COLEX_PY[i][r] for i, r in enumerate(ranks))
 
 
-def _load_rank_table() -> np.ndarray:
+_MADE_SHIFT = 24
+_OUTS_SHIFT = 28
+_SCORE_MASK = (1 << _MADE_SHIFT) - 1
+
+
+@functools.cache
+def rank_table() -> np.ndarray:
+    """The rank table, read-only, read from its file on first use."""
     path = DATA_DIR / "rank_table.npy"
     table = np.load(path)
     if table.dtype != np.int32 or table.shape != (RANK_TABLE_ROWS, len(RANK_PAIRS)):
@@ -405,7 +392,17 @@ def _load_rank_table() -> np.ndarray:
     return table
 
 
-RANK_TABLE = _load_rank_table()
+def pack_rank_entries(scores: np.ndarray, made: np.ndarray, outs: np.ndarray) -> np.ndarray:
+    """Rank-table entries of scores, made classes and straight outs."""
+    return scores | made << _MADE_SHIFT | outs << _OUTS_SHIFT
+
+
+def rank_table_entries(ranks: Iterable[int], columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores, made classes and straight outs in the rank table's row of a
+    multiset of board ranks, at the given rank-pair columns."""
+    packed = rank_table()[rank_table_row(ranks)].astype(np.int64)[columns]
+    return packed & _SCORE_MASK, packed >> _MADE_SHIFT & 0xF, packed >> _OUTS_SHIFT
+
 
 # A flush's score by its suit's rank mask.
 FLUSH_SCORE = np.where(STRAIGHT_TOP >= 0, 8 << _CAT_SHIFT | STRAIGHT_TOP << 16, 5 << _CAT_SHIFT | TOP5)
@@ -424,8 +421,8 @@ def _score_from_rank_table(rows: np.ndarray, board: Sequence[int], hands: np.nda
     ranks.sort(axis=1)
     table_rows = _COLEX[_FIVE, ranks].sum(axis=1) + _ROW_OFFSET[5]
     columns = RANK_PAIR_COLUMN[hands[:, 0] >> 2, hands[:, 1] >> 2]
-    out = RANK_TABLE[table_rows[None, :], columns[:, None]].astype(np.int64)
-    out &= 0xFFFFFF
+    out = rank_table()[table_rows[None, :], columns[:, None]].astype(np.int64)
+    out &= _SCORE_MASK
 
     # Suit counts and rank masks packed as the fold packs them. Adding 5 (or
     # 3) to a count sets the count's top bit when it holds 3 (or 5) or more.

@@ -97,7 +97,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .metrics import TrialReport, ledger_from_records
+    from .metrics import LedgerError, TrialReport, ledger_from_records
     from .table import HistoryFormatError, parse_history
 
     try:
@@ -109,7 +109,10 @@ def cmd_report(args) -> int:
     if not any(r.hero_seat_of(args.hero) is not None for r in records):
         return _err(f"{args.history}: hero {args.hero!r} is in no hand")
     bb = records[0].bb_cents
-    ledger = ledger_from_records(records, args.hero, bb, rakeback_rate=args.rakeback_rate)
+    try:
+        ledger = ledger_from_records(records, args.hero, bb, rakeback_rate=args.rakeback_rate)
+    except LedgerError as e:
+        return _err(f"{args.history}: {e}")
     report = TrialReport.from_ledger(ledger)
     print(report.to_text())
     if args.out:

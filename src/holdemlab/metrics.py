@@ -171,7 +171,10 @@ def _adjusted_at_seat(record: HandRecord, hero_seat: int) -> int:
         if preflop is None:  # never acted pre-flop: what it posted, if a blind
             # named among the seats dealt in, as the engine names them: a
             # seat with no chips is listed but not dealt in
-            position = positions_for(sorted(s for s, stack in stacks.items() if stack > 0), record.button).get(seat)
+            dealt = sorted(s for s, stack in stacks.items() if stack > 0)
+            if record.button not in dealt:
+                raise LedgerError(f"hand {record.hand_id}: btn {record.button} is not a listed seat with chips")
+            position = positions_for(dealt, record.button).get(seat)
             preflop = min({"sb": record.sb_cents, "bb": record.bb_cents}.get(position, 0), stacks[seat])
         flop = preflop + street_total.get((seat, "flop"), 0)
         turn = flop + street_total.get((seat, "turn"), 0)

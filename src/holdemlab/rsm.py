@@ -28,13 +28,13 @@ from .cards import (
     FLUSH_SCORE,
     RANK_PAIR_COLUMN,
     RANK_PAIRS,
-    RANK_TABLE,
     STRAIGHT_OUTS,
     STRAIGHT_TOP,
     HandCategory,
     InvalidCardsError,
     hand_score,
-    rank_table_row,
+    pack_rank_entries,
+    rank_table_entries,
     score_cards_batch,
     validate_board,
 )
@@ -300,7 +300,7 @@ _FLUSH_MADE = np.where(STRAIGHT_TOP >= 0, int(MadeClass.STRAIGHT_FLUSH), int(Mad
 def _build_rank_row(ranks: Sequence[int]) -> np.ndarray:
     """The rank table's row for a multiset of 3, 4 or 5 ranks, from the
     kernel: each rank pair's score with the ranks, _made_classes and, below
-    five ranks, _straight_outs, packed score | made << 24 | outs << 28.
+    five ranks, _straight_outs, packed by cards.pack_rank_entries.
 
     The ranks go on a board round-robin over the suits in sorted order (so
     no suit holds more than two), and each pair takes two cards of the suit
@@ -310,10 +310,8 @@ def _build_rank_row(ranks: Sequence[int]) -> np.ndarray:
     suit_counts = [sum(c & 3 == s for c in board) for s in range(4)]
     pair_cards = RANK_PAIRS * 4 + suit_counts.index(min(suit_counts))
     scores = score_cards_batch(pair_cards, board)
-    packed = scores | _made_classes(pair_cards, scores, board) << 24
-    if len(board) < 5:
-        packed |= _straight_outs(pair_cards, board) << 28
-    return packed
+    outs = _straight_outs(pair_cards, board) if len(board) < 5 else 0
+    return pack_rank_entries(scores, _made_classes(pair_cards, scores, board), outs)
 
 
 def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,10 +328,7 @@ def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.
     if n_suited == 5:  # every combo plays the board's flush: each is scored with its own cards
         scores = score_cards_batch(COMBO_CARDS, board)
         return scores, _made_classes(COMBO_CARDS, scores, board), np.zeros(N_COMBOS, dtype=np.int64)
-    packed = RANK_TABLE[rank_table_row([c >> 2 for c in board])].astype(np.int64)[_RANK_PAIR_OF_COMBO]
-    scores = packed & 0xFFFFFF
-    made = (packed >> 24) & 0xF
-    outs = packed >> 28
+    scores, made, outs = rank_table_entries([c >> 2 for c in board], _RANK_PAIR_OF_COMBO)
     if n_suited >= 3:  # only then can two more cards make five
         rows = np.flatnonzero(_IN_SUIT[flush_suit] >= 5 - n_suited)
         board_bits = 0
@@ -359,9 +354,9 @@ class BoardContext:
     once per street and shared across every grid on that board.
 
     The no-flush part of a build is one row of the rank table
-    (`cards.RANK_TABLE`): per rank multiset of the board, the 91 rank
+    (`cards.rank_table`): per rank multiset of the board, the 91 rank
     pairs' scores, made classes and straight outs. The table is complete
-    (8,463 rows, 3.1 MB, read whole at import) and read-only, so what it
+    (8,463 rows, 3.1 MB, read whole on first use) and read-only, so what it
     serves cannot depend on which boards came before. On a board
     with three or four cards of one suit, a combo that makes a flush reads
     its flush's score and class from two 8,192-entry tables indexed by the

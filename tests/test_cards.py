@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from holdemlab import cards as cards_module
 from holdemlab.cards import (
     Card,
     DealRng,
@@ -151,7 +150,7 @@ class TestEvaluate7:
                 # the rows with the hand's cards appended do
                 dup = rng.choice(52, size=(n_hands, 2)) if n_board else rows[:n_hands, :2]
                 self._check_holes_against_joined_rows(rows, board, dup)
-        # hands spanning several blocks of the kernel
+        # a pre-flop lock's 12,000 runouts, and a whole range on a flop
         deck = [c for c in range(52) if c not in (0, 5, 10, 15, 20, 25)]
         runs = np.array([rng.choice(deck, size=5, replace=False) for _ in range(12_000)])
         self._check_holes_against_joined_rows(runs, (), [[0, 5], [10, 15], [20, 25]])
@@ -163,6 +162,7 @@ class TestEvaluate7:
     @staticmethod
     def _check_holes_against_joined_rows(rows, board, holes):
         got = score_cards_batch(rows, board, holes=holes)
+        assert got.shape == (len(holes), len(rows))
         holes = np.asarray(holes)
         joined = np.concatenate([np.repeat(holes, len(rows), axis=0), np.tile(rows, (len(holes), 1))], axis=1)
         assert (got == score_cards_batch(joined, board).reshape(len(holes), len(rows))).all()
@@ -178,8 +178,13 @@ class TestRankTablePath:
         rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), 5 - len(board))
         holes = np.asarray(holes, dtype=np.int64)
         TestEvaluate7._check_holes_against_joined_rows(rows, board, holes)
-        got = cards_module._score_from_rank_table(rows, board, holes)
-        assert (got == score_cards_batch(rows, board, holes=holes)).all(), board
+
+    def test_other_shapes_with_holes_are_refused(self):
+        # the fold scores rows without holes; with holes only the table's shape is served
+        with pytest.raises(InvalidCardsError, match="3-card hands on 3 \\+ 2 cards"):
+            score_cards_batch(np.zeros((4, 2)), cards("KhKd7c"), holes=[[0, 1, 2]])
+        with pytest.raises(InvalidCardsError, match="2-card hands on 3 \\+ 1 cards"):
+            score_cards_batch(np.zeros((4, 1)), cards("KhKd7c"), holes=[[0, 1]])
 
     @staticmethod
     def _runouts(board, count=None, rng=None):

@@ -272,6 +272,23 @@ class TestLockFinderOracle:
         expected = round(share / len(runs) * pot) - invested
         assert all_in_adjusted(record, "hero") == expected != record.net[0]
 
+    def test_button_listed_with_no_chips_is_a_ledger_error(self, tmp_path, capsys):
+        # the hand above, hand-edited so that the button is the 0-chip seat
+        from holdemlab.cli import main as cli_main
+        from holdemlab.table import parse_history, write_history
+
+        record = scripted_hand(
+            ("hero", 500, Script()), ("busted", 0, Script()), ("v", 300, Script(flop=JAM)), ("short", 1, Script())
+        )
+        path = tmp_path / "edited.hh"
+        write_history([record], str(path))
+        path.write_text(path.read_text().replace(" btn=0 ", " btn=1 ", 1))
+        (edited,) = parse_history(str(path))
+        with pytest.raises(LedgerError, match="hand 1: btn 1 is not a listed seat with chips"):
+            all_in_adjusted(edited, "hero")
+        assert cli_main(["report", str(path), "--hero", "hero"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: hand 1: btn 1 is not a listed seat with chips\n"
+
     def test_flop_lock_by_a_short_call(self):
         # the villain calls a 200 bet with its last 148, recorded as a call
         record = scripted_hand(("hero", 500, Script(flop=(ActionType.BET, 200))), ("villain", 150, Script()))

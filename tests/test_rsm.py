@@ -163,32 +163,33 @@ class TestBoardContextFeatures:
     def test_rank_table_has_a_row_for_every_rank_multiset(self):
         from itertools import combinations_with_replacement
 
-        from holdemlab.cards import RANK_TABLE
+        from holdemlab.cards import rank_table
 
-        assert len(RANK_TABLE) == sum(1 for n in (3, 4, 5) for _ in combinations_with_replacement(range(13), n))
+        assert len(rank_table()) == sum(1 for n in (3, 4, 5) for _ in combinations_with_replacement(range(13), n))
 
     def test_every_rank_table_row_equals_the_row_builder(self):
         """The shipped table holds, at each multiset's own row, exactly what
         the kernel-backed builder makes; every row is some multiset's."""
         from itertools import combinations_with_replacement
 
-        from holdemlab.cards import RANK_TABLE, rank_table_row
+        from holdemlab.cards import rank_table, rank_table_row
         from holdemlab.rsm import _build_rank_row
 
         seen = set()
         for n in (3, 4, 5):
             for ranks in combinations_with_replacement(range(13), n):
                 row = rank_table_row(ranks)
-                assert (RANK_TABLE[row] == _build_rank_row(ranks)).all(), ranks
+                assert (rank_table()[row] == _build_rank_row(ranks)).all(), ranks
                 seen.add(row)
-        assert seen == set(range(len(RANK_TABLE)))
+        assert seen == set(range(len(rank_table())))
 
     def test_rank_table_is_read_only(self):
-        from holdemlab.cards import RANK_TABLE
+        from holdemlab.cards import rank_table
 
-        assert not RANK_TABLE.flags.writeable
+        table = rank_table()
+        assert not table.flags.writeable and rank_table() is table  # read once
         with pytest.raises(ValueError):
-            RANK_TABLE[0, 0] = 1
+            table[0, 0] = 1
 
 
 def _suited_boards(rng, size, n_suited, count):
