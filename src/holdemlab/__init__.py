@@ -21,7 +21,7 @@ from .rangegrid import (
     assign_preflop_range,
     load_range_file,
 )
-from .rsm import BoardContext, RsCategory, RsmTable, board_texture, relative_strength
+from .rsm import BoardContext, RsCategory, RsmTable, board_texture
 from .rets import (
     RET,
     OpponentRangeTracker,
@@ -71,7 +71,6 @@ __all__ = [
     "RsCategory",
     "RsmTable",
     "board_texture",
-    "relative_strength",
     "RET",
     "OpponentRangeTracker",
     "RetDispatch",

@@ -197,6 +197,8 @@ class Brain:
         self.folded: set[str] = set()
         self.hero_hole: tuple[int, int] | None = None
         self.snapshots: list[dict] = []
+        # This hand's board contexts, by board: at most one per street.
+        self.board_contexts: dict[tuple[int, ...], BoardContext] = {}
         self._board_ctx: BoardContext | None = None
 
     def begin_hand(
@@ -257,7 +259,7 @@ class Brain:
         self.trackers[player_id] = tracker
 
     def observe_new_street(self, board: Sequence[int]) -> None:
-        self._board_ctx = BoardContext.cached(board)
+        self._board_ctx = BoardContext.cached(board, self.board_contexts)
         for pid, tracker in self.trackers.items():
             if pid not in self.folded:
                 tracker.on_new_street(board, self._board_ctx)

@@ -50,12 +50,6 @@ class Card:
         return (self.rank - 2) * 4 + self.suit
 
     @classmethod
-    def from_index(cls, idx: int) -> "Card":
-        if not (0 <= idx < DECK_SIZE):
-            raise InvalidCardsError(f"card index {idx} out of range")
-        return cls(rank=(idx >> 2) + 2, suit=idx & 3)
-
-    @classmethod
     def parse(cls, text: str) -> "Card":
         t = text.strip()
         if len(t) != 2:

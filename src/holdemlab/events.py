@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import TypeVar
 
 
 class Street(IntEnum):
@@ -30,6 +31,18 @@ class ActionType(IntEnum):
 
 
 _ACTION_KEYS = tuple({"ALL_IN": "allin"}.get(a.name, a.name.lower()) for a in ActionType)
+
+_Keyed = TypeVar("_Keyed", Street, ActionType)
+_BY_KEY = {kind: {m.key: m for m in kind} for kind in (Street, ActionType)}
+
+
+def from_key(kind: type[_Keyed], word: str) -> _Keyed:
+    """The `Street` or `ActionType` member whose `key` is `word`, in any
+    case ("flop", "allin"). An unknown word raises ValueError naming it."""
+    member = _BY_KEY[kind].get(word.lower())
+    if member is None:
+        raise ValueError(f"unknown {kind.__name__} {word!r}")
+    return member
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,6 @@ def _shade(weight: float, wmax: float) -> tuple[int, int, int]:
     return tuple(int(round(l + (d - l) * t)) for l, d in zip(_LIGHT, _DARK))
 
 
-def intensity(weight: float, wmax: float) -> float:
-    """Monotone darkness in [0, 1] used by both renderers."""
-    return 0.0 if wmax <= 0 else min(1.0, weight / wmax)
-
-
 def _class_matrix(grid: ComboGrid) -> np.ndarray:
     return grid.class_view().weights
 

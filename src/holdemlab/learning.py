@@ -22,7 +22,7 @@ model minusculely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,6 +57,9 @@ class PredictionRecord:
     realized_beat_hero: bool | None
     bucket: str
     in_support: bool
+    # The context the snapshot was read under, so apply_learning queries
+    # the board without building it again.
+    board_ctx: BoardContext | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -71,7 +74,7 @@ class DeltaEvent:
 def realized_category(hole: Sequence[int], board: Sequence[int], ctx: BoardContext | None = None) -> int:
     """Ground-truth category: the revealed hand's percentile among live
     opposing combos on this board, independent of the learned table."""
-    ctx = ctx or BoardContext.cached(board)
+    ctx = ctx or BoardContext(board)
     idx = combo_index(hole[0], hole[1])
     q = ctx.percentile_of(idx)
     cat = int(np.floor(q * 9.0 + 0.5))
@@ -123,6 +126,7 @@ def records_from_snapshots(
                 realized_beat_hero=vill_score > hero_score,
                 bucket=rsm.bucket_for(hole, board, ctx),
                 in_support=snap["grid"].weights[combo_index(*hole)] > 0,
+                board_ctx=ctx,
             )
         )
     return out
@@ -206,7 +210,7 @@ def apply_learning(
     for rec in records:
         top1, top2 = _top2(rec.distribution)
         correct = rec.realized_category in (top1, top2)
-        query_cat = int(rsm.query(rec.revealed_hole, rec.board))
+        query_cat = int(rsm.query(rec.revealed_hole, rec.board, rec.board_ctx))
         direction = float(np.sign(rec.realized_category - query_cat))
         magnitude = delta_reinforce if correct else delta_correct
         if direction != 0.0:
@@ -234,9 +238,3 @@ def apply_learning(
             if not audit:
                 store.showdown_refine(pid, rec.revealed_hole, rec.grid, rec.archetype)
     return events
-
-
-def write_audit_log(events: Iterable[DeltaEvent], path: str) -> None:
-    with open(path, "a", encoding="utf-8") as f:
-        for ev in events:
-            f.write(f"{ev.hand_id}\t{ev.player_id}\t{ev.bucket}\t{ev.delta:+.3f}\t{ev.reason}\n")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .events import ActionEvent, ActionType, Street
+from .events import ActionEvent, ActionType, Street, from_key
 from .rangegrid import CLASS_OF_COMBO, ComboGrid, combo_index
 
 
@@ -446,29 +446,35 @@ class ProfileStore:
     @classmethod
     def load(cls, log_path: str, snapshot_path: str, **kwargs) -> tuple["ProfileStore", dict[str, float]]:
         """The store and the RSM overlay that `save` wrote. A missing file
-        raises FileNotFoundError naming it; a snapshot of another version
-        raises ValueError."""
+        raises FileNotFoundError naming it; a malformed log line, or a
+        snapshot of another version, raises ValueError naming the file (and
+        the line)."""
         store = cls(**kwargs)
         with open(log_path, encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, start=1):
                 if line.startswith("#") or not line.strip():
                     continue
                 parts = line.rstrip("\n").split("\t")
-                if parts[0] == "act":
-                    store.record_event(
-                        ActionEvent(
-                            hand_id=int(parts[1]),
-                            player_id=parts[2],
-                            street=Street[parts[3].upper()],
-                            action=ActionType["ALL_IN" if parts[4] == "allin" else parts[4].upper()],
-                            amount_bb=float(parts[5]),
-                            pot_before_bb=float(parts[6]),
-                            position=parts[7],
-                            timestamp=float(parts[8]),
+                try:
+                    if parts[0] == "act":
+                        store.record_event(
+                            ActionEvent(
+                                hand_id=int(parts[1]),
+                                player_id=parts[2],
+                                street=from_key(Street, parts[3]),
+                                action=from_key(ActionType, parts[4]),
+                                amount_bb=float(parts[5]),
+                                pot_before_bb=float(parts[6]),
+                                position=parts[7],
+                                timestamp=float(parts[8]),
+                            )
                         )
-                    )
-                elif parts[0] == "reveal":
-                    store.record_showdown(int(parts[1]), parts[2], parts[3])
+                    elif parts[0] == "reveal":
+                        store.record_showdown(int(parts[1]), parts[2], parts[3])
+                    else:
+                        raise ValueError(f"unknown record {parts[0]!r}")
+                except (ValueError, IndexError) as e:
+                    raise ValueError(f"{log_path}:{lineno}: {e}") from None
         with open(snapshot_path, encoding="utf-8") as f:
             snap = json.load(f)
         if snap.get("version") != 1:

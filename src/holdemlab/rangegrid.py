@@ -104,9 +104,6 @@ def class_id(name: str) -> int:
 # Grids
 # ---------------------------------------------------------------------------
 
-_NORM_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class ClassGrid169:
     """13x13 aggregation of a combo grid (pairs diagonal, suited above)."""
@@ -115,10 +112,6 @@ class ClassGrid169:
 
     def total(self) -> float:
         return float(self.weights.sum())
-
-    def weight_of(self, name: str) -> float:
-        cid = class_id(name)
-        return float(self.weights[cid // 13, cid % 13])
 
 
 @dataclass(frozen=True)
@@ -186,9 +179,6 @@ class ComboGrid:
         if t <= 0:
             return ComboGrid._trusted(np.zeros(N_COMBOS), degenerate=True)
         return ComboGrid._trusted(self.weights / t, degenerate=self.degenerate)
-
-    def is_normalized(self) -> bool:
-        return abs(self.weights.sum() - 1.0) <= _NORM_TOL
 
     def strip(self, dead: Iterable[int]) -> "ComboGrid":
         """Zero every combo that intersects the dead cards, then renormalize.

@@ -197,7 +197,7 @@ def reshape(grid: ComboGrid, board: Sequence[int], ret: RET, rsm: RsmTable, ctx:
     """Multiply the template weight of each combo's current category into the
     grid and renormalize. Support never grows; an annihilated grid falls back
     degenerate-uniform over its prior support."""
-    ctx = ctx or BoardContext.cached(board)
+    ctx = ctx or BoardContext(board)
     cats = rsm.categories_many(ctx)
     # Dead combos (category -1) take the leading 0.0.
     return grid._renormalized(grid.weights * ret.factors[cats + 1])
@@ -205,7 +205,7 @@ def reshape(grid: ComboGrid, board: Sequence[int], ret: RET, rsm: RsmTable, ctx:
 
 def rs_distribution(grid: ComboGrid, board: Sequence[int], rsm: RsmTable, ctx: BoardContext | None = None) -> np.ndarray:
     """Probability mass over the 11 categories for a normalized grid."""
-    ctx = ctx or BoardContext.cached(board)
+    ctx = ctx or BoardContext(board)
     return _category_mass(grid, rsm.categories_many(ctx))
 
 
@@ -226,7 +226,7 @@ def chib(hero: Sequence[int], grid: ComboGrid, board: Sequence[int], ctx: BoardC
     hold a hero card or a board card weigh nothing; both masks come from
     `BoardContext.hero_masks`, built once per board and hero."""
     board = validate_board(board)
-    ctx = ctx or BoardContext.cached(board)
+    ctx = ctx or BoardContext(board)
     kill, beats_hero = ctx.hero_masks(hero)
     w = np.where(kill, 0.0, grid.weights)
     total = w.sum()
@@ -284,7 +284,7 @@ class OpponentRangeTracker:
         """Strip the new board's cards. The step is labelled with the flat
         template, whose reshape would leave the stripped grid as it is:
         `parse_ret_lines` rejects a flat template with unequal weights."""
-        ctx = ctx or BoardContext.cached(board)
+        ctx = ctx or BoardContext(board)
         self.grid = self.grid.strip_mask(ctx.dead_mask)
         step = PipelineStep("street", ctx.street, FLAT_RET_ID, self.grid, self.rsm.categories_many(ctx))
         self.history.append(step)
@@ -299,7 +299,7 @@ class OpponentRangeTracker:
         position: str = "oop",
         ctx: BoardContext | None = None,
     ) -> PipelineStep:
-        ctx = ctx or BoardContext.cached(board)
+        ctx = ctx or BoardContext(board)
         ret_id = self.dispatch.select(ctx.street, self.archetype, action, aggressor, position)
         self.grid = reshape(self.grid, board, self.rets[ret_id], self.rsm, ctx)
         step = PipelineStep("action", ctx.street, ret_id, self.grid, self.rsm.categories_many(ctx))

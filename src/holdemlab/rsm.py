@@ -15,9 +15,6 @@ quads on a paired board that cripple the board and choke off action.
 """
 from __future__ import annotations
 
-import functools
-import itertools
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -157,13 +154,7 @@ def _board_rank_tables(board: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np
     holding by its higher rank, of a pocket pair by its rank, and of a pair
     made with one hole card by (rank, kicker >= T)."""
     distinct = sorted({c >> 2 for c in board}, reverse=True)
-    return _rank_tables(distinct[0], distinct[1] if len(distinct) > 1 else -1)
-
-
-@functools.cache
-def _rank_tables(bt0: int, bt1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_board_rank_tables of a board whose top two distinct ranks are bt0
-    and bt1 (-1 when none). Cached: they are shared, so read-only."""
+    bt0, bt1 = distinct[0], distinct[1] if len(distinct) > 1 else -1
     high, pocket, hole_pair = [], [], []
     for r in range(13):
         high.append(MadeClass.HIGH_CARD if r > bt0 or r == 12 else MadeClass.NOTHING)
@@ -175,10 +166,7 @@ def _rank_tables(bt0: int, bt1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
             hole_pair += [MadeClass.PAIR_TOP_WEAK, MadeClass.PAIR_TOP_GOOD]
         else:
             hole_pair += [MadeClass.PAIR_MID if r == bt1 else MadeClass.PAIR_WEAK] * 2
-    tables = tuple(np.array(t, dtype=np.int64) for t in (high, pocket, hole_pair))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+    return tuple(np.array(t, dtype=np.int64) for t in (high, pocket, hole_pair))
 
 
 # The hand categories and made class the hot paths read, as plain ints: an
@@ -350,8 +338,11 @@ def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.
 
 class BoardContext:
     """Everything strength-related that depends only on the board: scores,
-    features, and the river percentile table for all 1,326 combos. Built
-    once per street and shared across every grid on that board.
+    features, and the river percentile table for all 1,326 combos. A
+    context is a pure function of its board. Its owner builds it once per
+    street (`Brain` through `cached`, into a dict it clears each hand) and
+    shares it across every grid on that board; nothing holds it at process
+    level, so a run's results and speed do not depend on what ran before.
 
     The no-flush part of a build is one row of the rank table
     (`cards.rank_table`): per rank multiset of the board, the 91 rank
@@ -376,7 +367,7 @@ class BoardContext:
         self.scores = np.where(self.dead_mask, -1, scores)
         self.max_score = int(self.scores.max())
         self._percentile: np.ndarray | None = None
-        self._category_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._category_cache: dict[tuple[RsmTable, int], np.ndarray] = {}
         self._hero_masks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     _HERO_MASKS_MAX = 4
@@ -424,19 +415,16 @@ class BoardContext:
         ties = int(np.count_nonzero(live_scores == s))
         return (less + 0.5 * ties) / max(live_scores.size, 1)
 
-    _CTX_CACHE: "dict[tuple[int, ...], BoardContext]" = {}
-    _CTX_CACHE_MAX = 24
-
     @classmethod
-    def cached(cls, board: Sequence[int]) -> "BoardContext":
-        """Shared per-board context; hot paths on the same street reuse it."""
+    def cached(cls, board: Sequence[int], contexts: "dict[tuple[int, ...], BoardContext]") -> "BoardContext":
+        """The context of `board` in `contexts`, a dict the caller owns and
+        clears, built and added when it is missing. A `Brain` keeps one for
+        the current hand, so the board is read once per street and shared by
+        every opponent's range on it."""
         key = tuple(board)
-        ctx = cls._CTX_CACHE.get(key)
+        ctx = contexts.get(key)
         if ctx is None:
-            ctx = cls(board)
-            if len(cls._CTX_CACHE) >= cls._CTX_CACHE_MAX:
-                cls._CTX_CACHE.pop(next(iter(cls._CTX_CACHE)))
-            cls._CTX_CACHE[key] = ctx
+            ctx = contexts[key] = cls(board)
         return ctx
 
 
@@ -512,11 +500,6 @@ _MADE = np.arange(16)[None, :, None]
 _DRAW = np.arange(4)[None, None, :]
 
 
-# Every RsmTable takes the next number as its cache token: unlike id(), a
-# token is never reused after the table is freed.
-_TABLE_TOKENS = itertools.count()
-
-
 class RsmTable:
     """Rule base plus an additive learned overlay, queried per (hole, board).
 
@@ -531,7 +514,6 @@ class RsmTable:
         self.clamp = float(clamp)
         self.overlay: dict[str, float] = {}
         self.version = 0  # bumped on every overlay change; keys caches
-        self._token = next(_TABLE_TOKENS)
         self._bucket_parts: dict[str, tuple[str, ...]] = {}  # bucket key -> its "|" fields
         self._made_values = np.array([self.rules.made_value[MadeClass(m)] for m in range(16)])
         self._memo_version = -1
@@ -612,7 +594,7 @@ class RsmTable:
         category table the RsmTable builds per (street, wet texture, suited
         board) and keeps until its overlay version changes. On the river
         the base value is the combo's percentile among live combos."""
-        key = (self._token, self.version)
+        key = (self, self.version)  # holds the table, so no later table can take its id
         cached = ctx._category_cache.get(key)
         if cached is not None:
             return cached
@@ -640,13 +622,13 @@ class RsmTable:
             raise InvalidCardsError("relative strength is undefined pre-flop")
         if len(set(tuple(hole) + board)) != 2 + len(board):
             raise InvalidCardsError("hole cards collide with the board")
-        ctx = ctx or BoardContext.cached(board)
+        ctx = ctx or BoardContext(board)
         idx = combo_index(hole[0], hole[1])
         cats = self.categories_many(ctx)
         return RsCategory(int(cats[idx]))
 
     def bucket_for(self, hole: Sequence[int], board: Sequence[int], ctx: BoardContext | None = None) -> str:
-        ctx = ctx or BoardContext.cached(board)
+        ctx = ctx or BoardContext(board)
         idx = combo_index(hole[0], hole[1])
         return bucket_key(
             ctx.street, MadeClass(int(ctx.made[idx])), DrawTier(int(ctx.draw[idx])), ctx.texture.wet
@@ -672,28 +654,3 @@ class RsmTable:
 
     def overlay_to_dict(self) -> dict[str, float]:
         return dict(self.overlay)
-
-    def overlay_from_dict(self, data: dict[str, float]) -> None:
-        """Replace the overlay. A value that is not a finite number is
-        rejected: it would leave the [0, 10] value clip undefined."""
-        overlay = {str(k): float(v) for k, v in data.items()}
-        bad = sorted(k for k, v in overlay.items() if not math.isfinite(v))
-        if bad:
-            raise ValueError(f"overlay values must be finite numbers: {bad}")
-        self.overlay = overlay
-        self.version += 1
-
-
-def relative_strength(hole: Sequence[int], board: Sequence[int], table: RsmTable | None = None) -> RsCategory:
-    """Convenience scalar query against the shipped default rules."""
-    return (table or _default_table()).query(hole, board)
-
-
-_DEFAULT_TABLE: RsmTable | None = None
-
-
-def _default_table() -> RsmTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = RsmTable()
-    return _DEFAULT_TABLE

@@ -16,6 +16,7 @@ import numpy as np
 
 from .brain import Brain
 from .cards import DealRng, card_str, parse_cards
+from .events import ActionType, from_key
 from .profiles import ProfileStore
 from .rangegrid import grid_to_lines
 from .rsm import RsmTable
@@ -54,7 +55,7 @@ class ScenarioFile:
     seed: int
     seats: list[ScenarioSeat]
     board: tuple[int, ...]
-    script: list[tuple[str, str, float | None]]  # (player_id, action, amount_bb)
+    script: list[tuple[str, str, float | None]]  # (player_id, action key, amount_bb)
     assertions: list[Assertion]
 
     @property
@@ -95,7 +96,7 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
                 board = tuple(parse_cards("".join(parts[1:])))
             elif parts[0] == "act":
                 amount = float(parts[3]) if len(parts) > 3 else None
-                script.append((parts[1], parts[2], amount))
+                script.append((parts[1], from_key(ActionType, parts[2]).key, amount))
             elif parts[0] == "assert":
                 assertions.append(Assertion(parts[1], tuple(parts[2:]), lineno))
             else:
@@ -175,7 +176,7 @@ def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None, trace: 
     for pid, action, amount_bb in scenario.script:
         if pid not in moves:
             raise ScenarioError(f"script references unknown player {pid!r}")
-        if amount_bb is None and action.upper() in ("BET", "RAISE"):
+        if amount_bb is None and action in ("bet", "raise"):
             raise ScenarioError(f"{pid}: {action} needs an amount")
         # the engine ignores the amount of an all-in
         cents = 0 if amount_bb is None else int(round(amount_bb * scenario.bb_cents))

@@ -15,11 +15,11 @@ from typing import Callable
 
 from .brain import Brain, DecisionContext
 from .cards import DealRng, card_str
-from .events import ActionEvent, ActionType, Street
+from .events import ActionEvent, ActionType, Street, from_key
 from .learning import apply_learning, records_from_snapshots
 from .metrics import ResultLedger, TrialReport, all_in_adjusted
 from .profiles import ProfileStore
-from .rsm import RsmTable
+from .rsm import BoardContext, RsmTable
 from .table import (
     ARCHETYPE_TARGETS,
     BotPolicy,
@@ -137,7 +137,6 @@ class HeroSeatPolicy:
         self.hero_folded = False
         self.hero_all_in = False
         self.street = "preflop"
-        self.street_has_bet = {"preflop": True, "flop": False, "turn": False, "river": False}
         self.aggressor: str | None = None
         self.prev_street_aggressor: str | None = None
         self.aggressor_acted_this_street = False
@@ -157,8 +156,8 @@ class HeroSeatPolicy:
             ActionEvent(
                 hand_id=self.hand_id,
                 player_id=player_id,
-                street=Street[street.upper()],
-                action=ActionType["ALL_IN" if action == "allin" else action.upper()],
+                street=from_key(Street, street),
+                action=from_key(ActionType, action),
                 amount_bb=committed_cents / bb,
                 pot_before_bb=pot_before_cents / bb,
                 position=position,
@@ -191,7 +190,6 @@ class HeroSeatPolicy:
                 # their own (more specific) template.
                 if (
                     action == "bet"
-                    and not self.street_has_bet[street]
                     and self.prev_street_aggressor is not None
                     and self.prev_street_aggressor != player_id
                     and not self.aggressor_acted_this_street
@@ -204,7 +202,6 @@ class HeroSeatPolicy:
         if player_id == self.prev_street_aggressor:
             self.aggressor_acted_this_street = True
         if action in ("bet", "raise", "allin"):
-            self.street_has_bet[street] = True
             self.aggressor = player_id
         if is_hero and action == "fold":
             self.hero_folded = True
@@ -304,10 +301,17 @@ def run_fastfold_session(
     store: ProfileStore | None = None,
     on_record: Callable[[HandRecord], None] | None = None,
 ) -> SessionResult:
-    """Play config.hands of seeded fast-fold poker and account for them."""
-    store = store or ProfileStore()
-    rsm = brain.rsm if brain else RsmTable()
-    brain = brain or Brain(store, rsm_table=rsm, seed=config.seed, trace=config.trace)
+    """Play config.hands of seeded fast-fold poker and account for them.
+    A given brain observes through its own store; a `store` given with it
+    must be that store."""
+    if brain is None:
+        store = store or ProfileStore()
+        brain = Brain(store, rsm_table=RsmTable(), seed=config.seed, trace=config.trace)
+    elif store is None:
+        store = brain.store
+    elif store is not brain.store:
+        raise ValueError("store must be the brain's own store")
+    rsm = brain.rsm
     pool = build_bot_pool(config)
     deal_rng = DealRng(config.seed, stream=0)
     seat_rng = DealRng(config.seed, stream=1)
@@ -364,8 +368,8 @@ def run_fastfold_session(
         adjusted = all_in_adjusted(record, HERO_ID)
         ledger.add_hand(hand_id, net, rake_hero, adjusted)
 
-        bad_beat_last = _was_bad_beat(record, hero_seat, rsm)
-        hero_showed = any(s == hero_seat for s, _ in record.showdown) and not hero_policy.hero_folded
+        bad_beat_last = _was_bad_beat(record, hero_seat, brain)
+        hero_showed = any(s == hero_seat for s, _ in record.showdown)
         if hero_showed and len(record.showdown) > 1:
             showdowns += 1
             if config.learning:
@@ -408,12 +412,15 @@ def _hero_hole(deck: list[int], hero_seat: int, seats) -> tuple[int, int]:
     return hole
 
 
-def _was_bad_beat(record: HandRecord, hero_seat: int, rsm: RsmTable) -> bool:
-    """Lost a showdown while holding a monster at the river."""
+def _was_bad_beat(record: HandRecord, hero_seat: int, brain: Brain) -> bool:
+    """Lost a showdown while holding a monster at the river. The river's
+    context comes from the brain's hand, which read it if the hero decided
+    there."""
     if hero_seat not in dict(record.showdown):
         return False
     if record.net.get(hero_seat, 0) >= 0:
         return False
     if len(record.board) < 5:
         return False
-    return int(rsm.query(record.holes[hero_seat], record.board)) >= 8
+    ctx = BoardContext.cached(record.board, brain.board_contexts)
+    return int(brain.rsm.query(record.holes[hero_seat], record.board, ctx)) >= 8

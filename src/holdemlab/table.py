@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cards import STRAIGHT_OUTS, DealRng, card_str, hand_score, parse_cards
-from .events import ActionType
+from .events import ActionType, from_key
 from .preflop import combo_percentile
 
 STREET_NAMES = ("preflop", "flop", "turn", "river")
@@ -574,7 +574,7 @@ class _ScriptedSeatPolicy:
         street, action, amount = self.moves.popleft()
         if street is not None and street != view.street:
             raise IllegalActionError(f"script expected street {street}, engine at {view.street}")
-        at = ActionType["ALL_IN" if action == "allin" else action.upper()]
+        at = from_key(ActionType, action)
         if at in (ActionType.BET, ActionType.RAISE, ActionType.ALL_IN):
             return (at, amount)
         return (at, 0)

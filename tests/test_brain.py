@@ -365,3 +365,19 @@ class TestFailsLoudly:
         monkeypatch.setattr("holdemlab.brain.chib", degenerate)
         brain.decide(ctx)
         assert [(r.player_id, r.chib) for r in ctx.opponents] == [("v", None)]
+
+
+class TestBoardContexts:
+    def test_each_brain_holds_its_own_contexts_for_one_hand(self):
+        a, b = make_brain(), make_brain()
+        for brain in (a, b):
+            brain.begin_hand(1, cards("AhKh"), [("v", "Fish")])
+            brain.observe_new_street(FLOP)
+        ctx = a.board_contexts[tuple(FLOP)]
+        assert ctx is not b.board_contexts[tuple(FLOP)]
+        a.observe_new_street(FLOP)
+        assert a.board_contexts == {tuple(FLOP): ctx}
+        a.begin_hand(2, cards("AhKh"), [("v", "Fish")])
+        assert a.board_contexts == {}
+        a.observe_new_street(FLOP)
+        assert a.board_contexts[tuple(FLOP)] is not ctx

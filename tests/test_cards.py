@@ -31,8 +31,8 @@ def cards(text):
 
 class TestCardBasics:
     def test_52_distinct_cards(self):
-        deck = {Card.from_index(i) for i in range(52)}
-        assert len(deck) == 52
+        deck = {Card.parse(card_str(i)) for i in range(52)}
+        assert len(deck) == 52 and {c.index for c in deck} == set(range(52))
 
     def test_text_round_trip(self):
         for i in range(52):

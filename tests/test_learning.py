@@ -10,7 +10,6 @@ from holdemlab.learning import (
     realized_category,
     records_from_snapshots,
     replay_with_perfect_info,
-    write_audit_log,
 )
 from holdemlab.profiles import ProfileStore
 from holdemlab.rangegrid import ComboGrid
@@ -73,7 +72,7 @@ class TestSnapshots:
             action_level=1.0, position="btn", in_position=True, hero_is_aggressor=False,
             legal=("fold", "call", "raise"), live_player_ids=("v1",), facing_allin=False,
         )
-        ctx.board_ctx = BoardContext.cached(board)
+        ctx.board_ctx = BoardContext(board)
         brain.record_snapshot(ctx, "call")
         (snap,) = brain.snapshots
         at_snapshot = rs_distribution(snap["grid"], board, rsm, ctx.board_ctx)
@@ -208,17 +207,6 @@ class TestApplyLearning:
         with pytest.raises(ValueError):
             apply_learning([], rsm, delta_reinforce=0.2, delta_correct=0.1)
 
-    def test_audit_log_format(self, tmp_path):
-        rsm = RsmTable()
-        dist = np.zeros(11)
-        dist[0] = 1.0
-        rec = synthetic_record(dist, 8, rsm.bucket_for(cards("Ah9c"), cards("9d5s2c")), hole=tuple(cards("Ah9c")))
-        events = apply_learning([rec], rsm, audit=True)
-        path = tmp_path / "audit.log"
-        write_audit_log(events, str(path))
-        line = path.read_text().strip().split("\t")
-        assert line[0] == "1" and line[2] == events[0].bucket
-
 
 class TestFinancialInvariance:
     def test_won_and_lost_versions_produce_identical_deltas(self):
@@ -332,3 +320,28 @@ class TestSessionLearning:
         assert result.learning_deltas > 0
         assert rsm.overlay  # deltas landed in buckets
         assert all(abs(v) <= rsm.clamp for v in rsm.overlay.values())
+
+    def test_showdown_records_carry_their_snapshots_context(self, monkeypatch):
+        """Each record reads its board under the context its snapshot was
+        taken with, the brain's own for the hand, so learning builds no
+        BoardContext of its own."""
+        from holdemlab import session
+        from holdemlab.brain import Brain
+        from holdemlab.rsm import BoardContext
+
+        brain = Brain(ProfileStore(), seed=11)
+        learned = []
+
+        def no_build(self, board):
+            raise AssertionError("apply_learning built a BoardContext")
+
+        def learn(records, rsm, store=None):
+            assert all(rec.board_ctx is brain.board_contexts[rec.board] for rec in records)
+            learned.extend(records)
+            with monkeypatch.context() as m:
+                m.setattr(BoardContext, "__init__", no_build)
+                return apply_learning(records, rsm, store)
+
+        monkeypatch.setattr(session, "apply_learning", learn)
+        result = run_fastfold_session(SessionConfig(hands=150, seed=11), brain=brain)
+        assert len(learned) >= 10 and result.learning_deltas > 0

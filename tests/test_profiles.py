@@ -273,6 +273,16 @@ class TestPersistence:
         with pytest.raises(FileNotFoundError, match="absent"):
             ProfileStore.load(str(log), str(missing))
 
+    @pytest.mark.parametrize("bad", ["act\t1\ta\tpreflop\tjump\t1\t1.5\tutg\t0", "act\t1\ta", "bet\t1\ta"])
+    def test_malformed_log_line_raises_naming_file_and_line(self, tmp_path, bad):
+        store = ProfileStore()
+        store.record_event(ev(1, "a", Street.PREFLOP, ActionType.CALL, amount=1.0))
+        log, snap = tmp_path / "events.log", tmp_path / "snap.json"
+        store.save(str(log), str(snap))
+        log.write_text(log.read_text() + bad + "\n")
+        with pytest.raises(ValueError, match=f"^{log}:3: "):
+            ProfileStore.load(str(log), str(snap))
+
     @pytest.mark.parametrize("version", [2, None])
     def test_snapshot_of_another_version_raises(self, tmp_path, version):
         log, snap = tmp_path / "events.log", tmp_path / "snap.json"

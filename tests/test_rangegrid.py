@@ -38,10 +38,19 @@ class TestComboIndexing:
         assert CLASS_MEMBER_COUNT[class_id("QJo")] == 12
 
 
+def class_weight(grid, name):
+    """A class's cell in the grid's 13x13 class view."""
+    return float(grid.class_view().weights.flat[class_id(name)])
+
+
+def total_is_one(grid):
+    return abs(grid.total() - 1.0) <= 1e-9
+
+
 class TestClassView:
     def test_offsuit_class_three_times_suited_on_uniform(self):
-        view = ComboGrid.uniform().class_view()
-        assert view.weight_of("QJo") == pytest.approx(3 * view.weight_of("QJs"))
+        g = ComboGrid.uniform()
+        assert class_weight(g, "QJo") == pytest.approx(3 * class_weight(g, "QJs"))
 
     def test_view_mass_equals_grid_mass(self):
         rng = np.random.default_rng(3)
@@ -56,7 +65,7 @@ class TestClassView:
 class TestStrip:
     def test_case_study_strip_kills_pocket_nines(self):
         g = ComboGrid.uniform().strip(parse_cards("9d5s2c9h9s"))
-        assert g.class_view().weight_of("99") == 0.0  # only 9c remains unseen
+        assert class_weight(g, "99") == 0.0  # only 9c remains unseen
 
     def test_live_count_after_stripping_five(self):
         g = ComboGrid.uniform().strip(parse_cards("9d5s2c9h9s"))
@@ -131,7 +140,7 @@ class TestRangeFiles:
         g = parse_range_lines(["AA 1.0", "AKs 0.5", "7h6h 0.25", "# comment", ""])
         assert g.weights[combo_index(*parse_cards("AhAs"))] > 0
         assert g.weights[combo_index(*parse_cards("7h6h"))] > 0
-        assert g.is_normalized()
+        assert total_is_one(g)
 
     def test_bad_line_reports_number(self):
         with pytest.raises(RangeConfigError, match=":2:"):
@@ -146,7 +155,7 @@ class TestPreflopAssignment:
     def test_whale_defend_is_very_wide(self):
         g = assign_preflop_range("Whale", PreflopContext("bb", "call"))
         assert g.support_fraction() >= 0.60
-        assert g.is_normalized()
+        assert total_is_one(g)
 
     def test_rock_is_tight_everywhere(self):
         for action in ("open", "call", "threebet"):
@@ -156,7 +165,7 @@ class TestPreflopAssignment:
     def test_grids_are_normalized_with_no_dead_cards(self):
         for arch in ("Whale", "MediumReg", "LAG", "Unknown"):
             g = assign_preflop_range(arch, PreflopContext("co", "open"))
-            assert g.is_normalized()
+            assert total_is_one(g)
             assert not g.degenerate
 
     def test_unknown_archetype_rejected(self):
@@ -178,7 +187,7 @@ class TestPreflopAssignment:
         boosted = assign_preflop_range(
             "Rock", PreflopContext("utg", "open"), class_multipliers={class_id("AA"): 3.0}
         )
-        assert boosted.class_view().weight_of("AA") > base.class_view().weight_of("AA")
+        assert class_weight(boosted, "AA") > class_weight(base, "AA")
 
     def test_bb_check_maps_to_uniform(self):
         g = assign_preflop_range("MediumReg", PreflopContext("bb", "check"))

@@ -24,6 +24,17 @@ class TestParse:
         with pytest.raises(ScenarioError, match=":1:"):
             parse_scenario("flurble 1 2")
 
+    def test_unknown_action_word_reports_line(self):
+        text = HAND6.read_text().replace("act reg_sb call", "act reg_sb jump")
+        lineno = text.splitlines().index("act reg_sb jump") + 1
+        with pytest.raises(ScenarioError, match=f"^hand6.scn:{lineno}: unknown ActionType 'jump'$"):
+            parse_scenario(text, source="hand6.scn")
+
+    def test_action_words_are_case_insensitive(self):
+        text = HAND6.read_text()
+        upper = text.replace("act reg_sb call", "act reg_sb CALL").replace("act whale_bb allin", "act whale_bb AllIn")
+        assert parse_scenario(upper).script == parse_scenario(text).script
+
     def test_script_for_unknown_player_rejected(self):
         text = HAND6.read_text() + "\nact nobody fold\n"
         with pytest.raises(ScenarioError, match="nobody"):

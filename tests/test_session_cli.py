@@ -1,14 +1,19 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import holdemlab
+from holdemlab.brain import Brain
 from holdemlab.cli import main as cli_main
-from holdemlab.heatmap import intensity, render_ppm, render_svg
-from holdemlab.rangegrid import ComboGrid, parse_range_lines
+from holdemlab.heatmap import render_ppm, render_svg
+from holdemlab.rangegrid import ComboGrid, class_id, parse_range_lines
 from holdemlab.session import SessionConfig, run_fastfold_session
 from holdemlab.metrics import all_in_adjusted
+from holdemlab.profiles import ProfileStore
 from holdemlab.table import parse_history, replay_hand, write_history
 
 
@@ -55,6 +60,15 @@ class TestSessionDeterminism:
             # after every bust the hero sits back down with exactly 100 BB
             rebuy_stacks = [s for s in seen if s == int(100 * cfg.bb_cents)]
             assert rebuy_stacks
+
+    def test_a_brain_given_alone_observes_through_its_own_store(self):
+        brain = Brain(ProfileStore(), seed=5)
+        run_fastfold_session(SessionConfig(hands=200, seed=5), brain=brain)
+        assert brain.store.events
+
+    def test_a_store_that_is_not_the_brains_is_rejected(self):
+        with pytest.raises(ValueError, match="brain's own store"):
+            run_fastfold_session(SessionConfig(hands=1), brain=Brain(ProfileStore()), store=ProfileStore())
 
     def test_failure_injection_forces_passive_lines(self):
         cfg = SessionConfig(hands=120, seed=9, failure_rate=0.4)
@@ -118,7 +132,10 @@ class TestHeatmaps:
         g = parse_range_lines(["AA 1.0", "KK 0.5", "72o 0.05"])
         svg = render_svg(g, mode="169")
         assert svg.startswith("<svg") and svg.endswith("</svg>")
-        assert intensity(0.9, 1.0) >= intensity(0.3, 1.0)
+        # the 169 cells come first, in class order: a heavier class is darker
+        fills = re.findall(r'<rect [^>]*fill="rgb\((\d+),(\d+),(\d+)\)"', svg)[:169]
+        lightness = [sum(map(int, fills[class_id(name)])) for name in ("AA", "KK", "72o", "32o")]
+        assert lightness == sorted(lightness) and len(set(lightness)) == 4
 
     def test_zero_grid_uniform_minimum(self):
         svg = render_svg(ComboGrid.zeros(), mode="169")
@@ -164,6 +181,16 @@ class TestCli:
         path = tmp_path / "bad.scn"
         path.write_text(bad)
         assert cli_main(["replay", str(path)]) == 1
+
+    def test_replay_unknown_action_word_exits_2_naming_the_line(self, tmp_path, capsys):
+        from importlib import resources
+
+        text = resources.files("holdemlab").joinpath("data/hand6.scn").read_text()
+        path = tmp_path / "bad.scn"
+        path.write_text(text.replace("act reg_sb call", "act reg_sb jump"))
+        lineno = path.read_text().splitlines().index("act reg_sb jump") + 1
+        assert cli_main(["replay", str(path)]) == 2
+        assert f"{path}:{lineno}: unknown ActionType 'jump'" in capsys.readouterr().err
 
     def test_report_round_trip(self, tmp_path, capsys):
         out = tmp_path / "sim"

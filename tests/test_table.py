@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holdemlab.cards import DealRng, hand_score, parse_cards
-from holdemlab.events import ActionType
+from holdemlab.events import ActionType, from_key
 from holdemlab.table import (
     ARCHETYPE_TARGETS,
     BotPolicy,
@@ -362,8 +362,7 @@ class TestBots:
             def on_action(self, street, seat, pid, action, committed, pot_before, position, all_in):
                 store.record_event(
                     ActionEvent(
-                        self.hand_id, pid, Street[street.upper()],
-                        ActionType["ALL_IN" if action == "allin" else action.upper()],
+                        self.hand_id, pid, from_key(Street, street), from_key(ActionType, action),
                         committed / 2, pot_before / 2, position, 0.0,
                     )
                 )
