@@ -13,12 +13,13 @@ input.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cards import DealRng, UndefinedRangeError, equity_vs_range
+from .cards import DealRng, UndefinedRangeError, cards_str, equity_vs_range
 from .events import ActionType
 from .preflop import combo_percentile
 from .profiles import MODELING_CAPABLE, ProfileStore
@@ -65,10 +66,27 @@ class StyleState:
 
 @dataclass(frozen=True)
 class OpponentRead:
+    """One live opponent at a decision: the tracker's grid, and the hero's
+    cards and the street's context that ChiB is computed from on first
+    read, since only equity estimates, showdown learning and scenarios
+    read it."""
+
     player_id: str
     archetype: str
     grid: ComboGrid | None
-    chib: float | None
+    hero: tuple[int, int] | None = None
+    board_ctx: BoardContext | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def chib(self) -> float | None:
+        """`rets.chib` of the hero against the grid; None without a grid or
+        against a range with no live combos."""
+        if self.grid is None or self.board_ctx is None:
+            return None
+        try:
+            return chib(self.hero, self.grid, self.board_ctx.board, self.board_ctx)
+        except DegenerateRangeError:
+            return None
 
 
 @dataclass
@@ -310,18 +328,13 @@ class Brain:
         for pid in ctx.live_player_ids:
             tracker = self.trackers.get(pid)
             if tracker is None or ctx.board_ctx is None:
-                reads.append(OpponentRead(pid, self.archetype_of(pid), None, None))
-                continue
-            try:
-                cb = chib(ctx.hero_hole, tracker.grid, ctx.board, ctx.board_ctx)
-            except DegenerateRangeError:
-                cb = None
-            reads.append(OpponentRead(pid, tracker.archetype, tracker.grid, cb))
+                reads.append(OpponentRead(pid, self.archetype_of(pid), None))
+            else:
+                reads.append(OpponentRead(pid, tracker.archetype, tracker.grid, ctx.hero_hole, ctx.board_ctx))
         return reads
 
     def decide(self, ctx: DecisionContext) -> Recommendation:
-        ctx.board_ctx = ctx.board_ctx or self._board_ctx
-        ctx.opponents = self._reads_for(ctx)
+        self._ensure_reads(ctx)
         if ctx.street == "preflop":
             recs = [self._ga_preflop(ctx)]
             sad = self._sad_preflop(ctx)
@@ -371,6 +384,7 @@ class Brain:
                 combo_samples=self.config.equity_combo_samples,
                 runout_samples=self.config.equity_runout_samples,
                 rng=self.rng,
+                ctx=ctx.board_ctx,
             )
         except UndefinedRangeError:
             return max(0.0, 1.0 - (primary.chib or 0.5))
@@ -390,7 +404,14 @@ class Brain:
         return max(ctx.big_blind_bb, round(pick * ctx.pot_bb, 2))
 
     def _ensure_reads(self, ctx: DecisionContext) -> None:
+        """Give a decision the street's BoardContext and its live reads;
+        a post-flop context read on another board than the decision's is
+        refused."""
         ctx.board_ctx = ctx.board_ctx or self._board_ctx
+        if ctx.street != "preflop" and ctx.board_ctx is not None and ctx.board_ctx.board != tuple(ctx.board):
+            raise ValueError(
+                f"deciding on board {cards_str(ctx.board)} with the context of {cards_str(ctx.board_ctx.board)}"
+            )
         if not ctx.opponents and ctx.live_player_ids:
             ctx.opponents = self._reads_for(ctx)
 
@@ -557,12 +578,9 @@ class Brain:
 
     # -- Lawnmower ---------------------------------------------------------------
 
-    def _perceived_strong_mass(self, archetype: str, ctx: DecisionContext) -> float | None:
+    def _perceived_strong_mass(self, grid: ComboGrid, ctx: DecisionContext) -> float:
         """Mass of the hero's perceived range at Good or better: how credible
         a strength story the hero's public line currently tells."""
-        grid = self.perceived.get(archetype)
-        if grid is None or ctx.board_ctx is None:
-            return None
         dist = rs_distribution(grid, ctx.board, self.rsm, ctx.board_ctx)
         return float(dist[5:].sum())
 
@@ -575,13 +593,16 @@ class Brain:
         for read in ctx.opponents:
             if read.archetype not in MODELING_CAPABLE:
                 continue
-            strong_mass = self._perceived_strong_mass(read.archetype, ctx)
-            if strong_mass is None:
+            grid = self.perceived.get(read.archetype)
+            if grid is None or ctx.board_ctx is None:
                 continue
             stats = self.store.player_stats(read.player_id)
             fold_stat = stats.fold_to_cbet.get(ctx.street)
             folds_enough = fold_stat is not None and fold_stat.opportunities >= 10 and fold_stat.rate >= 0.6
             think = 1800 + self.rng.randint(1200)
+            if 2 < rs < 9:
+                continue  # neither a story bluff nor a slow-play: no story to read
+            strong_mass = self._perceived_strong_mass(grid, ctx)
             if rs <= 2 and strong_mass >= 0.15 and folds_enough and ctx.to_call_bb == 0 and ctx.street in ("turn", "river"):
                 return Recommendation(
                     ActionType.BET,
@@ -658,10 +679,12 @@ class Brain:
 
     def record_snapshot(self, ctx: DecisionContext, hero_action: str) -> None:
         """Keep each live read of a post-flop decision for showdown learning:
-        its grid, ChiB, the BoardContext it was read under and the strength
+        its grid, the BoardContext it was read under and the strength
         categories it was read with (`categories`, the table's read-only
         array, from which `learning.records_from_snapshots` computes the
-        strength distribution when a showdown needs it). `decide` passes the
+        strength distribution when a showdown needs it). ChiB is not kept:
+        a showdown record or a scenario computes it from these, through
+        `OpponentRead.chib`, for the snapshots it uses. `decide` passes the
         action it picks; a replay of a finished hand passes the action that
         was played."""
         if ctx.street == "preflop":
@@ -683,7 +706,6 @@ class Brain:
                     "archetype": read.archetype,
                     "grid": read.grid,
                     "categories": categories,
-                    "chib": read.chib,
                     "hero_action": hero_action,
                 }
             )

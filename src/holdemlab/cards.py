@@ -8,14 +8,16 @@ which is what range-wide strength queries and equity sweeps need.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # rsm imports this module
+    from .rsm import BoardContext
 
 RANK_CHARS = "23456789TJQKA"
 SUIT_CHARS = "cdhs"
@@ -540,20 +542,24 @@ class DealRng:
 # ---------------------------------------------------------------------------
 
 
+# C(n, k) for the deck sizes and runout lengths that are unranked.
+_BINOM = np.array([[math.comb(n, k) for k in range(6)] for n in range(DECK_SIZE + 1)], dtype=np.int64)
+
+
 def _unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
     """Row i holds the element positions of combination number ranks[i] of
     range(n) choose k, numbered in itertools.combinations order, so a sample
     of runout numbers becomes runouts without listing every runout."""
-    out = np.empty((len(ranks), k), dtype=np.int64)
     rest = np.asarray(ranks, dtype=np.int64)
-    start = np.zeros(len(ranks), dtype=np.int64)
+    out = np.empty((len(rest), k), dtype=np.int64)
+    start = np.zeros(len(rest), dtype=np.int64)
     for j in range(k):
         # Combinations whose element j is x form one block of
         # comb(n - 1 - x, k - 1 - j), in order of x; offsets are the block
-        # starts. Element j lies past element j - 1, so ranks count from
+        # starts, comb(n, k - j) - comb(n - x, k - j) by the hockey-stick
+        # identity. Element j lies past element j - 1, so ranks count from
         # the block of start = previous element + 1.
-        sizes = [math.comb(n - 1 - x, k - 1 - j) for x in range(n)]
-        offsets = np.array([0, *itertools.accumulate(sizes)], dtype=np.int64)
+        offsets = _BINOM[n, k - j] - _BINOM[n::-1, k - j]
         target = rest + offsets[start]
         pick = np.searchsorted(offsets, target, side="right") - 1
         out[:, j] = pick
@@ -615,6 +621,7 @@ def equity_vs_range(
     runout_samples: int | None = None,
     combo_samples: int | None = None,
     rng: DealRng | None = None,
+    ctx: BoardContext | None = None,
 ) -> float:
     """Weight-averaged equity of hero against a 1326-combo weighted range.
 
@@ -622,26 +629,50 @@ def equity_vs_range(
     pre-flop, where 2,118,760 runouts are too many to list, it must be.
     combo_samples optionally subsamples the range support (weighted), which
     is what the decision layer uses to keep per-decision cost flat.
+
+    ctx is the board's `rsm.BoardContext`, as for `rets.chib` and
+    `rets.reshape`; on a flop, turn or river one is built when none is
+    given. Its `hero_masks` give the dead combos, and on a river its
+    `scores` give every combo's hand, so no runout is scored.
     """
     from . import rangegrid  # local import; rangegrid depends on cards
+    from .rsm import BoardContext  # local import; rsm depends on cards
 
     board = validate_board(board)
     if not board and runout_samples is None:
         raise ValueError("pre-flop equity needs runout_samples")
     _require_distinct(tuple(hero) + board)
-    w = np.asarray(range_weights, dtype=float).copy()
-    dead = set(hero) | set(board)
-    dead_mask = rangegrid.combos_with_any(dead)
-    w[dead_mask] = 0.0
+    if not board:
+        dead_mask = rangegrid.combos_with_any(hero)
+    else:
+        if ctx is None:
+            ctx = BoardContext(board)
+        elif ctx.board != board:
+            raise ValueError(f"context of {cards_str(ctx.board)} given for board {cards_str(board)}")
+        dead_mask = ctx.hero_masks(hero)[0]
+    w = np.where(dead_mask, 0.0, np.asarray(range_weights, dtype=float))
     if w.sum() <= 0:
         raise UndefinedRangeError("range has no live support against this hero/board")
     w = w / w.sum()
     support = np.flatnonzero(w > 0)
 
     gen = (rng or DealRng(0)).generator
-
-    if combo_samples is not None and combo_samples < len(support):
+    sampled = combo_samples is not None and combo_samples < len(support)
+    if sampled:
         picks = gen.choice(support, size=combo_samples, p=w[support] / w[support].sum())
+
+    if len(board) == 5:
+        # Every pick's points are 0, 1/2 or 1, so their sum over the picks
+        # is exact and equals the count-weighted sum over distinct combos.
+        hs = ctx.scores[rangegrid.combo_index(*hero)]
+        vscores = ctx.scores[picks if sampled else support]
+        pts = np.where(hs > vscores, 1.0, np.where(hs == vscores, 0.5, 0.0))
+        if sampled:
+            return float(pts.sum()) / combo_samples
+        sub_w = w[support]
+        return float((pts * sub_w).sum()) / float(sub_w.sum())
+
+    if sampled:
         support, counts = np.unique(picks, return_counts=True)
         sub_w = counts.astype(float)
     else:
@@ -649,7 +680,9 @@ def equity_vs_range(
 
     combos = rangegrid.COMBO_CARDS[support]  # (c, 2)
     need = 5 - len(board)
-    deck = np.array(sorted(set(range(DECK_SIZE)) - dead), dtype=np.int64)
+    dead_cards = np.zeros(DECK_SIZE, dtype=bool)
+    dead_cards[[*hero, *board]] = True
+    deck = np.flatnonzero(~dead_cards)
     total = math.comb(len(deck), need)
     if runout_samples is not None and runout_samples < total:
         picks = gen.choice(total, size=runout_samples, replace=False)

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .brain import Brain
+from .brain import Brain, OpponentRead
 from .cards import DealRng, hand_score
 from .profiles import ProfileStore
 from .rangegrid import ComboGrid, combo_index
@@ -105,7 +105,8 @@ def records_from_snapshots(
         board = snap["board"]
         ctx = snap["board_ctx"]
         hole = reveals[pid]
-        dist = _category_mass(snap["grid"], snap["categories"])
+        read = OpponentRead(pid, snap["archetype"], snap["grid"], tuple(hero_hole), ctx)
+        dist = _category_mass(read.grid, snap["categories"])
         top1, top2 = _top2(dist)
         realized = realized_category(hole, board, ctx)
         hero_score = hand_score(tuple(hero_hole) + board)
@@ -116,16 +117,16 @@ def records_from_snapshots(
                 street=snap["street"],
                 board=board,
                 player_id=pid,
-                archetype=snap.get("archetype", "Unknown"),
-                grid=snap["grid"],
+                archetype=read.archetype,
+                grid=read.grid,
                 distribution=dist,
-                chib=snap.get("chib"),
+                chib=read.chib,
                 predicted_top=top1,
                 revealed_hole=hole,
                 realized_category=realized,
                 realized_beat_hero=vill_score > hero_score,
                 bucket=rsm.bucket_for(hole, board, ctx),
-                in_support=snap["grid"].weights[combo_index(*hole)] > 0,
+                in_support=read.grid.weights[combo_index(*hole)] > 0,
                 board_ctx=ctx,
             )
         )

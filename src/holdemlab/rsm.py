@@ -373,9 +373,11 @@ class BoardContext:
     _HERO_MASKS_MAX = 4
 
     def hero_masks(self, hero: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """For `rets.chib`: the combos that hold a hero or a board card, and
-        the combos whose made hand beats the hero's. Kept for the last few
-        heroes' cards read on this board; the arrays are read-only."""
+        """The combos that hold a hero or a board card, and the combos whose
+        made hand beats the hero's: `rets.chib` reads both, and
+        `cards.equity_vs_range` reads the first as its dead combos. Kept for
+        the last few heroes' cards read on this board; the arrays are
+        read-only."""
         key = tuple(hero)
         masks = self._hero_masks.get(key)
         if masks is None:

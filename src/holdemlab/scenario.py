@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .brain import Brain
+from .brain import Brain, OpponentRead
 from .cards import DealRng, card_str, parse_cards
 from .events import ActionType, from_key
 from .profiles import ProfileStore
@@ -214,9 +214,10 @@ def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None, trace: 
 
     hero_chib: dict[str, float] = {}
     for snap in brain.snapshots:
-        if snap["chib"] is not None:
+        cb = OpponentRead(snap["player_id"], snap["archetype"], snap["grid"], brain.hero_hole, snap["board_ctx"]).chib
+        if cb is not None:
             street = snap["street"]
-            hero_chib[street] = max(hero_chib.get(street, 0.0), float(snap["chib"]))
+            hero_chib[street] = max(hero_chib.get(street, 0.0), float(cb))
 
     for a in scenario.assertions:
         fail = _check_assertion(a, brain, hero_chib, record)

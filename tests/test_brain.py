@@ -8,7 +8,7 @@ from holdemlab.brain import (
     Recommendation,
     required_strength,
 )
-from holdemlab.cards import parse_cards
+from holdemlab.cards import DealRng, parse_cards
 from holdemlab.events import ActionType
 from holdemlab.profiles import ProfileStore
 from holdemlab.rsm import BoardContext
@@ -296,6 +296,23 @@ class TestLawnmower:
         ctx = ctx_for(brain, cards("7h6h"), turn, pot=12.0, aggressor=True, live=("reg",))
         assert brain.lawnmower_recommend(ctx) is None
 
+    def test_middling_hand_reads_no_perceived_strength(self, monkeypatch):
+        """At rS 5 neither a story bluff nor a slow-play can fire, so the
+        perceived range is not read; the think-time draw still happens once
+        for the modeling opponent."""
+        hero = cards("AhKc")
+        brain, turn = self.make_reg_spot(hero)
+        ctx = ctx_for(brain, hero, turn, pot=12.0, aggressor=True, live=("reg",))
+        assert int(brain.rsm.query(hero, turn, ctx.board_ctx)) == 5
+        calls = []
+        monkeypatch.setattr("holdemlab.brain.rs_distribution", lambda *a, **k: calls.append(a))
+        want = DealRng(0)
+        want.generator.bit_generator.state = brain.rng.generator.bit_generator.state
+        want.randint(1200)
+        assert brain.lawnmower_recommend(ctx) is None
+        assert calls == []
+        assert brain.rng.generator.bit_generator.state == want.generator.bit_generator.state
+
     def test_perceived_range_shifts_weak_after_checks(self):
         brain = make_brain()
         brain.begin_hand(1, cards("9h9s"), [("reg", "MediumReg")])
@@ -367,7 +384,55 @@ class TestFailsLoudly:
         assert [(r.player_id, r.chib) for r in ctx.opponents] == [("v", None)]
 
 
+class TestChibOnRead:
+    def test_a_decision_without_equity_computes_no_chib(self, monkeypatch):
+        from holdemlab import rets
+
+        hero = cards("7h6h")
+        brain = make_brain()
+        brain.begin_hand(1, hero, [("a", "Fish"), ("b", "Whale")])
+        for pid in ("a", "b"):
+            brain.observe_villain_preflop(pid, "call")
+        brain.observe_new_street(FLOP)
+        ctx = ctx_for(brain, hero, FLOP, to_call=5.0, live=("a", "b"))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rets.chib(*args)
+
+        monkeypatch.setattr("holdemlab.brain.chib", counted)
+        brain.decide(ctx)
+        assert calls == []
+        for read in ctx.opponents:
+            want = rets.chib(hero, brain.trackers[read.player_id].grid, FLOP, ctx.board_ctx)
+            assert read.chib == want
+            assert read.chib == want  # computed once, kept
+        assert len(calls) == 2
+
+
 class TestBoardContexts:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda brain, ctx: brain.decide(ctx),
+            lambda brain, ctx: brain.ga_recommend(ctx),
+            lambda brain, ctx: brain.lawnmower_recommend(ctx),
+            lambda brain, ctx: brain.record_snapshot(ctx, "check"),
+        ],
+        ids=["decide", "ga_recommend", "lawnmower_recommend", "record_snapshot"],
+    )
+    def test_deciding_on_another_board_than_observed_raises(self, entry):
+        brain = make_brain()
+        brain.begin_hand(1, cards("9h9s"), [("v", "Fish")])
+        brain.observe_villain_preflop("v", "call")
+        brain.observe_new_street(FLOP)
+        ctx = ctx_for(brain, cards("9h9s"), cards("9d5s2cKc"), live=("v",))
+        ctx.board_ctx = None  # the brain supplies the flop's context it holds
+        with pytest.raises(ValueError, match="board 9d 5s 2c Kc with the context of 9d 5s 2c$"):
+            entry(brain, ctx)
+        assert brain.snapshots == []
+
     def test_each_brain_holds_its_own_contexts_for_one_hand(self):
         a, b = make_brain(), make_brain()
         for brain in (a, b):

@@ -20,6 +20,7 @@ from holdemlab.cards import (
     score_cards_batch,
 )
 from holdemlab.rangegrid import COMBO_CARDS, ComboGrid, combo_index
+from holdemlab.rsm import BoardContext
 
 from reference_eval import ref_eval7
 from test_rsm import _suited_boards
@@ -328,11 +329,29 @@ class TestEquityVsRange:
 
     @pytest.mark.parametrize("seed,spot", [(1, "9d5s2c"), (2, "Ks7h7c2d"), (3, "AhTh6h5c2s"), (4, "QdJd3s")])
     def test_sampled_equity_equals_a_scalar_reference(self, seed, spot):
-        # the decision layer's budget: 40 combos, 40 runouts
+        # the decision layer's budget: 40 combos, 40 runouts; with or
+        # without the board's context
         hero, board = cards("AcKd"), cards(spot)
         weights = np.random.default_rng(seed).random(1326)
-        got = equity_vs_range(hero, weights, board, combo_samples=40, runout_samples=40, rng=DealRng(seed))
-        assert got == self._sampled_reference(hero, weights, board, 40, 40, DealRng(seed).generator)
+        want = self._sampled_reference(hero, weights, board, 40, 40, DealRng(seed).generator)
+        for ctx in (None, BoardContext(board)):
+            got = equity_vs_range(hero, weights, board, combo_samples=40, runout_samples=40, rng=DealRng(seed), ctx=ctx)
+            assert got == want
+
+    def test_a_river_range_under_the_sample_budget_is_weighed_whole(self):
+        hero, board = cards("AcKd"), cards("AhTh6h5c2s")
+        gen = np.random.default_rng(5)
+        weights = np.zeros(1326)
+        weights[gen.choice(1326, size=30, replace=False)] = gen.random(30)
+        want = self._sampled_reference(hero, weights, board, 40, 40, DealRng(5).generator)
+        for ctx in (None, BoardContext(board)):
+            got = equity_vs_range(hero, weights, board, combo_samples=40, runout_samples=40, rng=DealRng(5), ctx=ctx)
+            assert got == want
+
+    def test_a_context_of_another_board_is_refused(self):
+        hero, weights = cards("AcKd"), np.ones(1326)
+        with pytest.raises(ValueError, match="context of 9d 5s 2c given for board 9d 5s 2c Kc"):
+            equity_vs_range(hero, weights, cards("9d5s2cKc"), ctx=BoardContext(cards("9d5s2c")))
 
     @staticmethod
     def _sampled_reference(hero, weights, board, combo_samples, runout_samples, gen):
@@ -342,8 +361,11 @@ class TestEquityVsRange:
         w = np.where([bool(dead & set(c)) for c in COMBO_CARDS.tolist()], 0.0, weights)
         w = w / w.sum()
         support = np.flatnonzero(w > 0)
-        picks = gen.choice(support, size=combo_samples, p=w[support] / w[support].sum())
-        combos, counts = np.unique(picks, return_counts=True)
+        if combo_samples < len(support):
+            picks = gen.choice(support, size=combo_samples, p=w[support] / w[support].sum())
+            combos, counts = np.unique(picks, return_counts=True)
+        else:
+            combos, counts = support, w[support]
         deck = [c for c in range(52) if c not in dead]
         runouts = list(itertools.combinations(deck, 5 - len(board)))
         if runout_samples < len(runouts):
