@@ -3,8 +3,9 @@
 
 The table (src/holdemlab/data/rank_table.npy, see the rank-table comment in
 cards.py) holds one row per multiset of 3, 4 or 5 ranks. Each row comes from
-rsm._build_rank_row, which scores, classes and counts straight outs with
-the kernel. Nothing this script runs reads the shipped table, so a stale,
+build_rank_row in tests/reference_rank.py, the reference the rsm tests check
+the table against; it scores, classes and counts straight outs with the
+kernel. Nothing this script runs reads the shipped table, so a stale,
 missing or misshapen file is rebuilt correctly. Run from the repo root
 after changing what a row holds:
 
@@ -23,10 +24,11 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from holdemlab.cards import DATA_DIR, RANK_CHARS, RANK_PAIRS, RANK_TABLE_ROWS, rank_table_row  # noqa: E402
-from holdemlab.rsm import _build_rank_row  # noqa: E402
+from reference_rank import build_rank_row  # noqa: E402
 
 PATH = DATA_DIR / "rank_table.npy"
 
@@ -38,7 +40,7 @@ def build() -> tuple[np.ndarray, list[tuple[int, ...]]]:
     for k in (3, 4, 5):
         for ranks in itertools.combinations_with_replacement(range(13), k):
             row = rank_table_row(ranks)
-            table[row] = _build_rank_row(ranks)
+            table[row] = build_rank_row(ranks)
             ranks_of[row] = ranks
     assert all(ranks_of), "rows left unbuilt"
     return table, ranks_of

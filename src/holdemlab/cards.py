@@ -344,9 +344,10 @@ def _score_masks(m1, m2, m3, m4, fmask, has_flush) -> np.ndarray:
 # colex order: sorted ranks r_0 <= r_1 <= ... are the set {r_i + i},
 # numbered sum C(r_i + i, i + 1).
 #
-# scripts/make_rank_table.py builds every row with rsm's row builder, which
-# scores with the fold and never reads the table. rank_table() reads the
-# file whole on first use; the table is never written.
+# scripts/make_rank_table.py builds every row with the reference builder in
+# tests/reference_rank.py, which scores with the fold and never reads the
+# table. rank_table() reads the file whole on first use; the table is never
+# written.
 # ---------------------------------------------------------------------------
 
 RANK_PAIRS = np.array([(lo, hi) for lo in range(13) for hi in range(lo, 13)], dtype=np.int64)

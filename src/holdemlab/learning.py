@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .brain import Brain, OpponentRead
-from .cards import DealRng, hand_score
+from .cards import DealRng
 from .profiles import ProfileStore
 from .rangegrid import ComboGrid, combo_index
 from .rets import RET, RetDispatch, _category_mass
@@ -109,8 +109,8 @@ def records_from_snapshots(
         dist = _category_mass(read.grid, snap["categories"])
         top1, top2 = _top2(dist)
         realized = realized_category(hole, board, ctx)
-        hero_score = hand_score(tuple(hero_hole) + board)
-        vill_score = hand_score(tuple(hole) + board)
+        # Both holdings are live on the board, so ctx.scores holds their scores.
+        beat_hero = bool(ctx.scores[combo_index(*hole)] > ctx.scores[combo_index(*hero_hole)])
         out.append(
             PredictionRecord(
                 hand_id=snap["hand_id"],
@@ -124,7 +124,7 @@ def records_from_snapshots(
                 predicted_top=top1,
                 revealed_hole=hole,
                 realized_category=realized,
-                realized_beat_hero=vill_score > hero_score,
+                realized_beat_hero=beat_hero,
                 bucket=rsm.bucket_for(hole, board, ctx),
                 in_support=read.grid.weights[combo_index(*hole)] > 0,
                 board_ctx=ctx,

@@ -24,15 +24,11 @@ import numpy as np
 from .cards import (
     FLUSH_SCORE,
     RANK_PAIR_COLUMN,
-    RANK_PAIRS,
-    STRAIGHT_OUTS,
     STRAIGHT_TOP,
     HandCategory,
     InvalidCardsError,
     hand_score,
-    pack_rank_entries,
     rank_table_entries,
-    score_cards_batch,
     validate_board,
 )
 from .rangegrid import COMBO_CARDS, DATA_DIR, N_COMBOS, combo_index, combos_with_any
@@ -149,103 +145,6 @@ def street_kind(board: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _board_rank_tables(board: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-board lookup tables over hole ranks: the class of an unpaired
-    holding by its higher rank, of a pocket pair by its rank, and of a pair
-    made with one hole card by (rank, kicker >= T)."""
-    distinct = sorted({c >> 2 for c in board}, reverse=True)
-    bt0, bt1 = distinct[0], distinct[1] if len(distinct) > 1 else -1
-    high, pocket, hole_pair = [], [], []
-    for r in range(13):
-        high.append(MadeClass.HIGH_CARD if r > bt0 or r == 12 else MadeClass.NOTHING)
-        if r > bt0:
-            pocket.append(MadeClass.OVERPAIR_BIG if r >= 11 else MadeClass.OVERPAIR_MID)
-        else:
-            pocket.append(MadeClass.PAIR_MID if r > bt1 else MadeClass.PAIR_WEAK)
-        if r == bt0:
-            hole_pair += [MadeClass.PAIR_TOP_WEAK, MadeClass.PAIR_TOP_GOOD]
-        else:
-            hole_pair += [MadeClass.PAIR_MID if r == bt1 else MadeClass.PAIR_WEAK] * 2
-    return tuple(np.array(t, dtype=np.int64) for t in (high, pocket, hole_pair))
-
-
-# The hand categories and made class the hot paths read, as plain ints: an
-# enum member read costs an attribute lookup each time.
-_PAIR = int(HandCategory.PAIR)
-_TWO_PAIR = int(HandCategory.TWO_PAIR)
-_TRIPS = int(HandCategory.TRIPS)
-_STRAIGHT = int(HandCategory.STRAIGHT)
-_FLUSH = int(HandCategory.FLUSH)
-_FULL_HOUSE = int(HandCategory.FULL_HOUSE)
-_QUADS = int(HandCategory.QUADS)
-_STRAIGHT_FLUSH = int(HandCategory.STRAIGHT_FLUSH)
-_MADE_TWO_PAIR = int(MadeClass.TWO_PAIR)
-
-# Class of a made hand of category >= trips that the hole cards play in,
-# by (category, pocket pair): a pocket pair that makes trips is a set.
-_BIG_MADE = np.zeros((9, 2), dtype=np.int64)
-for _cat, _cls in (
-    (HandCategory.TRIPS, MadeClass.TRIPS),
-    (HandCategory.STRAIGHT, MadeClass.STRAIGHT),
-    (HandCategory.FLUSH, MadeClass.FLUSH),
-    (HandCategory.FULL_HOUSE, MadeClass.FULL_HOUSE),
-    (HandCategory.QUADS, MadeClass.QUADS),
-    (HandCategory.STRAIGHT_FLUSH, MadeClass.STRAIGHT_FLUSH),
-):
-    _BIG_MADE[_cat] = _cls
-_BIG_MADE[HandCategory.TRIPS, 1] = MadeClass.SET
-_BIG_MADE = _BIG_MADE.ravel()
-
-
-def _made_classes(holes: np.ndarray, scores: np.ndarray, board: Sequence[int]) -> np.ndarray:
-    suit_counts = np.bincount([c & 3 for c in board], minlength=4)
-    board_mask = 0
-    for c in board:
-        board_mask |= 1 << (c >> 2)
-    board_straight = int(STRAIGHT_TOP[board_mask]) if len(board) == 5 else -1
-    high_t, pocket_t, hole_pair_t = _board_rank_tables(board)
-
-    r1 = holes[:, 0] >> 2
-    r2 = holes[:, 1] >> 2
-    s1 = holes[:, 0] & 3
-    s2 = holes[:, 1] & 3
-    pocket = r1 == r2
-
-    cat = scores >> 20
-    nib0 = (scores >> 16) & 0xF
-    nib1 = (scores >> 12) & 0xF
-    hit1 = r1 == nib0
-    hit2 = r2 == nib0
-    second1 = r1 == nib1
-    second2 = r2 == nib1
-
-    made = high_t[np.maximum(r1, r2)]
-
-    # One pair or two pair: which hole cards pair a paired rank. Both do
-    # in a two pair without a pocket pair; a pocket pair is ranked against
-    # the board; one hole card pairing is ranked with its kicker.
-    two_pair = cat == _TWO_PAIR
-    in1 = hit1 | (two_pair & second1)
-    in2 = hit2 | (two_pair & second2)
-    pr = np.where(in1, r1, r2)
-    kick = np.where(in1, r2, r1)
-    paired = np.where(in1 & in2, _MADE_TWO_PAIR, hole_pair_t[2 * pr + (kick >= 10)])
-    paired = np.where(pocket, pocket_t[r1], paired)
-    np.copyto(made, paired, where=((cat == _PAIR) | two_pair) & (in1 | in2))
-
-    # Trips and better count only when a hole card plays: trips/set/quads
-    # hold the hole rank, a full house holds it in either part, a straight
-    # must beat the board's own, a flush needs a hole card of the suit.
-    tot1 = suit_counts[s1] + 1 + (s1 == s2)
-    tot2 = suit_counts[s2] + 1 + (s1 == s2)
-    plays = hit1 | hit2 | ((cat == _FULL_HOUSE) & (second1 | second2))
-    plays |= cat == _STRAIGHT_FLUSH
-    plays = np.where(cat == _STRAIGHT, nib0 > board_straight, plays)
-    plays = np.where(cat == _FLUSH, (tot1 >= 5) | (tot2 >= 5), plays)
-    np.copyto(made, _BIG_MADE[2 * cat + pocket], where=(cat >= _TRIPS) & plays)
-    return made
-
-
 # Draw tier by (flush draw, straight-completing ranks capped at 2): a rank
 # is 4 outs, so one rank is a gutshot and two are 8 outs.
 _DRAW_TIER = np.array(
@@ -254,68 +153,33 @@ _DRAW_TIER = np.array(
 )
 
 
-def _straight_outs(holes: np.ndarray, board: Sequence[int]) -> np.ndarray:
-    """Ranks that complete a straight for each holding, capped at 2. A rank
-    counts when it is absent and the straight it makes beats whatever the
-    board plus that rank makes alone."""
-    board_mask = 0
-    for c in board:
-        board_mask |= 1 << (c >> 2)
-    mask_full = board_mask | (np.int64(1) << (holes[:, 0] >> 2)) | (np.int64(1) << (holes[:, 1] >> 2))
-    ranks_out = STRAIGHT_OUTS[mask_full]
-    for r in range(13):
-        board_with = int(STRAIGHT_TOP[board_mask | (1 << r)])
-        if board_with < 0:
-            continue
-        made_with = STRAIGHT_TOP[mask_full | (1 << r)]
-        ranks_out -= ((mask_full >> r) & 1 == 0) & (made_with >= 0) & (made_with <= board_with)
-    return np.minimum(ranks_out, 2)
-
-
 # Without a flush, a combo's score, made class and straight outs depend only
 # on its two hole ranks: the combos share the rank table's 91 columns.
 _RANK_PAIR_OF_COMBO = RANK_PAIR_COLUMN[COMBO_CARDS[:, 0] >> 2, COMBO_CARDS[:, 1] >> 2]
+_HIGH_RANK = COMBO_CARDS[:, 1] >> 2  # a combo's higher hole rank: its cards are in order
 _CARD_IN_SUIT = (COMBO_CARDS & 3)[None, :, :] == np.arange(4)[:, None, None]  # [suit, combo, card]
 _IN_SUIT = _CARD_IN_SUIT.sum(axis=2)  # [suit, combo]
 _SUIT_BITS = (_CARD_IN_SUIT << (COMBO_CARDS >> 2)).sum(axis=2)  # [suit, combo]: its hole ranks in the suit
 
-# A flush's made class by its suit's rank mask. On a board with at most four
-# cards of the suit, a combo that makes the flush holds a card of the suit,
-# which plays in it: so its class is a flush or a straight flush.
+# A flush's made class by its suit's rank mask. A combo that makes the flush
+# with a card of the suit plays in it, so its class is a flush or a straight
+# flush; so is a combo without one on a straight-flush board.
 _FLUSH_MADE = np.where(STRAIGHT_TOP >= 0, int(MadeClass.STRAIGHT_FLUSH), int(MadeClass.FLUSH))
 
 
-def _build_rank_row(ranks: Sequence[int]) -> np.ndarray:
-    """The rank table's row for a multiset of 3, 4 or 5 ranks, from the
-    kernel: each rank pair's score with the ranks, _made_classes and, below
-    five ranks, _straight_outs, packed by cards.pack_rank_entries.
-
-    The ranks go on a board round-robin over the suits in sorted order (so
-    no suit holds more than two), and each pair takes two cards of the suit
-    the board holds least (the same card twice for a pocket pair; repeated
-    cards count by multiplicity), so nothing makes a flush."""
-    board = [r * 4 + i % 4 for i, r in enumerate(sorted(ranks))]
-    suit_counts = [sum(c & 3 == s for c in board) for s in range(4)]
-    pair_cards = RANK_PAIRS * 4 + suit_counts.index(min(suit_counts))
-    scores = score_cards_batch(pair_cards, board)
-    outs = _straight_outs(pair_cards, board) if len(board) < 5 else 0
-    return pack_rank_entries(scores, _made_classes(pair_cards, scores, board), outs)
-
-
 def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scores, _made_classes and draw tiers of all 1,326 combos on the
+    """Scores, made classes and draw tiers of all 1,326 combos on the
     board. The rank pairs come from the rank table. A combo that makes a
     flush takes its flush's score and class from the suit-mask tables,
     unless its rank-table entry is higher: a full house or quads, which a
-    dead combo can make by repeating a board card."""
+    dead combo can make by repeating a board card. On a river of five cards
+    of one suit every combo makes the flush; one with no card of the suit
+    plays only its high card unless the board is a straight flush."""
     suit_counts = [0, 0, 0, 0]
     for c in board:
         suit_counts[c & 3] += 1
     flush_suit = max(range(4), key=suit_counts.__getitem__)
     n_suited = suit_counts[flush_suit]
-    if n_suited == 5:  # every combo plays the board's flush: each is scored with its own cards
-        scores = score_cards_batch(COMBO_CARDS, board)
-        return scores, _made_classes(COMBO_CARDS, scores, board), np.zeros(N_COMBOS, dtype=np.int64)
     scores, made, outs = rank_table_entries([c >> 2 for c in board], _RANK_PAIR_OF_COMBO)
     if n_suited >= 3:  # only then can two more cards make five
         rows = np.flatnonzero(_IN_SUIT[flush_suit] >= 5 - n_suited)
@@ -327,6 +191,10 @@ def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.
         flush, ranked = FLUSH_SCORE[masks], scores[rows]
         scores[rows] = np.maximum(flush, ranked)
         made[rows] = np.where(flush > ranked, _FLUSH_MADE[masks], made[rows])
+        if n_suited == 5 and STRAIGHT_TOP[board_bits] < 0:
+            top = max(c >> 2 for c in board)
+            high = np.where((_HIGH_RANK > top) | (_HIGH_RANK == 12), int(MadeClass.HIGH_CARD), int(MadeClass.NOTHING))
+            np.copyto(made, high, where=_IN_SUIT[flush_suit] == 0)
     if len(board) >= 5:  # no draws on a complete board
         return scores, made, np.zeros(N_COMBOS, dtype=np.int64)
     fd = np.zeros(N_COMBOS, dtype=bool)  # a flush draw: four of a suit with the hole cards
@@ -349,12 +217,10 @@ class BoardContext:
     pairs' scores, made classes and straight outs. The table is complete
     (8,463 rows, 3.1 MB, read whole on first use) and read-only, so what it
     serves cannot depend on which boards came before. On a board
-    with three or four cards of one suit, a combo that makes a flush reads
+    with three or more cards of one suit, a combo that makes a flush reads
     its flush's score and class from two 8,192-entry tables indexed by the
     suit's rank mask, and keeps its rank-table entry where that is higher.
-    A river with five cards of one suit bypasses the tables, since there
-    every rank pair scores as that flush; all its combos are scored with
-    their own cards."""
+    Every board is built this way; no combo is scored with its own cards."""
 
     def __init__(self, board: Sequence[int]):
         self.board = validate_board(board)
@@ -497,6 +363,7 @@ _IS_BIG_MADE = np.isin(np.arange(16), [int(c) for c in _BIG_MADE_CLASSES])
 # combo holds the best live score; a crippled one is a nut of quads or
 # better on a paired board.
 _NUT, _CRIPPLED = 1, 2
+_QUADS = int(HandCategory.QUADS)
 _STATE = np.arange(3)[:, None, None]
 _MADE = np.arange(16)[None, :, None]
 _DRAW = np.arange(4)[None, None, :]

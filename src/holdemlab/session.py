@@ -63,40 +63,59 @@ class SessionConfig:
 
     @classmethod
     def from_ini(cls, path: str) -> "SessionConfig":
+        """The config an INI file gives: the keys of [session] (or of
+        [DEFAULT] when there is no [session]) and archetype weights in
+        [bots]. A section, key, archetype or value it cannot read raises
+        ValueError naming the file and the section or key."""
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise FileNotFoundError(path)
-        s = parser["session"] if "session" in parser else parser["DEFAULT"]
-        mix = dict(DEFAULT_BOT_MIX)
-        if "bots" in parser:
-            mix = {k.strip(): float(v) for k, v in parser["bots"].items()}
-            mix = {_canonical_archetype(k): v for k, v in mix.items()}
-        rake = RakeModel(
-            percentage=s.getfloat("rake_percentage", 0.05),
-            cap_bb=s.getfloat("rake_cap_bb", 3.0),
-            no_flop_no_drop=s.getboolean("no_flop_no_drop", True),
-        )
-        return cls(
-            hands=s.getint("hands", 1000),
-            seed=s.getint("seed", 1),
-            sb_cents=s.getint("sb_cents", 1),
-            bb_cents=s.getint("bb_cents", 2),
-            hero_buyin_bb=s.getfloat("hero_buyin_bb", 100.0),
-            bot_mix=mix,
-            pool_size=s.getint("pool_size", 60),
-            rake=rake,
-            rakeback_rate=s.getfloat("rakeback_rate", 0.069),
-            learning=s.getboolean("learning", True),
-            trace=s.getboolean("trace", False),
-            failure_rate=s.getfloat("failure_rate", 0.0),
-            table_id=s.get("table_id", "fastfold"),
-        )
+        try:
+            if not parser.read(path):
+                raise FileNotFoundError(path)
+        except configparser.Error as e:
+            raise ValueError(f"{path}: {' '.join(str(e).split())}") from None
+        for section in parser.sections():
+            if section not in ("session", "bots"):
+                raise ValueError(f"{path}: unknown section [{section}]; want [session] or [bots]")
+
+        def read(section: str, key: str, how: str):
+            try:
+                return getattr(parser[section], how)(key)
+            except (ValueError, configparser.Error) as e:
+                raise ValueError(f"{path}: [{section}] {key}: {e}") from None
+
+        name = "session" if parser.has_section("session") else "DEFAULT"
+        values = {}
+        for key in parser[name]:
+            if key not in _INI_KEYS:
+                raise ValueError(f"{path}: [{name}] unknown key {key!r}")
+            values[key] = read(name, key, _INI_KEYS[key])
+        rake = RakeModel(**{attr: values.pop(key) for key, attr in _INI_RAKE_KEYS.items() if key in values})
+        if parser.has_section("bots"):
+            archetypes = {a.lower(): a for a in ARCHETYPE_TARGETS}
+            mix = {}
+            for key in parser["bots"]:
+                if key in parser.defaults():  # configparser gives every section the [DEFAULT] keys
+                    raise ValueError(f"{path}: [DEFAULT] {key} would also be read as an archetype; set it in [session]")
+                if key not in archetypes:
+                    raise ValueError(f"{path}: [bots] unknown archetype {key!r}; want one of {', '.join(ARCHETYPE_TARGETS)}")
+                weight = mix[archetypes[key]] = read("bots", key, "getfloat")
+                if not weight >= 0:
+                    raise ValueError(f"{path}: [bots] {key}: weight {weight} is not >= 0")
+            if not sum(mix.values()) > 0:
+                raise ValueError(f"{path}: [bots] gives no archetype a positive weight")
+            values["bot_mix"] = mix
+        return cls(rake=rake, **values)
 
 
-def _canonical_archetype(name: str) -> str:
-    lookup = {a.lower(): a for a in ARCHETYPE_TARGETS}
-    return lookup.get(name.lower(), name)
+# The [session] keys of an INI config, by the parser method that reads each.
+# The rake keys become RakeModel fields.
+_INI_KEYS = {
+    **dict.fromkeys(("hands", "seed", "sb_cents", "bb_cents", "pool_size"), "getint"),
+    **dict.fromkeys(("hero_buyin_bb", "rake_percentage", "rake_cap_bb", "rakeback_rate", "failure_rate"), "getfloat"),
+    **dict.fromkeys(("no_flop_no_drop", "learning", "trace"), "getboolean"),
+    "table_id": "get",
+}
+_INI_RAKE_KEYS = {"rake_percentage": "percentage", "rake_cap_bb": "cap_bb", "no_flop_no_drop": "no_flop_no_drop"}
 
 
 def build_bot_pool(config: SessionConfig) -> list[BotPolicy]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holdemlab.cards import InvalidCardsError, parse_cards
+from holdemlab.cards import InvalidCardsError, parse_cards, score_cards_batch
 from holdemlab.rangegrid import COMBO_CARDS
 from holdemlab.rsm import (
     BoardContext,
@@ -15,6 +15,7 @@ from holdemlab.rsm import (
     board_texture,
     bucket_key,
 )
+from reference_rank import build_rank_row, made_classes, straight_outs
 
 
 def cards(text):
@@ -104,10 +105,6 @@ class TestBoardContextFeatures:
     def test_rank_pair_shortcut_equals_per_combo_features(self):
         """BoardContext scores the 91 hole-rank pairs once and rescores only
         combos that make a flush; that must equal scoring every combo."""
-        from holdemlab.cards import score_cards_batch
-        from holdemlab.rangegrid import COMBO_CARDS
-        from holdemlab.rsm import _made_classes
-
         rng = np.random.default_rng(3)
         boards = [cards("AhKhQh"), cards("AhKhQh2h"), cards("AhKhQh2h3h"), cards("5s5d5c5h"), RIVER]
         boards += [tuple(rng.choice(52, size=n, replace=False).tolist()) for n in (3, 4, 5) for _ in range(40)]
@@ -115,7 +112,7 @@ class TestBoardContextFeatures:
             ctx = BoardContext(board)
             scores = score_cards_batch(COMBO_CARDS, board)
             assert (ctx.scores == np.where(ctx.dead_mask, -1, scores)).all()
-            assert (ctx.made == _made_classes(COMBO_CARDS, scores, board)).all()
+            assert (ctx.made == made_classes(COMBO_CARDS, scores, board)).all()
 
     # Boards sharing a rank multiset: a five-suited river with a four-flush
     # and a rainbow one, a four-flush turn, paired, trips and quads boards.
@@ -134,16 +131,14 @@ class TestBoardContextFeatures:
         """Every board of a rank multiset, in either order, is served one
         rank-table row, and matches scoring, classing and drawing each combo
         with its own cards."""
-        from holdemlab.cards import rank_table_row, score_cards_batch
-        from holdemlab.rangegrid import COMBO_CARDS
-        from holdemlab.rsm import _made_classes
+        from holdemlab.cards import rank_table_row
 
         for text in group[::order]:
             board = cards(text)
             ctx = BoardContext(board)
             scores = score_cards_batch(COMBO_CARDS, board)
             assert (ctx.scores == np.where(ctx.dead_mask, -1, scores)).all(), text
-            assert (ctx.made == _made_classes(COMBO_CARDS, scores, board)).all(), text
+            assert (ctx.made == made_classes(COMBO_CARDS, scores, board)).all(), text
             assert (ctx.draw == _per_combo_draw_tiers(COMBO_CARDS, board)).all(), text
         # one row, keyed by the sorted ranks whatever order the cards come in
         rows = {rank_table_row(c >> 2 for c in cards(text)) for text in group}
@@ -168,17 +163,17 @@ class TestBoardContextFeatures:
 
     def test_every_rank_table_row_equals_the_row_builder(self):
         """The shipped table holds, at each multiset's own row, exactly what
-        the kernel-backed builder makes; every row is some multiset's."""
+        the kernel-backed reference builder makes; every row is some
+        multiset's."""
         from itertools import combinations_with_replacement
 
         from holdemlab.cards import rank_table, rank_table_row
-        from holdemlab.rsm import _build_rank_row
 
         seen = set()
         for n in (3, 4, 5):
             for ranks in combinations_with_replacement(range(13), n):
                 row = rank_table_row(ranks)
-                assert (rank_table()[row] == _build_rank_row(ranks)).all(), ranks
+                assert (rank_table()[row] == build_rank_row(ranks)).all(), ranks
                 seen.add(row)
         assert seen == set(range(len(rank_table())))
 
@@ -208,10 +203,9 @@ class TestFlushCombos:
 
     def _assert_matches_kernel(self, board):
         from holdemlab import rsm
-        from holdemlab.cards import score_cards_batch
 
         scores = score_cards_batch(COMBO_CARDS, board)
-        made = rsm._made_classes(COMBO_CARDS, scores, board)
+        made = made_classes(COMBO_CARDS, scores, board)
         draw = _per_combo_draw_tiers(COMBO_CARDS, board)
         features = rsm._combo_features(board)
         assert (features[0] == scores).all(), board  # dead combos' scores too
@@ -234,6 +228,37 @@ class TestFlushCombos:
         for size, n_suited in ((4, 3), (4, 4), (5, 3), (5, 4), (5, 5)):
             for board in _suited_boards(rng, size, n_suited, 110):
                 self._assert_matches_kernel(board)
+
+    def test_every_five_suited_river(self):
+        """Every combo plays the board's flush; those without a card of the
+        suit are classed by their high card unless the board is a straight
+        flush."""
+        from itertools import combinations
+
+        rivers = [tuple(r * 4 + suit for r in ranks) for suit in range(4) for ranks in combinations(range(13), 5)]
+        assert len(rivers) == 5148
+        for board in rivers:
+            self._assert_matches_kernel(board)
+
+    def test_boards_are_built_without_the_kernel(self, monkeypatch):
+        """A BoardContext reads the rank table and the suit-mask tables on
+        every board, whatever its suits: score_cards_batch is never called."""
+        import sys
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return score_cards_batch(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("holdemlab") and getattr(module, "score_cards_batch", None) is score_cards_batch:
+                monkeypatch.setattr(module, "score_cards_batch", counted)
+        rng = np.random.default_rng(7070)
+        boards = [b for size in (3, 4, 5) for n in range(3, size + 1) for b in _suited_boards(rng, size, n, 20)]
+        for board in boards:
+            BoardContext(board)
+        assert len(boards) == 6 * 20 and calls == []
 
     @pytest.mark.parametrize(
         "board, hole, category",
@@ -259,28 +284,16 @@ class TestFlushCombos:
 
 
 def _per_combo_draw_tiers(holes, board):
-    """Draw tier of each combo from its own cards, one rank at a time."""
-    from holdemlab.cards import STRAIGHT_OUTS, STRAIGHT_TOP
+    """Draw tier of each combo from its own cards: a flush draw from its
+    suits, and the reference's straight outs."""
     from holdemlab.rsm import _DRAW_TIER
 
     if len(board) >= 5:
         return np.zeros(holes.shape[0], dtype=np.int64)
-    board_mask = 0
-    for c in board:
-        board_mask |= 1 << (c >> 2)
     suit_counts = np.bincount([c & 3 for c in board], minlength=4)
-    r1, r2 = holes[:, 0] >> 2, holes[:, 1] >> 2
     s1, s2 = holes[:, 0] & 3, holes[:, 1] & 3
     fd = (suit_counts[s1] + 1 + (s1 == s2) == 4) | (suit_counts[s2] + 1 + (s1 == s2) == 4)
-    mask_full = board_mask | (np.int64(1) << r1) | (np.int64(1) << r2)
-    ranks_out = STRAIGHT_OUTS[mask_full]
-    for r in range(13):
-        board_with = int(STRAIGHT_TOP[board_mask | (1 << r)])
-        if board_with < 0:
-            continue
-        made_with = STRAIGHT_TOP[mask_full | (1 << r)]
-        ranks_out -= ((mask_full >> r) & 1 == 0) & (made_with >= 0) & (made_with <= board_with)
-    return _DRAW_TIER[3 * fd + np.minimum(ranks_out, 2)]
+    return _DRAW_TIER[3 * fd + straight_outs(holes, board)]
 
 
 def _reference_values(table, ctx):

@@ -238,6 +238,41 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
         assert (out / "session_8.hh").exists()
 
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("[session]\nhnads = 5\n", "[session] unknown key 'hnads'"),
+            ("[DEFAULT]\nhands = 5\n[bots]\nrock = 1\n", "[DEFAULT] hands would also be read as an archetype"),
+            ("[session]\nhands = 5\n[bots]\nMaiden = 1\n", "[bots] unknown archetype 'maiden'"),
+            ("hands = 5\n[session]\nseed = 3\n", "File contains no section headers. file: "),
+            ("[session]\nhands = ten\n", "[session] hands: invalid literal for int()"),
+            ("[sesion]\nhands = 5\n", "unknown section [sesion]"),
+            ("[bots]\nrock = 0\nfish = -1\n", "[bots] fish: weight -1.0 is not >= 0"),
+            ("[bots]\nrock = 0\n", "[bots] gives no archetype a positive weight"),
+        ],
+        ids=["misspelt-key", "default-key-in-bots", "unknown-archetype", "no-section-header", "bad-int",
+             "unknown-section", "negative-weight", "no-positive-weight"],
+    )
+    def test_bad_config_exits_2_before_writing(self, tmp_path, capsys, text, names):
+        """A config the session cannot read is a ValueError naming the file
+        and the section or key; simulate exits 2 and writes nothing."""
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(names)):
+            SessionConfig.from_ini(str(ini))
+        out = tmp_path / "sim"
+        assert cli_main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad config: {ini}")
+        assert not out.exists()
+
+    def test_config_from_default_section_and_rake_keys(self, tmp_path):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[DEFAULT]\nhands = 7\nrake_cap_bb = 2.5\nlearning = no\ntable_id = t1\n")
+        config = SessionConfig.from_ini(str(ini))
+        assert (config.hands, config.seed, config.learning, config.table_id) == (7, 1, False, "t1")
+        assert (config.rake.percentage, config.rake.cap_bb) == (0.05, 2.5)
+        assert config.bot_mix == SessionConfig().bot_mix
+
 
 class TestReportAcrossProcesses:
     def test_report_same_under_two_hash_seeds(self, tmp_path):
