@@ -10,8 +10,11 @@ fresh interpreter in the output directory DIR, as a user would run it:
     holdemlab simulate --hands 10000 --seed 2023 --trace --out simulate
     holdemlab report simulate/session_2023.hh --out report.csv
     holdemlab replay hand6.scn --out replay
+    holdemlab simulate --config failure.ini --hands 3000 --seed 2023 --trace --out failure
 
-Each demo in demos/ runs there too (`python demos/01_cards_and_equity.py`
+failure.ini, which the script writes, sets `failure_rate = 0.05`, so that
+the timed-out hero decisions and the `fail=1` headers are pinned too. Each
+demo in demos/ runs there too (`python demos/01_cards_and_equity.py`
 and so on). Every file they write and the stdout of `report`, `replay` and
 each demo are hashed. Last comes the hero's advice, one line per decision,
 over the benchmark's seeded `advise` hands (holdembench/workloads.py). One
@@ -31,6 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 2023
 HANDS = 10000
+FAILURE_HANDS = 3000
+FAILURE_INI = "[session]\nfailure_rate = 0.05\n"
 
 
 def run(out: Path, *args: str) -> str:
@@ -62,6 +67,8 @@ def advise_lines(seed: int, hands: int) -> list[str]:
 
 def digests(out: Path, advise_hands: int) -> dict[str, str]:
     cli(out, "simulate", "--hands", str(HANDS), "--seed", str(SEED), "--trace", "--out", "simulate")
+    (out / "failure.ini").write_text(FAILURE_INI, encoding="utf-8")
+    cli(out, "simulate", "--config", "failure.ini", "--hands", str(FAILURE_HANDS), "--seed", str(SEED), "--trace", "--out", "failure")
     texts = {
         "report.stdout": cli(out, "report", f"simulate/session_{SEED}.hh", "--out", "report.csv"),
         "replay.stdout": cli(out, "replay", "hand6.scn", "--out", "replay"),

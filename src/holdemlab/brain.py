@@ -261,7 +261,9 @@ class Brain:
     # --------------------------------------------------------------- observe
 
     def observe_villain_preflop(self, player_id: str, action: str) -> None:
-        """First voluntary pre-flop action creates the range tracker."""
+        """First voluntary pre-flop action creates the range tracker; a fold marks the player folded."""
+        if action == "fold":
+            self.folded.add(player_id)
         if player_id in self.trackers or action == "fold":
             return
         archetype = self.archetype_of(player_id)

@@ -28,12 +28,13 @@ def cmd_simulate(args) -> int:
 
     try:
         config = SessionConfig.from_ini(args.config) if args.config else SessionConfig()
+        if args.hands is not None:
+            config.hands = args.hands
+        if args.seed is not None:
+            config.seed = args.seed
+        config.check(lambda key: f"--{key}")  # from_ini checked the file's values
     except (FileNotFoundError, KeyError, ValueError) as e:
         return _err(f"bad config: {e}")
-    if args.hands is not None:
-        config.hands = args.hands
-    if args.seed is not None:
-        config.seed = args.seed
     if args.trace:
         config.trace = True
     out = Path(args.out or ".")

@@ -27,8 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .brain import Brain, OpponentRead
-from .cards import DealRng
+from .brain import Brain
 from .profiles import ProfileStore
 from .rangegrid import ComboGrid, combo_index
 from .rets import RET, RetDispatch, _category_mass
@@ -50,7 +49,6 @@ class PredictionRecord:
     archetype: str
     grid: ComboGrid
     distribution: np.ndarray
-    chib: float | None
     predicted_top: int
     revealed_hole: tuple[int, int]
     realized_category: int
@@ -105,8 +103,8 @@ def records_from_snapshots(
         board = snap["board"]
         ctx = snap["board_ctx"]
         hole = reveals[pid]
-        read = OpponentRead(pid, snap["archetype"], snap["grid"], tuple(hero_hole), ctx)
-        dist = _category_mass(read.grid, snap["categories"])
+        grid = snap["grid"]
+        dist = _category_mass(grid, snap["categories"])
         top1, top2 = _top2(dist)
         realized = realized_category(hole, board, ctx)
         # Both holdings are live on the board, so ctx.scores holds their scores.
@@ -117,16 +115,15 @@ def records_from_snapshots(
                 street=snap["street"],
                 board=board,
                 player_id=pid,
-                archetype=read.archetype,
-                grid=read.grid,
+                archetype=snap["archetype"],
+                grid=grid,
                 distribution=dist,
-                chib=read.chib,
                 predicted_top=top1,
                 revealed_hole=hole,
                 realized_category=realized,
                 realized_beat_hero=beat_hero,
                 bucket=rsm.bucket_for(hole, board, ctx),
-                in_support=read.grid.weights[combo_index(*hole)] > 0,
+                in_support=grid.weights[combo_index(*hole)] > 0,
                 board_ctx=ctx,
             )
         )
@@ -146,8 +143,9 @@ def replay_with_perfect_info(
     snapshot the hero took with the showdown ground truth.
 
     `table.replay_hand` plays the record while a `HeroSeatPolicy` over a
-    fresh `Brain` and a throwaway `ProfileStore` observes it, as it observes
-    a live hand. At each of the hero's scripted decisions the brain takes
+    fresh `Brain`, with a throwaway `ProfileStore`, observes it as it
+    observes a live hand, reading the blinds and the betting state from the
+    replaying engine. At each of the hero's scripted decisions the brain takes
     the snapshot `Brain.decide` takes, from `derive_context` of the same
     view, so the records equal those a live session pairs, in the same
     order. A villain's archetype comes from `archetypes`, else from `store`
@@ -156,7 +154,7 @@ def replay_with_perfect_info(
     snapshot; the replay cannot tell which one that was and snapshots it.
     Players whose cards were never revealed are skipped."""
     # imported here because session imports this module
-    from .session import HERO_ID, HeroSeatPolicy, SessionConfig, derive_context
+    from .session import HERO_ID, HeroSeatPolicy, derive_context
 
     hero_seat = record.hero_seat_of(hero_id)
     if hero_seat is None or not record.showdown:
@@ -177,19 +175,17 @@ def replay_with_perfect_info(
 
     throwaway = ProfileStore()
     brain = Brain(throwaway, rsm_table=rsm, rets=rets, dispatch=dispatch)
-    observer = HeroSeatPolicy(brain, throwaway, SessionConfig(sb_cents=record.sb_cents, bb_cents=record.bb_cents), DealRng(0))
-    observer.new_hand_reset(record.hand_id, hero_seat)
     brain.begin_hand(record.hand_id, hero_hole, [(pid, archetype_of(pid)) for s, pid, _ in record.seats if s != hero_seat])
 
     def snapshotting(scripted):
         def act(view):
             move = scripted(view)
-            brain.record_snapshot(derive_context(view, record.bb_cents), move[0].key)
+            brain.record_snapshot(derive_context(view), move[0].key)
             return move
 
         return act
 
-    replay_hand(record, observer, {hero_seat: snapshotting})
+    replay_hand(record, HeroSeatPolicy(brain), {hero_seat: snapshotting})
     return records_from_snapshots(brain.snapshots, reveals, hero_hole, rsm)
 
 

@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .brain import Brain, OpponentRead
-from .cards import DealRng, card_str, parse_cards
+from .cards import card_str, parse_cards
 from .events import ActionType, from_key
 from .profiles import ProfileStore
 from .rangegrid import grid_to_lines
 from .rsm import RsmTable
-from .session import HeroSeatPolicy, SessionConfig
+from .session import HERO_ID, HeroSeatPolicy
 from .table import HandRecord, SeatConfig, _ScriptedSeatPolicy, _stacked_deck, play_hand
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
@@ -90,6 +90,8 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
             elif parts[0] == "seed":
                 seed = int(parts[1])
             elif parts[0] == "seat":
+                if parts[3] == "hero" and parts[2] != HERO_ID:
+                    raise ValueError(f"the hero seat's player id must be {HERO_ID!r}")
                 hole = tuple(parse_cards(parts[5]))
                 seats.append(ScenarioSeat(int(parts[1]), parts[2], parts[3], float(parts[4]), hole))
             elif parts[0] == "board":
@@ -158,13 +160,9 @@ class ScenarioResult:
 def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None, trace: bool = True) -> ScenarioResult:
     store = ProfileStore()
     rsm = rsm or RsmTable()
-    config = SessionConfig(
-        hands=1, seed=scenario.seed, sb_cents=scenario.sb_cents, bb_cents=scenario.bb_cents, trace=trace
-    )
     brain = Brain(store, rsm_table=rsm, seed=scenario.seed, trace=trace)
     hero = scenario.hero
-    policy = HeroSeatPolicy(brain, store, config, DealRng(scenario.seed, stream=99))
-    policy.new_hand_reset(1, hero.seat)
+    policy = HeroSeatPolicy(brain)
     brain.begin_hand(
         1,
         hero.hole,

@@ -23,6 +23,7 @@ from .rsm import BoardContext, RsmTable
 from .table import (
     ARCHETYPE_TARGETS,
     BotPolicy,
+    HandEngine,
     HandRecord,
     PolicyView,
     RakeModel,
@@ -65,8 +66,9 @@ class SessionConfig:
     def from_ini(cls, path: str) -> "SessionConfig":
         """The config an INI file gives: the keys of [session] (or of
         [DEFAULT] when there is no [session]) and archetype weights in
-        [bots]. A section, key, archetype or value it cannot read raises
-        ValueError naming the file and the section or key."""
+        [bots]. A section, key, archetype or value it cannot read, or a
+        value out of range (see check), raises ValueError naming the file
+        and the section or key."""
         parser = configparser.ConfigParser()
         try:
             if not parser.read(path):
@@ -104,7 +106,26 @@ class SessionConfig:
             if not sum(mix.values()) > 0:
                 raise ValueError(f"{path}: [bots] gives no archetype a positive weight")
             values["bot_mix"] = mix
-        return cls(rake=rake, **values)
+        config = cls(rake=rake, **values)
+        config.check(lambda key: f"{path}: [{name}] {key}")
+        return config
+
+    def check(self, name_of: Callable[[str], str]) -> None:
+        """Raise ValueError at the first value out of range, naming its INI key as name_of(key)."""
+        buyin = self.hero_buyin_bb * self.bb_cents  # in cents; rounds to at least 1 above 0.5
+        for key, value, ok, want in (
+            ("hands", self.hands, self.hands >= 0, ">= 0"),
+            ("pool_size", self.pool_size, self.pool_size >= 5, ">= 5 (five opponents a hand)"),
+            ("bb_cents", self.bb_cents, self.bb_cents >= 1, ">= 1"),
+            ("sb_cents", self.sb_cents, 0 <= self.sb_cents <= self.bb_cents, f"in [0, bb_cents={self.bb_cents}]"),
+            ("hero_buyin_bb", self.hero_buyin_bb, 0.5 < buyin < float("inf"), f"a buy-in of at least one cent at bb_cents={self.bb_cents}"),
+            ("rakeback_rate", self.rakeback_rate, 0 <= self.rakeback_rate <= 1, "in [0, 1]"),
+            ("rake_percentage", self.rake.percentage, 0 <= self.rake.percentage <= 1, "in [0, 1]"),
+            ("failure_rate", self.failure_rate, 0 <= self.failure_rate <= 1, "in [0, 1]"),
+            ("rake_cap_bb", self.rake.cap_bb, self.rake.cap_bb >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name_of(key)}: {value} is not {want}")
 
 
 # The [session] keys of an INI config, by the parser method that reads each.
@@ -139,123 +160,90 @@ def build_bot_pool(config: SessionConfig) -> list[BotPolicy]:
 
 
 class HeroSeatPolicy:
-    """Adapter between the engine's per-seat policy protocol and the brain.
-    Also the hero's sensorium: it forwards witnessed events into the profile
-    store and the range pipeline, and stops observing once the hero folds."""
+    """Adapter between the engine's per-seat policy protocol and the brain,
+    and the hero's sensorium: it forwards what the hero witnesses into the
+    profile store (`brain.store`) and the range pipeline until the hero
+    folds. It keeps no copy of the betting state. From the engine that
+    `on_begin` hands it, it reads the hand id, the blinds, the seats'
+    `in_hand` and `all_in`, and the action log; never `hole` or the deck.
+    The read freezes once the hero or every live villain is all-in. A
+    villain acts under the initiative: the seat of the hand's last bet,
+    raise or all-in. A villain's bet is a donk when the initiative is
+    another seat's, carried into this street, that has not yet acted on
+    it. An all-in from posting a blind freezes the read too; sessions
+    never reach one (the hero rebuys below 2 bb, bots sit with 60)."""
 
-    def __init__(self, brain: Brain, store: ProfileStore, config: SessionConfig, fail_rng: DealRng):
+    def __init__(self, brain: Brain):
         self.brain = brain
-        self.store = store
-        self.config = config
-        self.fail_rng = fail_rng
-        self.new_hand_reset(0, 0)
-
-    def new_hand_reset(self, hand_id: int, hero_seat: int) -> None:
-        self.hand_id = hand_id
-        self.hero_seat = hero_seat
-        self.hero_folded = False
-        self.hero_all_in = False
-        self.street = "preflop"
-        self.aggressor: str | None = None
-        self.prev_street_aggressor: str | None = None
-        self.aggressor_acted_this_street = False
-        self.villains_live: set[str] = set()
-        self.villains_all_in: set[str] = set()
-        self.failed = False
-        self._seq = 0
 
     # -- observation (wired as the engine observer) -------------------------
 
+    def on_begin(self, engine: HandEngine) -> None:
+        self.engine = engine
+        self.hero = next(s for s in engine.seats if s.player_id == HERO_ID)
+        self.street = "preflop"
+
     def on_action(self, street, seat, player_id, action, committed_cents, pot_before_cents, position, all_in):
-        if self.hero_folded:
-            return
-        self._seq += 1
-        bb = self.config.bb_cents
-        self.store.record_event(
+        is_hero = player_id == HERO_ID
+        if not (self.hero.in_hand or is_hero):
+            return  # the hero folded earlier; its own fold is the last action it sees
+        engine = self.engine
+        bb = engine.bb
+        self.brain.store.record_event(
             ActionEvent(
-                hand_id=self.hand_id,
+                hand_id=engine.hand_id,
                 player_id=player_id,
                 street=from_key(Street, street),
                 action=from_key(ActionType, action),
                 amount_bb=committed_cents / bb,
                 pot_before_bb=pot_before_cents / bb,
                 position=position,
-                timestamp=float(self.hand_id) + self._seq / 1000.0,
+                timestamp=float(engine.hand_id) + len(engine.actions) / 1000.0,
             )
         )
-        is_hero = player_id == HERO_ID
-        if not is_hero:
-            if action == "fold":
-                self.villains_live.discard(player_id)
-            else:
-                self.villains_live.add(player_id)
-                if all_in:
-                    self.villains_all_in.add(player_id)
-        elif all_in:
-            self.hero_all_in = True
         if street != self.street:
             return  # the read froze on an earlier street (see on_street)
-        if street == "preflop":
-            if not is_hero:
-                self.brain.observe_villain_preflop(player_id, action)
-                if action == "fold":
-                    self.brain.folded.add(player_id)
-            else:
-                self.brain.observe_hero_action(action, "preflop")
+        if is_hero:
+            self.brain.observe_hero_action(action, street)
+        elif street == "preflop":
+            self.brain.observe_villain_preflop(player_id, action)
         else:
-            if not is_hero:
-                name = action
-                # A lead into the prior aggressor is a donk bet; all-ins keep
-                # their own (more specific) template.
-                if (
-                    action == "bet"
-                    and self.prev_street_aggressor is not None
-                    and self.prev_street_aggressor != player_id
-                    and not self.aggressor_acted_this_street
-                ):
-                    name = "donk"
-                agg = "hero_agg" if self.aggressor == HERO_ID else ("villain_agg" if self.aggressor else "none")
-                self.brain.observe_villain_action(player_id, name, aggressor=agg, position="oop")
-            else:
-                self.brain.observe_hero_action(action, street)
-        if player_id == self.prev_street_aggressor:
-            self.aggressor_acted_this_street = True
-        if action in ("bet", "raise", "allin"):
-            self.aggressor = player_id
-        if is_hero and action == "fold":
-            self.hero_folded = True
+            earlier = engine.actions[-2::-1]  # newest first; the log ends with this action
+            holder = next((s for _, s, a, _ in earlier if a in ("bet", "raise", "allin")), None)
+            name = action
+            # Nobody bet or raised on this street before a bet, so the holder
+            # carried the initiative in. Leading into it is a donk; all-ins
+            # keep their own (more specific) template.
+            if action == "bet" and holder not in (None, seat) and all(s != holder for st, s, _, _ in earlier if st == street):
+                name = "donk"
+            agg = "none" if holder is None else ("hero_agg" if holder == self.hero.idx else "villain_agg")
+            self.brain.observe_villain_action(player_id, name, aggressor=agg, position="oop")
 
     def on_street(self, street, board):
-        if self.hero_folded:
+        hero = self.hero
+        if not hero.in_hand:
             return
-        # Once no decision can follow (hero all-in, or every live villain is),
-        # the read is final: the pipeline freezes rather than rebaselining.
-        if self.hero_all_in or (self.villains_live and self.villains_live <= self.villains_all_in):
+        # Once no decision can follow, the pipeline freezes rather than
+        # rebaselining. At least one villain is live when a street is dealt.
+        if hero.all_in or all(s.all_in for s in self.engine.seats if s.in_hand and s is not hero):
             return
-        self.prev_street_aggressor = self.aggressor
-        self.aggressor_acted_this_street = False
         self.street = street
         self.brain.observe_new_street(board)
 
     def on_showdown(self, reveals):
-        if self.hero_folded:
+        if not self.hero.in_hand:
             return
         for seat, player_id, hole in reveals:
-            self.store.record_showdown(self.hand_id, player_id, card_str(hole[0]) + card_str(hole[1]))
+            self.brain.store.record_showdown(self.engine.hand_id, player_id, card_str(hole[0]) + card_str(hole[1]))
 
     def on_end(self, record):
-        self.store.finish_hand()
+        self.brain.store.finish_hand()
 
     # -- acting ----------------------------------------------------------------
 
     def __call__(self, view: PolicyView):
-        if self.config.failure_rate > 0 and self.fail_rng.random() < self.config.failure_rate:
-            # Injected operational failure: the interface times the hero out.
-            self.failed = True
-            return (ActionType.CHECK, 0) if view.to_call_cents <= 0 else (ActionType.FOLD, 0)
-        ctx = derive_context(view, self.config.bb_cents)
-        rec = self.brain.decide(ctx)
-        bb = self.config.bb_cents
+        rec = self.brain.decide(derive_context(view))
+        bb = view.bb_cents
         if rec.action == ActionType.BET:
             cents = int(round(rec.size_bb * bb))
             cents = max(min(cents, view.stack_cents), min(bb, view.stack_cents))
@@ -268,10 +256,10 @@ class HeroSeatPolicy:
         return (rec.action, 0)
 
 
-def derive_context(view: PolicyView, bb_cents: int) -> DecisionContext:
+def derive_context(view: PolicyView) -> DecisionContext:
     """Translate raw table state into the decision layer's variables:
     stack-to-pot ratio, pot odds, accumulated betting pressure, legality."""
-    bb = float(bb_cents)
+    bb = float(view.bb_cents)
     pot_bb = view.pot_cents / bb
     to_call_bb = view.to_call_cents / bb
     spr_pot = max(pot_bb, 0.5)
@@ -335,7 +323,15 @@ def run_fastfold_session(
     deal_rng = DealRng(config.seed, stream=0)
     seat_rng = DealRng(config.seed, stream=1)
     fail_rng = DealRng(config.seed, stream=2)
-    hero_policy = HeroSeatPolicy(brain, store, config, fail_rng)
+    hero_policy = HeroSeatPolicy(brain)
+
+    def hero_or_timeout(view: PolicyView):
+        # Injected operational failure: the interface times the hero out.
+        nonlocal timed_out
+        if config.failure_rate > 0 and fail_rng.random() < config.failure_rate:
+            timed_out = True
+            return (ActionType.CHECK, 0) if view.to_call_cents <= 0 else (ActionType.FOLD, 0)
+        return hero_policy(view)
     ledger = ResultLedger(bb_cents=config.bb_cents, rakeback_rate=config.rakeback_rate)
 
     hero_stack = int(round(config.hero_buyin_bb * config.bb_cents))
@@ -356,12 +352,11 @@ def run_fastfold_session(
         lo, hi = config.bot_stack_bb
         for idx in range(6):
             if idx == hero_seat:
-                seats.append(SeatConfig(HERO_ID, hero_stack, hero_policy))
+                seats.append(SeatConfig(HERO_ID, hero_stack, hero_or_timeout))
             else:
                 bot = next(bot_iter)
                 stack_bb = lo + (hi - lo) * seat_rng.random()
                 seats.append(SeatConfig(bot.player_id, int(round(stack_bb * config.bb_cents)), bot))
-        hero_policy.new_hand_reset(hand_id, hero_seat)
         deck = deal_rng.shuffled_deck()
         brain.begin_hand(
             hand_id,
@@ -369,6 +364,7 @@ def run_fastfold_session(
             [(s.player_id, None) for s in seats if s.player_id != HERO_ID],
             bad_beat_last_hand=bad_beat_last,
         )
+        timed_out = False
         record = play_hand(
             hand_id,
             config.table_id,
@@ -380,7 +376,7 @@ def run_fastfold_session(
             rake=config.rake,
             observer=hero_policy,
         )
-        record.failure_injected = hero_policy.failed
+        record.failure_injected = timed_out
         net = record.net[hero_seat]
         hero_stack += net
         rake_hero = record.rake_paid.get(hero_seat, 0)

@@ -225,6 +225,14 @@ def apportion_rake(awards: dict[int, int], rake_total: int) -> dict[int, int]:
 
 
 class HandEngine:
+    """One hand of play, and the only record of its betting state. An
+    observer, when given, is called with `on_begin(engine)` before the
+    deal; `on_action(street, seat, player_id, action, committed_cents,
+    pot_before_cents, position, all_in)` once each action is applied and
+    appended to `actions`; `on_street(street, board)` as each street is
+    dealt; `on_showdown(reveals)`, a (seat, player_id, hole) triple per
+    live seat; and `on_end(record)` with the finished `HandRecord`."""
+
     def __init__(
         self,
         hand_id: int,
@@ -342,7 +350,6 @@ class HandEngine:
         """Apply a validated action; returns True if the bet level rose."""
         pot_before = self._pot
         to_call = self.current_bet - seat.street_committed
-        raised = False
         if action == ActionType.FOLD:
             seat.in_hand = False
             self._live.remove(seat)
@@ -399,7 +406,7 @@ class HandEngine:
         else:
             raise IllegalActionError(f"unknown action {action}")
         self._emit_action(seat, action, pot_before)
-        return raised
+        return False
 
     def _betting_round(self) -> None:
         order = self._order(self.street)
@@ -467,6 +474,8 @@ class HandEngine:
         self.min_raise_inc = self.bb
 
     def run(self) -> HandRecord:
+        if self.observer:
+            self.observer.on_begin(self)
         start_stacks = {s.idx: s.stack for s in self.seats}
         self._deal_holes()
         self._post_blinds()
@@ -478,7 +487,6 @@ class HandEngine:
                     self.saw_flop = True
                 if self.observer:
                     self.observer.on_street(street, tuple(self.board))
-                self.street_aggressor.setdefault(street, None)
             if len(self._live) <= 1:
                 break
             if sum(1 for s in self._live if s.can_act) >= 2 or street == "preflop":
@@ -488,9 +496,7 @@ class HandEngine:
         live = self._live
         showdown: list[tuple[int, tuple[int, int]]] = []
         scores: dict[int, int] = {}
-        if len(live) > 1:
-            self._deal_board(5)
-            self.street = "river"
+        if len(live) > 1:  # no street broke the loop, so the river is dealt
             for s in live:
                 scores[s.idx] = hand_score(s.hole + tuple(self.board))
                 showdown.append((s.idx, s.hole))

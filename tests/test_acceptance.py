@@ -346,7 +346,7 @@ class TestCriterion10:
                 break
             rec = PredictionRecord(
                 hand_id=i, street="flop", board=tuple(board), player_id="v", archetype="Whale",
-                grid=ComboGrid.uniform().strip(board), distribution=dist, chib=0.5,
+                grid=ComboGrid.uniform().strip(board), distribution=dist,
                 predicted_top=0, revealed_hole=tuple(hole), realized_category=realized,
                 realized_beat_hero=False, bucket=bucket, in_support=True,
             )

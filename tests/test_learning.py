@@ -95,7 +95,6 @@ def synthetic_record(dist, realized, bucket, hole=None, board=None, pid="v", han
         archetype="Whale",
         grid=ComboGrid.uniform().strip(board),
         distribution=np.asarray(dist, dtype=float),
-        chib=0.3,
         predicted_top=int(np.argmax(dist)),
         revealed_hole=tuple(hole),
         realized_category=realized,
@@ -281,7 +280,7 @@ class TestReplayPerfectInfo:
         def fields(rec):
             return (
                 rec.hand_id, rec.street, rec.board, rec.player_id, rec.archetype,
-                rec.grid.weights.tobytes(), rec.distribution.tobytes(), rec.chib, rec.predicted_top,
+                rec.grid.weights.tobytes(), rec.distribution.tobytes(), rec.predicted_top,
                 rec.revealed_hole, rec.realized_category, rec.realized_beat_hero, rec.bucket, rec.in_support,
             )
 

@@ -30,6 +30,13 @@ class TestParse:
         with pytest.raises(ScenarioError, match=f"^hand6.scn:{lineno}: unknown ActionType 'jump'$"):
             parse_scenario(text, source="hand6.scn")
 
+    def test_hero_seat_must_carry_the_hero_id(self):
+        """The hero's observer finds the hero's seat by the session's id."""
+        text = HAND6.read_text().replace("seat 3 hero hero", "seat 3 me hero")
+        lineno = text.splitlines().index("seat 3 me hero 150 9h9s") + 1
+        with pytest.raises(ScenarioError, match=f"^hand6.scn:{lineno}: the hero seat's player id must be 'hero'$"):
+            parse_scenario(text, source="hand6.scn")
+
     def test_action_words_are_case_insensitive(self):
         text = HAND6.read_text()
         upper = text.replace("act reg_sb call", "act reg_sb CALL").replace("act whale_bb allin", "act whale_bb AllIn")

@@ -77,37 +77,121 @@ class TestSessionDeterminism:
         assert any(r.failure_injected for r in records)
 
 
+class _RecordingBrain:
+    """A fake brain that is its own store: it records each observe_* call
+    an observer makes, and each profile-store call, in order."""
+
+    def __init__(self):
+        self.calls = []
+        self.store = self
+
+    def __getattr__(self, name):
+        if not name.startswith(("observe_", "record_", "finish_")):
+            raise AttributeError(name)
+        return lambda *args, **kwargs: self.calls.append((name, args, kwargs))
+
+
+class _BothObservers:
+    """Forwards each engine call to a HeroSeatPolicy and to the reference
+    observer, each over its own recording brain, and notes which of the
+    rules' harder cases the hands reached."""
+
+    def __init__(self):
+        from reference_observer import ReferenceObserver
+        from holdemlab.session import HeroSeatPolicy
+
+        self.new = HeroSeatPolicy(_RecordingBrain())
+        self.ref = ReferenceObserver(_RecordingBrain())
+        self.cases = set()
+
+    def _forward(self, method, *args):
+        n = len(self.new.brain.calls)
+        getattr(self.new, method)(*args)
+        getattr(self.ref, method)(*args)
+        return self.new.brain.calls[n:]
+
+    def on_begin(self, engine):
+        self.engine = engine
+        self._forward("on_begin", engine)
+
+    def on_action(self, *args):
+        for name, call_args, kw in self._forward("on_action", *args):
+            if name != "observe_villain_action":
+                continue
+            action = call_args[1]
+            flop = [a for s, _, a, _ in self.engine.actions if s == "flop"]
+            if action == "donk" and args[0] == "turn" and flop and set(flop) == {"check"}:
+                self.cases.add("turn donk after a checked-through flop")
+            if action == "call" and kw["aggressor"] == "hero_agg":
+                self.cases.add("call under hero_agg")
+
+    def on_street(self, street, board):
+        hero = next(s for s in self.engine.seats if s.player_id == "hero")
+        if not any(c[0] == "observe_new_street" for c in self._forward("on_street", street, board)) and hero.in_hand:
+            self.cases.add("frozen by a hero all-in" if hero.all_in else "frozen by all-in villains")
+
+    def on_showdown(self, reveals):
+        self._forward("on_showdown", reveals)
+
+    def on_end(self, record):
+        self._forward("on_end", record)
+
+
 class TestHeroObservation:
+    def test_same_calls_as_the_reference_bookkeeping(self):
+        """The observer reads the betting state from the engine; the old
+        bookkeeping copied it action by action. Over every hand of two
+        seeded sessions, one with timed-out hero decisions, both make the
+        same brain and store calls in the same order."""
+        both = _BothObservers()
+        differ = []
+        for seed, failure_rate in ((2023, 0.0), (7, 0.05)):
+            records = []
+            run_fastfold_session(SessionConfig(hands=2000, seed=seed, failure_rate=failure_rate), on_record=records.append)
+            for record in records:
+                replay_hand(record, both)
+                if both.new.brain.calls != both.ref.brain.calls:
+                    differ.append((seed, record.hand_id))
+                both.new.brain.calls.clear()
+                both.ref.brain.calls.clear()
+        assert not differ, f"{len(differ)} hands differ, first {differ[:5]}"
+        assert both.cases == {
+            "turn donk after a checked-through flop",
+            "call under hero_agg",
+            "frozen by a hero all-in",
+            "frozen by all-in villains",
+        }
+
     def test_read_freezes_after_the_hero_is_all_in(self):
         """Once the hero shoves the flop no decision can follow, so villain
         actions on later streets must not reshape the flop read."""
-        from holdemlab.brain import Brain
-        from holdemlab.cards import DealRng, parse_cards
-        from holdemlab.profiles import ProfileStore
+        from holdemlab.cards import parse_cards
         from holdemlab.session import HeroSeatPolicy
+        from holdemlab.table import SeatConfig, _ScriptedSeatPolicy, _stacked_deck, play_hand
+
+        steps = {}
+
+        class Watched(HeroSeatPolicy):
+            def on_street(self, street, board):
+                steps[street] = {pid: len(t.history) for pid, t in self.brain.trackers.items()}
+                super().on_street(street, board)
 
         store = ProfileStore()
         brain = Brain(store, seed=1)
-        hero = HeroSeatPolicy(brain, store, SessionConfig(), DealRng(1))
-        hero.new_hand_reset(1, 0)
-        brain.begin_hand(1, tuple(parse_cards("AsKs")), [("v1", "Fish"), ("v2", "Fish")])
+        holes = [tuple(parse_cards(h)) for h in ("AsKs", "QhJh", "8c8d")]
         board = tuple(parse_cards("9d5s2cKd7h"))
-        hero.on_action("preflop", 1, "v1", "call", 2, 3, "utg", False)
-        hero.on_action("preflop", 2, "v2", "call", 2, 5, "btn", False)
-        hero.on_action("preflop", 0, "hero", "check", 2, 7, "bb", False)
-        hero.on_street("flop", board[:3])
-        hero.on_action("flop", 0, "hero", "allin", 200, 7, "bb", True)
-        hero.on_action("flop", 1, "v1", "call", 200, 207, "utg", False)
-        hero.on_action("flop", 2, "v2", "call", 200, 407, "btn", False)
-        steps = {pid: len(t.history) for pid, t in brain.trackers.items()}
-        assert set(steps) == {"v1", "v2"}
-        hero.on_street("turn", board[:4])
-        hero.on_action("turn", 1, "v1", "bet", 50, 607, "utg", False)
-        hero.on_action("turn", 2, "v2", "call", 50, 657, "btn", False)
-        hero.on_street("river", board)
-        hero.on_action("river", 1, "v1", "check", 0, 707, "utg", False)
-        assert {pid: len(t.history) for pid, t in brain.trackers.items()} == steps
-        assert len(store.events) == 9  # the profile store still sees every action
+        scripts = {  # seat 2 has the button: the hero posts the small blind and acts first after the flop
+            "hero": [("preflop", "call", 0), ("flop", "allin", 0)],
+            "v1": [("preflop", "check", 0), ("flop", "call", 0), ("turn", "bet", 50), ("river", "bet", 50)],
+            "v2": [("preflop", "call", 0), ("flop", "call", 0), ("turn", "call", 0), ("river", "fold", 0)],
+        }
+        seats = [SeatConfig(pid, stack, _ScriptedSeatPolicy(scripts[pid])) for pid, stack in (("hero", 202), ("v1", 1000), ("v2", 1000))]
+        brain.begin_hand(1, holes[0], [("v1", "Fish"), ("v2", "Fish")])
+        record = play_hand(1, "t", seats, 2, 1, 2, _stacked_deck(holes, board), observer=Watched(brain))
+        assert record.actions[3] == ("flop", 0, "allin", 200)
+        assert set(steps["turn"]) == {"v1", "v2"}
+        assert {pid: len(t.history) for pid, t in brain.trackers.items()} == steps["turn"]
+        assert len(store.events) == len(record.actions) == 10  # the profile store still sees every action
 
 
 class TestHistoryRoundTrip:
@@ -263,6 +347,40 @@ class TestCli:
         out = tmp_path / "sim"
         assert cli_main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad config: {ini}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, want",
+        [
+            ("pool_size", "0", "0 is not >= 5 (five opponents a hand)"),
+            ("pool_size", "4", "4 is not >= 5 (five opponents a hand)"),
+            ("bb_cents", "0", "0 is not >= 1"),
+            ("hero_buyin_bb", "0", "0.0 is not a buy-in of at least one cent at bb_cents=2"),
+            ("hands", "-5", "-5 is not >= 0"),
+            ("--hands", "-3", "-3 is not >= 0"),
+            ("sb_cents", "3", "3 is not in [0, bb_cents=2]"),
+            ("rakeback_rate", "-1", "-1.0 is not in [0, 1]"),
+            ("rake_percentage", "-0.5", "-0.5 is not in [0, 1]"),
+            ("failure_rate", "1.5", "1.5 is not in [0, 1]"),
+            ("rake_cap_bb", "-1", "-1.0 is not >= 0"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_before_writing(self, tmp_path, capsys, key, value, want):
+        """A session value out of its range is a ValueError naming the file
+        and the key, or the option; simulate exits 2 and writes nothing."""
+        out = tmp_path / "sim"
+        if key.startswith("--"):
+            names = f"{key}: {want}"
+            argv = ["simulate", key, value, "--out", str(out)]
+        else:
+            ini = tmp_path / "cfg.ini"
+            ini.write_text(f"[session]\n{key} = {value}\n")
+            names = f"{ini}: [session] {key}: {want}"
+            with pytest.raises(ValueError, match=re.escape(names)):
+                SessionConfig.from_ini(str(ini))
+            argv = ["simulate", "--config", str(ini), "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: bad config: {names}\n"
         assert not out.exists()
 
     def test_config_from_default_section_and_rake_keys(self, tmp_path):

@@ -356,8 +356,8 @@ class TestBots:
         store = ProfileStore()
 
         class Recorder:
-            def __init__(self):
-                self.hand_id = 0
+            def on_begin(self, engine):
+                self.hand_id = engine.hand_id
 
             def on_action(self, street, seat, pid, action, committed, pot_before, position, all_in):
                 store.record_event(
@@ -380,7 +380,6 @@ class TestBots:
         names = list(bots)
         hands = 22_000
         for h in range(1, hands + 1):
-            recorder.hand_id = h
             picks = [names[int(i)] for i in rng.generator.choice(len(names), size=6, replace=False)]
             seats = [SeatConfig(bots[a].player_id, 200, bots[a]) for a in picks]
             play_hand(h, "t", seats, h % 6, 1, 2, rng.shuffled_deck(), observer=recorder)
