@@ -13,6 +13,7 @@ from holdemlab.cards import (
     parse_cards,
 )
 from holdemlab.rangegrid import ComboGrid
+from holdemlab.rsm import BoardContext
 
 hero = parse_cards("9h9s")
 board = parse_cards("9d5s2c2dKs")
@@ -36,7 +37,8 @@ flop = parse_cards("9d5s2c")
 eq_flop = equity_exhaustive(hero, parse_cards("4d3d"), flop)
 print(f"flop equity (990 runouts enumerated): {eq_flop:.3f}")
 
-# Equity against a whole weighted range: a uniform random hand here.
+# Equity against a whole weighted range: a uniform random hand here. The
+# range operations read the board from its context, built once per board.
 grid = ComboGrid.uniform().strip(hero + flop)
-eq_range = equity_vs_range(hero, grid.weights, flop)
+eq_range = equity_vs_range(hero, grid.weights, BoardContext(flop))
 print(f"flop equity vs a uniform range: {eq_range:.3f}")

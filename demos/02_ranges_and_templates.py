@@ -11,13 +11,16 @@ import numpy as np
 from holdemlab.cards import parse_cards
 from holdemlab.rangegrid import PreflopContext, assign_preflop_range
 from holdemlab.rets import chib, load_ret_set, reshape, rs_distribution
-from holdemlab.rsm import RsCategory, RsmTable
+from holdemlab.rsm import BoardContext, RsCategory, RsmTable
 
 rsm = RsmTable()
 rets = load_ret_set()
 
 hero = parse_cards("9h9s")
 flop = parse_cards("9d5s2c")
+# Every range operation below reads the flop from its context: the
+# features of all 1,326 combos on that board, built once.
+ctx = BoardContext(flop)
 
 
 def show(label, dist):
@@ -32,22 +35,22 @@ print(f"whale pre-flop support: {whale.support_fraction():.0%} of all 1,326 comb
 whale = whale.strip(flop + hero)
 print(f"after card removal:     {whale.support_count()} combos live")
 
-baseline = rs_distribution(whale, flop, rsm)
+baseline = rs_distribution(whale, ctx, rsm)
 show("\nflop baseline (flat)", baseline)
 print(f"nothing-much mass (Niente+HardlyAnything): {baseline[0] + baseline[1]:.0%}")
 print(f"Fair or better: {baseline[3:].sum():.0%}")
 
 # The whale leads into the raiser: the donk-bet template cuts the air and
 # promotes made hands and draws.
-led = reshape(whale, flop, rets["RET18"], rsm)
-show("after the donk bet (RET18)", rs_distribution(led, flop, rsm))
+led = reshape(whale, ctx, rets["RET18"], rsm)
+show("after the donk bet (RET18)", rs_distribution(led, ctx, rsm))
 
 # Then calls a raise: the strongest holdings thin out (no reraise, twice).
-called = reshape(led, flop, rets["RET33"], rsm)
-show("after calling the raise (RET33)", rs_distribution(called, flop, rsm))
+called = reshape(led, ctx, rets["RET33"], rsm)
+show("after calling the raise (RET33)", rs_distribution(called, ctx, rsm))
 
-print(f"\nhero ChiB on the flop vs that range: {chib(hero, called, flop):.4f}")
+print(f"\nhero ChiB on the flop vs that range: {chib(hero, called, ctx):.4f}")
 
 # Templates are shapes, not magnitudes: scaling one changes nothing.
-scaled = reshape(whale, flop, rets["RET18"], rsm)
+scaled = reshape(whale, ctx, rets["RET18"], rsm)
 print("scale invariance holds:", np.allclose(led.weights, scaled.weights))

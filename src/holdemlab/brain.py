@@ -84,7 +84,7 @@ class OpponentRead:
         if self.grid is None or self.board_ctx is None:
             return None
         try:
-            return chib(self.hero, self.grid, self.board_ctx.board, self.board_ctx)
+            return chib(self.hero, self.grid, self.board_ctx)
         except DegenerateRangeError:
             return None
 
@@ -282,7 +282,7 @@ class Brain:
         self._board_ctx = BoardContext.cached(board, self.board_contexts)
         for pid, tracker in self.trackers.items():
             if pid not in self.folded:
-                tracker.on_new_street(board, self._board_ctx)
+                tracker.on_new_street(self._board_ctx)
         for arch in list(self.perceived):
             self.perceived[arch] = self.perceived[arch].strip_mask(self._board_ctx.dead_mask)
 
@@ -295,7 +295,7 @@ class Brain:
         tracker = self.trackers.get(player_id)
         if tracker is None or self._board_ctx is None or player_id in self.folded:
             return None
-        step = tracker.on_action(action, self._board_ctx.board, aggressor=aggressor, position=position, ctx=self._board_ctx)
+        step = tracker.on_action(action, self._board_ctx, aggressor=aggressor, position=position)
         return step.ret_id
 
     def observe_hero_action(self, action: str, street: str) -> None:
@@ -321,7 +321,7 @@ class Brain:
         if ret_id is None or ret_id not in self.rets:
             return
         for arch, grid in self.perceived.items():
-            self.perceived[arch] = reshape(grid, self._board_ctx.board, self.rets[ret_id], self.rsm, self._board_ctx)
+            self.perceived[arch] = reshape(grid, self._board_ctx, self.rets[ret_id], self.rsm)
 
     # ---------------------------------------------------------------- decide
 
@@ -364,7 +364,7 @@ class Brain:
 
     def _hero_rs(self, ctx: DecisionContext) -> RsCategory:
         assert ctx.board_ctx is not None
-        return self.rsm.query(ctx.hero_hole, ctx.board, ctx.board_ctx)
+        return self.rsm.query(ctx.hero_hole, ctx.board_ctx)
 
     def _hero_draw(self, ctx: DecisionContext) -> DrawTier:
         assert ctx.board_ctx is not None
@@ -382,11 +382,10 @@ class Brain:
             return equity_vs_range(
                 ctx.hero_hole,
                 primary.grid.weights,
-                ctx.board,
+                ctx.board_ctx,
                 combo_samples=self.config.equity_combo_samples,
                 runout_samples=self.config.equity_runout_samples,
                 rng=self.rng,
-                ctx=ctx.board_ctx,
             )
         except UndefinedRangeError:
             return max(0.0, 1.0 - (primary.chib or 0.5))
@@ -583,7 +582,7 @@ class Brain:
     def _perceived_strong_mass(self, grid: ComboGrid, ctx: DecisionContext) -> float:
         """Mass of the hero's perceived range at Good or better: how credible
         a strength story the hero's public line currently tells."""
-        dist = rs_distribution(grid, ctx.board, self.rsm, ctx.board_ctx)
+        dist = rs_distribution(grid, ctx.board_ctx, self.rsm)
         return float(dist[5:].sum())
 
     def lawnmower_recommend(self, ctx: DecisionContext) -> Recommendation | None:
@@ -702,7 +701,6 @@ class Brain:
                 {
                     "hand_id": ctx.hand_id,
                     "street": ctx.street,
-                    "board": tuple(ctx.board),
                     "board_ctx": ctx.board_ctx,
                     "player_id": read.player_id,
                     "archetype": read.archetype,

@@ -617,40 +617,28 @@ def equity_exhaustive(hero: Sequence[int], villain: Sequence[int], board: Sequen
 def equity_vs_range(
     hero: Sequence[int],
     range_weights: np.ndarray,
-    board: Sequence[int],
+    ctx: BoardContext,
     *,
     runout_samples: int | None = None,
     combo_samples: int | None = None,
     rng: DealRng | None = None,
-    ctx: BoardContext | None = None,
 ) -> float:
-    """Weight-averaged equity of hero against a 1326-combo weighted range.
+    """Weight-averaged equity of hero against a 1326-combo weighted range on
+    a flop, turn or river.
 
-    The runouts are enumerated exhaustively unless runout_samples is given;
-    pre-flop, where 2,118,760 runouts are too many to list, it must be.
+    The runouts are enumerated exhaustively unless runout_samples is given.
     combo_samples optionally subsamples the range support (weighted), which
     is what the decision layer uses to keep per-decision cost flat.
 
-    ctx is the board's `rsm.BoardContext`, as for `rets.chib` and
-    `rets.reshape`; on a flop, turn or river one is built when none is
-    given. Its `hero_masks` give the dead combos, and on a river its
-    `scores` give every combo's hand, so no runout is scored.
+    ctx is the street's `rsm.BoardContext`, as for `rets.chib` and
+    `rets.reshape`, and the board is its board. Its `hero_masks` give the
+    dead combos, and on a river its `scores` give every combo's hand, so no
+    runout is scored.
     """
     from . import rangegrid  # local import; rangegrid depends on cards
-    from .rsm import BoardContext  # local import; rsm depends on cards
 
-    board = validate_board(board)
-    if not board and runout_samples is None:
-        raise ValueError("pre-flop equity needs runout_samples")
-    _require_distinct(tuple(hero) + board)
-    if not board:
-        dead_mask = rangegrid.combos_with_any(hero)
-    else:
-        if ctx is None:
-            ctx = BoardContext(board)
-        elif ctx.board != board:
-            raise ValueError(f"context of {cards_str(ctx.board)} given for board {cards_str(board)}")
-        dead_mask = ctx.hero_masks(hero)[0]
+    _require_distinct(tuple(hero) + ctx.board)
+    dead_mask = ctx.hero_masks(hero)[0]
     w = np.where(dead_mask, 0.0, np.asarray(range_weights, dtype=float))
     if w.sum() <= 0:
         raise UndefinedRangeError("range has no live support against this hero/board")
@@ -662,7 +650,7 @@ def equity_vs_range(
     if sampled:
         picks = gen.choice(support, size=combo_samples, p=w[support] / w[support].sum())
 
-    if len(board) == 5:
+    if len(ctx.board) == 5:
         # Every pick's points are 0, 1/2 or 1, so their sum over the picks
         # is exact and equals the count-weighted sum over distinct combos.
         hs = ctx.scores[rangegrid.combo_index(*hero)]
@@ -680,9 +668,9 @@ def equity_vs_range(
         sub_w = w[support]
 
     combos = rangegrid.COMBO_CARDS[support]  # (c, 2)
-    need = 5 - len(board)
+    need = 5 - len(ctx.board)
     dead_cards = np.zeros(DECK_SIZE, dtype=bool)
-    dead_cards[[*hero, *board]] = True
+    dead_cards[[*hero, *ctx.board]] = True
     deck = np.flatnonzero(~dead_cards)
     total = math.comb(len(deck), need)
     if runout_samples is not None and runout_samples < total:
@@ -692,7 +680,7 @@ def equity_vs_range(
     runs = deck[_unrank_combinations(len(deck), need, picks)]
 
     m = runs.shape[0]
-    scores = score_cards_batch(runs, board, holes=np.concatenate([np.array([hero], dtype=np.int64), combos]))
+    scores = score_cards_batch(runs, ctx.board, holes=np.concatenate([np.array([hero], dtype=np.int64), combos]))
     hs, vscores = scores[:1], scores[1:]
     # villain cards colliding with a runout invalidate that runout; the
     # 52-bit card sets of the runouts and combos find them

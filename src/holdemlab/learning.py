@@ -44,7 +44,9 @@ class PredictionRecord:
 
     hand_id: int
     street: str
-    board: tuple[int, ...]
+    # The context the snapshot was read under: its board, and what
+    # apply_learning queries without building it again.
+    board_ctx: BoardContext = field(compare=False, repr=False)
     player_id: str
     archetype: str
     grid: ComboGrid
@@ -55,9 +57,6 @@ class PredictionRecord:
     realized_beat_hero: bool | None
     bucket: str
     in_support: bool
-    # The context the snapshot was read under, so apply_learning queries
-    # the board without building it again.
-    board_ctx: BoardContext | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -69,10 +68,9 @@ class DeltaEvent:
     reason: str  # "reinforce" / "correct"
 
 
-def realized_category(hole: Sequence[int], board: Sequence[int], ctx: BoardContext | None = None) -> int:
+def realized_category(hole: Sequence[int], ctx: BoardContext) -> int:
     """Ground-truth category: the revealed hand's percentile among live
-    opposing combos on this board, independent of the learned table."""
-    ctx = ctx or BoardContext(board)
+    opposing combos on `ctx`'s board, independent of the learned table."""
     idx = combo_index(hole[0], hole[1])
     q = ctx.percentile_of(idx)
     cat = int(np.floor(q * 9.0 + 0.5))
@@ -100,20 +98,19 @@ def records_from_snapshots(
         pid = snap["player_id"]
         if pid not in reveals:
             continue
-        board = snap["board"]
         ctx = snap["board_ctx"]
         hole = reveals[pid]
         grid = snap["grid"]
         dist = _category_mass(grid, snap["categories"])
         top1, top2 = _top2(dist)
-        realized = realized_category(hole, board, ctx)
+        realized = realized_category(hole, ctx)
         # Both holdings are live on the board, so ctx.scores holds their scores.
         beat_hero = bool(ctx.scores[combo_index(*hole)] > ctx.scores[combo_index(*hero_hole)])
         out.append(
             PredictionRecord(
                 hand_id=snap["hand_id"],
                 street=snap["street"],
-                board=board,
+                board_ctx=ctx,
                 player_id=pid,
                 archetype=snap["archetype"],
                 grid=grid,
@@ -122,9 +119,8 @@ def records_from_snapshots(
                 revealed_hole=hole,
                 realized_category=realized,
                 realized_beat_hero=beat_hero,
-                bucket=rsm.bucket_for(hole, board, ctx),
+                bucket=rsm.bucket_for(hole, ctx),
                 in_support=grid.weights[combo_index(*hole)] > 0,
-                board_ctx=ctx,
             )
         )
     return out
@@ -207,7 +203,7 @@ def apply_learning(
     for rec in records:
         top1, top2 = _top2(rec.distribution)
         correct = rec.realized_category in (top1, top2)
-        query_cat = int(rsm.query(rec.revealed_hole, rec.board, rec.board_ctx))
+        query_cat = int(rsm.query(rec.revealed_hole, rec.board_ctx))
         direction = float(np.sign(rec.realized_category - query_cat))
         magnitude = delta_reinforce if correct else delta_correct
         if direction != 0.0:

@@ -14,7 +14,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cards import validate_board
 from .rangegrid import DATA_DIR, ComboGrid
 from .rsm import BoardContext, N_CATEGORIES, RsmTable
 
@@ -193,19 +192,17 @@ class RetDispatch:
 # ---------------------------------------------------------------------------
 
 
-def reshape(grid: ComboGrid, board: Sequence[int], ret: RET, rsm: RsmTable, ctx: BoardContext | None = None) -> ComboGrid:
-    """Multiply the template weight of each combo's current category into the
-    grid and renormalize. Support never grows; an annihilated grid falls back
-    degenerate-uniform over its prior support."""
-    ctx = ctx or BoardContext(board)
+def reshape(grid: ComboGrid, ctx: BoardContext, ret: RET, rsm: RsmTable) -> ComboGrid:
+    """Multiply the template weight of each combo's category on `ctx`, the
+    street's board, into the grid and renormalize. Support never grows; an
+    annihilated grid falls back degenerate-uniform over its prior support."""
     cats = rsm.categories_many(ctx)
     # Dead combos (category -1) take the leading 0.0.
     return grid._renormalized(grid.weights * ret.factors[cats + 1])
 
 
-def rs_distribution(grid: ComboGrid, board: Sequence[int], rsm: RsmTable, ctx: BoardContext | None = None) -> np.ndarray:
-    """Probability mass over the 11 categories for a normalized grid."""
-    ctx = ctx or BoardContext(board)
+def rs_distribution(grid: ComboGrid, ctx: BoardContext, rsm: RsmTable) -> np.ndarray:
+    """Probability mass over the 11 categories for a normalized grid on `ctx`."""
     return _category_mass(grid, rsm.categories_many(ctx))
 
 
@@ -220,13 +217,11 @@ def _category_mass(grid: ComboGrid, cats: np.ndarray) -> np.ndarray:
     return mass / total
 
 
-def chib(hero: Sequence[int], grid: ComboGrid, board: Sequence[int], ctx: BoardContext | None = None) -> float:
+def chib(hero: Sequence[int], grid: ComboGrid, ctx: BoardContext) -> float:
     """Chance the hero is beaten right now: the normalized mass of combos
-    whose current made hand outranks the hero's on this board. Combos that
-    hold a hero card or a board card weigh nothing; both masks come from
-    `BoardContext.hero_masks`, built once per board and hero."""
-    board = validate_board(board)
-    ctx = ctx or BoardContext(board)
+    whose current made hand outranks the hero's on the street's board
+    (`ctx`). Combos that hold a hero card or a board card weigh nothing;
+    both masks come from `ctx.hero_masks`, kept per hero."""
     kill, beats_hero = ctx.hero_masks(hero)
     w = np.where(kill, 0.0, grid.weights)
     total = w.sum()
@@ -280,28 +275,18 @@ class OpponentRangeTracker:
     def __post_init__(self):
         self.history.append(PipelineStep("assign", "preflop", None, self.grid))
 
-    def on_new_street(self, board: Sequence[int], ctx: BoardContext | None = None) -> PipelineStep:
-        """Strip the new board's cards. The step is labelled with the flat
-        template, whose reshape would leave the stripped grid as it is:
-        `parse_ret_lines` rejects a flat template with unequal weights."""
-        ctx = ctx or BoardContext(board)
+    def on_new_street(self, ctx: BoardContext) -> PipelineStep:
+        """Strip the cards of `ctx`, the new street's board. The step is
+        labelled with the flat template, whose reshape would leave the grid as
+        it is: `parse_ret_lines` rejects a flat template with unequal weights."""
         self.grid = self.grid.strip_mask(ctx.dead_mask)
         step = PipelineStep("street", ctx.street, FLAT_RET_ID, self.grid, self.rsm.categories_many(ctx))
         self.history.append(step)
         return step
 
-    def on_action(
-        self,
-        action: str,
-        board: Sequence[int],
-        *,
-        aggressor: str = "none",
-        position: str = "oop",
-        ctx: BoardContext | None = None,
-    ) -> PipelineStep:
-        ctx = ctx or BoardContext(board)
+    def on_action(self, action: str, ctx: BoardContext, *, aggressor: str = "none", position: str = "oop") -> PipelineStep:
         ret_id = self.dispatch.select(ctx.street, self.archetype, action, aggressor, position)
-        self.grid = reshape(self.grid, board, self.rets[ret_id], self.rsm, ctx)
+        self.grid = reshape(self.grid, ctx, self.rets[ret_id], self.rsm)
         step = PipelineStep("action", ctx.street, ret_id, self.grid, self.rsm.categories_many(ctx))
         self.history.append(step)
         return step

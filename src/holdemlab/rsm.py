@@ -485,19 +485,15 @@ class RsmTable:
         ctx._category_cache[key] = cats
         return cats
 
-    def query(self, hole: Sequence[int], board: Sequence[int], ctx: BoardContext | None = None) -> RsCategory:
-        board = validate_board(board)
-        if len(board) < 3:
-            raise InvalidCardsError("relative strength is undefined pre-flop")
-        if len(set(tuple(hole) + board)) != 2 + len(board):
-            raise InvalidCardsError("hole cards collide with the board")
-        ctx = ctx or BoardContext(board)
+    def query(self, hole: Sequence[int], ctx: BoardContext) -> RsCategory:
+        """The hole's category on `ctx`; a hole that holds a board card is refused."""
         idx = combo_index(hole[0], hole[1])
+        if ctx.dead_mask[idx]:
+            raise InvalidCardsError("hole cards collide with the board")
         cats = self.categories_many(ctx)
         return RsCategory(int(cats[idx]))
 
-    def bucket_for(self, hole: Sequence[int], board: Sequence[int], ctx: BoardContext | None = None) -> str:
-        ctx = ctx or BoardContext(board)
+    def bucket_for(self, hole: Sequence[int], ctx: BoardContext) -> str:
         idx = combo_index(hole[0], hole[1])
         return bucket_key(
             ctx.street, MadeClass(int(ctx.made[idx])), DrawTier(int(ctx.draw[idx])), ctx.texture.wet

@@ -102,7 +102,7 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
             elif parts[0] == "assert":
                 assertions.append(Assertion(parts[1], tuple(parts[2:]), lineno))
             else:
-                raise ScenarioError(f"{source}:{lineno}: unknown directive {parts[0]!r}")
+                raise ValueError(f"unknown directive {parts[0]!r}")
         except (IndexError, ValueError) as e:
             raise ScenarioError(f"{source}:{lineno}: {e}") from None
     if not seats:

@@ -115,6 +115,7 @@ class SessionConfig:
         buyin = self.hero_buyin_bb * self.bb_cents  # in cents; rounds to at least 1 above 0.5
         for key, value, ok, want in (
             ("hands", self.hands, self.hands >= 0, ">= 0"),
+            ("seed", self.seed, self.seed >= 0, ">= 0"),
             ("pool_size", self.pool_size, self.pool_size >= 5, ">= 5 (five opponents a hand)"),
             ("bb_cents", self.bb_cents, self.bb_cents >= 1, ">= 1"),
             ("sb_cents", self.sb_cents, 0 <= self.sb_cents <= self.bb_cents, f"in [0, bb_cents={self.bb_cents}]"),
@@ -438,4 +439,4 @@ def _was_bad_beat(record: HandRecord, hero_seat: int, brain: Brain) -> bool:
     if len(record.board) < 5:
         return False
     ctx = BoardContext.cached(record.board, brain.board_contexts)
-    return int(brain.rsm.query(record.holes[hero_seat], record.board, ctx)) >= 8
+    return int(brain.rsm.query(record.holes[hero_seat], ctx)) >= 8

@@ -153,8 +153,8 @@ class TestCriterion4:
         dead = board + cards("9h9s")
         whale = assign_preflop_range("Whale", PreflopContext("bb", "call")).strip(dead)
         reg = assign_preflop_range("MediumReg", PreflopContext("sb", "call")).strip(dead)
-        dw = rs_distribution(whale, board, rsm, ctx)
-        dr = rs_distribution(reg, board, rsm, ctx)
+        dw = rs_distribution(whale, ctx, rsm)
+        dr = rs_distribution(reg, ctx, rsm)
         failures = []
         weak_mass = dw[0] + dw[1]
         if not (0.51 <= weak_mass <= 0.71):
@@ -194,7 +194,7 @@ class TestCriterion5:
             w = np.zeros(1326)
             w[support] = rng.random(len(support)) + 1e-6
             grid = ComboGrid(w).normalized()
-            got = chib(hero, grid, board)
+            got = chib(hero, grid, BoardContext(board))
             hv = ref_eval7(hero, board)
             beat = total = 0.0
             for idx in support:
@@ -329,10 +329,11 @@ class TestCriterion10:
         failures = []
         # convergence: a mis-set bucket reaches the realized category in time
         hole, board = cards("Ah9c"), cards("9d5s2c")
+        ctx = BoardContext(board)
         rules = RsmRules.shipped()
         probe = RsmTable(rules)
-        bucket = probe.bucket_for(hole, board)
-        realized = realized_category(hole, board)
+        bucket = probe.bucket_for(hole, ctx)
+        realized = realized_category(hole, ctx)
         bad = RsmRules(dict(rules.made_value), dict(rules.draw_value), dict(rules.adjustments))
         bad.made_value[MadeClass[bucket.split("|")[1]]] = realized - 1.0
         rsm = RsmTable(bad)
@@ -341,11 +342,11 @@ class TestCriterion10:
         bound = int(np.ceil(1.0 / DELTA_CORRECT))
         took = None
         for i in range(bound + 1):
-            if int(rsm.query(hole, board)) == realized:
+            if int(rsm.query(hole, ctx)) == realized:
                 took = i
                 break
             rec = PredictionRecord(
-                hand_id=i, street="flop", board=tuple(board), player_id="v", archetype="Whale",
+                hand_id=i, street="flop", board_ctx=ctx, player_id="v", archetype="Whale",
                 grid=ComboGrid.uniform().strip(board), distribution=dist,
                 predicted_top=0, revealed_hole=tuple(hole), realized_category=realized,
                 realized_beat_hero=False, bucket=bucket, in_support=True,
@@ -384,10 +385,11 @@ class TestCriterion11:
         flat = rets[FLAT_RET_ID]
         ids = [r for r in rets if r != FLAT_RET_ID]
         boards = [rng.choice(52, size=int(rng.choice([3, 4, 5])), replace=False).tolist() for _ in range(20)]
+        contexts = [BoardContext(board) for board in boards]
         checked = 0
         failures = []
         for i in range(1000):
-            board = boards[i % len(boards)]
+            board, ctx = boards[i % len(boards)], contexts[i % len(boards)]
             w = rng.random(1326) * (rng.random(1326) < 0.6)
             w[combos_with_any(board)] = 0.0
             if w.sum() <= 0:
@@ -398,12 +400,12 @@ class TestCriterion11:
             stripped = grid.strip(board)
             if not np.allclose(stripped.strip(board).weights, stripped.weights, atol=1e-12):
                 failures.append("strip idempotence")
-            if np.abs(reshape(grid, board, flat, rsm).weights - grid.weights).max() > 1e-9:
+            if np.abs(reshape(grid, ctx, flat, rsm).weights - grid.weights).max() > 1e-9:
                 failures.append("flat identity")
             ret = rets[ids[int(rng.integers(len(ids)))]]
-            out = reshape(grid, board, ret, rsm)
+            out = reshape(grid, ctx, ret, rsm)
             scaled = RET("S", "s", ret.weights * (0.3 + 4 * float(rng.random())))
-            if np.abs(reshape(grid, board, scaled, rsm).weights - out.weights).max() > 1e-9:
+            if np.abs(reshape(grid, ctx, scaled, rsm).weights - out.weights).max() > 1e-9:
                 failures.append("scale invariance")
             if out.support_count() > grid.support_count():
                 failures.append("monotone narrowing")

@@ -303,7 +303,7 @@ class TestLawnmower:
         hero = cards("AhKc")
         brain, turn = self.make_reg_spot(hero)
         ctx = ctx_for(brain, hero, turn, pot=12.0, aggressor=True, live=("reg",))
-        assert int(brain.rsm.query(hero, turn, ctx.board_ctx)) == 5
+        assert int(brain.rsm.query(hero, ctx.board_ctx)) == 5
         calls = []
         monkeypatch.setattr("holdemlab.brain.rs_distribution", lambda *a, **k: calls.append(a))
         want = DealRng(0)
@@ -321,10 +321,10 @@ class TestLawnmower:
         brain.observe_new_street(FLOP)
         from holdemlab.rets import rs_distribution
 
-        before = rs_distribution(brain.perceived["MediumReg"], FLOP, brain.rsm)
+        before = rs_distribution(brain.perceived["MediumReg"], brain.board_contexts[tuple(FLOP)], brain.rsm)
         brain.observe_hero_action("check", "flop")
         brain.observe_hero_action("check", "flop")
-        after = rs_distribution(brain.perceived["MediumReg"], FLOP, brain.rsm)
+        after = rs_distribution(brain.perceived["MediumReg"], brain.board_contexts[tuple(FLOP)], brain.rsm)
         assert after[:3].sum() > before[:3].sum()
 
     def test_hero_raise_polarizes_perceived_range(self):
@@ -335,9 +335,9 @@ class TestLawnmower:
         brain.observe_new_street(FLOP)
         from holdemlab.rets import rs_distribution
 
-        before = rs_distribution(brain.perceived["MediumReg"], FLOP, brain.rsm)
+        before = rs_distribution(brain.perceived["MediumReg"], brain.board_contexts[tuple(FLOP)], brain.rsm)
         brain.observe_hero_action("raise", "flop")
-        after = rs_distribution(brain.perceived["MediumReg"], FLOP, brain.rsm)
+        after = rs_distribution(brain.perceived["MediumReg"], brain.board_contexts[tuple(FLOP)], brain.rsm)
         assert after[8:].sum() > before[8:].sum()
 
     def test_flat_template_leaves_perceived_unchanged(self):
@@ -349,7 +349,7 @@ class TestLawnmower:
         from holdemlab.rets import FLAT_RET_ID, reshape
 
         grid = brain.perceived["MediumReg"]
-        out = reshape(grid, FLOP, brain.rets[FLAT_RET_ID], brain.rsm)
+        out = reshape(grid, brain.board_contexts[tuple(FLOP)], brain.rets[FLAT_RET_ID], brain.rsm)
         assert np.allclose(out.weights, grid.weights, atol=1e-9)
 
 
@@ -405,7 +405,7 @@ class TestChibOnRead:
         brain.decide(ctx)
         assert calls == []
         for read in ctx.opponents:
-            want = rets.chib(hero, brain.trackers[read.player_id].grid, FLOP, ctx.board_ctx)
+            want = rets.chib(hero, brain.trackers[read.player_id].grid, ctx.board_ctx)
             assert read.chib == want
             assert read.chib == want  # computed once, kept
         assert len(calls) == 2

@@ -298,7 +298,7 @@ class TestEquityVsRange:
         board = cards("9d5s2c")
         w = np.zeros(1326)
         w[combo_index(*villain)] = 1.0
-        assert equity_vs_range(hero, w, board) == pytest.approx(
+        assert equity_vs_range(hero, w, BoardContext(board)) == pytest.approx(
             equity_exhaustive(hero, villain, board), abs=1e-12
         )
 
@@ -306,7 +306,7 @@ class TestEquityVsRange:
         hero = cards("AsKs")
         board = cards("QsJsTs3c3d")
         grid = ComboGrid.uniform().strip(hero + board)
-        assert equity_vs_range(hero, grid.weights, board) == 1.0
+        assert equity_vs_range(hero, grid.weights, BoardContext(board)) == 1.0
 
     def test_three_combo_weighted_average(self):
         hero = cards("AhKd")
@@ -317,7 +317,7 @@ class TestEquityVsRange:
         for c, wt in zip(combos, weights):
             w[combo_index(*c)] = wt
         expected = sum(wt * equity_exhaustive(hero, c, board) for c, wt in zip(combos, weights))
-        got = equity_vs_range(hero, w, board)
+        got = equity_vs_range(hero, w, BoardContext(board))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_empty_support_raises(self):
@@ -325,18 +325,16 @@ class TestEquityVsRange:
         w = np.zeros(1326)
         w[combo_index(*cards("AsQs"))] = 1.0  # collides with hero
         with pytest.raises(UndefinedRangeError):
-            equity_vs_range(hero, w, cards("2c3c4c"))
+            equity_vs_range(hero, w, BoardContext(cards("2c3c4c")))
 
     @pytest.mark.parametrize("seed,spot", [(1, "9d5s2c"), (2, "Ks7h7c2d"), (3, "AhTh6h5c2s"), (4, "QdJd3s")])
     def test_sampled_equity_equals_a_scalar_reference(self, seed, spot):
-        # the decision layer's budget: 40 combos, 40 runouts; with or
-        # without the board's context
+        # the decision layer's budget: 40 combos, 40 runouts
         hero, board = cards("AcKd"), cards(spot)
         weights = np.random.default_rng(seed).random(1326)
         want = self._sampled_reference(hero, weights, board, 40, 40, DealRng(seed).generator)
-        for ctx in (None, BoardContext(board)):
-            got = equity_vs_range(hero, weights, board, combo_samples=40, runout_samples=40, rng=DealRng(seed), ctx=ctx)
-            assert got == want
+        got = equity_vs_range(hero, weights, BoardContext(board), combo_samples=40, runout_samples=40, rng=DealRng(seed))
+        assert got == want
 
     def test_a_river_range_under_the_sample_budget_is_weighed_whole(self):
         hero, board = cards("AcKd"), cards("AhTh6h5c2s")
@@ -344,14 +342,8 @@ class TestEquityVsRange:
         weights = np.zeros(1326)
         weights[gen.choice(1326, size=30, replace=False)] = gen.random(30)
         want = self._sampled_reference(hero, weights, board, 40, 40, DealRng(5).generator)
-        for ctx in (None, BoardContext(board)):
-            got = equity_vs_range(hero, weights, board, combo_samples=40, runout_samples=40, rng=DealRng(5), ctx=ctx)
-            assert got == want
-
-    def test_a_context_of_another_board_is_refused(self):
-        hero, weights = cards("AcKd"), np.ones(1326)
-        with pytest.raises(ValueError, match="context of 9d 5s 2c given for board 9d 5s 2c Kc"):
-            equity_vs_range(hero, weights, cards("9d5s2cKc"), ctx=BoardContext(cards("9d5s2c")))
+        got = equity_vs_range(hero, weights, BoardContext(board), combo_samples=40, runout_samples=40, rng=DealRng(5))
+        assert got == want
 
     @staticmethod
     def _sampled_reference(hero, weights, board, combo_samples, runout_samples, gen):
@@ -384,15 +376,3 @@ class TestEquityVsRange:
                 eqs.append(sum(pts) / len(pts))
                 wts.append(float(count))
         return float((np.array(eqs) * np.array(wts)).sum()) / float(np.array(wts).sum())
-
-    def test_preflop_monte_carlo_sane(self):
-        hero = cards("AsAh")
-        grid = ComboGrid.uniform().strip(hero)
-        eq = equity_vs_range(hero, grid.weights, (), runout_samples=4000, combo_samples=400, rng=DealRng(9))
-        assert 0.80 < eq < 0.90  # aces vs a random hand
-
-    def test_preflop_without_runout_samples_raises(self):
-        hero = cards("AsAh")
-        grid = ComboGrid.uniform().strip(hero)
-        with pytest.raises(ValueError, match="runout_samples"):
-            equity_vs_range(hero, grid.weights, ())

@@ -14,7 +14,7 @@ from holdemlab.learning import (
 from holdemlab.profiles import ProfileStore
 from holdemlab.rangegrid import ComboGrid
 from holdemlab.rets import RetDispatch, load_ret_set
-from holdemlab.rsm import MadeClass, RsmRules, RsmTable
+from holdemlab.rsm import BoardContext, MadeClass, RsmRules, RsmTable
 from holdemlab.scenario import load_scenario, run_scenario
 from holdemlab.session import HERO_ID, SessionConfig, run_fastfold_session
 from importlib import resources
@@ -30,7 +30,7 @@ class TestRealizedCategory:
     def test_matches_brute_force_percentile(self):
         board = cards("Jh8d3c2s")
         hole = cards("JdTd")
-        got = realized_category(hole, board)
+        got = realized_category(hole, BoardContext(board))
         from holdemlab.rangegrid import COMBO_CARDS, combos_with_any
 
         dead = combos_with_any(board)
@@ -47,7 +47,7 @@ class TestRealizedCategory:
 
     def test_nut_hand_is_at_least_nuts(self):
         board = cards("9d5s2c2dKs")
-        assert realized_category(cards("2h2s"), board) >= 9
+        assert realized_category(cards("2h2s"), BoardContext(board)) >= 9
 
 
 class TestSnapshots:
@@ -57,7 +57,6 @@ class TestSnapshots:
         showdown record computes from it."""
         from holdemlab.brain import Brain, DecisionContext
         from holdemlab.rets import rs_distribution
-        from holdemlab.rsm import BoardContext
 
         rsm = RsmTable()
         brain = Brain(ProfileStore(), rsm_table=rsm, seed=1)
@@ -75,11 +74,11 @@ class TestSnapshots:
         ctx.board_ctx = BoardContext(board)
         brain.record_snapshot(ctx, "call")
         (snap,) = brain.snapshots
-        at_snapshot = rs_distribution(snap["grid"], board, rsm, ctx.board_ctx)
+        at_snapshot = rs_distribution(snap["grid"], ctx.board_ctx, rsm)
         version = rsm.version
-        rsm.apply_delta(rsm.bucket_for(villain, board, ctx.board_ctx), -1.5)
+        rsm.apply_delta(rsm.bucket_for(villain, ctx.board_ctx), -1.5)
         assert rsm.version > version
-        assert not np.array_equal(rs_distribution(snap["grid"], board, rsm, ctx.board_ctx), at_snapshot)
+        assert not np.array_equal(rs_distribution(snap["grid"], ctx.board_ctx, rsm), at_snapshot)
         (rec,) = records_from_snapshots(brain.snapshots, {"v1": tuple(villain)}, tuple(hero), rsm)
         assert rec.distribution.tobytes() == at_snapshot.tobytes()
 
@@ -90,7 +89,7 @@ def synthetic_record(dist, realized, bucket, hole=None, board=None, pid="v", han
     return PredictionRecord(
         hand_id=hand_id,
         street="flop",
-        board=tuple(board),
+        board_ctx=BoardContext(board),
         player_id=pid,
         archetype="Whale",
         grid=ComboGrid.uniform().strip(board),
@@ -107,9 +106,9 @@ def synthetic_record(dist, realized, bucket, hole=None, board=None, pid="v", han
 class TestApplyLearning:
     def test_correct_prediction_small_reinforcement(self):
         rsm = RsmTable()
-        hole, board = cards("Ah9c"), cards("9d5s2c")
-        bucket = rsm.bucket_for(hole, board)
-        query = int(rsm.query(hole, board))
+        hole, ctx = cards("Ah9c"), BoardContext(cards("9d5s2c"))
+        bucket = rsm.bucket_for(hole, ctx)
+        query = int(rsm.query(hole, ctx))
         dist = np.zeros(11)
         dist[query] = 0.6
         dist[max(0, query - 1)] += 0.4
@@ -124,9 +123,9 @@ class TestApplyLearning:
 
     def test_wrong_prediction_larger_correction(self):
         rsm = RsmTable()
-        hole, board = cards("Ah9c"), cards("9d5s2c")
-        bucket = rsm.bucket_for(hole, board)
-        query = int(rsm.query(hole, board))
+        hole, ctx = cards("Ah9c"), BoardContext(cards("9d5s2c"))
+        bucket = rsm.bucket_for(hole, ctx)
+        query = int(rsm.query(hole, ctx))
         dist = np.zeros(11)
         dist[0] = 0.6
         dist[1] = 0.4  # realized far outside top-2
@@ -138,8 +137,8 @@ class TestApplyLearning:
 
     def test_audit_mode_is_idempotent(self):
         rsm = RsmTable()
-        hole, board = cards("Ah9c"), cards("9d5s2c")
-        bucket = rsm.bucket_for(hole, board)
+        hole, ctx = cards("Ah9c"), BoardContext(cards("9d5s2c"))
+        bucket = rsm.bucket_for(hole, ctx)
         dist = np.zeros(11)
         dist[0] = 1.0
         rec = synthetic_record(dist, 8, bucket, hole=tuple(hole))
@@ -152,30 +151,30 @@ class TestApplyLearning:
         """A deliberately mis-set bucket converges to the realized category
         within ceil(gap / corrective-delta) showdowns."""
         rules = RsmRules.shipped()
-        hole, board = cards("Ah9c"), cards("9d5s2c")
+        hole, ctx = cards("Ah9c"), BoardContext(cards("9d5s2c"))
         probe = RsmTable(rules)
-        bucket = probe.bucket_for(hole, board)
-        realized = realized_category(hole, board)
+        bucket = probe.bucket_for(hole, ctx)
+        realized = realized_category(hole, ctx)
         # mis-set the bucket's made-class one category below the truth
         made_name = bucket.split("|")[1]
         bad_rules = RsmRules(dict(rules.made_value), dict(rules.draw_value), dict(rules.adjustments))
         bad_rules.made_value[MadeClass[made_name]] = realized - 1.0
         rsm = RsmTable(bad_rules)
-        assert int(rsm.query(hole, board)) == realized - 1
+        assert int(rsm.query(hole, ctx)) == realized - 1
         dist = np.zeros(11)
         dist[0] = 1.0  # prediction always wrong -> corrective deltas
         bound = int(np.ceil(1.0 / DELTA_CORRECT))
         for i in range(bound):
-            if int(rsm.query(hole, board)) == realized:
+            if int(rsm.query(hole, ctx)) == realized:
                 break
             apply_learning([synthetic_record(dist, realized, bucket, hole=tuple(hole), hand_id=i)], rsm)
-        assert int(rsm.query(hole, board)) == realized
+        assert int(rsm.query(hole, ctx)) == realized
 
     def test_all_correct_bounded_overlay(self):
         rsm = RsmTable()
-        hole, board = cards("Ah9c"), cards("9d5s2c")
-        bucket = rsm.bucket_for(hole, board)
-        query = int(rsm.query(hole, board))
+        hole, ctx = cards("Ah9c"), BoardContext(cards("9d5s2c"))
+        bucket = rsm.bucket_for(hole, ctx)
+        query = int(rsm.query(hole, ctx))
         dist = np.zeros(11)
         dist[query] = 0.7
         dist[min(10, query + 1)] += 0.3
@@ -279,7 +278,7 @@ class TestReplayPerfectInfo:
 
         def fields(rec):
             return (
-                rec.hand_id, rec.street, rec.board, rec.player_id, rec.archetype,
+                rec.hand_id, rec.street, rec.board_ctx.board, rec.player_id, rec.archetype,
                 rec.grid.weights.tobytes(), rec.distribution.tobytes(), rec.predicted_top,
                 rec.revealed_hole, rec.realized_category, rec.realized_beat_hero, rec.bucket, rec.in_support,
             )
@@ -326,7 +325,6 @@ class TestSessionLearning:
         BoardContext of its own."""
         from holdemlab import session
         from holdemlab.brain import Brain
-        from holdemlab.rsm import BoardContext
 
         brain = Brain(ProfileStore(), seed=11)
         learned = []
@@ -335,7 +333,7 @@ class TestSessionLearning:
             raise AssertionError("apply_learning built a BoardContext")
 
         def learn(records, rsm, store=None):
-            assert all(rec.board_ctx is brain.board_contexts[rec.board] for rec in records)
+            assert all(rec.board_ctx is brain.board_contexts[rec.board_ctx.board] for rec in records)
             learned.extend(records)
             with monkeypatch.context() as m:
                 m.setattr(BoardContext, "__init__", no_build)
@@ -344,3 +342,36 @@ class TestSessionLearning:
         monkeypatch.setattr(session, "apply_learning", learn)
         result = run_fastfold_session(SessionConfig(hands=150, seed=11), brain=brain)
         assert len(learned) >= 10 and result.learning_deltas > 0
+
+    def test_every_context_is_built_by_a_brains_hand(self, monkeypatch):
+        """Every BoardContext that a session with learning, the replay of
+        one of its showdowns and the shipped scenario build is built through
+        `BoardContext.cached`, into a brain's contexts for the hand."""
+        import sys
+
+        from holdemlab.brain import Brain
+
+        init, cached = BoardContext.__init__, BoardContext.cached.__func__.__code__
+        builders = []
+
+        def recording(self, board):
+            builders.append(sys._getframe(1).f_code)
+            init(self, board)
+
+        monkeypatch.setattr(BoardContext, "__init__", recording)
+        brain = Brain(ProfileStore(), seed=2023)
+        showdowns = []
+
+        def keep(record):
+            if len(record.showdown) >= 2 and record.hero_seat_of(HERO_ID) in dict(record.showdown):
+                showdowns.append(record)
+
+        result = run_fastfold_session(SessionConfig(hands=1000, seed=2023, learning=True), brain=brain, on_record=keep)
+        assert result.learning_deltas > 0 and showdowns
+        built = len(builders)
+        assert replay_with_perfect_info(showdowns[0], HERO_ID, RsmTable(), brain.rets, brain.dispatch)
+        assert len(builders) > built
+        built = len(builders)
+        assert not run_scenario(load_scenario(resources.files("holdemlab").joinpath("data/hand6.scn"))).failures
+        assert len(builders) > built
+        assert all(code is cached for code in builders)

@@ -26,6 +26,7 @@ def cards(text):
 
 
 FLOP = cards("9d5s2c")
+FLOP_CTX = BoardContext(FLOP)
 HERO = cards("9h9s")
 
 
@@ -81,22 +82,21 @@ class TestReshape:
     def test_flat_is_identity(self, rsm, rets):
         rng = np.random.default_rng(21)
         g = random_grid(rng, FLOP)
-        out = reshape(g, FLOP, rets[FLAT_RET_ID], rsm)
+        out = reshape(g, FLOP_CTX, rets[FLAT_RET_ID], rsm)
         assert np.allclose(out.weights, g.weights, atol=1e-9)
 
     def test_nuts_only_template_collapses_support(self, rsm):
         only_nuts = RET("X", "nuts only", np.array([0] * 9 + [1.0, 1.0]))
         g = ComboGrid.uniform().strip(FLOP + HERO)
-        out = reshape(g, FLOP, only_nuts, rsm)
-        ctx = BoardContext(FLOP)
-        cats = rsm.categories_many(ctx)
+        out = reshape(g, FLOP_CTX, only_nuts, rsm)
+        cats = rsm.categories_many(FLOP_CTX)
         assert all(cats[i] >= 9 for i in np.flatnonzero(out.weights > 0))
         assert out.support_count() < g.support_count()
 
     def test_donk_template_cuts_air(self, rsm, rets):
         g = ComboGrid.uniform().strip(FLOP + HERO)
-        flat = rs_distribution(reshape(g, FLOP, rets[FLAT_RET_ID], rsm), FLOP, rsm)
-        led = rs_distribution(reshape(g, FLOP, rets["RET18"], rsm), FLOP, rsm)
+        flat = rs_distribution(reshape(g, FLOP_CTX, rets[FLAT_RET_ID], rsm), FLOP_CTX, rsm)
+        led = rs_distribution(reshape(g, FLOP_CTX, rets["RET18"], rsm), FLOP_CTX, rsm)
         assert led[0] < flat[0]
 
     def test_scale_invariance(self, rsm, rets):
@@ -104,30 +104,30 @@ class TestReshape:
         g = random_grid(rng, FLOP)
         ret = rets["RET18"]
         scaled = RET("S", "scaled", ret.weights * 7.3)
-        a = reshape(g, FLOP, ret, rsm)
-        b = reshape(g, FLOP, scaled, rsm)
+        a = reshape(g, FLOP_CTX, ret, rsm)
+        b = reshape(g, FLOP_CTX, scaled, rsm)
         assert np.allclose(a.weights, b.weights, atol=1e-12)
 
     def test_support_never_grows(self, rsm, rets):
         rng = np.random.default_rng(31)
         g = random_grid(rng, FLOP)
         for rid in ("RET18", "RET33", "RET73", "GCALL"):
-            out = reshape(g, FLOP, rets[rid], rsm)
+            out = reshape(g, FLOP_CTX, rets[rid], rsm)
             assert out.support_count() <= g.support_count()
             g = out
 
     def test_sequential_applications_commute(self, rsm, rets):
         rng = np.random.default_rng(6)
         g = random_grid(rng, FLOP)
-        ab = reshape(reshape(g, FLOP, rets["RET18"], rsm), FLOP, rets["RET33"], rsm)
-        ba = reshape(reshape(g, FLOP, rets["RET33"], rsm), FLOP, rets["RET18"], rsm)
+        ab = reshape(reshape(g, FLOP_CTX, rets["RET18"], rsm), FLOP_CTX, rets["RET33"], rsm)
+        ba = reshape(reshape(g, FLOP_CTX, rets["RET33"], rsm), FLOP_CTX, rets["RET18"], rsm)
         assert np.allclose(ab.weights, ba.weights, atol=1e-12)
 
     def test_annihilation_flags_degenerate(self, rsm):
         zero_everything = RET("Z", "niente only", np.array([1.0] + [0.0] * 10))
         w = np.zeros(1326)
         w[combo_index(*cards("AhAc"))] = 1.0  # big overpair, never Niente
-        out = reshape(ComboGrid(w), FLOP, zero_everything, rsm)
+        out = reshape(ComboGrid(w), FLOP_CTX, zero_everything, rsm)
         assert out.degenerate
 
 
@@ -135,7 +135,7 @@ class TestRsDistribution:
     def test_single_combo_unit_mass(self, rsm):
         w = np.zeros(1326)
         w[combo_index(*cards("AhAc"))] = 1.0
-        dist = rs_distribution(ComboGrid(w), FLOP, rsm)
+        dist = rs_distribution(ComboGrid(w), FLOP_CTX, rsm)
         assert dist.sum() == pytest.approx(1.0)
         assert dist[7] == pytest.approx(1.0)  # big overpair: Excellent
 
@@ -143,19 +143,19 @@ class TestRsDistribution:
         rng = np.random.default_rng(12)
         for _ in range(10):
             g = random_grid(rng, FLOP)
-            assert rs_distribution(g, FLOP, rsm).sum() == pytest.approx(1.0, abs=1e-9)
+            assert rs_distribution(g, FLOP_CTX, rsm).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestChiB:
     def test_current_nuts_gives_zero(self, rsm):
         g = ComboGrid.uniform().strip(FLOP + HERO)
-        assert chib(HERO, g, FLOP) == 0.0
+        assert chib(HERO, g, FLOP_CTX) == 0.0
 
     def test_single_beating_combo_gives_one(self):
         hero = cards("8h8c")
         w = np.zeros(1326)
         w[combo_index(*cards("AhAc"))] = 1.0
-        assert chib(hero, ComboGrid(w), FLOP) == 1.0
+        assert chib(hero, ComboGrid(w), FLOP_CTX) == 1.0
 
     def test_bounds_and_self_best(self, rsm):
         rng = np.random.default_rng(40)
@@ -168,7 +168,7 @@ class TestChiB:
             ctx = BoardContext(board)
             best = support[np.argmax(ctx.scores[support])]
             hero = [int(c) for c in COMBO_CARDS[best]]
-            value = chib(hero, g, board)
+            value = chib(hero, g, ctx)
             assert 0.0 <= value <= 1.0
             assert value == 0.0
 
@@ -177,7 +177,7 @@ class TestChiB:
         board = cards("Jh8d3c2s")
         hero = cards("AcKc")
         g = random_grid(rng, board + hero)
-        got = chib(hero, g, board)
+        got = chib(hero, g, BoardContext(board))
         from holdemlab.rangegrid import COMBO_CARDS
 
         w = g.weights.copy()
@@ -207,13 +207,13 @@ class TestChiB:
                 w[combos_with_any(hero)] = 0.0
                 w[ctx.dead_mask] = 0.0
                 want = float(w[ctx.scores > hand_score(tuple(hero) + tuple(board))].sum() / w.sum())
-                assert chib(hero, g, board, ctx) == want
+                assert chib(hero, g, ctx) == want
 
     def test_empty_support_raises(self):
         w = np.zeros(1326)
         w[combo_index(*cards("Ah9d"))] = 1.0
         with pytest.raises(DegenerateRangeError):
-            chib(cards("Ah9d"), ComboGrid(w), cards("2c3c4c"))  # only combo collides with hero
+            chib(cards("Ah9d"), ComboGrid(w), BoardContext(cards("2c3c4c")))  # only combo collides with hero
 
 
 class TestDispatch:
@@ -272,10 +272,10 @@ class TestTracker:
         g = ComboGrid.uniform()
         t = OpponentRangeTracker("w", "Whale", g, rsm, rets, d)
         t.grid = t.grid.strip(HERO)
-        t.on_new_street(FLOP)
-        t.on_action("donk", FLOP)
-        t.on_action("call", FLOP, aggressor="hero_agg")
-        turn = cards("9d5s2c2d")
+        t.on_new_street(FLOP_CTX)
+        t.on_action("donk", FLOP_CTX)
+        t.on_action("call", FLOP_CTX, aggressor="hero_agg")
+        turn = BoardContext(cards("9d5s2c2d"))
         t.on_new_street(turn)
         t.on_action("allin", turn)
         assert t.applied_ret_ids() == ["RET11", "RET18", "RET33", "RET11", "RET73"]
@@ -289,10 +289,10 @@ class TestTracker:
         for board in (FLOP, cards("9d5s2c2d"), cards("9d5s2c2dKh")):
             before = t.grid
             ctx = BoardContext(board)
-            step = t.on_new_street(board, ctx)
+            step = t.on_new_street(ctx)
             assert step.ret_id == FLAT_RET_ID
             assert np.array_equal(step.grid.weights, before.strip_mask(ctx.dead_mask).weights)
-            t.on_action("call", board)
+            t.on_action("call", ctx)
 
     def test_property_suite_thousand_instances(self, rsm, rets):
         """Randomized pipeline invariants: normalization, flat identity,
@@ -303,20 +303,21 @@ class TestTracker:
         boards = []
         for _ in range(25):
             boards.append(rng.choice(52, size=int(rng.choice([3, 4, 5])), replace=False).tolist())
+        contexts = [BoardContext(board) for board in boards]
         checked = 0
         for i in range(1000):
-            board = boards[i % len(boards)]
+            board, ctx = boards[i % len(boards)], contexts[i % len(boards)]
             g = random_grid(rng, board)
             if g.total() <= 0:
                 continue
             rid = ids[int(rng.integers(len(ids)))]
             ret = rets[rid]
-            out = reshape(g, board, ret, rsm)
+            out = reshape(g, ctx, ret, rsm)
             assert abs(out.total() - 1.0) <= 1e-9
             assert out.support_count() <= g.support_count()
-            flat_out = reshape(g, board, flat, rsm)
+            flat_out = reshape(g, ctx, flat, rsm)
             assert np.allclose(flat_out.weights, g.weights, atol=1e-9)
             scaled = RET("S", "s", ret.weights * (0.5 + float(rng.random()) * 5))
-            assert np.allclose(reshape(g, board, scaled, rsm).weights, out.weights, atol=1e-9)
+            assert np.allclose(reshape(g, ctx, scaled, rsm).weights, out.weights, atol=1e-9)
             checked += 1
         assert checked >= 990

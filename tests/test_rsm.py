@@ -24,6 +24,8 @@ def cards(text):
 
 FLOP = cards("9d5s2c")
 RIVER = cards("9d5s2c2dKs")
+FLOP_CTX = BoardContext(FLOP)
+RIVER_CTX = BoardContext(RIVER)
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +377,7 @@ class TestCategoryTables:
             live = np.flatnonzero(~ctx.dead_mask)
             hole = [int(c) for c in COMBO_CARDS[live[rng.integers(live.size)]]]
             before = learned.categories_many(ctx)
-            learned.apply_delta(learned.bucket_for(hole, board, ctx), 1.0 if rng.random() < 0.5 else -1.0)
+            learned.apply_delta(learned.bucket_for(hole, ctx), 1.0 if rng.random() < 0.5 else -1.0)
             after = learned.categories_many(ctx)
             assert np.array_equal(after, _reference_categories(learned, ctx)), board
             seen["moved"] += not np.array_equal(before, after)
@@ -409,35 +411,37 @@ class TestCategoryTables:
 
 class TestQueries:
     def test_top_set_is_nuts(self, table):
-        assert table.query(cards("9h9s"), FLOP) == RsCategory.NUTS
+        assert table.query(cards("9h9s"), FLOP_CTX) == RsCategory.NUTS
 
     def test_set_of_fives_is_nuts(self, table):
-        assert table.query(cards("5h5d"), FLOP) == RsCategory.NUTS
+        assert table.query(cards("5h5d"), FLOP_CTX) == RsCategory.NUTS
 
     def test_big_overpair_excellent_medium_overpair_great(self, table):
-        assert table.query(cards("AhAd"), FLOP) == RsCategory.EXCELLENT
-        assert table.query(cards("JcJd"), FLOP) == RsCategory.GREAT
+        assert table.query(cards("AhAd"), FLOP_CTX) == RsCategory.EXCELLENT
+        assert table.query(cards("JcJd"), FLOP_CTX) == RsCategory.GREAT
 
     def test_busted_draw_on_river_is_nothing(self, table):
-        assert table.query(cards("4d3d"), RIVER) <= RsCategory.HARDLY_ANYTHING
+        assert table.query(cards("4d3d"), RIVER_CTX) <= RsCategory.HARDLY_ANYTHING
 
     def test_quads_on_paired_board_alcatraz(self, table):
-        assert table.query(cards("2h2s"), RIVER) == RsCategory.ALCATRAZ
+        assert table.query(cards("2h2s"), RIVER_CTX) == RsCategory.ALCATRAZ
 
     def test_open_ended_draw_scores_as_valuable(self, table):
-        assert table.query(cards("4h3h"), FLOP) >= RsCategory.FAIR
+        assert table.query(cards("4h3h"), FLOP_CTX) >= RsCategory.FAIR
 
-    def test_preflop_unsupported(self, table):
-        with pytest.raises(InvalidCardsError):
-            table.query(cards("AhAs"), ())
+    def test_preflop_unsupported(self):
+        """Relative strength needs a flop: no context exists before one."""
+        for board in ((), cards("9d5s")):
+            with pytest.raises(InvalidCardsError):
+                BoardContext(board)
 
     def test_board_collision_rejected(self, table):
         with pytest.raises(InvalidCardsError):
-            table.query(cards("9d5s"), FLOP)
+            table.query(cards("9d5s"), FLOP_CTX)
 
     def test_pure_function_of_state(self, table):
-        a = table.query(cards("Ah9c"), FLOP)
-        b = table.query(cards("Ah9c"), FLOP)
+        a = table.query(cards("Ah9c"), FLOP_CTX)
+        b = table.query(cards("Ah9c"), FLOP_CTX)
         assert a == b
 
 
@@ -475,21 +479,21 @@ class TestMonotonicity:
 class TestDeltas:
     def test_zero_delta_identity(self):
         table = RsmTable()
-        before = table.query(cards("Ah9c"), FLOP)
-        bucket = table.bucket_for(cards("Ah9c"), FLOP)
+        before = table.query(cards("Ah9c"), FLOP_CTX)
+        bucket = table.bucket_for(cards("Ah9c"), FLOP_CTX)
         table.apply_delta(bucket, 0.0)
-        assert table.query(cards("Ah9c"), FLOP) == before
+        assert table.query(cards("Ah9c"), FLOP_CTX) == before
 
     def test_repeated_deltas_cross_one_boundary(self):
         table = RsmTable()
         hole = cards("Ah9c")
-        bucket = table.bucket_for(hole, FLOP)
-        start = int(table.query(hole, FLOP))
+        bucket = table.bucket_for(hole, FLOP_CTX)
+        start = int(table.query(hole, FLOP_CTX))
         delta = 0.1
         k = int(np.ceil(1.0 / delta))
         for _ in range(k):
             table.apply_delta(bucket, delta)
-        assert int(table.query(hole, FLOP)) >= start + 1
+        assert int(table.query(hole, FLOP_CTX)) >= start + 1
 
     def test_reinforce_then_equal_correction_nets_zero(self):
         table = RsmTable()
@@ -517,15 +521,15 @@ class TestDeltas:
         rules = RsmRules.shipped()
         hole = cards("Ah9h")
         ctx = BoardContext(FLOP)
-        own = RsmTable(rules).query(hole, FLOP, ctx)
+        own = RsmTable(rules).query(hole, ctx)
         for _ in range(200):
             a = RsmTable(rules)
             a.apply_delta("flop|PAIR_TOP_GOOD|NONE|dry", -1.5)
-            assert a.query(hole, FLOP, ctx) < own
+            assert a.query(hole, ctx) < own
             del a
             b = RsmTable(rules)
             b.apply_delta("river|PAIR_WEAK|NONE|dry", 0.5)
-            assert b.query(hole, FLOP, ctx) == own
+            assert b.query(hole, ctx) == own
 
 
 class TestRules:

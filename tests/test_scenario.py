@@ -21,7 +21,8 @@ class TestParse:
             parse_scenario(text)
 
     def test_bad_directive_reports_line(self):
-        with pytest.raises(ScenarioError, match=":1:"):
+        """The line is named once, not once per enclosing handler."""
+        with pytest.raises(ScenarioError, match="^<scenario>:1: unknown directive 'flurble'$"):
             parse_scenario("flurble 1 2")
 
     def test_unknown_action_word_reports_line(self):

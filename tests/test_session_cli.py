@@ -358,6 +358,8 @@ class TestCli:
             ("hero_buyin_bb", "0", "0.0 is not a buy-in of at least one cent at bb_cents=2"),
             ("hands", "-5", "-5 is not >= 0"),
             ("--hands", "-3", "-3 is not >= 0"),
+            ("seed", "-1", "-1 is not >= 0"),
+            ("--seed", "-1", "-1 is not >= 0"),
             ("sb_cents", "3", "3 is not in [0, bb_cents=2]"),
             ("rakeback_rate", "-1", "-1.0 is not in [0, 1]"),
             ("rake_percentage", "-0.5", "-0.5 is not in [0, 1]"),
