@@ -9,7 +9,7 @@ currently beaten.
 import numpy as np
 
 from holdemlab.cards import parse_cards
-from holdemlab.rangegrid import PreflopContext, assign_preflop_range
+from holdemlab.rangegrid import assign_preflop_range
 from holdemlab.rets import chib, load_ret_set, reshape, rs_distribution
 from holdemlab.rsm import BoardContext, RsCategory, RsmTable
 
@@ -30,7 +30,7 @@ def show(label, dist):
 
 # A very loose defender's pre-flop range, then the flop falls and the
 # board cards (plus the hero's own nines) come out of it.
-whale = assign_preflop_range("Whale", PreflopContext("bb", "call"))
+whale = assign_preflop_range("Whale", "call")
 print(f"whale pre-flop support: {whale.support_fraction():.0%} of all 1,326 combos")
 whale = whale.strip(flop + hero)
 print(f"after card removal:     {whale.support_count()} combos live")

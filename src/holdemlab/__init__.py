@@ -17,7 +17,6 @@ from .cards import (
 from .rangegrid import (
     ClassGrid169,
     ComboGrid,
-    PreflopContext,
     assign_preflop_range,
     load_range_file,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "parse_cards",
     "ClassGrid169",
     "ComboGrid",
-    "PreflopContext",
     "assign_preflop_range",
     "load_range_file",
     "BoardContext",

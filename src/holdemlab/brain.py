@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +23,8 @@ from .cards import DealRng, UndefinedRangeError, cards_str, equity_vs_range
 from .events import ActionType
 from .preflop import combo_percentile
 from .profiles import MODELING_CAPABLE, ProfileStore
-from .rangegrid import ComboGrid, PreflopContext, assign_preflop_range, combo_index
+from .rangegrid import ComboGrid, assign_preflop_range, combo_index
 from .rets import (
-    RET,
     DegenerateRangeError,
     OpponentRangeTracker,
     RetDispatch,
@@ -183,22 +182,21 @@ def required_strength(curve: Sequence[tuple[float, float]], x: float) -> int:
 class Brain:
     """One table's strategist. Holds per-opponent range trackers, perceived
     hero ranges for modeling-capable archetypes, the style state, and a
-    seeded RNG; a fixed seed replays every decision identically."""
+    seeded RNG; a fixed seed replays every decision identically. Its
+    templates are the shipped ones (`load_ret_set`, `RetDispatch.shipped`)."""
 
     def __init__(
         self,
         store: ProfileStore,
         rsm_table: RsmTable | None = None,
-        rets: Mapping[str, RET] | None = None,
-        dispatch: RetDispatch | None = None,
         config: BrainConfig | None = None,
         seed: int = 0,
         trace: bool = False,
     ):
         self.store = store
         self.rsm = rsm_table or RsmTable()
-        self.rets = dict(rets or load_ret_set())
-        self.dispatch = dispatch or RetDispatch.shipped(self.rets)
+        self.rets = load_ret_set()
+        self.dispatch = RetDispatch.shipped(self.rets)
         self.config = config or BrainConfig()
         self.rng = DealRng(seed, stream=7)
         self.style = StyleState()
@@ -271,7 +269,7 @@ class Brain:
             action, "call" if action != "check" else "check"
         )
         mults = self.store.class_multipliers_for(player_id, archetype)
-        grid = assign_preflop_range(archetype, PreflopContext("any", situation), class_multipliers=mults or None)
+        grid = assign_preflop_range(archetype, situation, class_multipliers=mults or None)
         tracker = OpponentRangeTracker(player_id, archetype, grid, self.rsm, self.rets, self.dispatch)
         if self.hero_hole:
             # after the "assign" step, which keeps the archetype's grid as read
@@ -306,7 +304,7 @@ class Brain:
             situation = {"bet": "open", "raise": "open", "allin": "open", "call": "call"}.get(action)
             for arch in {self.archetype_of(pid) for pid in self.trackers} & MODELING_CAPABLE:
                 if arch not in self.perceived and situation:
-                    self.perceived[arch] = assign_preflop_range("MediumReg", PreflopContext("any", situation))
+                    self.perceived[arch] = assign_preflop_range("MediumReg", situation)
             return
         if self._board_ctx is None:
             return
@@ -351,7 +349,7 @@ class Brain:
             if lawn:
                 recs.append(lawn)
         final = self.ma_decide(recs, ctx)
-        self.record_snapshot(ctx, final.action.key)
+        self.record_snapshot(ctx)
         if self.trace:
             opts = "; ".join(f"{r.source}:{r.action.key}{f'({r.size_bb:g})' if r.size_bb else ''}@{r.conviction:.2f}" for r in recs)
             self.trace_lines.append(
@@ -678,16 +676,16 @@ class Brain:
 
     # -- learning capture ------------------------------------------------------
 
-    def record_snapshot(self, ctx: DecisionContext, hero_action: str) -> None:
+    def record_snapshot(self, ctx: DecisionContext) -> None:
         """Keep each live read of a post-flop decision for showdown learning:
         its grid, the BoardContext it was read under and the strength
         categories it was read with (`categories`, the table's read-only
         array, from which `learning.records_from_snapshots` computes the
         strength distribution when a showdown needs it). ChiB is not kept:
         a showdown record or a scenario computes it from these, through
-        `OpponentRead.chib`, for the snapshots it uses. `decide` passes the
-        action it picks; a replay of a finished hand passes the action that
-        was played."""
+        `OpponentRead.chib`, for the snapshots it uses. `decide` takes one
+        per post-flop decision, and a replay of a finished hand one per
+        decision that was played."""
         if ctx.street == "preflop":
             return
         self._ensure_reads(ctx)
@@ -706,6 +704,5 @@ class Brain:
                     "archetype": read.archetype,
                     "grid": read.grid,
                     "categories": categories,
-                    "hero_action": hero_action,
                 }
             )

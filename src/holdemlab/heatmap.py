@@ -7,6 +7,8 @@ upper triangle indexed by card.
 """
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 from .rangegrid import COMBO_CARDS, CLASS_NAMES, ComboGrid
@@ -58,7 +60,7 @@ def render_svg(grid: ComboGrid, *, mode: str = "169", title: str = "") -> str:
     ]
     top = pad + (18 if title else 0)
     if title:
-        out.append(f'<text x="{pad}" y="{pad + 4}" font-size="12">{title}</text>')
+        out.append(f'<text x="{pad}" y="{pad + 4}" font-size="12">{escape(title)}</text>')
     for r in range(n):
         for c in range(n):
             w = float(matrix[r, c])

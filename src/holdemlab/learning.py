@@ -30,7 +30,7 @@ import numpy as np
 from .brain import Brain
 from .profiles import ProfileStore
 from .rangegrid import ComboGrid, combo_index
-from .rets import RET, RetDispatch, _category_mass
+from .rets import _category_mass
 from .rsm import BoardContext, RsmTable
 from .table import HandRecord, replay_hand
 
@@ -127,13 +127,7 @@ def records_from_snapshots(
 
 
 def replay_with_perfect_info(
-    record: HandRecord,
-    hero_id: str,
-    rsm: RsmTable,
-    rets: Mapping[str, RET],
-    dispatch: RetDispatch,
-    store: ProfileStore | None = None,
-    archetypes: Mapping[str, str] | None = None,
+    record: HandRecord, hero_id: str, rsm: RsmTable, archetypes: Mapping[str, str] | None = None
 ) -> list[PredictionRecord]:
     """Re-run a finished hand through the engine and pair each range
     snapshot the hero took with the showdown ground truth.
@@ -144,11 +138,11 @@ def replay_with_perfect_info(
     replaying engine. At each of the hero's scripted decisions the brain takes
     the snapshot `Brain.decide` takes, from `derive_context` of the same
     view, so the records equal those a live session pairs, in the same
-    order. A villain's archetype comes from `archetypes`, else from `store`
-    (only read), else is "Unknown"; learned class multipliers are not
-    applied. A decision the session timed out (`failure_rate`) took no live
-    snapshot; the replay cannot tell which one that was and snapshots it.
-    Players whose cards were never revealed are skipped."""
+    order. The brain reads the shipped templates. A villain's archetype
+    comes from `archetypes`, else is "Unknown"; learned class multipliers
+    are not applied. A decision the session timed out (`failure_rate`) took
+    no live snapshot; the replay cannot tell which one that was and
+    snapshots it. Players whose cards were never revealed are skipped."""
     # imported here because session imports this module
     from .session import HERO_ID, HeroSeatPolicy, derive_context
 
@@ -164,19 +158,14 @@ def replay_with_perfect_info(
             raise ValueError(f"a villain is named {HERO_ID!r}")
         record = replace(record, seats=tuple([(s, HERO_ID if s == hero_seat else pid, st) for s, pid, st in record.seats]))
 
-    def archetype_of(pid: str) -> str:
-        if archetypes and pid in archetypes:
-            return archetypes[pid]
-        return store.archetype_of(pid) if store is not None else "Unknown"
-
-    throwaway = ProfileStore()
-    brain = Brain(throwaway, rsm_table=rsm, rets=rets, dispatch=dispatch)
-    brain.begin_hand(record.hand_id, hero_hole, [(pid, archetype_of(pid)) for s, pid, _ in record.seats if s != hero_seat])
+    archetypes = archetypes or {}
+    brain = Brain(ProfileStore(), rsm_table=rsm)
+    brain.begin_hand(record.hand_id, hero_hole, [(pid, archetypes.get(pid, "Unknown")) for s, pid, _ in record.seats if s != hero_seat])
 
     def snapshotting(scripted):
         def act(view):
             move = scripted(view)
-            brain.record_snapshot(derive_context(view), move[0].key)
+            brain.record_snapshot(derive_context(view))
             return move
 
         return act
@@ -185,27 +174,18 @@ def replay_with_perfect_info(
     return records_from_snapshots(brain.snapshots, reveals, hero_hole, rsm)
 
 
-def apply_learning(
-    records: Sequence[PredictionRecord],
-    rsm: RsmTable,
-    store: ProfileStore | None = None,
-    *,
-    delta_reinforce: float = DELTA_REINFORCE,
-    delta_correct: float = DELTA_CORRECT,
-    audit: bool = False,
-) -> list[DeltaEvent]:
-    """Turn prediction records into strength-table deltas (and range-model
-    refinements). audit=True computes the deltas without applying anything,
-    so re-running over the same log is idempotent."""
-    if delta_correct <= delta_reinforce:
-        raise ValueError("corrective delta must exceed the reinforcement delta")
+def apply_learning(records: Sequence[PredictionRecord], rsm: RsmTable, store: ProfileStore | None = None) -> list[DeltaEvent]:
+    """Turn prediction records into strength-table deltas, applied to
+    `rsm`: DELTA_REINFORCE toward the realized category for a correct
+    prediction, DELTA_CORRECT for a miss. With a `store`, each revealed
+    player's final snapshot also refines their pre-flop range model."""
     events: list[DeltaEvent] = []
     for rec in records:
         top1, top2 = _top2(rec.distribution)
         correct = rec.realized_category in (top1, top2)
         query_cat = int(rsm.query(rec.revealed_hole, rec.board_ctx))
         direction = float(np.sign(rec.realized_category - query_cat))
-        magnitude = delta_reinforce if correct else delta_correct
+        magnitude = DELTA_REINFORCE if correct else DELTA_CORRECT
         if direction != 0.0:
             events.append(
                 DeltaEvent(
@@ -216,18 +196,13 @@ def apply_learning(
                     reason="reinforce" if correct else "correct",
                 )
             )
-    if not audit:
-        for ev in events:
-            try:
-                rsm.apply_delta(ev.bucket, ev.delta)
-            except ValueError:
-                continue
+    for ev in events:  # DELTA_CORRECT is within RsmTable.clamp, so none is refused
+        rsm.apply_delta(ev.bucket, ev.delta)
     # Range misses: judge each revealed player once, on their final snapshot.
     if store is not None:
         final_by_player: dict[tuple[int, str], PredictionRecord] = {}
         for rec in records:
             final_by_player[(rec.hand_id, rec.player_id)] = rec
-        for (hand_id, pid), rec in final_by_player.items():
-            if not audit:
-                store.showdown_refine(pid, rec.revealed_hole, rec.grid, rec.archetype)
+        for (_, pid), rec in final_by_player.items():
+            store.showdown_refine(pid, rec.revealed_hole, rec.grid, rec.archetype)
     return events

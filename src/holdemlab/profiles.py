@@ -219,11 +219,10 @@ class _HandTracker:
 
 
 class ProfileStore:
-    """Single-writer store of events, stats, overlays, and range multipliers."""
+    """Single-writer store of events, stats, overlays, and range multipliers;
+    archetypes by `classify`'s default thresholds, exploits by DEFAULT_EXPLOIT_RULES."""
 
-    def __init__(self, thresholds: ArchetypeThresholds | None = None, exploit_rules=DEFAULT_EXPLOIT_RULES):
-        self.thresholds = thresholds or ArchetypeThresholds()
-        self.exploit_rules = tuple(exploit_rules)
+    def __init__(self):
         self.stats: dict[str, PlayerStats] = {}
         self.events: list[ActionEvent] = []
         self.reveals: list[tuple[int, str, str]] = []  # (hand_id, player_id, cards text)
@@ -348,12 +347,12 @@ class ProfileStore:
         return self._stats_for(player_id)
 
     def archetype_of(self, player_id: str) -> str:
-        return classify(self._stats_for(player_id), self.thresholds)
+        return classify(self._stats_for(player_id))
 
     def search_exploits(self, player_id: str) -> list[Exploit]:
         stats = self._stats_for(player_id)
         found: list[Exploit] = []
-        for rule in self.exploit_rules:
+        for rule in DEFAULT_EXPLOIT_RULES:
             value, n = _stat_value(stats, rule.stat)
             if n < rule.min_sample:
                 continue
@@ -444,12 +443,12 @@ class ProfileStore:
             json.dump(snap, f, indent=1, sort_keys=True)
 
     @classmethod
-    def load(cls, log_path: str, snapshot_path: str, **kwargs) -> tuple["ProfileStore", dict[str, float]]:
-        """The store and the RSM overlay that `save` wrote. A missing file
-        raises FileNotFoundError naming it; a malformed log line, or a
-        snapshot of another version, raises ValueError naming the file (and
-        the line)."""
-        store = cls(**kwargs)
+    def load(cls, log_path: str, snapshot_path: str) -> tuple["ProfileStore", dict[str, float]]:
+        """A new store holding what `save` wrote, and the RSM overlay it saved.
+        A missing file raises FileNotFoundError naming it; a malformed log
+        line, or a snapshot of another version, raises ValueError naming the
+        file (and the line)."""
+        store = cls()
         with open(log_path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 if line.startswith("#") or not line.strip():

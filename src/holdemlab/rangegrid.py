@@ -307,27 +307,6 @@ ARCHETYPES = (
 SITUATIONS = ("open", "call", "threebet")
 
 
-@dataclass(frozen=True)
-class PreflopContext:
-    """What the opponent did pre-flop and from where."""
-
-    position: str  # utg/hj/co/btn/sb/bb
-    action: str  # open / call / threebet / check
-
-
-def _situation_for(ctx: PreflopContext) -> str | None:
-    a = ctx.action.lower()
-    if a in ("open", "raise"):
-        return "open"
-    if a in ("call", "limp", "defend"):
-        return "call"
-    if a in ("threebet", "3bet", "reraise"):
-        return "threebet"
-    if a in ("check",):
-        return None
-    raise RangeConfigError(f"unknown pre-flop action {ctx.action!r}")
-
-
 def _read_shipped(archetype: str, situation: str) -> ComboGrid:
     name = f"{archetype.lower()}/{situation}.rng"
     text = (DATA_DIR / "ranges" / name).read_text(encoding="utf-8")
@@ -341,18 +320,17 @@ SHIPPED_RANGES: dict[tuple[str, str], ComboGrid] = {
 
 
 def assign_preflop_range(
-    archetype: str,
-    context: PreflopContext,
-    *,
-    class_multipliers: Mapping[int, float] | None = None,
+    archetype: str, situation: str, *, class_multipliers: Mapping[int, float] | None = None
 ) -> ComboGrid:
     """Starting grid for an opponent given their archetype and observed
-    pre-flop action. Per-player class multipliers (learned from showdowns)
-    rescale classes before normalization. No dead cards are applied here.
-    """
-    situation = _situation_for(context)
-    if situation is None:
+    pre-flop situation: one of SITUATIONS, or "check" (the uniform grid); any
+    other word raises RangeConfigError. Per-player class multipliers (learned
+    from showdowns) rescale classes before normalization. No dead cards are
+    applied here."""
+    if situation == "check":
         grid = ComboGrid.uniform()
+    elif situation not in SITUATIONS:
+        raise RangeConfigError(f"unknown pre-flop action {situation!r}")
     elif archetype not in ARCHETYPES:
         raise RangeConfigError(f"unknown archetype {archetype!r}")
     else:

@@ -84,13 +84,10 @@ def parse_ret_lines(lines: Iterable[str], *, source: str = "<rets>") -> dict[str
     return rets
 
 
-def load_ret_set(path=None) -> dict[str, RET]:
-    """Load templates from a file path, or the shipped defaults."""
-    if path is None:
-        text = (DATA_DIR / "rets.txt").read_text(encoding="utf-8")
-        return parse_ret_lines(text.splitlines(), source="rets.txt")
-    with open(path, encoding="utf-8") as f:
-        return parse_ret_lines(f, source=str(path))
+def load_ret_set() -> dict[str, RET]:
+    """The shipped templates, data/rets.txt, by id."""
+    text = (DATA_DIR / "rets.txt").read_text(encoding="utf-8")
+    return parse_ret_lines(text.splitlines(), source="rets.txt")
 
 
 # ---------------------------------------------------------------------------

@@ -378,9 +378,10 @@ class RsmTable:
     owner; concurrent readers are safe.
     """
 
-    def __init__(self, rules: RsmRules | None = None, clamp: float = 1.5):
+    clamp = 1.5
+
+    def __init__(self, rules: RsmRules | None = None):
         self.rules = rules or RsmRules.shipped()
-        self.clamp = float(clamp)
         self.overlay: dict[str, float] = {}
         self.version = 0  # bumped on every overlay change; keys caches
         self._bucket_parts: dict[str, tuple[str, ...]] = {}  # bucket key -> its "|" fields

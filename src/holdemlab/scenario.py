@@ -74,6 +74,7 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
     seats: list[ScenarioSeat] = []
     board: tuple[int, ...] = ()
     script: list[tuple[str, str, float | None]] = []
+    script_lines: list[int] = []
     assertions: list[Assertion] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -97,8 +98,12 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
             elif parts[0] == "board":
                 board = tuple(parse_cards("".join(parts[1:])))
             elif parts[0] == "act":
+                action = from_key(ActionType, parts[2]).key
                 amount = float(parts[3]) if len(parts) > 3 else None
-                script.append((parts[1], from_key(ActionType, parts[2]).key, amount))
+                if amount is None and action in ("bet", "raise"):
+                    raise ValueError(f"{parts[1]}: {action} needs an amount")
+                script.append((parts[1], action, amount))
+                script_lines.append(lineno)
             elif parts[0] == "assert":
                 assertions.append(Assertion(parts[1], tuple(parts[2:]), lineno))
             else:
@@ -107,6 +112,10 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
             raise ScenarioError(f"{source}:{lineno}: {e}") from None
     if not seats:
         raise ScenarioError(f"{source}: no seats")
+    scripted = {s.player_id for s in seats if s.archetype != "hero"}
+    for (pid, _, _), lineno in zip(script, script_lines):
+        if pid not in scripted:
+            raise ScenarioError(f"{source}:{lineno}: act names {pid!r}, which has no scripted seat")
     all_cards = [c for s in seats for c in s.hole] + list(board)
     if len(set(all_cards)) != len(all_cards):
         raise ScenarioError(f"{source}: deal contains duplicate cards")
@@ -172,10 +181,6 @@ def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None, trace: 
         s.player_id: [] for s in scenario.seats if s.archetype != "hero"
     }
     for pid, action, amount_bb in scenario.script:
-        if pid not in moves:
-            raise ScenarioError(f"script references unknown player {pid!r}")
-        if amount_bb is None and action in ("bet", "raise"):
-            raise ScenarioError(f"{pid}: {action} needs an amount")
         # the engine ignores the amount of an all-in
         cents = 0 if amount_bb is None else int(round(amount_bb * scenario.bb_cents))
         moves[pid].append((None, action, cents))

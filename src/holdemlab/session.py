@@ -32,6 +32,7 @@ from .table import (
 )
 
 HERO_ID = "hero"
+BOT_STACK_BB = (60.0, 220.0)  # a bot's stack is drawn uniformly from this, in big blinds
 
 DEFAULT_BOT_MIX = {
     "Whale": 0.10,
@@ -54,7 +55,6 @@ class SessionConfig:
     hero_buyin_bb: float = 100.0
     bot_mix: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_BOT_MIX))
     pool_size: int = 60
-    bot_stack_bb: tuple[float, float] = (60.0, 220.0)
     rake: RakeModel = field(default_factory=RakeModel)
     rakeback_rate: float = 0.069
     learning: bool = True
@@ -295,11 +295,9 @@ class SessionResult:
     config: SessionConfig
     ledger: ResultLedger
     report: TrialReport
-    hands_played: int
     showdowns_seen: int
     learning_deltas: int
     trace_lines: list[str]
-    final_hero_stack_bb: float
     rebuys: int
 
 
@@ -350,7 +348,7 @@ def run_fastfold_session(
         button = seat_rng.randint(6)
         seats: list[SeatConfig] = []
         bot_iter = iter(opponents)
-        lo, hi = config.bot_stack_bb
+        lo, hi = BOT_STACK_BB
         for idx in range(6):
             if idx == hero_seat:
                 seats.append(SeatConfig(HERO_ID, hero_stack, hero_or_timeout))
@@ -403,11 +401,9 @@ def run_fastfold_session(
         config=config,
         ledger=ledger,
         report=report,
-        hands_played=config.hands,
         showdowns_seen=showdowns,
         learning_deltas=deltas,
         trace_lines=list(brain.trace_lines),
-        final_hero_stack_bb=hero_stack / config.bb_cents,
         rebuys=rebuys,
     )
 

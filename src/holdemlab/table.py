@@ -52,7 +52,7 @@ class RakeModel:
 class SeatConfig:
     player_id: str
     stack_cents: int
-    policy: Callable | None = None  # None folds/checks
+    policy: Callable
 
 
 @dataclass(eq=False)  # a seat is compared by identity, never field by field
@@ -60,7 +60,7 @@ class _Seat:
     idx: int
     player_id: str
     stack: int
-    policy: Callable | None
+    policy: Callable
     hole: tuple[int, int] | None = None
     in_hand: bool = True
     all_in: bool = False
@@ -433,11 +433,7 @@ class HandEngine:
             to_call = self.current_bet - seat.street_committed
             if to_call <= 0 and not any(o.can_act for o in live if o is not seat):
                 continue  # everyone else is all-in and matched; betting is moot
-            if seat.policy is None:
-                act = (ActionType.CHECK, 0) if to_call <= 0 else (ActionType.FOLD, 0)
-            else:
-                act = seat.policy(self.build_view(seat))
-            action, amount = act
+            action, amount = seat.policy(self.build_view(seat))
             if self.street == "preflop" and action == ActionType.CALL and not self.preflop_raised:
                 self.num_limpers += 1
             reopened = self._apply(seat, action, amount)

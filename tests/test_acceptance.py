@@ -22,7 +22,7 @@ from holdemlab.metrics import (
     failure_cost,
     segment_analysis,
 )
-from holdemlab.rangegrid import COMBO_CARDS, ComboGrid, PreflopContext, assign_preflop_range, combos_with_any
+from holdemlab.rangegrid import COMBO_CARDS, ComboGrid, assign_preflop_range, combos_with_any
 from holdemlab.rets import FLAT_RET_ID, RET, chib, load_ret_set, reshape, rs_distribution
 from holdemlab.rsm import BoardContext, RsmTable
 from holdemlab.scenario import load_scenario, run_scenario
@@ -151,8 +151,8 @@ class TestCriterion4:
         board = cards("9d5s2c")
         ctx = BoardContext(board)
         dead = board + cards("9h9s")
-        whale = assign_preflop_range("Whale", PreflopContext("bb", "call")).strip(dead)
-        reg = assign_preflop_range("MediumReg", PreflopContext("sb", "call")).strip(dead)
+        whale = assign_preflop_range("Whale", "call").strip(dead)
+        reg = assign_preflop_range("MediumReg", "call").strip(dead)
         dw = rs_distribution(whale, ctx, rsm)
         dr = rs_distribution(reg, ctx, rsm)
         failures = []
@@ -323,7 +323,6 @@ class TestCriterion10:
             replay_with_perfect_info,
         )
         from holdemlab.learning import PredictionRecord
-        from holdemlab.rets import RetDispatch
         from holdemlab.rsm import MadeClass, RsmRules
 
         failures = []
@@ -359,11 +358,9 @@ class TestCriterion10:
         sc = load_scenario(resources.files("holdemlab").joinpath("data/hand6.scn"))
         record = run_scenario(sc).record
         arch = {s.player_id: s.archetype for s in sc.seats if s.archetype != "hero"}
-        rets = load_ret_set()
-        dispatch = RetDispatch.shipped(rets)
-        ra = replay_with_perfect_info(record, "hero", RsmTable(), rets, dispatch, archetypes=arch)
+        ra = replay_with_perfect_info(record, "hero", RsmTable(), archetypes=arch)
         flipped = dataclasses.replace(record, net={s: -v for s, v in record.net.items()})
-        rb = replay_with_perfect_info(flipped, "hero", RsmTable(), rets, dispatch, archetypes=arch)
+        rb = replay_with_perfect_info(flipped, "hero", RsmTable(), archetypes=arch)
         da = [(e.bucket, e.delta) for e in apply_learning(ra, RsmTable())]
         db = [(e.bucket, e.delta) for e in apply_learning(rb, RsmTable())]
         if da != db or not da:

@@ -418,7 +418,7 @@ class TestBoardContexts:
             lambda brain, ctx: brain.decide(ctx),
             lambda brain, ctx: brain.ga_recommend(ctx),
             lambda brain, ctx: brain.lawnmower_recommend(ctx),
-            lambda brain, ctx: brain.record_snapshot(ctx, "check"),
+            lambda brain, ctx: brain.record_snapshot(ctx),
         ],
         ids=["decide", "ga_recommend", "lawnmower_recommend", "record_snapshot"],
     )

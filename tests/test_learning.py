@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from holdemlab.cards import parse_cards
 from holdemlab.learning import (
@@ -13,7 +12,6 @@ from holdemlab.learning import (
 )
 from holdemlab.profiles import ProfileStore
 from holdemlab.rangegrid import ComboGrid
-from holdemlab.rets import RetDispatch, load_ret_set
 from holdemlab.rsm import BoardContext, MadeClass, RsmRules, RsmTable
 from holdemlab.scenario import load_scenario, run_scenario
 from holdemlab.session import HERO_ID, SessionConfig, run_fastfold_session
@@ -72,7 +70,7 @@ class TestSnapshots:
             legal=("fold", "call", "raise"), live_player_ids=("v1",), facing_allin=False,
         )
         ctx.board_ctx = BoardContext(board)
-        brain.record_snapshot(ctx, "call")
+        brain.record_snapshot(ctx)
         (snap,) = brain.snapshots
         at_snapshot = rs_distribution(snap["grid"], ctx.board_ctx, rsm)
         version = rsm.version
@@ -135,18 +133,6 @@ class TestApplyLearning:
         assert abs(events[0].delta) == DELTA_CORRECT
         assert DELTA_CORRECT > DELTA_REINFORCE
 
-    def test_audit_mode_is_idempotent(self):
-        rsm = RsmTable()
-        hole, ctx = cards("Ah9c"), BoardContext(cards("9d5s2c"))
-        bucket = rsm.bucket_for(hole, ctx)
-        dist = np.zeros(11)
-        dist[0] = 1.0
-        rec = synthetic_record(dist, 8, bucket, hole=tuple(hole))
-        first = apply_learning([rec], rsm, audit=True)
-        second = apply_learning([rec], rsm, audit=True)
-        assert [(e.bucket, e.delta) for e in first] == [(e.bucket, e.delta) for e in second]
-        assert rsm.overlay == {}
-
     def test_convergence_within_bound(self):
         """A deliberately mis-set bucket converges to the realized category
         within ceil(gap / corrective-delta) showdowns."""
@@ -200,11 +186,6 @@ class TestApplyLearning:
         apply_learning([rec], rsm, store)
         assert store.player_class_multipliers["v"]  # widened
 
-    def test_bad_delta_config_rejected(self):
-        rsm = RsmTable()
-        with pytest.raises(ValueError):
-            apply_learning([], rsm, delta_reinforce=0.2, delta_correct=0.1)
-
 
 class TestFinancialInvariance:
     def test_won_and_lost_versions_produce_identical_deltas(self):
@@ -213,15 +194,13 @@ class TestFinancialInvariance:
         res = run_scenario(sc)
         record = res.record
         rsm_a, rsm_b = RsmTable(), RsmTable()
-        rets = load_ret_set()
-        dispatch = RetDispatch.shipped(rets)
         arch = {s.player_id: s.archetype for s in sc.seats if s.archetype != "hero"}
-        recs_a = replay_with_perfect_info(record, HERO_ID if False else "hero", rsm_a, rets, dispatch, archetypes=arch)
+        recs_a = replay_with_perfect_info(record, HERO_ID if False else "hero", rsm_a, archetypes=arch)
         # flip the monetary outcome: pretend the pot went the other way
         import dataclasses
 
         flipped = dataclasses.replace(record, net={s: -v for s, v in record.net.items()})
-        recs_b = replay_with_perfect_info(flipped, "hero", rsm_b, rets, dispatch, archetypes=arch)
+        recs_b = replay_with_perfect_info(flipped, "hero", rsm_b, archetypes=arch)
         assert len(recs_a) == len(recs_b) > 0
         ev_a = apply_learning(recs_a, rsm_a)
         ev_b = apply_learning(recs_b, rsm_b)
@@ -237,10 +216,8 @@ class TestReplayPerfectInfo:
 
     def test_replay_is_deterministic(self):
         sc, record, arch = self._hand6()
-        rets = load_ret_set()
-        dispatch = RetDispatch.shipped(rets)
-        a = replay_with_perfect_info(record, "hero", RsmTable(), rets, dispatch, archetypes=arch)
-        b = replay_with_perfect_info(record, "hero", RsmTable(), rets, dispatch, archetypes=arch)
+        a = replay_with_perfect_info(record, "hero", RsmTable(), archetypes=arch)
+        b = replay_with_perfect_info(record, "hero", RsmTable(), archetypes=arch)
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
             assert ra.bucket == rb.bucket
@@ -249,9 +226,7 @@ class TestReplayPerfectInfo:
 
     def test_hand6_whale_draw_realized_and_in_support(self):
         sc, record, arch = self._hand6()
-        rets = load_ret_set()
-        dispatch = RetDispatch.shipped(rets)
-        recs = replay_with_perfect_info(record, "hero", RsmTable(), rets, dispatch, archetypes=arch)
+        recs = replay_with_perfect_info(record, "hero", RsmTable(), archetypes=arch)
         turn_recs = [r for r in recs if r.street == "turn" and r.player_id == "whale_bb"]
         assert turn_recs, "expected a turn decision point against the whale"
         final = turn_recs[-1]
@@ -268,8 +243,7 @@ class TestReplayPerfectInfo:
             board=(), actions=[("preflop", 0, "raise", 6), ("preflop", 1, "fold", 0)],
             showdown=[], awards={0: 3}, rake_paid={}, net={0: 1, 1: -1}, saw_flop=False,
         )
-        rets = load_ret_set()
-        assert replay_with_perfect_info(record, "hero", RsmTable(), rets, RetDispatch.shipped(rets)) == []
+        assert replay_with_perfect_info(record, "hero", RsmTable()) == []
 
     def test_replay_reproduces_the_live_records(self):
         """Replaying a session hand gives exactly the records the live
@@ -296,7 +270,7 @@ class TestReplayPerfectInfo:
             live = records_from_snapshots(brain.snapshots, reveals, record.holes[hero_seat], rsm)
             # archetypes as the live brain read them, before this hand's events
             archetypes = {snap["player_id"]: snap["archetype"] for snap in brain.snapshots}
-            replayed = replay_with_perfect_info(record, HERO_ID, rsm, brain.rets, brain.dispatch, archetypes=archetypes)
+            replayed = replay_with_perfect_info(record, HERO_ID, rsm, archetypes=archetypes)
             compared.append(len(live))
             if [fields(r) for r in replayed] != [fields(r) for r in live]:
                 differ.append(record.hand_id)
@@ -369,7 +343,7 @@ class TestSessionLearning:
         result = run_fastfold_session(SessionConfig(hands=1000, seed=2023, learning=True), brain=brain, on_record=keep)
         assert result.learning_deltas > 0 and showdowns
         built = len(builders)
-        assert replay_with_perfect_info(showdowns[0], HERO_ID, RsmTable(), brain.rets, brain.dispatch)
+        assert replay_with_perfect_info(showdowns[0], HERO_ID, RsmTable())
         assert len(builders) > built
         built = len(builders)
         assert not run_scenario(load_scenario(resources.files("holdemlab").joinpath("data/hand6.scn"))).failures

@@ -9,7 +9,6 @@ from holdemlab.rangegrid import (
     CLASS_MEMBER_COUNT,
     CLASS_NAMES,
     ComboGrid,
-    PreflopContext,
     SHIPPED_RANGES,
     SITUATIONS,
     RangeConfigError,
@@ -153,28 +152,37 @@ class TestRangeFiles:
 
 class TestPreflopAssignment:
     def test_whale_defend_is_very_wide(self):
-        g = assign_preflop_range("Whale", PreflopContext("bb", "call"))
+        g = assign_preflop_range("Whale", "call")
         assert g.support_fraction() >= 0.60
         assert total_is_one(g)
 
     def test_rock_is_tight_everywhere(self):
         for action in ("open", "call", "threebet"):
-            g = assign_preflop_range("Rock", PreflopContext("utg", action))
+            g = assign_preflop_range("Rock", action)
             assert g.support_fraction() <= 0.10, action
 
     def test_grids_are_normalized_with_no_dead_cards(self):
         for arch in ("Whale", "MediumReg", "LAG", "Unknown"):
-            g = assign_preflop_range(arch, PreflopContext("co", "open"))
+            g = assign_preflop_range(arch, "open")
             assert total_is_one(g)
             assert not g.degenerate
 
     def test_unknown_archetype_rejected(self):
         with pytest.raises(RangeConfigError):
-            assign_preflop_range("Martian", PreflopContext("bb", "call"))
+            assign_preflop_range("Martian", "call")
 
     def test_unknown_action_rejected(self):
         with pytest.raises(RangeConfigError, match="pre-flop action"):
-            assign_preflop_range("Rock", PreflopContext("utg", "squeeze"))
+            assign_preflop_range("Rock", "squeeze")
+
+    def test_vocabulary_is_exactly_four_words(self):
+        for situation in SITUATIONS + ("check",):
+            assert total_is_one(assign_preflop_range("MediumReg", situation))
+        for word in ("raise", "limp", "defend", "3bet", "reraise", "Open"):
+            with pytest.raises(RangeConfigError, match=f"^unknown pre-flop action '{word}'$"):
+                assign_preflop_range("MediumReg", word)
+        with pytest.raises(RangeConfigError, match="pre-flop action"):  # the word is checked first
+            assign_preflop_range("Martian", "squeeze")
 
     def test_every_shipped_file_is_in_the_table(self):
         root = resources.files("holdemlab").joinpath("data/ranges")
@@ -183,14 +191,14 @@ class TestPreflopAssignment:
         assert len(SHIPPED_RANGES) == len(ARCHETYPES) * len(SITUATIONS) == 27
 
     def test_class_multipliers_rescale(self):
-        base = assign_preflop_range("Rock", PreflopContext("utg", "open"))
+        base = assign_preflop_range("Rock", "open")
         boosted = assign_preflop_range(
-            "Rock", PreflopContext("utg", "open"), class_multipliers={class_id("AA"): 3.0}
+            "Rock", "open", class_multipliers={class_id("AA"): 3.0}
         )
         assert class_weight(boosted, "AA") > class_weight(base, "AA")
 
     def test_bb_check_maps_to_uniform(self):
-        g = assign_preflop_range("MediumReg", PreflopContext("bb", "check"))
+        g = assign_preflop_range("MediumReg", "check")
         assert g.support_fraction() == 1.0
 
 

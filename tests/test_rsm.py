@@ -503,12 +503,12 @@ class TestDeltas:
         assert table.overlay == {}
 
     def test_clamp_rejects_oversized_delta(self):
-        table = RsmTable(clamp=1.5)
+        table = RsmTable()
         with pytest.raises(ValueError):
             table.apply_delta("flop|SET|NONE|dry", 2.0)
 
     def test_overlay_accumulation_clamped(self):
-        table = RsmTable(clamp=1.5)
+        table = RsmTable()
         b = "flop|SET|NONE|dry"
         for _ in range(5):
             table.apply_delta(b, 0.5)

@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import pytest
@@ -52,6 +53,28 @@ class TestParse:
         text = HAND6.read_text().replace("act whale_bb bet 4", "act whale_bb bet")
         with pytest.raises(ScenarioError, match="whale_bb: bet needs an amount"):
             run_scenario(parse_scenario(text))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("act reg_sb call", "act ghost call", "act names 'ghost', which has no scripted seat"),
+            ("act reg_sb call", "act hero call", "act names 'hero', which has no scripted seat"),
+            ("act whale_bb bet 4", "act whale_bb bet", "whale_bb: bet needs an amount"),
+        ],
+        ids=["unknown-player", "hero", "bet-without-amount"],
+    )
+    def test_script_errors_name_the_line(self, old, new, message):
+        text = HAND6.read_text().replace(old, new)
+        lineno = text.splitlines().index(new) + 1
+        with pytest.raises(ScenarioError, match=f"^hand6.scn:{lineno}: {re.escape(message)}$"):
+            parse_scenario(text, source="hand6.scn")
+
+    def test_act_line_may_precede_its_seat_line(self):
+        """Players are checked once every seat has been read."""
+        lines = HAND6.read_text().splitlines()
+        seats = [line for line in lines if line.startswith("seat ")]
+        moved = "\n".join([line for line in lines if not line.startswith("seat ")] + seats)
+        assert parse_scenario(moved).script == load_scenario(HAND6).script
 
 
 class TestRun:

@@ -231,6 +231,13 @@ class TestHeatmaps:
         head = ppm.splitlines()[:3]
         assert head[0] == "P3" and head[1] == "26 26" and head[2] == "255"
 
+    def test_title_is_escaped(self):
+        import xml.etree.ElementTree as ET
+
+        svg = render_svg(parse_range_lines(["AA 1.0"]), mode="169", title="a&b<c")
+        texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b<c" in texts
+
     def test_1326_mode(self):
         g = ComboGrid.uniform()
         svg = render_svg(g, mode="1326")
@@ -275,6 +282,24 @@ class TestCli:
         lineno = path.read_text().splitlines().index("act reg_sb jump") + 1
         assert cli_main(["replay", str(path)]) == 2
         assert f"{path}:{lineno}: unknown ActionType 'jump'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("act reg_sb call", "act ghost call", "act names 'ghost', which has no scripted seat"),
+            ("act whale_bb bet 4", "act whale_bb bet", "whale_bb: bet needs an amount"),
+        ],
+        ids=["unknown-player", "bet-without-amount"],
+    )
+    def test_replay_script_error_exits_2_naming_the_line(self, tmp_path, capsys, old, new, message):
+        from importlib import resources
+
+        text = resources.files("holdemlab").joinpath("data/hand6.scn").read_text()
+        path = tmp_path / "x.scn"
+        path.write_text(text.replace(old, new))
+        lineno = path.read_text().splitlines().index(new) + 1
+        assert cli_main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
 
     def test_report_round_trip(self, tmp_path, capsys):
         out = tmp_path / "sim"
