@@ -41,16 +41,18 @@ print(f"nothing-much mass (Niente+HardlyAnything): {baseline[0] + baseline[1]:.0
 print(f"Fair or better: {baseline[3:].sum():.0%}")
 
 # The whale leads into the raiser: the donk-bet template cuts the air and
-# promotes made hands and draws.
-led = reshape(whale, ctx, rets["RET18"], rsm)
+# promotes made hands and draws. A template weighs each combo by its
+# strength category on the flop.
+categories = rsm.categories_many(ctx)
+led = reshape(whale, rets["RET18"], categories)
 show("after the donk bet (RET18)", rs_distribution(led, ctx, rsm))
 
 # Then calls a raise: the strongest holdings thin out (no reraise, twice).
-called = reshape(led, ctx, rets["RET33"], rsm)
+called = reshape(led, rets["RET33"], categories)
 show("after calling the raise (RET33)", rs_distribution(called, ctx, rsm))
 
 print(f"\nhero ChiB on the flop vs that range: {chib(hero, called, ctx):.4f}")
 
 # Templates are shapes, not magnitudes: scaling one changes nothing.
-scaled = reshape(whale, ctx, rets["RET18"], rsm)
+scaled = reshape(whale, rets["RET18"], categories)
 print("scale invariance holds:", np.allclose(led.weights, scaled.weights))

@@ -27,6 +27,7 @@ from .rangegrid import ComboGrid, assign_preflop_range, combo_index
 from .rets import (
     DegenerateRangeError,
     OpponentRangeTracker,
+    PipelineStep,
     RetDispatch,
     chib,
     load_ret_set,
@@ -65,25 +66,30 @@ class StyleState:
 
 @dataclass(frozen=True)
 class OpponentRead:
-    """One live opponent at a decision: the tracker's grid, and the hero's
-    cards and the street's context that ChiB is computed from on first
+    """One live opponent at a decision: the tracker's step that holds the
+    range at the decision, and the hero's cards and the street's context.
+    The grid is computed from the step, and ChiB from the grid, on first
     read, since only equity estimates, showdown learning and scenarios
-    read it."""
+    read them."""
 
     player_id: str
     archetype: str
-    grid: ComboGrid | None
+    step: PipelineStep | None = field(repr=False, compare=False)
     hero: tuple[int, int] | None = None
     board_ctx: BoardContext | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def grid(self) -> ComboGrid | None:
+        return None if self.step is None else self.step.grid
+
     @functools.cached_property
     def chib(self) -> float | None:
-        """`rets.chib` of the hero against the grid; None without a grid or
+        """`rets.chib` of the hero against the grid; None without a range or
         against a range with no live combos."""
-        if self.grid is None or self.board_ctx is None:
+        if self.step is None or self.board_ctx is None:
             return None
         try:
-            return chib(self.hero, self.grid, self.board_ctx)
+            return chib(self.hero, self.step.grid, self.board_ctx)
         except DegenerateRangeError:
             return None
 
@@ -272,8 +278,7 @@ class Brain:
         grid = assign_preflop_range(archetype, situation, class_multipliers=mults or None)
         tracker = OpponentRangeTracker(player_id, archetype, grid, self.rsm, self.rets, self.dispatch)
         if self.hero_hole:
-            # after the "assign" step, which keeps the archetype's grid as read
-            tracker.grid = grid.strip(self.hero_hole)
+            tracker.strip_hero(self.hero_hole)
         self.trackers[player_id] = tracker
 
     def observe_new_street(self, board: Sequence[int]) -> None:
@@ -318,8 +323,9 @@ class Brain:
         }.get(action)
         if ret_id is None or ret_id not in self.rets:
             return
+        categories = self.rsm.categories_many(self._board_ctx)
         for arch, grid in self.perceived.items():
-            self.perceived[arch] = reshape(grid, self._board_ctx, self.rets[ret_id], self.rsm)
+            self.perceived[arch] = reshape(grid, self.rets[ret_id], categories)
 
     # ---------------------------------------------------------------- decide
 
@@ -330,7 +336,7 @@ class Brain:
             if tracker is None or ctx.board_ctx is None:
                 reads.append(OpponentRead(pid, self.archetype_of(pid), None))
             else:
-                reads.append(OpponentRead(pid, tracker.archetype, tracker.grid, ctx.hero_hole, ctx.board_ctx))
+                reads.append(OpponentRead(pid, tracker.archetype, tracker.current, ctx.hero_hole, ctx.board_ctx))
         return reads
 
     def decide(self, ctx: DecisionContext) -> Recommendation:
@@ -372,10 +378,10 @@ class Brain:
     def _equity_estimate(self, ctx: DecisionContext) -> float:
         """Sampled equity against the primary live read; falls back to a
         ChiB-based proxy when no grid exists."""
-        grids = [r for r in ctx.opponents if r.grid is not None]
-        if not grids:
+        ranged = [r for r in ctx.opponents if r.step is not None]
+        if not ranged:
             return 0.5
-        primary = max(grids, key=lambda r: r.chib if r.chib is not None else 0.0)
+        primary = max(ranged, key=lambda r: r.chib if r.chib is not None else 0.0)
         try:
             return equity_vs_range(
                 ctx.hero_hole,
@@ -678,14 +684,15 @@ class Brain:
 
     def record_snapshot(self, ctx: DecisionContext) -> None:
         """Keep each live read of a post-flop decision for showdown learning:
-        its grid, the BoardContext it was read under and the strength
-        categories it was read with (`categories`, the table's read-only
-        array, from which `learning.records_from_snapshots` computes the
-        strength distribution when a showdown needs it). ChiB is not kept:
-        a showdown record or a scenario computes it from these, through
-        `OpponentRead.chib`, for the snapshots it uses. `decide` takes one
-        per post-flop decision, and a replay of a finished hand one per
-        decision that was played."""
+        the read (`read`: its range's step, from which the grid is computed
+        when first read, and the BoardContext it was read under) and the
+        strength categories it was read with (`categories`, the table's
+        read-only array, from which `learning.records_from_snapshots`
+        computes the strength distribution when a showdown needs it). A
+        showdown record or a scenario reads the grid and ChiB through the
+        read, for the snapshots it uses. `decide` takes one per post-flop
+        decision, and a replay of a finished hand one per decision that was
+        played."""
         if ctx.street == "preflop":
             return
         self._ensure_reads(ctx)
@@ -693,16 +700,7 @@ class Brain:
             return
         categories = self.rsm.categories_many(ctx.board_ctx)
         for read in ctx.opponents:
-            if read.grid is None:
+            if read.step is None:
                 continue
-            self.snapshots.append(
-                {
-                    "hand_id": ctx.hand_id,
-                    "street": ctx.street,
-                    "board_ctx": ctx.board_ctx,
-                    "player_id": read.player_id,
-                    "archetype": read.archetype,
-                    "grid": read.grid,
-                    "categories": categories,
-                }
-            )
+            snapshot = {"hand_id": ctx.hand_id, "street": ctx.street, "read": read, "categories": categories}
+            self.snapshots.append(snapshot)

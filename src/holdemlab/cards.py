@@ -614,6 +614,17 @@ def equity_exhaustive(hero: Sequence[int], villain: Sequence[int], board: Sequen
     return pot_equity((hero, villain), board)
 
 
+def _weighted_draws(gen: np.random.Generator, items: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """n draws with replacement from items, each with probability its share
+    of the weights: one uniform per draw, read through the weights'
+    cumulative distribution. These are the draws and the stream that
+    `gen.choice(items, size=n, p=weights / weights.sum())` makes, without
+    its checks of the probabilities."""
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return items[cdf.searchsorted(gen.random(n), side="right")]
+
+
 def equity_vs_range(
     hero: Sequence[int],
     range_weights: np.ndarray,
@@ -630,8 +641,8 @@ def equity_vs_range(
     combo_samples optionally subsamples the range support (weighted), which
     is what the decision layer uses to keep per-decision cost flat.
 
-    ctx is the street's `rsm.BoardContext`, as for `rets.chib` and
-    `rets.reshape`, and the board is its board. Its `hero_masks` give the
+    ctx is the street's `rsm.BoardContext`, as for `rets.chib`, and the
+    board is its board. Its `hero_masks` give the
     dead combos, and on a river its `scores` give every combo's hand, so no
     runout is scored.
     """
@@ -640,15 +651,16 @@ def equity_vs_range(
     _require_distinct(tuple(hero) + ctx.board)
     dead_mask = ctx.hero_masks(hero)[0]
     w = np.where(dead_mask, 0.0, np.asarray(range_weights, dtype=float))
-    if w.sum() <= 0:
+    total = w.sum()
+    if total <= 0:
         raise UndefinedRangeError("range has no live support against this hero/board")
-    w = w / w.sum()
+    w = w / total
     support = np.flatnonzero(w > 0)
 
     gen = (rng or DealRng(0)).generator
     sampled = combo_samples is not None and combo_samples < len(support)
     if sampled:
-        picks = gen.choice(support, size=combo_samples, p=w[support] / w[support].sum())
+        picks = _weighted_draws(gen, support, w[support], combo_samples)
 
     if len(ctx.board) == 5:
         # Every pick's points are 0, 1/2 or 1, so their sum over the picks
@@ -662,8 +674,9 @@ def equity_vs_range(
         return float((pts * sub_w).sum()) / float(sub_w.sum())
 
     if sampled:
-        support, counts = np.unique(picks, return_counts=True)
-        sub_w = counts.astype(float)
+        counts = np.bincount(picks, minlength=N_COMBOS)
+        support = np.flatnonzero(counts)
+        sub_w = counts[support].astype(float)
     else:
         sub_w = w[support]
 

@@ -91,16 +91,18 @@ def records_from_snapshots(
     rsm: RsmTable,
 ) -> list[PredictionRecord]:
     """Pair live decision-point snapshots (captured during play) with the
-    showdown ground truth. A snapshot's strength distribution is computed
-    here, from its grid and the categories it was read with."""
+    showdown ground truth. A snapshot's grid is computed here, through its
+    read, and its strength distribution from the grid and the categories
+    it was read with."""
     out: list[PredictionRecord] = []
     for snap in snapshots:
-        pid = snap["player_id"]
+        read = snap["read"]
+        pid = read.player_id
         if pid not in reveals:
             continue
-        ctx = snap["board_ctx"]
+        ctx = read.board_ctx
         hole = reveals[pid]
-        grid = snap["grid"]
+        grid = read.grid
         dist = _category_mass(grid, snap["categories"])
         top1, top2 = _top2(dist)
         realized = realized_category(hole, ctx)
@@ -112,7 +114,7 @@ def records_from_snapshots(
                 street=snap["street"],
                 board_ctx=ctx,
                 player_id=pid,
-                archetype=snap["archetype"],
+                archetype=read.archetype,
                 grid=grid,
                 distribution=dist,
                 predicted_top=top1,

@@ -79,17 +79,14 @@ CLASS_NAMES = [class_name(r, c) for r in range(13) for c in range(13)]
 _CLASS_ID = {name: i for i, name in enumerate(CLASS_NAMES)}
 CLASS_MEMBER_COUNT = np.bincount(CLASS_OF_COMBO, minlength=169)
 
-_CARD_IN_COMBO = np.zeros((DECK_SIZE, N_COMBOS), dtype=bool)
-for _i, (_a, _b) in enumerate(COMBO_CARDS):
-    _CARD_IN_COMBO[_a, _i] = True
-    _CARD_IN_COMBO[_b, _i] = True
+# The 51 combos that hold each card.
+_COMBOS_OF_CARD = np.array([np.flatnonzero((COMBO_CARDS == c).any(axis=1)) for c in range(DECK_SIZE)])
 
 
 def combos_with_any(cards: Iterable[int]) -> np.ndarray:
     """Boolean mask over the 1326 combos that contain any of the given cards."""
     mask = np.zeros(N_COMBOS, dtype=bool)
-    for c in cards:
-        mask |= _CARD_IN_COMBO[c]
+    mask[_COMBOS_OF_CARD[list(cards)]] = True
     return mask
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .rangegrid import DATA_DIR, ComboGrid
+from .rangegrid import DATA_DIR, ComboGrid, combos_with_any
 from .rsm import BoardContext, N_CATEGORIES, RsmTable
 
 
@@ -34,7 +34,8 @@ class RET:
     label: str
     weights: np.ndarray  # (11,) nonnegative
     description: str = ""
-    # [0.0, *weights]: the factor of each category + 1, dead combos (-1) first
+    # [*weights, 0.0]: the factor of each category, and last the factor of
+    # dead combos, whose category -1 indexes it from the end
     factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -44,7 +45,7 @@ class RET:
         if (w < 0).any() or w.sum() <= 0:
             raise RetFileError(f"{self.ret_id}: weights must be nonnegative, not all zero")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "factors", np.concatenate(([0.0], w)))
+        object.__setattr__(self, "factors", np.append(w, 0.0))
 
     @property
     def is_flat(self) -> bool:
@@ -189,13 +190,13 @@ class RetDispatch:
 # ---------------------------------------------------------------------------
 
 
-def reshape(grid: ComboGrid, ctx: BoardContext, ret: RET, rsm: RsmTable) -> ComboGrid:
-    """Multiply the template weight of each combo's category on `ctx`, the
-    street's board, into the grid and renormalize. Support never grows; an
-    annihilated grid falls back degenerate-uniform over its prior support."""
-    cats = rsm.categories_many(ctx)
-    # Dead combos (category -1) take the leading 0.0.
-    return grid._renormalized(grid.weights * ret.factors[cats + 1])
+def reshape(grid: ComboGrid, ret: RET, categories: np.ndarray) -> ComboGrid:
+    """Multiply the template weight of each combo's category into the grid
+    and renormalize. `categories` are the combos' categories on the
+    street's board (`RsmTable.categories_many` of its context), -1 where
+    dead. Support never grows; an annihilated grid falls back
+    degenerate-uniform over its prior support."""
+    return grid._renormalized(grid.weights * ret.factors[categories])
 
 
 def rs_distribution(grid: ComboGrid, ctx: BoardContext, rsm: RsmTable) -> np.ndarray:
@@ -232,17 +233,46 @@ def chib(hero: Sequence[int], grid: ComboGrid, ctx: BoardContext) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PipelineStep:
-    """One stage of a tracker's range. `support` and `distribution` are
-    computed on read, from the grid and the categories it was reshaped
-    under, because only traces read them."""
+    """One stage of a tracker's range. A step holds what it applies to the
+    step before it: a board's dead combos (`kill`), or a template (`ret`)
+    under the categories it was dispatched with. Its grid is computed on
+    first read, from the prior step's grid, with `ComboGrid.strip_mask` or
+    `reshape`; most steps are never read, as only equity estimates,
+    showdown learning and scenarios read a grid. A computed step drops its
+    prior and what it applied, so a chain of steps pins no memory.
+    `support` and `distribution` are computed on read as well, from the
+    grid and the categories."""
 
-    stage: str  # "assign" / "street" / "action"
-    street: str  # preflop/flop/turn/river
-    ret_id: str | None
-    grid: ComboGrid
-    categories: np.ndarray | None = None  # None before the flop
+    __slots__ = ("stage", "street", "ret_id", "categories", "_grid", "_prior", "_kill", "_ret")
+
+    def __init__(
+        self,
+        stage: str,  # "assign" / "street" / "action"; "hero" stays out of the history
+        street: str,  # preflop/flop/turn/river
+        ret_id: str | None,
+        categories: np.ndarray | None = None,  # None before the flop
+        *,
+        grid: ComboGrid | None = None,
+        prior: "PipelineStep | None" = None,
+        kill: np.ndarray | None = None,
+        ret: RET | None = None,
+    ):
+        self.stage, self.street, self.ret_id, self.categories = stage, street, ret_id, categories
+        self._grid, self._prior, self._kill, self._ret = grid, prior, kill, ret
+
+    @property
+    def grid(self) -> ComboGrid:
+        if self._grid is None:
+            self._grid = self._compute()
+            self._prior = self._kill = self._ret = None
+        return self._grid
+
+    def _compute(self) -> ComboGrid:
+        prior = self._prior.grid
+        if self._ret is None:
+            return prior.strip_mask(self._kill)
+        return reshape(prior, self._ret, self.categories)
 
     @property
     def support(self) -> int:
@@ -255,36 +285,53 @@ class PipelineStep:
         return _category_mass(self.grid, self.categories)
 
 
-@dataclass
 class OpponentRangeTracker:
-    """Carries one opponent's grid through a hand, recording every template
-    application. New community cards strip the grid; observed actions
-    reshape through the dispatched template."""
+    """Carries one opponent's range through a hand, recording every
+    template application as a step. New community cards strip the range;
+    observed actions reshape it through the dispatched template. `current`
+    is the step that holds the range now; `grid` reads it."""
 
-    player_id: str
-    archetype: str
-    grid: ComboGrid
-    rsm: RsmTable
-    rets: Mapping[str, RET]
-    dispatch: RetDispatch
-    history: list[PipelineStep] = field(default_factory=list)
+    def __init__(
+        self,
+        player_id: str,
+        archetype: str,
+        grid: ComboGrid,
+        rsm: RsmTable,
+        rets: Mapping[str, RET],
+        dispatch: RetDispatch,
+    ):
+        self.player_id, self.archetype = player_id, archetype
+        self.rsm, self.rets, self.dispatch = rsm, rets, dispatch
+        self.current = PipelineStep("assign", "preflop", None, grid=grid)
+        self.history: list[PipelineStep] = [self.current]
 
-    def __post_init__(self):
-        self.history.append(PipelineStep("assign", "preflop", None, self.grid))
+    @property
+    def grid(self) -> ComboGrid:
+        return self.current.grid
+
+    def strip_hero(self, hole: Sequence[int]) -> None:
+        """Strip the hero's cards from the range, outside the history, which
+        keeps the archetype's grid as assigned."""
+        self.current = PipelineStep("hero", "preflop", None, prior=self.current, kill=combos_with_any(hole))
 
     def on_new_street(self, ctx: BoardContext) -> PipelineStep:
         """Strip the cards of `ctx`, the new street's board. The step is
         labelled with the flat template, whose reshape would leave the grid as
         it is: `parse_ret_lines` rejects a flat template with unequal weights."""
-        self.grid = self.grid.strip_mask(ctx.dead_mask)
-        step = PipelineStep("street", ctx.street, FLAT_RET_ID, self.grid, self.rsm.categories_many(ctx))
-        self.history.append(step)
-        return step
+        categories = self.rsm.categories_many(ctx)
+        return self._record(
+            PipelineStep("street", ctx.street, FLAT_RET_ID, categories, prior=self.current, kill=ctx.dead_mask)
+        )
 
     def on_action(self, action: str, ctx: BoardContext, *, aggressor: str = "none", position: str = "oop") -> PipelineStep:
         ret_id = self.dispatch.select(ctx.street, self.archetype, action, aggressor, position)
-        self.grid = reshape(self.grid, ctx, self.rets[ret_id], self.rsm)
-        step = PipelineStep("action", ctx.street, ret_id, self.grid, self.rsm.categories_many(ctx))
+        categories = self.rsm.categories_many(ctx)
+        return self._record(
+            PipelineStep("action", ctx.street, ret_id, categories, prior=self.current, ret=self.rets[ret_id])
+        )
+
+    def _record(self, step: PipelineStep) -> PipelineStep:
+        self.current = step
         self.history.append(step)
         return step
 

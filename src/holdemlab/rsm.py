@@ -156,6 +156,8 @@ _DRAW_TIER = np.array(
 # Without a flush, a combo's score, made class and straight outs depend only
 # on its two hole ranks: the combos share the rank table's 91 columns.
 _RANK_PAIR_OF_COMBO = RANK_PAIR_COLUMN[COMBO_CARDS[:, 0] >> 2, COMBO_CARDS[:, 1] >> 2]
+_COMBO_OF_RANK_PAIR = np.unique(_RANK_PAIR_OF_COMBO, return_index=True)[1]  # a combo of each rank pair
+_NO_COMBOS = np.zeros(0, dtype=np.int64)
 _HIGH_RANK = COMBO_CARDS[:, 1] >> 2  # a combo's higher hole rank: its cards are in order
 _CARD_IN_SUIT = (COMBO_CARDS & 3)[None, :, :] == np.arange(4)[:, None, None]  # [suit, combo, card]
 _IN_SUIT = _CARD_IN_SUIT.sum(axis=2)  # [suit, combo]
@@ -167,20 +169,31 @@ _SUIT_BITS = (_CARD_IN_SUIT << (COMBO_CARDS >> 2)).sum(axis=2)  # [suit, combo]:
 _FLUSH_MADE = np.where(STRAIGHT_TOP >= 0, int(MadeClass.STRAIGHT_FLUSH), int(MadeClass.FLUSH))
 
 
-def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# A flush draw, four of a suit with the hole cards, by (suit, board cards
+# of the suit - 2): two of the suit in the hole to two on the board, or one
+# to three. The mask is 3 where the combo draws, as _DRAW_TIER indexes it.
+_FLUSH_DRAW = 3 * (_IN_SUIT[:, None, :] == np.array([2, 1])[None, :, None])
+
+
+def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scores, made classes and draw tiers of all 1,326 combos on the
-    board. The rank pairs come from the rank table. A combo that makes a
-    flush takes its flush's score and class from the suit-mask tables,
-    unless its rank-table entry is higher: a full house or quads, which a
-    dead combo can make by repeating a board card. On a river of five cards
-    of one suit every combo makes the flush; one with no card of the suit
-    plays only its high card unless the board is a straight flush."""
+    board; then the scores of the 91 rank pairs without a flush, and the
+    combos whose flush outscores their rank pair, which
+    `BoardContext.percentile` ranks. The rank pairs come from the rank
+    table. A combo that makes a flush takes its flush's score and class
+    from the suit-mask tables, unless its rank-table entry is higher: a
+    full house or quads, which a dead combo can make by repeating a board
+    card. On a river of five cards of one suit every combo makes the
+    flush; one with no card of the suit plays only its high card unless the
+    board is a straight flush."""
     suit_counts = [0, 0, 0, 0]
     for c in board:
         suit_counts[c & 3] += 1
     flush_suit = max(range(4), key=suit_counts.__getitem__)
     n_suited = suit_counts[flush_suit]
     scores, made, outs = rank_table_entries([c >> 2 for c in board], _RANK_PAIR_OF_COMBO)
+    column_scores = scores[_COMBO_OF_RANK_PAIR]
+    flushed = _NO_COMBOS
     if n_suited >= 3:  # only then can two more cards make five
         rows = np.flatnonzero(_IN_SUIT[flush_suit] >= 5 - n_suited)
         board_bits = 0
@@ -189,19 +202,20 @@ def _combo_features(board: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.
                 board_bits |= 1 << (c >> 2)
         masks = board_bits | _SUIT_BITS[flush_suit, rows]
         flush, ranked = FLUSH_SCORE[masks], scores[rows]
+        won = flush > ranked
         scores[rows] = np.maximum(flush, ranked)
-        made[rows] = np.where(flush > ranked, _FLUSH_MADE[masks], made[rows])
+        made[rows] = np.where(won, _FLUSH_MADE[masks], made[rows])
+        flushed = rows[won]
         if n_suited == 5 and STRAIGHT_TOP[board_bits] < 0:
             top = max(c >> 2 for c in board)
             high = np.where((_HIGH_RANK > top) | (_HIGH_RANK == 12), int(MadeClass.HIGH_CARD), int(MadeClass.NOTHING))
             np.copyto(made, high, where=_IN_SUIT[flush_suit] == 0)
     if len(board) >= 5:  # no draws on a complete board
-        return scores, made, np.zeros(N_COMBOS, dtype=np.int64)
-    fd = np.zeros(N_COMBOS, dtype=bool)  # a flush draw: four of a suit with the hole cards
+        return scores, made, np.zeros(N_COMBOS, dtype=np.int64), column_scores, flushed
     for suit, n in enumerate(suit_counts):
-        if n == 2 or n == 3:
-            fd |= _IN_SUIT[suit] == 4 - n
-    return scores, made, _DRAW_TIER[3 * fd + outs]
+        if n == 2 or n == 3:  # two such suits draw with disjoint combos
+            outs += _FLUSH_DRAW[suit, n - 2]
+    return scores, made, _DRAW_TIER[outs], column_scores, flushed
 
 
 class BoardContext:
@@ -229,8 +243,8 @@ class BoardContext:
         self.street = street_kind(self.board)
         self.texture = board_texture(self.board)
         self.dead_mask = combos_with_any(self.board)
-        scores, self.made, self.draw = _combo_features(self.board)
-        self.scores = np.where(self.dead_mask, -1, scores)
+        self.scores, self.made, self.draw, self._column_scores, self._flushed = _combo_features(self.board)
+        self.scores[self.dead_mask] = -1
         self.max_score = int(self.scores.max())
         self._percentile: np.ndarray | None = None
         self._category_cache: dict[tuple[RsmTable, int], np.ndarray] = {}
@@ -257,21 +271,41 @@ class BoardContext:
 
     @property
     def percentile(self) -> np.ndarray:
-        """Share of the live-combo pool each combo beats (ties count half).
+        """Share of the live-combo pool each combo beats (ties count half);
+        0 for dead combos.
 
         The pool is shared by every combo (no per-combo blocker exclusion),
         which makes the percentile a pure non-decreasing function of the
         hand score: equal scores share a value, better scores never rank
-        lower. Card-removal nuance belongs to the grids, not the scale."""
+        lower. Card-removal nuance belongs to the grids, not the scale.
+
+        A live combo scores its rank pair's column of the rank table unless
+        it makes a flush that outscores it. So the pool is ranked as the
+        board's 91 column scores, each counted once per live combo that
+        scores it, plus each flush combo's score: a sort of 91 scores and
+        the few flushes, not of every live combo. The counts below and
+        equal to a score, and so the shares, are the same integers and the
+        same floats as counting the live scores one by one."""
         if self._percentile is None:
-            live = ~self.dead_mask
-            s = self.scores
-            live_scores = np.sort(s[live])
-            n_live = max(live_scores.size, 1)
-            pos_less = np.searchsorted(live_scores, s, side="left")
-            pos_leq = np.searchsorted(live_scores, s, side="right")
-            ties = pos_leq - pos_less
-            self._percentile = (pos_less + 0.5 * ties) / n_live
+            columns = self._column_scores
+            plain = ~self.dead_mask
+            flushed = self._flushed[plain[self._flushed]]  # live flush combos
+            plain[flushed] = False
+            pool = np.concatenate((columns, self.scores[flushed]))
+            counts = np.bincount(_RANK_PAIR_OF_COMBO[plain], minlength=pool.size)
+            counts[columns.size :] = 1
+            order = np.argsort(pool)
+            ranked = pool[order]
+            below = np.zeros(pool.size + 1, dtype=np.int64)  # live scores below each sorted slot
+            np.cumsum(counts[order], out=below[1:])
+            less = below[np.searchsorted(ranked, ranked, side="left")]
+            ties = below[np.searchsorted(ranked, ranked, side="right")] - less
+            share = np.empty(pool.size)
+            share[order] = (less + 0.5 * ties) / max(int(below[-1]), 1)
+            percentile = share[_RANK_PAIR_OF_COMBO]
+            percentile[flushed] = share[columns.size :]
+            percentile[self.dead_mask] = 0.0
+            self._percentile = percentile
         return self._percentile
 
     def percentile_of(self, idx: int) -> float:

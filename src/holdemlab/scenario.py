@@ -5,6 +5,12 @@ The hero's seat is driven by the live decision layer; every other seat
 replays its script. The run emits a decision trace per reshaping step
 (template id, strength distribution, ChiB) plus per-street grid snapshots
 suitable for the heatmap renderer.
+
+A scenario seats players on `seat <idx> <player_id> <archetype|hero>
+<stack_bb> <hole>` lines numbered 0 to n - 1, each number and each player
+id once; one seat is the hero's (`seat <idx> hero hero ...`), and
+`button <idx>` names a seat. `parse_scenario` refuses a file that breaks
+one of these rules, naming the line that breaks it.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .brain import Brain, OpponentRead
+from .brain import Brain
 from .cards import card_str, parse_cards
 from .events import ActionType, from_key
 from .profiles import ProfileStore
@@ -60,18 +66,17 @@ class ScenarioFile:
 
     @property
     def hero(self) -> ScenarioSeat:
-        for seat in self.seats:
-            if seat.archetype == "hero":
-                return seat
-        raise ScenarioError("scenario has no hero seat")
+        """The hero's seat; `parse_scenario` refuses a scenario without one."""
+        return next(seat for seat in self.seats if seat.archetype == "hero")
 
 
 def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
     name = "scenario"
     sb, bb = 1, 2
-    button = 0
+    button, button_line = 0, 0
     seed = 1
     seats: list[ScenarioSeat] = []
+    seat_lines: list[int] = []
     board: tuple[int, ...] = ()
     script: list[tuple[str, str, float | None]] = []
     script_lines: list[int] = []
@@ -87,7 +92,7 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
             elif parts[0] == "blinds":
                 sb, bb = int(parts[1]), int(parts[2])
             elif parts[0] == "button":
-                button = int(parts[1])
+                button, button_line = int(parts[1]), lineno
             elif parts[0] == "seed":
                 seed = int(parts[1])
             elif parts[0] == "seat":
@@ -95,6 +100,7 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
                     raise ValueError(f"the hero seat's player id must be {HERO_ID!r}")
                 hole = tuple(parse_cards(parts[5]))
                 seats.append(ScenarioSeat(int(parts[1]), parts[2], parts[3], float(parts[4]), hole))
+                seat_lines.append(lineno)
             elif parts[0] == "board":
                 board = tuple(parse_cards("".join(parts[1:])))
             elif parts[0] == "act":
@@ -112,6 +118,9 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
             raise ScenarioError(f"{source}:{lineno}: {e}") from None
     if not seats:
         raise ScenarioError(f"{source}: no seats")
+    _check_seats(seats, seat_lines, source)
+    if button not in range(len(seats)):
+        raise ScenarioError(f"{source}:{button_line}: button {button} names no seat")
     scripted = {s.player_id for s in seats if s.archetype != "hero"}
     for (pid, _, _), lineno in zip(script, script_lines):
         if pid not in scripted:
@@ -120,6 +129,26 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
     if len(set(all_cards)) != len(all_cards):
         raise ScenarioError(f"{source}: deal contains duplicate cards")
     return ScenarioFile(name, sb, bb, button, seed, seats, board, script, assertions)
+
+
+def _check_seats(seats: list[ScenarioSeat], lines: list[int], source: str) -> None:
+    """Seats are numbered 0 to n - 1, one line each, with one player id
+    each, and one of them is the hero's."""
+    numbers: dict[int, int] = {}
+    ids: dict[str, int] = {}
+    for seat, lineno in zip(seats, lines):
+        where = f"{source}:{lineno}"
+        if seat.seat in numbers:
+            raise ScenarioError(f"{where}: seat {seat.seat} is taken by line {numbers[seat.seat]}")
+        if seat.seat not in range(len(seats)):
+            raise ScenarioError(f"{where}: seat {seat.seat}: {len(seats)} seats are numbered 0 to {len(seats) - 1}")
+        if seat.player_id in ids:
+            raise ScenarioError(f"{where}: player {seat.player_id!r} already sits on line {ids[seat.player_id]}")
+        numbers[seat.seat] = ids[seat.player_id] = lineno
+    if not any(seat.archetype == "hero" for seat in seats):
+        raise ScenarioError(
+            f"{source}:{lines[0]}: no seat is the hero's: one must read 'seat <idx> hero hero <stack_bb> <hole>'"
+        )
 
 
 def load_scenario(path) -> ScenarioFile:
@@ -217,7 +246,7 @@ def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None, trace: 
 
     hero_chib: dict[str, float] = {}
     for snap in brain.snapshots:
-        cb = OpponentRead(snap["player_id"], snap["archetype"], snap["grid"], brain.hero_hole, snap["board_ctx"]).chib
+        cb = snap["read"].chib
         if cb is not None:
             street = snap["street"]
             hero_chib[street] = max(hero_chib.get(street, 0.0), float(cb))

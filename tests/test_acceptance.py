@@ -397,12 +397,13 @@ class TestCriterion11:
             stripped = grid.strip(board)
             if not np.allclose(stripped.strip(board).weights, stripped.weights, atol=1e-12):
                 failures.append("strip idempotence")
-            if np.abs(reshape(grid, ctx, flat, rsm).weights - grid.weights).max() > 1e-9:
+            cats = rsm.categories_many(ctx)
+            if np.abs(reshape(grid, flat, cats).weights - grid.weights).max() > 1e-9:
                 failures.append("flat identity")
             ret = rets[ids[int(rng.integers(len(ids)))]]
-            out = reshape(grid, ctx, ret, rsm)
+            out = reshape(grid, ret, cats)
             scaled = RET("S", "s", ret.weights * (0.3 + 4 * float(rng.random())))
-            if np.abs(reshape(grid, ctx, scaled, rsm).weights - out.weights).max() > 1e-9:
+            if np.abs(reshape(grid, scaled, cats).weights - out.weights).max() > 1e-9:
                 failures.append("scale invariance")
             if out.support_count() > grid.support_count():
                 failures.append("monotone narrowing")

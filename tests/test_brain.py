@@ -349,7 +349,8 @@ class TestLawnmower:
         from holdemlab.rets import FLAT_RET_ID, reshape
 
         grid = brain.perceived["MediumReg"]
-        out = reshape(grid, brain.board_contexts[tuple(FLOP)], brain.rets[FLAT_RET_ID], brain.rsm)
+        cats = brain.rsm.categories_many(brain.board_contexts[tuple(FLOP)])
+        out = reshape(grid, brain.rets[FLAT_RET_ID], cats)
         assert np.allclose(out.weights, grid.weights, atol=1e-9)
 
 
@@ -409,6 +410,40 @@ class TestChibOnRead:
             assert read.chib == want
             assert read.chib == want  # computed once, kept
         assert len(calls) == 2
+
+
+class TestRangesOnRead:
+    def test_a_hand_without_equity_estimates_computes_no_range(self, monkeypatch):
+        """An advised hand in which every post-flop decision faces a bet, so
+        none estimates equity: the trackers record every strip and
+        reshape, and the decisions and their snapshots read none of them.
+        A later read computes them."""
+        from holdemlab.rets import PipelineStep
+
+        computed, estimates = [], []
+        compute, estimate = PipelineStep._compute, Brain._equity_estimate
+        monkeypatch.setattr(PipelineStep, "_compute", lambda step: computed.append(step) or compute(step))
+        monkeypatch.setattr(Brain, "_equity_estimate", lambda b, c: estimates.append(c) or estimate(b, c))
+        hero, board = cards("Ah7c"), cards("Kd9s4hQc2d")
+        brain = make_brain(seed=3)
+        brain.begin_hand(1, hero, [("a", "TightReg"), ("b", "Whale")])
+        brain.observe_villain_preflop("a", "raise")
+        brain.observe_villain_preflop("b", "call")
+        brain.decide(ctx_for(brain, hero, (), pot=7.5, to_call=3.0, street="preflop", live=("a", "b")))
+        brain.observe_hero_action("call", "preflop")
+        for n in (3, 4, 5):
+            brain.observe_new_street(board[:n])
+            brain.observe_villain_action("a", "bet", aggressor="villain_agg")
+            brain.observe_villain_action("b", "call", aggressor="villain_agg")
+            ctx = ctx_for(brain, hero, board[:n], pot=20.0, to_call=6.0, live=("a", "b"))
+            ctx.board_ctx = None  # the brain's own context of the street
+            brain.decide(ctx)
+            brain.observe_hero_action("call", ctx.street)
+        assert estimates == [] and len(brain.snapshots) == 6
+        assert computed == []
+        assert all(len(t.history) == 7 for t in brain.trackers.values())
+        brain.trackers["a"].grid
+        assert len(computed) == 7  # the hero's strip and six steps, once each
 
 
 class TestBoardContexts:

@@ -345,6 +345,20 @@ class TestEquityVsRange:
         got = equity_vs_range(hero, weights, BoardContext(board), combo_samples=40, runout_samples=40, rng=DealRng(5))
         assert got == want
 
+    def test_weighted_draws_are_the_generators_choice(self):
+        """The combo draws read the generator as `Generator.choice` with
+        probabilities does: the same picks, and the stream left in step."""
+        from holdemlab.cards import _weighted_draws
+
+        rng = np.random.default_rng(11)
+        for seed in range(300):
+            support = np.sort(rng.choice(1326, size=int(rng.integers(1, 1326)), replace=False))
+            weights = rng.random(support.size) ** 4
+            ours, numpys = DealRng(seed).generator, DealRng(seed).generator
+            got = _weighted_draws(ours, support, weights, 40)
+            assert np.array_equal(got, numpys.choice(support, size=40, p=weights / weights.sum()))
+            assert ours.random() == numpys.random()
+
     @staticmethod
     def _sampled_reference(hero, weights, board, combo_samples, runout_samples, gen):
         """The same draws from the same generator, each runout scored with

@@ -72,11 +72,11 @@ class TestSnapshots:
         ctx.board_ctx = BoardContext(board)
         brain.record_snapshot(ctx)
         (snap,) = brain.snapshots
-        at_snapshot = rs_distribution(snap["grid"], ctx.board_ctx, rsm)
+        at_snapshot = rs_distribution(snap["read"].grid, ctx.board_ctx, rsm)
         version = rsm.version
         rsm.apply_delta(rsm.bucket_for(villain, ctx.board_ctx), -1.5)
         assert rsm.version > version
-        assert not np.array_equal(rs_distribution(snap["grid"], ctx.board_ctx, rsm), at_snapshot)
+        assert not np.array_equal(rs_distribution(snap["read"].grid, ctx.board_ctx, rsm), at_snapshot)
         (rec,) = records_from_snapshots(brain.snapshots, {"v1": tuple(villain)}, tuple(hero), rsm)
         assert rec.distribution.tobytes() == at_snapshot.tobytes()
 
@@ -269,7 +269,7 @@ class TestReplayPerfectInfo:
             reveals = {record.player_of(s): h for s, h in record.showdown if s != hero_seat}
             live = records_from_snapshots(brain.snapshots, reveals, record.holes[hero_seat], rsm)
             # archetypes as the live brain read them, before this hand's events
-            archetypes = {snap["player_id"]: snap["archetype"] for snap in brain.snapshots}
+            archetypes = {snap["read"].player_id: snap["read"].archetype for snap in brain.snapshots}
             replayed = replay_with_perfect_info(record, HERO_ID, rsm, archetypes=archetypes)
             compared.append(len(live))
             if [fields(r) for r in replayed] != [fields(r) for r in live]:

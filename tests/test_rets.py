@@ -7,7 +7,9 @@ from holdemlab.rets import (
     FLAT_RET_ID,
     RET,
     DegenerateRangeError,
+    DispatchRule,
     OpponentRangeTracker,
+    PipelineStep,
     RetDispatch,
     RetFileError,
     chib,
@@ -82,21 +84,22 @@ class TestReshape:
     def test_flat_is_identity(self, rsm, rets):
         rng = np.random.default_rng(21)
         g = random_grid(rng, FLOP)
-        out = reshape(g, FLOP_CTX, rets[FLAT_RET_ID], rsm)
+        out = reshape(g, rets[FLAT_RET_ID], rsm.categories_many(FLOP_CTX))
         assert np.allclose(out.weights, g.weights, atol=1e-9)
 
     def test_nuts_only_template_collapses_support(self, rsm):
         only_nuts = RET("X", "nuts only", np.array([0] * 9 + [1.0, 1.0]))
         g = ComboGrid.uniform().strip(FLOP + HERO)
-        out = reshape(g, FLOP_CTX, only_nuts, rsm)
         cats = rsm.categories_many(FLOP_CTX)
+        out = reshape(g, only_nuts, cats)
         assert all(cats[i] >= 9 for i in np.flatnonzero(out.weights > 0))
         assert out.support_count() < g.support_count()
 
     def test_donk_template_cuts_air(self, rsm, rets):
         g = ComboGrid.uniform().strip(FLOP + HERO)
-        flat = rs_distribution(reshape(g, FLOP_CTX, rets[FLAT_RET_ID], rsm), FLOP_CTX, rsm)
-        led = rs_distribution(reshape(g, FLOP_CTX, rets["RET18"], rsm), FLOP_CTX, rsm)
+        cats = rsm.categories_many(FLOP_CTX)
+        flat = rs_distribution(reshape(g, rets[FLAT_RET_ID], cats), FLOP_CTX, rsm)
+        led = rs_distribution(reshape(g, rets["RET18"], cats), FLOP_CTX, rsm)
         assert led[0] < flat[0]
 
     def test_scale_invariance(self, rsm, rets):
@@ -104,30 +107,32 @@ class TestReshape:
         g = random_grid(rng, FLOP)
         ret = rets["RET18"]
         scaled = RET("S", "scaled", ret.weights * 7.3)
-        a = reshape(g, FLOP_CTX, ret, rsm)
-        b = reshape(g, FLOP_CTX, scaled, rsm)
+        cats = rsm.categories_many(FLOP_CTX)
+        a = reshape(g, ret, cats)
+        b = reshape(g, scaled, cats)
         assert np.allclose(a.weights, b.weights, atol=1e-12)
 
     def test_support_never_grows(self, rsm, rets):
         rng = np.random.default_rng(31)
         g = random_grid(rng, FLOP)
         for rid in ("RET18", "RET33", "RET73", "GCALL"):
-            out = reshape(g, FLOP_CTX, rets[rid], rsm)
+            out = reshape(g, rets[rid], rsm.categories_many(FLOP_CTX))
             assert out.support_count() <= g.support_count()
             g = out
 
     def test_sequential_applications_commute(self, rsm, rets):
         rng = np.random.default_rng(6)
         g = random_grid(rng, FLOP)
-        ab = reshape(reshape(g, FLOP_CTX, rets["RET18"], rsm), FLOP_CTX, rets["RET33"], rsm)
-        ba = reshape(reshape(g, FLOP_CTX, rets["RET33"], rsm), FLOP_CTX, rets["RET18"], rsm)
+        cats = rsm.categories_many(FLOP_CTX)
+        ab = reshape(reshape(g, rets["RET18"], cats), rets["RET33"], cats)
+        ba = reshape(reshape(g, rets["RET33"], cats), rets["RET18"], cats)
         assert np.allclose(ab.weights, ba.weights, atol=1e-12)
 
     def test_annihilation_flags_degenerate(self, rsm):
         zero_everything = RET("Z", "niente only", np.array([1.0] + [0.0] * 10))
         w = np.zeros(1326)
         w[combo_index(*cards("AhAc"))] = 1.0  # big overpair, never Niente
-        out = reshape(ComboGrid(w), FLOP_CTX, zero_everything, rsm)
+        out = reshape(ComboGrid(w), zero_everything, rsm.categories_many(FLOP_CTX))
         assert out.degenerate
 
 
@@ -271,7 +276,7 @@ class TestTracker:
         d = RetDispatch.shipped(rets)
         g = ComboGrid.uniform()
         t = OpponentRangeTracker("w", "Whale", g, rsm, rets, d)
-        t.grid = t.grid.strip(HERO)
+        t.strip_hero(HERO)
         t.on_new_street(FLOP_CTX)
         t.on_action("donk", FLOP_CTX)
         t.on_action("call", FLOP_CTX, aggressor="hero_agg")
@@ -294,6 +299,72 @@ class TestTracker:
             assert np.array_equal(step.grid.weights, before.strip_mask(ctx.dead_mask).weights)
             t.on_action("call", ctx)
 
+    def test_steps_computed_on_read_equal_the_eager_chain(self, rets):
+        """Seeded random pipelines: the hero's strip, street strips and
+        action reshapes, some of them annihilating (a template that keeps
+        only Alcatraz combos, small grids that a board kills). Every step's
+        grid, read in a random order after the table has learned, has the
+        bytes of the eager strip_mask / reshape chain at record time, and a
+        computed step keeps none of what it applied."""
+        rng = np.random.default_rng(2024)
+        zap = RET("ZAP", "keeps only Alcatraz", np.array([0.0] * 10 + [1.0]))
+        all_rets = {**rets, "ZAP": zap}
+        shipped = RetDispatch.shipped(rets)
+        dispatch = RetDispatch([*shipped.rules, DispatchRule("*", "Zapper", "raise", "*", "*", "ZAP")], all_rets)
+        actions = ("check", "call", "bet", "donk", "raise", "allin")
+        degenerate = 0
+        for _ in range(60):
+            rsm = RsmTable()
+            deck = rng.permutation(52).tolist()
+            hero, board = deck[:2], deck[2:7]
+            if rng.random() < 0.3:  # a few combos, often all dead on the board
+                w = np.zeros(1326)
+                w[rng.choice(1326, size=3, replace=False)] = 1.0
+                grid = ComboGrid(w).normalized()
+            else:
+                grid = random_grid(rng, ())
+            archetype = ["Whale", "Fish", "Zapper"][int(rng.integers(3))]
+            t = OpponentRangeTracker("v", archetype, grid, rsm, all_rets, dispatch)
+            if grid.weights[combos_with_any(hero)].sum() < grid.total():
+                t.strip_hero(hero)
+                eager = [grid.strip(hero)]
+            else:
+                eager = [grid]
+            want = [grid]
+            for n in (3, 4, 5):
+                ctx = BoardContext(board[:n])
+                t.on_new_street(ctx)
+                eager.append(eager[-1].strip_mask(ctx.dead_mask))
+                want.append(eager[-1])
+                for _ in range(int(rng.integers(4))):
+                    action = actions[int(rng.integers(len(actions)))]
+                    step = t.on_action(action, ctx, aggressor="villain_agg", position="ip")
+                    eager.append(reshape(eager[-1], all_rets[step.ret_id], rsm.categories_many(ctx)))
+                    want.append(eager[-1])
+                rsm.apply_delta(rsm.bucket_for(hero, ctx), 1.5 * float(rng.choice([-1, 1])))
+            for i in rng.permutation(len(t.history)).tolist():
+                got = t.history[i].grid
+                assert got.weights.tobytes() == want[i].weights.tobytes(), i
+                assert got.degenerate == want[i].degenerate
+                degenerate += got.degenerate
+            assert all(s._prior is None and s._kill is None and s._ret is None for s in t.history)
+            assert t.grid is t.history[-1].grid
+        assert degenerate > 0
+
+    def test_recording_computes_no_grid(self, rsm, rets, monkeypatch):
+        computed = []
+        compute = PipelineStep._compute
+        monkeypatch.setattr(PipelineStep, "_compute", lambda step: computed.append(step) or compute(step))
+        t = OpponentRangeTracker("w", "Whale", ComboGrid.uniform(), rsm, rets, RetDispatch.shipped(rets))
+        t.strip_hero(HERO)
+        t.on_new_street(FLOP_CTX)
+        t.on_action("donk", FLOP_CTX)
+        assert computed == []
+        t.grid
+        assert len(computed) == 3  # the hero's strip, the street, the action: once each
+        t.grid
+        assert len(computed) == 3
+
     def test_property_suite_thousand_instances(self, rsm, rets):
         """Randomized pipeline invariants: normalization, flat identity,
         scale invariance, narrowing."""
@@ -312,12 +383,13 @@ class TestTracker:
                 continue
             rid = ids[int(rng.integers(len(ids)))]
             ret = rets[rid]
-            out = reshape(g, ctx, ret, rsm)
+            cats = rsm.categories_many(ctx)
+            out = reshape(g, ret, cats)
             assert abs(out.total() - 1.0) <= 1e-9
             assert out.support_count() <= g.support_count()
-            flat_out = reshape(g, ctx, flat, rsm)
+            flat_out = reshape(g, flat, cats)
             assert np.allclose(flat_out.weights, g.weights, atol=1e-9)
             scaled = RET("S", "s", ret.weights * (0.5 + float(rng.random()) * 5))
-            assert np.allclose(reshape(g, ctx, scaled, rsm).weights, out.weights, atol=1e-9)
+            assert np.allclose(reshape(g, scaled, cats).weights, out.weights, atol=1e-9)
             checked += 1
         assert checked >= 990

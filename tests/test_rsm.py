@@ -15,6 +15,7 @@ from holdemlab.rsm import (
     board_texture,
     bucket_key,
 )
+from reference_percentile import percentile_by_sorting
 from reference_rank import build_rank_row, made_classes, straight_outs
 
 
@@ -155,6 +156,25 @@ class TestBoardContextFeatures:
             live = np.flatnonzero(~ctx.dead_mask)
             assert len(np.unique(ctx.scores[live])) < live.size  # tied scores
             assert all(ctx.percentile_of(int(i)) == table[i] for i in live), text
+
+    def test_percentile_equals_sorting_every_live_score(self):
+        """The percentile ranked from the 91 rank-pair scores and the flush
+        combos equals, bit for bit, ranking each combo against the sorted
+        live scores: on every five-suited river and every three-suited
+        flop, on turns with three or four cards of one suit, and on seeded
+        random flops, turns and rivers."""
+        from itertools import combinations
+
+        rng = np.random.default_rng(20000)
+        rivers = [tuple(4 * r + suit for r in ranks) for suit in range(4) for ranks in combinations(range(13), 5)]
+        flops = [tuple(4 * r + suit for r in ranks) for suit in range(4) for ranks in combinations(range(13), 3)]
+        assert len(rivers) == 5148 and len(flops) == 1144
+        boards = rivers + flops + _suited_boards(rng, 4, 3, 1000) + _suited_boards(rng, 4, 4, 500)
+        for size, count in ((3, 3000), (4, 3000), (5, 20000)):
+            boards += [tuple(rng.choice(52, size=size, replace=False).tolist()) for _ in range(count)]
+        for board in boards:
+            ctx = BoardContext(board)
+            assert np.array_equal(ctx.percentile, percentile_by_sorting(ctx.scores, ctx.dead_mask)), board
 
     def test_rank_table_has_a_row_for_every_rank_multiset(self):
         from itertools import combinations_with_replacement

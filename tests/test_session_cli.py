@@ -301,6 +301,41 @@ class TestCli:
         assert cli_main(["replay", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "seats, bad_line, message",
+        [
+            (
+                ["seat 0 v1 MediumReg 100 AhKd", "seat 1 v2 Fish 100 QcQd"],
+                1,
+                "no seat is the hero's: one must read 'seat <idx> hero hero <stack_bb> <hole>'",
+            ),
+            (
+                ["seat 0 hero hero 100 AhKd", "seat 1 hero hero 100 QcQd"],
+                2,
+                "player 'hero' already sits on line 1",
+            ),
+            (
+                ["seat 0 hero hero 100 AhKd", "seat 1 v1 Fish 100 QcQd", "seat 2 v1 Whale 100 7s2c"],
+                3,
+                "player 'v1' already sits on line 2",
+            ),
+            (["seat 0 hero hero 100 AhKd", "seat 0 v1 Fish 100 QcQd"], 2, "seat 0 is taken by line 1"),
+            (
+                ["seat 0 hero hero 100 AhKd", "seat 5 v1 Fish 100 QcQd", "button 5"],
+                2,
+                "seat 5: 2 seats are numbered 0 to 1",
+            ),
+            (["seat 1 hero hero 100 AhKd", "seat -1 v1 Fish 100 QcQd"], 2, "seat -1: 2 seats are numbered 0 to 1"),
+            (["seat 0 hero hero 100 AhKd", "button 2", "seat 1 v1 Fish 100 QcQd"], 2, "button 2 names no seat"),
+        ],
+        ids=["no-hero", "two-heroes", "one-id-twice", "one-seat-twice", "seat-past-the-end", "negative-seat", "button"],
+    )
+    def test_replay_refuses_bad_seats_naming_the_line(self, tmp_path, capsys, seats, bad_line, message):
+        path = tmp_path / "seats.scn"
+        path.write_text("\n".join([*seats, "board 9d 5s 2c 2d Ks"]) + "\n")
+        assert cli_main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{bad_line}: {message}\n"
+
     def test_report_round_trip(self, tmp_path, capsys):
         out = tmp_path / "sim"
         cli_main(["simulate", "--hands", "50", "--seed", "5", "--out", str(out)])
