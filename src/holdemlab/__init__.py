@@ -30,8 +30,8 @@ from .rets import (
     reshape,
     rs_distribution,
 )
-from .profiles import ArchetypeThresholds, Exploit, PlayerStats, ProfileStore, classify
-from .brain import Brain, BrainConfig, DecisionContext, Recommendation, StyleState
+from .profiles import Exploit, PlayerStats, ProfileStore, classify
+from .brain import Brain, DecisionContext, Recommendation, StyleState
 from .table import BotPolicy, HandRecord, RakeModel, SeatConfig, play_hand, replay_hand
 from .session import SessionConfig, run_fastfold_session
 from .metrics import (
@@ -76,13 +76,11 @@ __all__ = [
     "load_ret_set",
     "reshape",
     "rs_distribution",
-    "ArchetypeThresholds",
     "Exploit",
     "PlayerStats",
     "ProfileStore",
     "classify",
     "Brain",
-    "BrainConfig",
     "DecisionContext",
     "Recommendation",
     "StyleState",

@@ -44,7 +44,6 @@ class Recommendation:
     conviction: float
     source: str  # GA / SAD / Lawnmower
     rationale: str
-    think_time_ms: int = 0
 
     def __post_init__(self):
         if (self.size_bb > 0) != (self.action in (ActionType.BET, ActionType.RAISE)):
@@ -55,13 +54,13 @@ class Recommendation:
 
 @dataclass
 class StyleState:
-    """Per-hand style: a perturbed baseline plus rare strategic modes."""
+    """Per-hand style: a perturbed TMAG baseline plus the rare tilt
+    camouflage mode."""
 
-    baseline: str = "TMAG"
-    vpip_delta: float = 0.0
-    aggr_delta: float = 0.0
-    mode: str = "normal"  # normal / lag / tilt_camouflage
-    bad_beat_streak: int = 0
+    vpip_delta: float
+    aggr_delta: float
+    mode: str  # normal / tilt_camouflage
+    bad_beat_streak: int
 
 
 @dataclass(frozen=True)
@@ -123,56 +122,48 @@ class DecisionContext:
     board_ctx: BoardContext | None = None
 
 
-@dataclass(frozen=True)
-class BrainConfig:
-    # Required relative strength to call, keyed by pot-odds fraction
-    # to_call/(pot+to_call): cheap calls demand little, expensive ones a lot.
-    call_curve: tuple[tuple[float, int], ...] = (
-        (0.08, 1),
-        (0.15, 2),
-        (0.25, 3),
-        (0.33, 4),
-        (0.42, 5),
-        (0.55, 6),
-        (2.0, 7),
-    )
-    # Required strength to continue, keyed by accumulated betting pressure.
-    continue_curve: tuple[tuple[float, int], ...] = (
-        (0.75, 0),
-        (1.5, 3),
-        (2.5, 5),
-        (3.5, 6),
-        (5.0, 7),
-        (float("inf"), 8),
-    )
-    value_bet_rs: int = 6
-    value_raise_margin: int = 2
-    ev_epsilon_bb: float = 0.25
-    source_weights: tuple[tuple[str, float], ...] = (("GA", 1.0), ("SAD", 1.3), ("Lawnmower", 1.1))
-    exploit_threshold: float = 0.7
-    spr_commit: float = 1.5
-    bet_sizes_pot: tuple[float, ...] = (0.33, 0.5, 0.75, 1.0)
-    # HAA perturbation bounds and modes
-    vpip_jitter: float = 0.03
-    aggr_jitter: float = 0.15
-    tilt_trigger_bad_beats: int = 3
-    lag_table_score_threshold: float = 0.75
-    # hero baseline pre-flop chart (fraction of hands opened per position)
-    open_pct: tuple[tuple[str, float], ...] = (
-        ("utg", 0.13),
-        ("hj", 0.16),
-        ("co", 0.23),
-        ("btn", 0.31),
-        ("sb", 0.27),
-        ("bb", 0.30),
-    )
-    threebet_pct: float = 0.045
-    call_vs_raise_pct: float = 0.11
-    bb_defend_pct: float = 0.32
-    continue_vs_threebet_pct: float = 0.05
-    # sampled-equity budget per decision
-    equity_combo_samples: int = 40
-    equity_runout_samples: int = 40
+# Required relative strength to call, keyed by pot-odds fraction
+# to_call/(pot+to_call): cheap calls demand little, expensive ones a lot.
+CALL_CURVE: tuple[tuple[float, int], ...] = (
+    (0.08, 1),
+    (0.15, 2),
+    (0.25, 3),
+    (0.33, 4),
+    (0.42, 5),
+    (0.55, 6),
+    (2.0, 7),
+)
+# Required strength to continue, keyed by accumulated betting pressure.
+CONTINUE_CURVE: tuple[tuple[float, int], ...] = (
+    (0.75, 0),
+    (1.5, 3),
+    (2.5, 5),
+    (3.5, 6),
+    (5.0, 7),
+    (float("inf"), 8),
+)
+VALUE_BET_RS = 6
+VALUE_RAISE_MARGIN = 2
+EV_EPSILON_BB = 0.25
+# The arbiter's premium per source; an exploit source earns it only at or
+# above EXPLOIT_THRESHOLD conviction.
+SOURCE_WEIGHTS = {"GA": 1.0, "SAD": 1.3, "Lawnmower": 1.1}
+EXPLOIT_THRESHOLD = 0.7
+SPR_COMMIT = 1.5
+BET_SIZES_POT = (0.33, 0.5, 0.75, 1.0)
+# HAA perturbation bounds and the camouflage trigger
+VPIP_JITTER = 0.03
+AGGR_JITTER = 0.15
+TILT_TRIGGER_BAD_BEATS = 3
+# hero baseline pre-flop chart (fraction of hands opened per position)
+OPEN_PCT = {"utg": 0.13, "hj": 0.16, "co": 0.23, "btn": 0.31, "sb": 0.27, "bb": 0.30}
+THREEBET_PCT = 0.045
+CALL_VS_RAISE_PCT = 0.11
+BB_DEFEND_PCT = 0.32
+CONTINUE_VS_THREEBET_PCT = 0.05
+# sampled-equity budget per decision
+EQUITY_COMBO_SAMPLES = 40
+EQUITY_RUNOUT_SAMPLES = 40
 
 
 _DRAW_OUTS = {DrawTier.NONE: 0.0, DrawTier.WEAK: 4.0, DrawTier.STRONG: 8.5, DrawTier.COMBO: 12.0}
@@ -195,7 +186,6 @@ class Brain:
         self,
         store: ProfileStore,
         rsm_table: RsmTable | None = None,
-        config: BrainConfig | None = None,
         seed: int = 0,
         trace: bool = False,
     ):
@@ -203,9 +193,8 @@ class Brain:
         self.rsm = rsm_table or RsmTable()
         self.rets = load_ret_set()
         self.dispatch = RetDispatch.shipped(self.rets)
-        self.config = config or BrainConfig()
         self.rng = DealRng(seed, stream=7)
-        self.style = StyleState()
+        self.style = StyleState(0.0, 0.0, "normal", 0)
         self.trace = trace
         self.trace_lines: list[str] = []
         self._declared: dict[str, str] = {}
@@ -230,30 +219,21 @@ class Brain:
         opponents: Sequence[tuple[str, str | None]],
         *,
         bad_beat_last_hand: bool = False,
-        table_score: float | None = None,
     ) -> StyleState:
         """Start-of-hand housekeeping plus the style pass: draw a bounded
-        perturbation of the baseline and enter/leave the rare modes. Mode
+        perturbation of the baseline and enter/leave tilt camouflage. Mode
         changes happen only here, never mid-hand."""
         self.reset_hand_state()
         self.hand_id = hand_id
         self.hero_hole = (hero_hole[0], hero_hole[1])
-        cfg = self.config
         streak = self.style.bad_beat_streak + 1 if bad_beat_last_hand else 0
-        mode = "normal"
-        if streak >= cfg.tilt_trigger_bad_beats:
-            mode = "tilt_camouflage"
-        elif table_score is not None and table_score > cfg.lag_table_score_threshold:
-            mode = "lag"
-        vpip_delta = (self.rng.random() * 2 - 1) * cfg.vpip_jitter
-        aggr_delta = (self.rng.random() * 2 - 1) * cfg.aggr_jitter
-        if mode == "lag":
-            vpip_delta += 0.12
-            aggr_delta += 0.5
-        elif mode == "tilt_camouflage":
+        mode = "tilt_camouflage" if streak >= TILT_TRIGGER_BAD_BEATS else "normal"
+        vpip_delta = (self.rng.random() * 2 - 1) * VPIP_JITTER
+        aggr_delta = (self.rng.random() * 2 - 1) * AGGR_JITTER
+        if mode == "tilt_camouflage":
             vpip_delta += 0.08
             aggr_delta += 0.8
-        self.style = StyleState("TMAG", vpip_delta, aggr_delta, mode, streak)
+        self.style = StyleState(vpip_delta, aggr_delta, mode, streak)
         self._declared = {pid: arch for pid, arch in opponents if arch}
         return self.style
 
@@ -387,8 +367,8 @@ class Brain:
                 ctx.hero_hole,
                 primary.grid.weights,
                 ctx.board_ctx,
-                combo_samples=self.config.equity_combo_samples,
-                runout_samples=self.config.equity_runout_samples,
+                combo_samples=EQUITY_COMBO_SAMPLES,
+                runout_samples=EQUITY_RUNOUT_SAMPLES,
                 rng=self.rng,
             )
         except UndefinedRangeError:
@@ -404,8 +384,7 @@ class Brain:
         return fe
 
     def _size_from_menu(self, ctx: DecisionContext, pot_fraction: float) -> float:
-        menu = self.config.bet_sizes_pot
-        pick = min(menu, key=lambda m: abs(m - pot_fraction))
+        pick = min(BET_SIZES_POT, key=lambda m: abs(m - pot_fraction))
         return max(ctx.big_blind_bb, round(pick * ctx.pot_bb, 2))
 
     def _ensure_reads(self, ctx: DecisionContext) -> None:
@@ -425,16 +404,15 @@ class Brain:
         with a seeded coin flip when betting and checking have near-equal
         expected value."""
         self._ensure_reads(ctx)
-        cfg = self.config
         rs = int(self._hero_rs(ctx))
-        req_call = required_strength(cfg.call_curve, ctx.pot_odds) if ctx.to_call_bb > 0 else 0
-        req_cont = required_strength(cfg.continue_curve, ctx.action_level)
+        req_call = required_strength(CALL_CURVE, ctx.pot_odds) if ctx.to_call_bb > 0 else 0
+        req_cont = required_strength(CONTINUE_CURVE, ctx.action_level)
         req = max(req_call, req_cont)
         aggr = self.style.aggr_delta
 
         if ctx.to_call_bb > 0:
             if (
-                rs >= max(min(10, req + cfg.value_raise_margin), cfg.value_bet_rs)
+                rs >= max(min(10, req + VALUE_RAISE_MARGIN), VALUE_BET_RS)
                 and "raise" in ctx.legal
                 and not ctx.facing_allin
             ):
@@ -461,14 +439,14 @@ class Brain:
             )
 
         # Unopened: value bet, or check; near-equal EVs flip a seeded coin.
-        if rs >= cfg.value_bet_rs or (rs >= 4 and aggr > 0.4):
+        if rs >= VALUE_BET_RS or (rs >= 4 and aggr > 0.4):
             eq = self._equity_estimate(ctx)
             fe = self._fold_equity(ctx)
             frac = 0.5 if rs < 8 else 0.75
             bet = self._size_from_menu(ctx, frac + 0.1 * aggr)
             ev_bet = fe * ctx.pot_bb + (1 - fe) * (eq * (ctx.pot_bb + 2 * bet) - bet)
             ev_check = eq * ctx.pot_bb
-            if abs(ev_bet - ev_check) < cfg.ev_epsilon_bb:
+            if abs(ev_bet - ev_check) < EV_EPSILON_BB:
                 if self.rng.random() < 0.5:
                     return Recommendation(ActionType.BET, bet, 0.5, "GA", "coin flip: EVs within epsilon")
                 return Recommendation(ActionType.CHECK, 0.0, 0.5, "GA", "coin flip: EVs within epsilon")
@@ -479,32 +457,30 @@ class Brain:
         return Recommendation(ActionType.CHECK, 0.0, 0.5, "GA", f"check: rS {rs}")
 
     def _ga_preflop(self, ctx: DecisionContext) -> Recommendation:
-        cfg = self.config
         pct = combo_percentile(*ctx.hero_hole)
-        open_pct = dict(cfg.open_pct)
         vdelta = self.style.vpip_delta
         raised = ctx.to_call_bb > 0 and ctx.pot_bb > 2.6  # beyond blind-vs-blind limp pots
         if not raised:
-            threshold = open_pct.get(ctx.position, 0.2) + vdelta
+            threshold = OPEN_PCT.get(ctx.position, 0.2) + vdelta
             if pct < threshold:
                 size = min(ctx.hero_stack_bb, 3.0 + ctx.num_limpers)
                 return Recommendation(ActionType.RAISE, size, 0.6, "GA", f"open {ctx.position}: pct {pct:.2f}")
             if ctx.position == "bb" and ctx.to_call_bb <= 0:
                 return Recommendation(ActionType.CHECK, 0.0, 0.6, "GA", "free play")
-            if ctx.position in ("sb", "bb") and ctx.to_call_bb <= 0.5 and pct < cfg.bb_defend_pct + vdelta:
+            if ctx.position in ("sb", "bb") and ctx.to_call_bb <= 0.5 and pct < BB_DEFEND_PCT + vdelta:
                 return Recommendation(ActionType.CALL, 0.0, 0.5, "GA", "complete")
             return Recommendation(ActionType.FOLD, 0.0, 0.7, "GA", f"below chart: pct {pct:.2f}")
         # Facing a raise (or more)
         if ctx.action_level >= 4.0 or ctx.facing_allin:
             if pct < 0.02:
                 return Recommendation(ActionType.CALL, 0.0, 0.8, "GA", "premium vs heavy action")
-            if pct < cfg.continue_vs_threebet_pct and ctx.pot_odds < 0.4:
+            if pct < CONTINUE_VS_THREEBET_PCT and ctx.pot_odds < 0.4:
                 return Recommendation(ActionType.CALL, 0.0, 0.55, "GA", "continue vs pressure")
             return Recommendation(ActionType.FOLD, 0.0, 0.8, "GA", "heavy action")
-        if pct < cfg.threebet_pct:
+        if pct < THREEBET_PCT:
             size = min(ctx.hero_stack_bb, max(ctx.min_raise_to_bb, round(3 * (ctx.to_call_bb + ctx.pot_bb * 0.4), 1)))
             return Recommendation(ActionType.RAISE, size, 0.7, "GA", f"reraise: pct {pct:.2f}")
-        defend = cfg.bb_defend_pct if ctx.position == "bb" else cfg.call_vs_raise_pct
+        defend = BB_DEFEND_PCT if ctx.position == "bb" else CALL_VS_RAISE_PCT
         if pct < defend + vdelta and ctx.pot_odds < 0.45:
             return Recommendation(ActionType.CALL, 0.0, 0.55, "GA", f"flat: pct {pct:.2f}")
         return Recommendation(ActionType.FOLD, 0.0, 0.7, "GA", "out of range vs raise")
@@ -527,7 +503,7 @@ class Brain:
         if not convictions:
             return None
         conviction = min(c for c in convictions)
-        if conviction < self.config.exploit_threshold:
+        if conviction < EXPLOIT_THRESHOLD:
             return None
         size = min(ctx.hero_stack_bb, 2.5)
         return Recommendation(ActionType.RAISE, size, conviction, "SAD", "steal: blinds overfold")
@@ -604,7 +580,10 @@ class Brain:
             stats = self.store.player_stats(read.player_id)
             fold_stat = stats.fold_to_cbet.get(ctx.street)
             folds_enough = fold_stat is not None and fold_stat.opportunities >= 10 and fold_stat.rate >= 0.6
-            think = 1800 + self.rng.randint(1200)
+            # A think-time draw, kept though nothing reads it: it advances the
+            # brain's stream, and removing it would change every later draw
+            # (ROADMAP: common random numbers).
+            self.rng.randint(1200)
             if 2 < rs < 9:
                 continue  # neither a story bluff nor a slow-play: no story to read
             strong_mass = self._perceived_strong_mass(grid, ctx)
@@ -615,7 +594,6 @@ class Brain:
                     min(0.9, 0.55 + strong_mass * 0.6),
                     "Lawnmower",
                     f"story bluff: perceived strong {strong_mass:.0%}, {read.player_id} folds {fold_stat.rate:.0%}",
-                    think_time_ms=think,
                 )
             if rs >= 9 and strong_mass >= 0.35 and ctx.to_call_bb == 0:
                 return Recommendation(
@@ -624,7 +602,6 @@ class Brain:
                     0.75,
                     "Lawnmower",
                     f"slow-play: perceived range already strong ({strong_mass:.0%})",
-                    think_time_ms=think,
                 )
         return None
 
@@ -636,11 +613,10 @@ class Brain:
         seeded tiebreak, then sizing sanity and commit-or-fold under low SPR."""
         if not recs:
             raise ValueError("the baseline engine always emits a recommendation")
-        weights = dict(self.config.source_weights)
 
         def score(r: Recommendation) -> float:
-            w = weights.get(r.source, 1.0)
-            if r.source != "GA" and r.conviction < self.config.exploit_threshold:
+            w = SOURCE_WEIGHTS.get(r.source, 1.0)
+            if r.source != "GA" and r.conviction < EXPLOIT_THRESHOLD:
                 w = 1.0
             return r.conviction * w
 
@@ -649,7 +625,7 @@ class Brain:
         tied = [r for r, s in zip(recs, scores) if abs(s - best) < 1e-12]
         chosen = tied[0] if len(tied) == 1 else tied[self.rng.randint(len(tied))]
         chosen = self._legalize(chosen, ctx)
-        if ctx.spr < self.config.spr_commit and chosen.action in (ActionType.BET, ActionType.RAISE):
+        if ctx.spr < SPR_COMMIT and chosen.action in (ActionType.BET, ActionType.RAISE):
             # Committed: stop leaving chips behind.
             chosen = replace(chosen, size_bb=ctx.hero_stack_bb if chosen.action == ActionType.BET else ctx.hero_stack_bb + ctx.to_call_bb, rationale=chosen.rationale + "; committed (SPR)")
             chosen = self._legalize(chosen, ctx)

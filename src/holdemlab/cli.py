@@ -76,15 +76,18 @@ def cmd_simulate(args) -> int:
 def cmd_replay(args) -> int:
     from .rangegrid import DATA_DIR
     from .scenario import ScenarioError, load_scenario, run_scenario
+    from .table import IllegalActionError
 
     path = args.scenario
     if path == "hand6.scn":
         path = DATA_DIR / "hand6.scn"
     try:
         scenario = load_scenario(path)
-        result = run_scenario(scenario, trace=True)
+        result = run_scenario(scenario)
     except (ScenarioError, FileNotFoundError, ValueError) as e:
         return _err(str(e))
+    except IllegalActionError as e:
+        return _err(f"{path}: the engine refused an action: {e}")
     print(result.trace_text())
     if args.out:
         out = Path(args.out)
@@ -101,6 +104,8 @@ def cmd_report(args) -> int:
     from .metrics import LedgerError, TrialReport, ledger_from_records
     from .table import HistoryFormatError, parse_history
 
+    if not 0 <= args.rakeback_rate <= 1:
+        return _err(f"--rakeback-rate: {args.rakeback_rate} is not in [0, 1]")
     try:
         records = parse_history(args.history)
     except HistoryFormatError as e:

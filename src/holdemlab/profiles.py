@@ -78,37 +78,32 @@ class PlayerStats:
         }
 
 
-@dataclass(frozen=True)
-class ArchetypeThresholds:
-    """Configurable (VPIP, AF) bands; defaults are a conventional reading of
-    the loose/aggro plane."""
-
-    min_hands: int = 30
-    rock_vpip: float = 0.15
-    tight_vpip: float = 0.25
-    medium_vpip: float = 0.32
-    loose_vpip: float = 0.45
-    whale_vpip: float = 0.60
-    passive_af: float = 1.0
-    lag_af: float = 3.0
+# The (VPIP, AF) class bands: a conventional reading of the loose/aggro plane.
+MIN_HANDS = 30
+ROCK_VPIP = 0.15
+TIGHT_VPIP = 0.25
+MEDIUM_VPIP = 0.32
+LOOSE_VPIP = 0.45
+WHALE_VPIP = 0.60
+PASSIVE_AF = 1.0
+LAG_AF = 3.0
 
 
-def classify(stats: PlayerStats, thresholds: ArchetypeThresholds | None = None) -> str:
-    t = thresholds or ArchetypeThresholds()
-    if stats.hands < t.min_hands:
+def classify(stats: PlayerStats) -> str:
+    if stats.hands < MIN_HANDS:
         return "Unknown"
     vpip = stats.vpip.rate
     af = stats.af
-    if vpip < t.rock_vpip:
+    if vpip < ROCK_VPIP:
         return "Rock"
-    if vpip < t.tight_vpip:
+    if vpip < TIGHT_VPIP:
         return "TightReg"
-    if vpip < t.loose_vpip:
-        if af > t.lag_af:
+    if vpip < LOOSE_VPIP:
+        if af > LAG_AF:
             return "LAG"
-        return "MediumReg" if vpip < t.medium_vpip else "LooseReg"
-    if af < t.passive_af:
-        return "Whale" if vpip >= t.whale_vpip else "CallingStation"
+        return "MediumReg" if vpip < MEDIUM_VPIP else "LooseReg"
+    if af < PASSIVE_AF:
+        return "Whale" if vpip >= WHALE_VPIP else "CallingStation"
     return "Fish"
 
 
@@ -164,8 +159,6 @@ DEFAULT_EXPLOIT_RULES: tuple[ExploitRule, ...] = (
 def _stat_value(stats: PlayerStats, path: str) -> tuple[float, int]:
     if path == "vpip":
         return stats.vpip.rate, stats.vpip.opportunities
-    if path == "pfr":
-        return stats.pfr.rate, stats.pfr.opportunities
     if path == "af":
         return stats.af, stats.postflop_aggressive + stats.postflop_calls
     if path == "fold_to_steal":
@@ -173,8 +166,6 @@ def _stat_value(stats: PlayerStats, path: str) -> tuple[float, int]:
     if path.startswith("fold_to_cbet."):
         c = stats.fold_to_cbet[path.split(".", 1)[1]]
         return c.rate, c.opportunities
-    if path == "donk":
-        return stats.donk.rate, stats.donk.opportunities
     raise KeyError(path)
 
 
@@ -220,7 +211,7 @@ class _HandTracker:
 
 class ProfileStore:
     """Single-writer store of events, stats, overlays, and range multipliers;
-    archetypes by `classify`'s default thresholds, exploits by DEFAULT_EXPLOIT_RULES."""
+    archetypes by `classify`'s bands, exploits by DEFAULT_EXPLOIT_RULES."""
 
     def __init__(self):
         self.stats: dict[str, PlayerStats] = {}

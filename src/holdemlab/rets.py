@@ -236,11 +236,12 @@ def chib(hero: Sequence[int], grid: ComboGrid, ctx: BoardContext) -> float:
 class PipelineStep:
     """One stage of a tracker's range. A step holds what it applies to the
     step before it: a board's dead combos (`kill`), or a template (`ret`)
-    under the categories it was dispatched with. Its grid is computed on
-    first read, from the prior step's grid, with `ComboGrid.strip_mask` or
-    `reshape`; most steps are never read, as only equity estimates,
-    showdown learning and scenarios read a grid. A computed step drops its
-    prior and what it applied, so a chain of steps pins no memory.
+    under the categories it was dispatched with; the first step holds its
+    grid instead. A later step's grid is computed on first read, from the
+    prior step's grid, with `ComboGrid.strip_mask` or `reshape`; most steps
+    are never read, as only equity estimates, showdown learning and
+    scenarios read a grid. A computed step drops its prior and what it
+    applied, so a chain of steps pins no memory.
     `support` and `distribution` are computed on read as well, from the
     grid and the categories."""
 
@@ -251,12 +252,12 @@ class PipelineStep:
         stage: str,  # "assign" / "street" / "action"; "hero" stays out of the history
         street: str,  # preflop/flop/turn/river
         ret_id: str | None,
-        categories: np.ndarray | None = None,  # None before the flop
+        categories: np.ndarray | None,  # None before the flop
         *,
-        grid: ComboGrid | None = None,
-        prior: "PipelineStep | None" = None,
-        kill: np.ndarray | None = None,
-        ret: RET | None = None,
+        grid: ComboGrid | None,
+        prior: "PipelineStep | None",
+        kill: np.ndarray | None,
+        ret: RET | None,
     ):
         self.stage, self.street, self.ret_id, self.categories = stage, street, ret_id, categories
         self._grid, self._prior, self._kill, self._ret = grid, prior, kill, ret
@@ -302,7 +303,7 @@ class OpponentRangeTracker:
     ):
         self.player_id, self.archetype = player_id, archetype
         self.rsm, self.rets, self.dispatch = rsm, rets, dispatch
-        self.current = PipelineStep("assign", "preflop", None, grid=grid)
+        self.current = PipelineStep("assign", "preflop", None, None, grid=grid, prior=None, kill=None, ret=None)
         self.history: list[PipelineStep] = [self.current]
 
     @property
@@ -312,7 +313,9 @@ class OpponentRangeTracker:
     def strip_hero(self, hole: Sequence[int]) -> None:
         """Strip the hero's cards from the range, outside the history, which
         keeps the archetype's grid as assigned."""
-        self.current = PipelineStep("hero", "preflop", None, prior=self.current, kill=combos_with_any(hole))
+        self.current = PipelineStep(
+            "hero", "preflop", None, None, grid=None, prior=self.current, kill=combos_with_any(hole), ret=None
+        )
 
     def on_new_street(self, ctx: BoardContext) -> PipelineStep:
         """Strip the cards of `ctx`, the new street's board. The step is
@@ -320,14 +323,18 @@ class OpponentRangeTracker:
         it is: `parse_ret_lines` rejects a flat template with unequal weights."""
         categories = self.rsm.categories_many(ctx)
         return self._record(
-            PipelineStep("street", ctx.street, FLAT_RET_ID, categories, prior=self.current, kill=ctx.dead_mask)
+            PipelineStep(
+                "street", ctx.street, FLAT_RET_ID, categories, grid=None, prior=self.current, kill=ctx.dead_mask, ret=None
+            )
         )
 
     def on_action(self, action: str, ctx: BoardContext, *, aggressor: str = "none", position: str = "oop") -> PipelineStep:
         ret_id = self.dispatch.select(ctx.street, self.archetype, action, aggressor, position)
         categories = self.rsm.categories_many(ctx)
         return self._record(
-            PipelineStep("action", ctx.street, ret_id, categories, prior=self.current, ret=self.rets[ret_id])
+            PipelineStep(
+                "action", ctx.street, ret_id, categories, grid=None, prior=self.current, kill=None, ret=self.rets[ret_id]
+            )
         )
 
     def _record(self, step: PipelineStep) -> PipelineStep:

@@ -9,11 +9,16 @@ suitable for the heatmap renderer.
 A scenario seats players on `seat <idx> <player_id> <archetype|hero>
 <stack_bb> <hole>` lines numbered 0 to n - 1, each number and each player
 id once; one seat is the hero's (`seat <idx> hero hero ...`), and
-`button <idx>` names a seat. `parse_scenario` refuses a file that breaks
-one of these rules, naming the line that breaks it.
+`button <idx>` names a seat. A hole is two cards, and `board` names 0, 3, 4
+or 5 distinct cards; no card is dealt twice. `blinds <sb> <bb>` are cents
+with bb >= 1 and 0 <= sb <= bb, a stack is a positive number of big
+blinds (at least one cent), `seed` is >= 0, and an `act` amount is a
+positive number of big blinds. `parse_scenario` refuses a file that
+breaks one of these rules, naming the line that breaks it.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .brain import Brain
-from .cards import card_str, parse_cards
+from .cards import card_str, parse_cards, validate_board
 from .events import ActionType, from_key
 from .profiles import ProfileStore
 from .rangegrid import grid_to_lines
@@ -91,21 +96,30 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
                 name = parts[1]
             elif parts[0] == "blinds":
                 sb, bb = int(parts[1]), int(parts[2])
+                if bb < 1:
+                    raise ValueError(f"big blind {bb} is not >= 1")
+                if not 0 <= sb <= bb:
+                    raise ValueError(f"small blind {sb} is not in [0, {bb}]")
             elif parts[0] == "button":
                 button, button_line = int(parts[1]), lineno
             elif parts[0] == "seed":
                 seed = int(parts[1])
+                if seed < 0:
+                    raise ValueError(f"seed {seed} is not >= 0")
             elif parts[0] == "seat":
                 if parts[3] == "hero" and parts[2] != HERO_ID:
                     raise ValueError(f"the hero seat's player id must be {HERO_ID!r}")
+                stack_bb = _positive(parts[4], "stack")
                 hole = tuple(parse_cards(parts[5]))
-                seats.append(ScenarioSeat(int(parts[1]), parts[2], parts[3], float(parts[4]), hole))
+                if len(hole) != 2:
+                    raise ValueError(f"hole {parts[5]} is not two cards")
+                seats.append(ScenarioSeat(int(parts[1]), parts[2], parts[3], stack_bb, hole))
                 seat_lines.append(lineno)
             elif parts[0] == "board":
-                board = tuple(parse_cards("".join(parts[1:])))
+                board = validate_board(parse_cards("".join(parts[1:])))
             elif parts[0] == "act":
                 action = from_key(ActionType, parts[2]).key
-                amount = float(parts[3]) if len(parts) > 3 else None
+                amount = _positive(parts[3], f"{parts[1]}: {action} amount") if len(parts) > 3 else None
                 if amount is None and action in ("bet", "raise"):
                     raise ValueError(f"{parts[1]}: {action} needs an amount")
                 script.append((parts[1], action, amount))
@@ -119,6 +133,9 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
     if not seats:
         raise ScenarioError(f"{source}: no seats")
     _check_seats(seats, seat_lines, source)
+    for seat, lineno in zip(seats, seat_lines):
+        if round(seat.stack_bb * bb) < 1:
+            raise ScenarioError(f"{source}:{lineno}: stack {seat.stack_bb:g} is under one cent at a big blind of {bb}")
     if button not in range(len(seats)):
         raise ScenarioError(f"{source}:{button_line}: button {button} names no seat")
     scripted = {s.player_id for s in seats if s.archetype != "hero"}
@@ -129,6 +146,13 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
     if len(set(all_cards)) != len(all_cards):
         raise ScenarioError(f"{source}: deal contains duplicate cards")
     return ScenarioFile(name, sb, bb, button, seed, seats, board, script, assertions)
+
+
+def _positive(text: str, what: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} {text} is not a positive number")
+    return value
 
 
 def _check_seats(seats: list[ScenarioSeat], lines: list[int], source: str) -> None:
@@ -195,10 +219,10 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
-def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None, trace: bool = True) -> ScenarioResult:
+def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None) -> ScenarioResult:
     store = ProfileStore()
     rsm = rsm or RsmTable()
-    brain = Brain(store, rsm_table=rsm, seed=scenario.seed, trace=trace)
+    brain = Brain(store, rsm_table=rsm, seed=scenario.seed)
     hero = scenario.hero
     policy = HeroSeatPolicy(brain)
     brain.begin_hand(

@@ -6,7 +6,6 @@ import pytest
 from holdemlab.cards import parse_cards
 from holdemlab.events import ActionEvent, ActionType, Street
 from holdemlab.profiles import (
-    ArchetypeThresholds,
     EventOrderError,
     PlayerStats,
     ProfileStore,
@@ -152,10 +151,6 @@ class TestClassify:
 
     def test_below_sample_is_unknown(self):
         assert classify(self.make(0.10, 1.0, hands=5)) == "Unknown"
-
-    def test_bands_configurable(self):
-        t = ArchetypeThresholds(min_hands=1, rock_vpip=0.50)
-        assert classify(self.make(0.40, 1.5, hands=2), t) == "Rock"
 
 
 class TestExploits:

@@ -336,6 +336,52 @@ class TestCli:
         assert cli_main(["replay", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}:{bad_line}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("9h9s", "9h9s9c", "hole 9h9s9c is not two cards"),
+            ("board 9d 5s 2c 2d Ks", "board 9d 5s", "board must have 0/3/4/5 cards, got 2"),
+            ("board 9d 5s 2c 2d Ks", "board 9d 5s 9d", "duplicate cards on board"),
+            ("blinds 1 2", "blinds 5 2", "small blind 5 is not in [0, 2]"),
+            ("blinds 1 2", "blinds 0 0", "big blind 0 is not >= 1"),
+            ("Whale 60", "Whale -5", "stack -5 is not a positive number"),
+            ("Whale 60", "Whale 0.1", "stack 0.1 is under one cent at a big blind of 2"),
+            ("act whale_bb bet 4", "act whale_bb bet -4", "whale_bb: bet amount -4 is not a positive number"),
+            ("act whale_bb bet 4", "act whale_bb bet inf", "whale_bb: bet amount inf is not a positive number"),
+            ("seed 42", "seed -1", "seed -1 is not >= 0"),
+        ],
+        ids=["hole-of-three", "board-of-two", "board-card-twice", "sb-over-bb", "bb-zero", "negative-stack",
+             "sub-cent-stack", "negative-bet", "infinite-bet", "negative-seed"],
+    )
+    def test_replay_refuses_bad_deals_and_numbers_naming_the_line(self, tmp_path, capsys, old, new, message):
+        from importlib import resources
+
+        lines = resources.files("holdemlab").joinpath("data/hand6.scn").read_text().splitlines()
+        (lineno,) = [i for i, line in enumerate(lines, start=1) if old in line]
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+        path = tmp_path / "bad.scn"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
+
+    def test_replay_refused_scripted_action_exits_2_naming_the_file(self, tmp_path, capsys):
+        from importlib import resources
+
+        text = resources.files("holdemlab").joinpath("data/hand6.scn").read_text()
+        path = tmp_path / "bad.scn"
+        path.write_text(text.replace("act reg_sb call", "act reg_sb check", 1))
+        assert cli_main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: the engine refused an action: reg_sb checked facing a bet\n"
+        )
+
+    @pytest.mark.parametrize("rate", ["-1", "5", "nan", "inf"])
+    def test_report_refuses_rakeback_rate_outside_0_1(self, tmp_path, capsys, rate):
+        *_, path = run_and_write(tmp_path, "session.hh", hands=5)
+        assert cli_main(["report", str(path), "--rakeback-rate", rate]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --rakeback-rate: {float(rate)} is not in [0, 1]\n" and captured.out == ""
+
     def test_report_round_trip(self, tmp_path, capsys):
         out = tmp_path / "sim"
         cli_main(["simulate", "--hands", "50", "--seed", "5", "--out", str(out)])
