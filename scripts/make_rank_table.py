@@ -4,8 +4,8 @@
 The table (src/holdemlab/data/rank_table.npy, see the rank-table comment in
 cards.py) holds one row per multiset of 3, 4 or 5 ranks. Each row comes from
 build_rank_row in tests/reference_rank.py, the reference the rsm tests check
-the table against; it scores, classes and counts straight outs with the
-kernel. Nothing this script runs reads the shipped table, so a stale,
+the table against; it scores with its own fold (reference_rank.fold_scores),
+classes and counts straight outs. Nothing this script runs reads the shipped table, so a stale,
 missing or misshapen file is rebuilt correctly. Run from the repo root
 after changing what a row holds:
 

@@ -10,7 +10,6 @@ from .cards import (
     card_str,
     equity_exhaustive,
     equity_vs_range,
-    evaluate5,
     evaluate7,
     parse_cards,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "card_str",
     "equity_exhaustive",
     "equity_vs_range",
-    "evaluate5",
     "evaluate7",
     "parse_cards",
     "ClassGrid169",

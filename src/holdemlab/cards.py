@@ -1,9 +1,11 @@
 """Card primitives, deck shuffling, hand evaluation, and equity oracles.
 
 Cards are small value objects; hot paths work on integer card indices
-(0..51, rank-major) and score hands with precomputed rank-mask tables.
-A vectorized batch scorer handles "many holdings vs one board" workloads,
-which is what range-wide strength queries and equity sweeps need.
+(0..51, rank-major). `hand_score` scores one hand of 5..7 cards from
+precomputed rank-mask tables. `score_cards_batch` scores many two-card
+hands on many runouts of one board from the rank table, which is what
+equity sweeps and all-in locks need. The fold that builds the table's
+rows is kept as the reference in tests/reference_rank.py.
 """
 from __future__ import annotations
 
@@ -62,9 +64,6 @@ class Card:
         except ValueError:
             raise InvalidCardsError(f"cannot parse card {text!r}") from None
         return cls(rank, suit)
-
-    def __str__(self) -> str:
-        return RANK_CHARS[self.rank - 2] + SUIT_CHARS[self.suit]
 
 
 def card_index(text: str) -> int:
@@ -225,112 +224,6 @@ def hand_score(cards: Sequence[int]) -> int:
     return _TOP5_PY[m1]
 
 
-def score_cards_batch(
-    cards: np.ndarray, board: Sequence[int] = (), holes: Sequence[Sequence[int]] | None = None
-) -> np.ndarray:
-    """Vectorized hand_score over the rows of an (n, k) array of card
-    indices, each scored with a board shared by every row. Cards may repeat
-    (dead combos in a range sweep) and then count with multiplicity.
-
-    Without holes the result has one score per row, by the fold: the board
-    is folded once into rank masks and suit data, then the rows once on top
-    of it. Each row with the board must hold 5..7 cards.
-
-    With holes, two-card hands, the rows are runouts that complete the
-    board to five cards (len(board) + k == 5: every runout an equity sweep
-    or an all-in lock scores), shared by every hand. The result is
-    (len(holes), n), hand i scored with row r and the board, read from the
-    rank table (_score_from_rank_table). Other shapes raise ValueError."""
-    cards = np.asarray(cards, dtype=np.int64)
-    n, k = cards.shape
-    if holes is not None:
-        hands = np.asarray(holes, dtype=np.int64).reshape(len(holes), -1)
-        if hands.shape[1] != 2 or len(board) + k != 5:
-            raise InvalidCardsError(
-                f"holes must be two-card hands on rows that complete the board to five cards,"
-                f" not {hands.shape[1]}-card hands on {len(board)} + {k} cards"
-            )
-        return _score_from_rank_table(cards, board, hands)
-    fold = (0, 0, 0, 0, 0, 0)
-    for c in board:
-        fold = _add_card(fold, int(c))
-    # Suit data is kept only when some suit can reach five cards.
-    suits = [s for s in range(4) if (fold[4] >> 4 * s & 0xF) + k >= 5]
-    fold = tuple(np.full(n, v, dtype=np.int64) for v in fold[: 6 if suits else 4])
-    for col in cards.T:
-        fold = _add_card(fold, col)
-    fmask = np.zeros(n, dtype=np.int64)
-    has_flush = np.zeros(n, dtype=bool)
-    # At most one suit reaches five cards among seven.
-    for s in suits:
-        hit = (fold[4] >> 4 * s & 0xF) >= 5
-        np.copyto(fmask, fold[5] >> 16 * s & 0x1FFF, where=hit)
-        has_flush |= hit
-    return _score_masks(*fold[:4], fmask, has_flush)
-
-
-def _add_card(fold, c):
-    """fold with card c added. fold holds rank masks m1..m4 (bit r set when
-    rank r is held at least 1..4 times) and, optionally, per-suit card counts
-    (4 bits a suit) and rank masks (16 bits a suit) packed four suits to an
-    integer. c and the entries are Python ints or arrays of one length."""
-    b = 1 << (c >> 2)
-    if len(fold) == 4:
-        m1, m2, m3, m4 = fold
-        return m1 | b, m2 | (m1 & b), m3 | (m2 & b), m4 | (m3 & b)
-    m1, m2, m3, m4, cnt, msk = fold
-    s = c & 3
-    return m1 | b, m2 | (m1 & b), m3 | (m2 & b), m4 | (m3 & b), cnt + (1 << 4 * s), msk | b << 16 * s
-
-
-# Derived tables for the vectorized scorer: the top rank index of a mask,
-# the top two and top three ranks already shifted into the trips and pair
-# kicker slots, and "every rank but r".
-_TOP_RANK = TOP5 >> 16
-_TRIPS_KICK = (TOP5 >> 12) << 8
-_PAIR_KICK = (TOP5 >> 8) << 4
-_CLEAR_BIT = ~(np.int64(1) << np.arange(13, dtype=np.int64))
-
-
-def _score_masks(m1, m2, m3, m4, fmask, has_flush) -> np.ndarray:
-    """Scores from per-row rank masks (m_k: ranks held at least k times) and
-    the flush suit's rank mask; same layout as hand_score."""
-    sf_top = STRAIGHT_TOP[fmask]
-    st_top = STRAIGHT_TOP[m1]
-
-    q = _TOP_RANK[m4]
-    quads = (7 << _CAT_SHIFT) | (q << 16) | (_TOP_RANK[m1 & _CLEAR_BIT[q]] << 12)
-
-    t = _TOP_RANK[m3]
-    t_clear = _CLEAR_BIT[t]
-    t_head = t << 16
-    fh_rest = m2 & t_clear
-    full = (6 << _CAT_SHIFT) | t_head | (_TOP_RANK[fh_rest] << 12)
-    trips = (3 << _CAT_SHIFT) | t_head | _TRIPS_KICK[m1 & t_clear]
-
-    p1 = _TOP_RANK[m2]
-    p1_clear = _CLEAR_BIT[p1]
-    p1_head = p1 << 16
-    rest2 = m2 & p1_clear
-    p2 = _TOP_RANK[rest2]
-    kick1 = m1 & p1_clear
-    twopair = (2 << _CAT_SHIFT) | p1_head | (p2 << 12) | (_TOP_RANK[kick1 & _CLEAR_BIT[p2]] << 8)
-    pair = (1 << _CAT_SHIFT) | p1_head | _PAIR_KICK[kick1]
-
-    # Lowest category first, so each row ends on its best one.
-    out = TOP5[m1]
-    np.copyto(out, pair, where=m2 > 0)
-    np.copyto(out, twopair, where=rest2 > 0)
-    has_trips = m3 > 0
-    np.copyto(out, trips, where=has_trips)
-    np.copyto(out, (4 << _CAT_SHIFT) | (st_top << 16), where=st_top >= 0)
-    np.copyto(out, (5 << _CAT_SHIFT) | TOP5[fmask], where=has_flush)
-    np.copyto(out, full, where=has_trips & (fh_rest > 0))
-    np.copyto(out, quads, where=m4 > 0)
-    np.copyto(out, (8 << _CAT_SHIFT) | (sf_top << 16), where=sf_top >= 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The rank table.
 #
@@ -345,9 +238,9 @@ def _score_masks(m1, m2, m3, m4, fmask, has_flush) -> np.ndarray:
 # numbered sum C(r_i + i, i + 1).
 #
 # scripts/make_rank_table.py builds every row with the reference builder in
-# tests/reference_rank.py, which scores with the fold and never reads the
-# table. rank_table() reads the file whole on first use; the table is never
-# written.
+# tests/reference_rank.py, which scores with its own fold and never reads
+# the table. rank_table() reads the file whole on first use; the table is
+# never written.
 # ---------------------------------------------------------------------------
 
 RANK_PAIRS = np.array([(lo, hi) for lo in range(13) for hi in range(lo, 13)], dtype=np.int64)
@@ -405,13 +298,26 @@ def rank_table_entries(ranks: Iterable[int], columns: np.ndarray) -> tuple[np.nd
 FLUSH_SCORE = np.where(STRAIGHT_TOP >= 0, 8 << _CAT_SHIFT | STRAIGHT_TOP << 16, 5 << _CAT_SHIFT | TOP5)
 
 
-def _score_from_rank_table(rows: np.ndarray, board: Sequence[int], hands: np.ndarray) -> np.ndarray:
-    """score_cards_batch of two-card hands on rows that complete the board
-    to five cards. The rank table gives each (hand, row) its score without
-    a flush. A flush scores in another category than anything without one,
-    so where the hand brings a suit to five cards the score is the higher
-    of the two."""
+def score_cards_batch(cards: np.ndarray, board: Sequence[int], holes: Sequence[Sequence[int]]) -> np.ndarray:
+    """Scores of two-card hands, as hand_score gives them, on each row of an
+    (n, k) array of cards that completes the board to five cards (len(board)
+    + k == 5: every runout an equity sweep or an all-in lock scores). The
+    result is (len(holes), n), hand i scored with row r and the board.
+    Cards may repeat and then count with multiplicity. Other shapes raise
+    InvalidCardsError.
+
+    The rank table gives each (hand, row) its score without a flush. A
+    flush scores in another category than anything without one, so where
+    the hand brings a suit to five cards the score is the higher of the
+    two."""
+    rows = np.asarray(cards, dtype=np.int64)
     n, k = rows.shape
+    hands = np.asarray(holes, dtype=np.int64).reshape(len(holes), -1)
+    if hands.shape[1] != 2 or len(board) + k != 5:
+        raise InvalidCardsError(
+            f"holes must be two-card hands on rows that complete the board to five cards,"
+            f" not {hands.shape[1]}-card hands on {len(board)} + {k} cards"
+        )
     ranks = np.empty((n, 5), dtype=np.int64)
     ranks[:, :k] = rows >> 2
     ranks[:, k:] = [c >> 2 for c in board]
@@ -421,8 +327,9 @@ def _score_from_rank_table(rows: np.ndarray, board: Sequence[int], hands: np.nda
     out = rank_table()[table_rows[None, :], columns[:, None]].astype(np.int64)
     out &= _SCORE_MASK
 
-    # Suit counts and rank masks packed as the fold packs them. Adding 5 (or
-    # 3) to a count sets the count's top bit when it holds 3 (or 5) or more.
+    # Suit counts (4 bits a suit) and rank masks (16 bits a suit), four suits
+    # to an integer. Adding 5 (or 3) to a count sets the count's top bit when
+    # it holds 3 (or 5) or more.
     # Two hole cards make a flush only with three of a suit among the five
     # other cards, and only one suit can have three of five.
     board_count = board_bits = 0
@@ -452,13 +359,6 @@ class HandValue:
     category: HandCategory
     tiebreak: tuple[int, ...]
 
-    @property
-    def score(self) -> int:
-        s = int(self.category) << _CAT_SHIFT
-        for i, r in enumerate(self.tiebreak):
-            s |= (r - 2) << (16 - 4 * i)
-        return s
-
     @classmethod
     def from_score(cls, score: int) -> "HandValue":
         cat = HandCategory(score >> _CAT_SHIFT)
@@ -476,31 +376,12 @@ class HandValue:
         ranks = tuple(((score >> (16 - 4 * i)) & 0xF) + 2 for i in range(n_ranks))
         return cls(cat, ranks)
 
-    def __lt__(self, other: "HandValue") -> bool:
-        return self.score < other.score
-
-    def __le__(self, other: "HandValue") -> bool:
-        return self.score <= other.score
-
-    def __gt__(self, other: "HandValue") -> bool:
-        return self.score > other.score
-
-    def __ge__(self, other: "HandValue") -> bool:
-        return self.score >= other.score
-
 
 def evaluate7(hole: Sequence[int], board: Sequence[int]) -> HandValue:
     """Best five-card hand from two hole cards and a five-card board."""
     if len(hole) != 2 or len(board) != 5:
         raise InvalidCardsError("evaluate7 needs 2 hole cards and a 5-card board")
     cards = tuple(hole) + tuple(board)
-    _require_distinct(cards)
-    return HandValue.from_score(hand_score(cards))
-
-
-def evaluate5(cards: Sequence[int]) -> HandValue:
-    if len(cards) != 5:
-        raise InvalidCardsError("evaluate5 needs exactly 5 cards")
     _require_distinct(cards)
     return HandValue.from_score(hand_score(cards))
 
@@ -572,7 +453,7 @@ def _unrank_combinations(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
 def _pot_shares(holes: Sequence[Sequence[int]], runs: np.ndarray, board: Sequence[int]) -> np.ndarray:
     """Per runout, the first hand's share of the pot against the others:
     1/k when it is one of k best hands, else 0."""
-    scores = score_cards_batch(runs, board, holes=holes)  # (hands, runouts)
+    scores = score_cards_batch(runs, board, holes)  # (hands, runouts)
     best = scores.max(axis=0)
     first_best = scores[0] == best
     n_best = (scores == best).sum(axis=0)
@@ -693,7 +574,7 @@ def equity_vs_range(
     runs = deck[_unrank_combinations(len(deck), need, picks)]
 
     m = runs.shape[0]
-    scores = score_cards_batch(runs, ctx.board, holes=np.concatenate([np.array([hero], dtype=np.int64), combos]))
+    scores = score_cards_batch(runs, ctx.board, np.concatenate([np.array([hero], dtype=np.int64), combos]))
     hs, vscores = scores[:1], scores[1:]
     # villain cards colliding with a runout invalidate that runout; the
     # 52-bit card sets of the runouts and combos find them

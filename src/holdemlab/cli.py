@@ -19,6 +19,13 @@ def _err(msg: str) -> int:
     return EXIT_INPUT
 
 
+def _unreadable(path, e: OSError | UnicodeDecodeError) -> str:
+    """`path: why` for an input file that could not be read."""
+    if isinstance(e, UnicodeDecodeError):
+        return f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
+    return f"{path}: {e.strerror}"
+
+
 def cmd_simulate(args) -> int:
     from .brain import Brain
     from .profiles import ProfileStore
@@ -33,7 +40,9 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             config.seed = args.seed
         config.check(lambda key: f"--{key}")  # from_ini checked the file's values
-    except (FileNotFoundError, KeyError, ValueError) as e:
+    except (OSError, UnicodeDecodeError) as e:
+        return _err(f"bad config: {_unreadable(args.config, e)}")
+    except (KeyError, ValueError) as e:
         return _err(f"bad config: {e}")
     if args.trace:
         config.trace = True
@@ -84,7 +93,9 @@ def cmd_replay(args) -> int:
     try:
         scenario = load_scenario(path)
         result = run_scenario(scenario)
-    except (ScenarioError, FileNotFoundError, ValueError) as e:
+    except (OSError, UnicodeDecodeError) as e:
+        return _err(_unreadable(path, e))
+    except (ScenarioError, ValueError) as e:
         return _err(str(e))
     except IllegalActionError as e:
         return _err(f"{path}: the engine refused an action: {e}")
@@ -110,8 +121,8 @@ def cmd_report(args) -> int:
         records = parse_history(args.history)
     except HistoryFormatError as e:
         return _err(f"{args.history}: {e}")
-    except FileNotFoundError as e:
-        return _err(str(e))
+    except (OSError, UnicodeDecodeError) as e:
+        return _err(_unreadable(args.history, e))
     if not any(r.hero_seat_of(args.hero) is not None for r in records):
         return _err(f"{args.history}: hero {args.hero!r} is in no hand")
     bb = records[0].bb_cents
@@ -132,8 +143,10 @@ def cmd_heatmap(args) -> int:
 
     try:
         grid = load_range_file(args.snapshot)
-    except (RangeConfigError, FileNotFoundError) as e:
+    except RangeConfigError as e:
         return _err(str(e))
+    except (OSError, UnicodeDecodeError) as e:
+        return _err(_unreadable(args.snapshot, e))
     fmt = args.format.lower()
     try:
         if fmt == "svg":

@@ -72,7 +72,7 @@ def realized_category(hole: Sequence[int], ctx: BoardContext) -> int:
     """Ground-truth category: the revealed hand's percentile among live
     opposing combos on `ctx`'s board, independent of the learned table."""
     idx = combo_index(hole[0], hole[1])
-    q = ctx.percentile_of(idx)
+    q = ctx.percentile[idx]
     cat = int(np.floor(q * 9.0 + 0.5))
     if ctx.scores[idx] == ctx.max_score:
         cat = max(cat, 9)

@@ -2,7 +2,9 @@
 
 Every witnessed action is appended to a per-store event log and folded into
 per-player statistics incrementally; the incremental state always equals a
-from-scratch recount of the log. Archetype classification is a pure
+from-scratch recount of the log (the tests recount it). `save` writes the
+log and a snapshot of the statistics and multipliers; nothing in the
+program loads them back. Archetype classification is a pure
 threshold lookup on (VPIP, AF). The exploit search fires configured rules
 whose statistic clears its trigger with enough samples, with conviction
 discounted for small samples. Showdown reveals refine per-player (and
@@ -13,9 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .events import ActionEvent, ActionType, Street, from_key
+from .events import ActionEvent, ActionType, Street
 from .rangegrid import CLASS_OF_COMBO, ComboGrid, combo_index
 
 
@@ -432,61 +434,3 @@ class ProfileStore:
         }
         with open(snapshot_path, "w", encoding="utf-8") as f:
             json.dump(snap, f, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, log_path: str, snapshot_path: str) -> tuple["ProfileStore", dict[str, float]]:
-        """A new store holding what `save` wrote, and the RSM overlay it saved.
-        A missing file raises FileNotFoundError naming it; a malformed log
-        line, or a snapshot of another version, raises ValueError naming the
-        file (and the line)."""
-        store = cls()
-        with open(log_path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if line.startswith("#") or not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                try:
-                    if parts[0] == "act":
-                        store.record_event(
-                            ActionEvent(
-                                hand_id=int(parts[1]),
-                                player_id=parts[2],
-                                street=from_key(Street, parts[3]),
-                                action=from_key(ActionType, parts[4]),
-                                amount_bb=float(parts[5]),
-                                pot_before_bb=float(parts[6]),
-                                position=parts[7],
-                                timestamp=float(parts[8]),
-                            )
-                        )
-                    elif parts[0] == "reveal":
-                        store.record_showdown(int(parts[1]), parts[2], parts[3])
-                    else:
-                        raise ValueError(f"unknown record {parts[0]!r}")
-                except (ValueError, IndexError) as e:
-                    raise ValueError(f"{log_path}:{lineno}: {e}") from None
-        with open(snapshot_path, encoding="utf-8") as f:
-            snap = json.load(f)
-        if snap.get("version") != 1:
-            raise ValueError(f"{snapshot_path}: snapshot version {snap.get('version')!r}, expected 1")
-        store.player_class_multipliers = {
-            pid: {int(k): float(v) for k, v in m.items()}
-            for pid, m in snap.get("player_class_multipliers", {}).items()
-        }
-        store.archetype_class_multipliers = {
-            a: {int(k): float(v) for k, v in m.items()}
-            for a, m in snap.get("archetype_class_multipliers", {}).items()
-        }
-        overlay = {str(k): float(v) for k, v in snap.get("rsm_overlay", {}).items()}
-        return store, overlay
-
-
-def recount_stats(events: Iterable[ActionEvent], reveals: Iterable[tuple[int, str, str]] = ()) -> dict[str, PlayerStats]:
-    """From-scratch recomputation; must equal the incremental state."""
-    store = ProfileStore()
-    for ev in events:
-        store.record_event(ev)
-    for hand_id, pid, cards in reveals:
-        store.record_showdown(hand_id, pid, cards)
-    store.finish_hand()
-    return store.stats

@@ -90,13 +90,6 @@ def combos_with_any(cards: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def class_id(name: str) -> int:
-    try:
-        return _CLASS_ID[name]
-    except KeyError:
-        raise RangeConfigError(f"unknown hand class {name!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------
@@ -106,9 +99,6 @@ class ClassGrid169:
     """13x13 aggregation of a combo grid (pairs diagonal, suited above)."""
 
     weights: np.ndarray  # (13, 13)
-
-    def total(self) -> float:
-        return float(self.weights.sum())
 
 
 @dataclass(frozen=True)
@@ -143,19 +133,6 @@ class ComboGrid:
     def uniform(cls) -> "ComboGrid":
         return cls(np.full(N_COMBOS, 1.0 / N_COMBOS))
 
-    @classmethod
-    def zeros(cls) -> "ComboGrid":
-        return cls(np.zeros(N_COMBOS))
-
-    @classmethod
-    def from_class_weights(cls, weights: Mapping[str, float]) -> "ComboGrid":
-        w = np.zeros(N_COMBOS)
-        for name, val in weights.items():
-            if val < 0:
-                raise RangeConfigError(f"negative weight for {name}")
-            w[CLASS_OF_COMBO == class_id(name)] = val
-        return cls(w).normalized()
-
     def total(self) -> float:
         return float(self.weights.sum())
 
@@ -164,9 +141,6 @@ class ComboGrid:
 
     def support_fraction(self) -> float:
         return self.support_count() / N_COMBOS
-
-    def support_mask(self) -> np.ndarray:
-        return self.weights > 0
 
     def weight_of_combo(self, c1: int, c2: int) -> float:
         return float(self.weights[combo_index(c1, c2)])
@@ -212,7 +186,7 @@ class ComboGrid:
         nonnegative by construction."""
         t = w.sum()
         if t <= 0:
-            support = self.support_mask()
+            support = self.weights > 0
             n = int(support.sum())
             if n == 0:
                 raise RangeConfigError("reweighting an empty grid")

@@ -308,15 +308,6 @@ class BoardContext:
             self._percentile = percentile
         return self._percentile
 
-    def percentile_of(self, idx: int) -> float:
-        """`percentile[idx]` of one combo, counted without building the
-        table: the same integers in the same arithmetic give the same float."""
-        live_scores = self.scores[~self.dead_mask]
-        s = self.scores[idx]
-        less = int(np.count_nonzero(live_scores < s))
-        ties = int(np.count_nonzero(live_scores == s))
-        return (less + 0.5 * ties) / max(live_scores.size, 1)
-
     @classmethod
     def cached(cls, board: Sequence[int], contexts: "dict[tuple[int, ...], BoardContext]") -> "BoardContext":
         """The context of `board` in `contexts`, a dict the caller owns and

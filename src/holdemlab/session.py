@@ -68,13 +68,14 @@ class SessionConfig:
         [DEFAULT] when there is no [session]) and archetype weights in
         [bots]. A section, key, archetype or value it cannot read, or a
         value out of range (see check), raises ValueError naming the file
-        and the section or key."""
+        and the section or key. A file that cannot be read raises OSError
+        or UnicodeDecodeError."""
         parser = configparser.ConfigParser()
-        try:
-            if not parser.read(path):
-                raise FileNotFoundError(path)
-        except configparser.Error as e:
-            raise ValueError(f"{path}: {' '.join(str(e).split())}") from None
+        with open(path, encoding="utf-8") as f:
+            try:
+                parser.read_file(f)
+            except configparser.Error as e:
+                raise ValueError(f"{path}: {' '.join(str(e).split())}") from None
         for section in parser.sections():
             if section not in ("session", "bots"):
                 raise ValueError(f"{path}: unknown section [{section}]; want [session] or [bots]")
@@ -124,6 +125,8 @@ class SessionConfig:
             ("rake_percentage", self.rake.percentage, 0 <= self.rake.percentage <= 1, "in [0, 1]"),
             ("failure_rate", self.failure_rate, 0 <= self.failure_rate <= 1, "in [0, 1]"),
             ("rake_cap_bb", self.rake.cap_bb, self.rake.cap_bb >= 0, ">= 0"),
+            # a history header holds the id as one word
+            ("table_id", repr(self.table_id), not any(c.isspace() for c in self.table_id), "an id without whitespace"),
         ):
             if not ok:
                 raise ValueError(f"{name_of(key)}: {value} is not {want}")

@@ -1,12 +1,13 @@
-"""Reference builder of the rank table, and the made-hand classifier it uses.
+"""Reference builder of the rank table, and the scorer and made-hand
+classifier it uses.
 
 Each row of the shipped table (holdemlab.cards.rank_table) is what
-`build_rank_row` makes here: every hole-rank pair scored with the kernel
-(`score_cards_batch` by the fold, which never reads the table), classed by
+`build_rank_row` makes here: every hole-rank pair scored by `fold_scores`
+(a vectorized hand_score that never reads the table), classed by
 `made_classes` and, below five ranks, given its straight outs by
-`straight_outs`. `scripts/make_rank_table.py` builds the table with it, and
-the rsm tests use it as the oracle for `BoardContext`'s features on any
-board, flushes included.
+`straight_outs`. `scripts/make_rank_table.py` builds the table with it.
+The tests use `fold_scores` as the oracle for `cards.score_cards_batch`
+and the rest for `BoardContext`'s features on any board, flushes included.
 """
 from __future__ import annotations
 
@@ -18,11 +19,102 @@ from holdemlab.cards import (
     RANK_PAIRS,
     STRAIGHT_OUTS,
     STRAIGHT_TOP,
+    TOP5,
     HandCategory,
     pack_rank_entries,
-    score_cards_batch,
 )
 from holdemlab.rsm import MadeClass
+
+# The score layout of cards.hand_score: category << 20 | up to five rank
+# nibbles (bit 16 highest).
+_CAT_SHIFT = 20
+
+
+def fold_scores(cards: np.ndarray, board: Sequence[int] = ()) -> np.ndarray:
+    """hand_score over the rows of an (n, k) array of card indices, each
+    scored with a board shared by every row; each row with the board holds
+    5..7 cards. Cards may repeat and then count with multiplicity. The
+    board is folded once into rank masks and suit data, then the rows once
+    on top of it."""
+    cards = np.asarray(cards, dtype=np.int64)
+    n, k = cards.shape
+    fold = (0, 0, 0, 0, 0, 0)
+    for c in board:
+        fold = _add_card(fold, int(c))
+    # Suit data is kept only when some suit can reach five cards.
+    suits = [s for s in range(4) if (fold[4] >> 4 * s & 0xF) + k >= 5]
+    fold = tuple(np.full(n, v, dtype=np.int64) for v in fold[: 6 if suits else 4])
+    for col in cards.T:
+        fold = _add_card(fold, col)
+    fmask = np.zeros(n, dtype=np.int64)
+    has_flush = np.zeros(n, dtype=bool)
+    # At most one suit reaches five cards among seven.
+    for s in suits:
+        hit = (fold[4] >> 4 * s & 0xF) >= 5
+        np.copyto(fmask, fold[5] >> 16 * s & 0x1FFF, where=hit)
+        has_flush |= hit
+    return _score_masks(*fold[:4], fmask, has_flush)
+
+
+def _add_card(fold, c):
+    """fold with card c added. fold holds rank masks m1..m4 (bit r set when
+    rank r is held at least 1..4 times) and, optionally, per-suit card counts
+    (4 bits a suit) and rank masks (16 bits a suit) packed four suits to an
+    integer. c and the entries are Python ints or arrays of one length."""
+    b = 1 << (c >> 2)
+    if len(fold) == 4:
+        m1, m2, m3, m4 = fold
+        return m1 | b, m2 | (m1 & b), m3 | (m2 & b), m4 | (m3 & b)
+    m1, m2, m3, m4, cnt, msk = fold
+    s = c & 3
+    return m1 | b, m2 | (m1 & b), m3 | (m2 & b), m4 | (m3 & b), cnt + (1 << 4 * s), msk | b << 16 * s
+
+
+# The top rank index of a mask, the top two and top three ranks already
+# shifted into the trips and pair kicker slots, and "every rank but r".
+_TOP_RANK = TOP5 >> 16
+_TRIPS_KICK = (TOP5 >> 12) << 8
+_PAIR_KICK = (TOP5 >> 8) << 4
+_CLEAR_BIT = ~(np.int64(1) << np.arange(13, dtype=np.int64))
+
+
+def _score_masks(m1, m2, m3, m4, fmask, has_flush) -> np.ndarray:
+    """Scores from per-row rank masks (m_k: ranks held at least k times) and
+    the flush suit's rank mask; same layout as hand_score."""
+    sf_top = STRAIGHT_TOP[fmask]
+    st_top = STRAIGHT_TOP[m1]
+
+    q = _TOP_RANK[m4]
+    quads = (7 << _CAT_SHIFT) | (q << 16) | (_TOP_RANK[m1 & _CLEAR_BIT[q]] << 12)
+
+    t = _TOP_RANK[m3]
+    t_clear = _CLEAR_BIT[t]
+    t_head = t << 16
+    fh_rest = m2 & t_clear
+    full = (6 << _CAT_SHIFT) | t_head | (_TOP_RANK[fh_rest] << 12)
+    trips = (3 << _CAT_SHIFT) | t_head | _TRIPS_KICK[m1 & t_clear]
+
+    p1 = _TOP_RANK[m2]
+    p1_clear = _CLEAR_BIT[p1]
+    p1_head = p1 << 16
+    rest2 = m2 & p1_clear
+    p2 = _TOP_RANK[rest2]
+    kick1 = m1 & p1_clear
+    twopair = (2 << _CAT_SHIFT) | p1_head | (p2 << 12) | (_TOP_RANK[kick1 & _CLEAR_BIT[p2]] << 8)
+    pair = (1 << _CAT_SHIFT) | p1_head | _PAIR_KICK[kick1]
+
+    # Lowest category first, so each row ends on its best one.
+    out = TOP5[m1]
+    np.copyto(out, pair, where=m2 > 0)
+    np.copyto(out, twopair, where=rest2 > 0)
+    has_trips = m3 > 0
+    np.copyto(out, trips, where=has_trips)
+    np.copyto(out, (4 << _CAT_SHIFT) | (st_top << 16), where=st_top >= 0)
+    np.copyto(out, (5 << _CAT_SHIFT) | TOP5[fmask], where=has_flush)
+    np.copyto(out, full, where=has_trips & (fh_rest > 0))
+    np.copyto(out, quads, where=m4 > 0)
+    np.copyto(out, (8 << _CAT_SHIFT) | (sf_top << 16), where=sf_top >= 0)
+    return out
 
 
 def _board_rank_tables(board: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,8 +163,8 @@ _BIG_MADE = _BIG_MADE.ravel()
 
 
 def made_classes(holes: np.ndarray, scores: np.ndarray, board: Sequence[int]) -> np.ndarray:
-    """The rsm.MadeClass of each two-card holding, from its kernel score
-    with the board: which hole cards play in the made hand."""
+    """The rsm.MadeClass of each two-card holding, from its score with the
+    board: which hole cards play in the made hand."""
     suit_counts = np.bincount([c & 3 for c in board], minlength=4)
     board_mask = 0
     for c in board:
@@ -140,8 +232,8 @@ def straight_outs(holes: np.ndarray, board: Sequence[int]) -> np.ndarray:
 
 
 def build_rank_row(ranks: Sequence[int]) -> np.ndarray:
-    """The rank table's row for a multiset of 3, 4 or 5 ranks, from the
-    kernel: each rank pair's score with the ranks, made_classes and, below
+    """The rank table's row for a multiset of 3, 4 or 5 ranks: each rank
+    pair's score with the ranks by fold_scores, made_classes and, below
     five ranks, straight_outs, packed by cards.pack_rank_entries.
 
     The ranks go on a board round-robin over the suits in sorted order (so
@@ -151,6 +243,6 @@ def build_rank_row(ranks: Sequence[int]) -> np.ndarray:
     board = [r * 4 + i % 4 for i, r in enumerate(sorted(ranks))]
     suit_counts = [sum(c & 3 == s for c in board) for s in range(4)]
     pair_cards = RANK_PAIRS * 4 + suit_counts.index(min(suit_counts))
-    scores = score_cards_batch(pair_cards, board)
+    scores = fold_scores(pair_cards, board)
     outs = straight_outs(pair_cards, board) if len(board) < 5 else 0
     return pack_rank_entries(scores, made_classes(pair_cards, scores, board), outs)

@@ -13,7 +13,6 @@ from holdemlab.cards import (
     card_str,
     equity_exhaustive,
     equity_vs_range,
-    evaluate5,
     evaluate7,
     hand_score,
     parse_cards,
@@ -23,6 +22,7 @@ from holdemlab.rangegrid import COMBO_CARDS, ComboGrid, combo_index
 from holdemlab.rsm import BoardContext
 
 from reference_eval import ref_eval7
+from reference_rank import fold_scores
 from test_rsm import _suited_boards
 
 
@@ -101,18 +101,19 @@ class TestEvaluate7:
             assert tuple(mine.tiebreak)[: len(ref) - 1] == ref[1:]
 
     def test_wheel_straights(self):
-        hv = evaluate5(cards("Ah2c3d4s5h"))
+        hv = evaluate7(cards("Ah2c"), cards("3d4s5h9cKd"))
         assert hv.category == HandCategory.STRAIGHT
         assert hv.tiebreak == (5,)
-        sf = evaluate5(cards("Ac2c3c4c5c"))
+        sf = evaluate7(cards("Ac2c"), cards("3c4c5c9dKh"))
         assert sf.category == HandCategory.STRAIGHT_FLUSH
         assert sf.tiebreak == (5,)
 
     def test_batch_agrees_with_scalar(self):
+        # the reference fold, the oracle of the rank-table scorer below
         rng = np.random.default_rng(7)
         for k in (5, 6, 7):
             deals = np.array([rng.choice(52, size=k, replace=False) for _ in range(500)])
-            batch = score_cards_batch(deals)
+            batch = fold_scores(deals)
             scalar = np.array([hand_score(tuple(int(x) for x in row)) for row in deals])
             assert (batch == scalar).all()
 
@@ -123,14 +124,14 @@ class TestEvaluate7:
                 board = rng.choice(52, size=n_board, replace=False).tolist()
                 rest = [c for c in range(52) if c not in board]
                 rows = np.array([rng.choice(rest, size=k, replace=False) for _ in range(300)])
-                shared = score_cards_batch(rows, board)
+                shared = fold_scores(rows, board)
                 scalar = np.array([hand_score(tuple(int(x) for x in row) + tuple(board)) for row in rows])
                 assert (shared == scalar).all()
                 # rows may repeat board cards (dead combos in a range sweep):
                 # they count by multiplicity exactly as in the plain batch
                 dup = np.array([rng.choice(52, size=k, replace=False) for _ in range(300)])
                 full = np.concatenate([dup, np.broadcast_to(np.array(board, dtype=np.int64), (300, n_board))], axis=1)
-                assert (score_cards_batch(dup, board) == score_cards_batch(full)).all()
+                assert (fold_scores(dup, board) == fold_scores(full)).all()
         # with holes, every hand is scored on every row: (hands, rows)
         for n_board in (0, 3, 4, 5):
             board = rng.choice(52, size=n_board, replace=False).tolist()
@@ -142,7 +143,7 @@ class TestEvaluate7:
                 live = [c for c in rest if c not in picked]
                 rows = np.array([rng.choice(live, size=5 - n_board, replace=False) for _ in range(n)])
                 rows = rows.reshape(n, 5 - n_board)
-                got = score_cards_batch(rows, board, holes=holes)
+                got = score_cards_batch(rows, board, holes)
                 assert got.shape == (n_hands, n)
                 for hole, line in zip(holes, got):
                     scalar = [hand_score((*hole, *(int(x) for x in row), *board)) for row in rows]
@@ -162,11 +163,11 @@ class TestEvaluate7:
 
     @staticmethod
     def _check_holes_against_joined_rows(rows, board, holes):
-        got = score_cards_batch(rows, board, holes=holes)
+        got = score_cards_batch(rows, board, holes)
         assert got.shape == (len(holes), len(rows))
         holes = np.asarray(holes)
         joined = np.concatenate([np.repeat(holes, len(rows), axis=0), np.tile(rows, (len(holes), 1))], axis=1)
-        assert (got == score_cards_batch(joined, board).reshape(len(holes), len(rows))).all()
+        assert (got == fold_scores(joined, board).reshape(len(holes), len(rows))).all()
 
 
 class TestRankTablePath:
@@ -181,11 +182,11 @@ class TestRankTablePath:
         TestEvaluate7._check_holes_against_joined_rows(rows, board, holes)
 
     def test_other_shapes_with_holes_are_refused(self):
-        # the fold scores rows without holes; with holes only the table's shape is served
+        # only the table's shape is served: two-card hands on five-card boards
         with pytest.raises(InvalidCardsError, match="3-card hands on 3 \\+ 2 cards"):
-            score_cards_batch(np.zeros((4, 2)), cards("KhKd7c"), holes=[[0, 1, 2]])
+            score_cards_batch(np.zeros((4, 2)), cards("KhKd7c"), [[0, 1, 2]])
         with pytest.raises(InvalidCardsError, match="2-card hands on 3 \\+ 1 cards"):
-            score_cards_batch(np.zeros((4, 1)), cards("KhKd7c"), holes=[[0, 1]])
+            score_cards_batch(np.zeros((4, 1)), cards("KhKd7c"), [[0, 1]])
 
     @staticmethod
     def _runouts(board, count=None, rng=None):

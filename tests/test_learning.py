@@ -11,7 +11,7 @@ from holdemlab.learning import (
     replay_with_perfect_info,
 )
 from holdemlab.profiles import ProfileStore
-from holdemlab.rangegrid import ComboGrid
+from holdemlab.rangegrid import ComboGrid, parse_range_lines
 from holdemlab.rsm import BoardContext, MadeClass, RsmRules, RsmTable
 from holdemlab.scenario import load_scenario, run_scenario
 from holdemlab.session import HERO_ID, SessionConfig, run_fastfold_session
@@ -177,7 +177,7 @@ class TestApplyLearning:
         rsm = RsmTable()
         store = ProfileStore()
         board = cards("9d5s2c")
-        grid = ComboGrid.from_class_weights({"AA": 1.0}).strip(board)
+        grid = parse_range_lines(["AA 1"]).strip(board)
         dist = np.zeros(11)
         dist[0] = 1.0
         rec = synthetic_record(dist, 2, "flop|NOTHING|NONE|dry", hole=tuple(cards("8h7h")))

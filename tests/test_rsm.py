@@ -16,7 +16,7 @@ from holdemlab.rsm import (
     bucket_key,
 )
 from reference_percentile import percentile_by_sorting
-from reference_rank import build_rank_row, made_classes, straight_outs
+from reference_rank import build_rank_row, fold_scores, made_classes, straight_outs
 
 
 def cards(text):
@@ -113,7 +113,7 @@ class TestBoardContextFeatures:
         boards += [tuple(rng.choice(52, size=n, replace=False).tolist()) for n in (3, 4, 5) for _ in range(40)]
         for board in boards:
             ctx = BoardContext(board)
-            scores = score_cards_batch(COMBO_CARDS, board)
+            scores = fold_scores(COMBO_CARDS, board)
             assert (ctx.scores == np.where(ctx.dead_mask, -1, scores)).all()
             assert (ctx.made == made_classes(COMBO_CARDS, scores, board)).all()
 
@@ -139,7 +139,7 @@ class TestBoardContextFeatures:
         for text in group[::order]:
             board = cards(text)
             ctx = BoardContext(board)
-            scores = score_cards_batch(COMBO_CARDS, board)
+            scores = fold_scores(COMBO_CARDS, board)
             assert (ctx.scores == np.where(ctx.dead_mask, -1, scores)).all(), text
             assert (ctx.made == made_classes(COMBO_CARDS, scores, board)).all(), text
             assert (ctx.draw == _per_combo_draw_tiers(COMBO_CARDS, board)).all(), text
@@ -149,13 +149,18 @@ class TestBoardContextFeatures:
 
     def test_percentile_of_one_combo_equals_the_table(self):
         """Counting one combo's live scores below and equal gives exactly
-        its entry of the percentile table, ties included."""
+        its entry of the percentile table, ties included: the float that
+        learning's realized category reads."""
         for text in ("9d5s2c", "KhKd7h2h", "9d5s2c2dKs", "AhKhQhJhTh", "7c7d7h7s2c"):
             ctx = BoardContext(cards(text))
             table = ctx.percentile
             live = np.flatnonzero(~ctx.dead_mask)
-            assert len(np.unique(ctx.scores[live])) < live.size  # tied scores
-            assert all(ctx.percentile_of(int(i)) == table[i] for i in live), text
+            live_scores = ctx.scores[live]
+            assert len(np.unique(live_scores)) < live.size  # tied scores
+            for i in live:
+                less = int(np.count_nonzero(live_scores < ctx.scores[i]))
+                ties = int(np.count_nonzero(live_scores == ctx.scores[i]))
+                assert (less + 0.5 * ties) / live.size == table[i], text
 
     def test_percentile_equals_sorting_every_live_score(self):
         """The percentile ranked from the 91 rank-pair scores and the flush
@@ -226,7 +231,7 @@ class TestFlushCombos:
     def _assert_matches_kernel(self, board):
         from holdemlab import rsm
 
-        scores = score_cards_batch(COMBO_CARDS, board)
+        scores = fold_scores(COMBO_CARDS, board)
         made = made_classes(COMBO_CARDS, scores, board)
         draw = _per_combo_draw_tiers(COMBO_CARDS, board)
         features = rsm._combo_features(board)

@@ -4,13 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import holdemlab
 from holdemlab.brain import Brain
 from holdemlab.cli import main as cli_main
 from holdemlab.heatmap import render_ppm, render_svg
-from holdemlab.rangegrid import ComboGrid, class_id, parse_range_lines
+from holdemlab.rangegrid import CLASS_NAMES, ComboGrid, parse_range_lines
 from holdemlab.session import SessionConfig, run_fastfold_session
 from holdemlab.metrics import all_in_adjusted
 from holdemlab.profiles import ProfileStore
@@ -218,11 +219,11 @@ class TestHeatmaps:
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         # the 169 cells come first, in class order: a heavier class is darker
         fills = re.findall(r'<rect [^>]*fill="rgb\((\d+),(\d+),(\d+)\)"', svg)[:169]
-        lightness = [sum(map(int, fills[class_id(name)])) for name in ("AA", "KK", "72o", "32o")]
+        lightness = [sum(map(int, fills[CLASS_NAMES.index(name)])) for name in ("AA", "KK", "72o", "32o")]
         assert lightness == sorted(lightness) and len(set(lightness)) == 4
 
     def test_zero_grid_uniform_minimum(self):
-        svg = render_svg(ComboGrid.zeros(), mode="169")
+        svg = render_svg(ComboGrid(np.zeros(1326)), mode="169")
         assert svg.count("rgb(247,251,255)") >= 169  # everything at the light end
 
     def test_ppm_shape(self):
@@ -403,6 +404,30 @@ class TestCli:
         bad.write_text("banana banana banana\n")
         assert cli_main(["heatmap", str(bad)]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "random-bytes"])
+    @pytest.mark.parametrize("command", ["simulate", "replay", "report", "heatmap"])
+    def test_unreadable_input_exits_2_naming_the_file(self, tmp_path, capsys, command, kind):
+        """An input path that is a directory, or a file that is not UTF-8
+        text, is an input error that names the file, not a traceback."""
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+            why = "Is a directory"
+        else:
+            path.write_bytes(b"\xff" + np.random.default_rng(5).bytes(255))  # 0xff starts no UTF-8 character
+            why = "not UTF-8 text (invalid start byte at byte 0)"
+        argv = {
+            "simulate": ["simulate", "--config", str(path), "--out", str(tmp_path / "sim")],
+            "replay": ["replay", str(path)],
+            "report": ["report", str(path)],
+            "heatmap": ["heatmap", str(path), "--out", str(tmp_path / "grid.svg")],
+        }[command]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        prefix = "bad config: " if command == "simulate" else ""
+        assert captured.err == f"error: {prefix}{path}: {why}\n" and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input"]
+
     def test_malformed_history_names_file_and_line(self, tmp_path, capsys):
         *_, path = run_and_write(tmp_path, "session.hh", hands=5)
         lines = path.read_text().splitlines()
@@ -421,12 +446,16 @@ class TestCli:
     def test_config_file(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text(
-            "[session]\nhands = 25\nseed = 8\nrake_percentage = 0.05\n"
+            "[session]\nhands = 25\nseed = 8\nrake_percentage = 0.05\ntable_id = t7\n"
             "[bots]\nwhale = 0.5\nrock = 0.5\n"
         )
         out = tmp_path / "sim"
         assert cli_main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
-        assert (out / "session_8.hh").exists()
+        history = out / "session_8.hh"
+        assert " table=t7 " in history.read_text().splitlines()[0]
+        # the history it writes, table id included, is one that report reads
+        assert cli_main(["report", str(history), "--out", str(tmp_path / "re.csv")]) == 0
+        assert (tmp_path / "re.csv").read_text() == (out / "report_8.csv").read_text()
 
     @pytest.mark.parametrize(
         "text, names",
@@ -471,6 +500,7 @@ class TestCli:
             ("rake_percentage", "-0.5", "-0.5 is not in [0, 1]"),
             ("failure_rate", "1.5", "1.5 is not in [0, 1]"),
             ("rake_cap_bb", "-1", "-1.0 is not >= 0"),
+            ("table_id", "my table", "'my table' is not an id without whitespace"),
         ],
     )
     def test_out_of_range_value_exits_2_before_writing(self, tmp_path, capsys, key, value, want):

@@ -38,6 +38,8 @@ REMOVED = (
     "brain:StyleState.baseline",
     "brain:StyleState.mode",
     "brain:StyleState.vpip_delta",
+    "cards:score_cards_batch.board",
+    "cards:score_cards_batch.holes",
     "learning:apply_learning.audit",
     "learning:apply_learning.delta_correct",
     "learning:apply_learning.delta_reinforce",
@@ -54,6 +56,7 @@ REMOVED = (
     "profiles:ProfileStore.__init__.thresholds",
     "profiles:ProfileStore.load.**kwargs",
     "profiles:classify.thresholds",
+    "profiles:recount_stats.reveals",
     "rets:PipelineStep.__init__.categories",
     "rets:PipelineStep.__init__.grid",
     "rets:PipelineStep.__init__.kill",
