@@ -16,10 +16,13 @@ failure.ini, which the script writes, sets `failure_rate = 0.05`, so that
 the timed-out hero decisions and the `fail=1` headers are pinned too. Each
 demo in demos/ runs there too (`python demos/01_cards_and_equity.py`
 and so on). Every file they write and the stdout of `report`, `replay` and
-each demo are hashed. Last comes the hero's advice, one line per decision,
-over the benchmark's seeded `advise` hands (holdembench/workloads.py). One
-`sha256  name` line is printed per output, sorted by name; diff the lines
-of two checkouts.
+each demo are hashed. Last come two inputs of the benchmark
+(holdembench/workloads.py): the hero's advice, one line per decision, over
+its seeded `advise` hands, and the seed-2023 `report` history, which its
+scripted seats play through the engine. That history holds pre-flop, flop
+and turn all-in locks with short stacks, which `simulate` rarely reaches.
+One `sha256  name` line is printed per output, sorted by name; diff the
+lines of two checkouts.
 """
 from __future__ import annotations
 
@@ -52,14 +55,19 @@ def cli(out: Path, *args: str) -> str:
     return run(out, "-m", "holdemlab.cli", *args)
 
 
-def advise_lines(seed: int, hands: int) -> list[str]:
+def bench_workloads():
+    """The benchmark's workloads module, importing the program from src/."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "holdembench")]
-    from workloads import Advise, Measurement, advise_hand
+    import workloads
 
-    advise = Advise(seed, ROOT, ROOT)
+    return workloads
+
+
+def advise_lines(workloads, seed: int, hands: int) -> list[str]:
+    advise = workloads.Advise(seed, ROOT, ROOT)
     lines: list[str] = []
-    m = Measurement()
-    advise.play(advise.new_brain(), [advise_hand(seed, i) for i in range(hands)], m, lines)
+    m = workloads.Measurement()
+    advise.play(advise.new_brain(), [workloads.advise_hand(seed, i) for i in range(hands)], m, lines)
     if m.failed:
         sys.exit("advise failed:\n" + "\n".join(m.failures[:5]))
     return lines
@@ -69,10 +77,12 @@ def digests(out: Path, advise_hands: int) -> dict[str, str]:
     cli(out, "simulate", "--hands", str(HANDS), "--seed", str(SEED), "--trace", "--out", "simulate")
     (out / "failure.ini").write_text(FAILURE_INI, encoding="utf-8")
     cli(out, "simulate", "--config", "failure.ini", "--hands", str(FAILURE_HANDS), "--seed", str(SEED), "--trace", "--out", "failure")
+    workloads = bench_workloads()
     texts = {
         "report.stdout": cli(out, "report", f"simulate/session_{SEED}.hh", "--out", "report.csv"),
         "replay.stdout": cli(out, "replay", "hand6.scn", "--out", "replay"),
-        f"advise_{SEED}_{advise_hands}.lines": "\n".join(advise_lines(SEED, advise_hands)),
+        f"advise_{SEED}_{advise_hands}.lines": "\n".join(advise_lines(workloads, SEED, advise_hands)),
+        f"report_history_{SEED}.hh": workloads.report_history(SEED)[0],
     }
     for demo in sorted((ROOT / "demos").glob("*.py")):
         texts[f"{demo.stem}.stdout"] = run(out, str(demo))

@@ -124,24 +124,17 @@ _WHEEL = (1 << 12) | 0b1111
 
 
 def _build_luts() -> tuple[np.ndarray, np.ndarray]:
+    masks = np.arange(8192, dtype=np.int64)
     straight = np.full(8192, -1, dtype=np.int64)
-    top5 = np.zeros(8192, dtype=np.int64)
-    for mask in range(8192):
-        packed = 0
-        n = 0
-        for r in range(12, -1, -1):
-            if mask >> r & 1 and n < 5:
-                packed |= r << (16 - 4 * n)
-                n += 1
-        top5[mask] = packed
-        for hi in range(12, 3, -1):
-            need = 0b11111 << (hi - 4)
-            if mask & need == need:
-                straight[mask] = hi
-                break
-        else:
-            if mask & _WHEEL == _WHEEL:
-                straight[mask] = 3
+    straight[masks & _WHEEL == _WHEEL] = 3
+    for hi in range(4, 13):  # higher straights overwrite lower ones
+        need = 0b11111 << (hi - 4)
+        straight[masks & need == need] = hi
+    ranks = np.arange(12, -1, -1, dtype=np.int64)  # highest first
+    present = masks[:, None] >> ranks & 1
+    above = np.cumsum(present, axis=1) - present  # set bits above each rank
+    nibble = ranks << 4 * np.maximum(4 - above, 0)
+    top5 = np.where((present == 1) & (above < 5), nibble, 0).sum(axis=1)
     return straight, top5
 
 

@@ -26,6 +26,12 @@ def _unreadable(path, e: OSError | UnicodeDecodeError) -> str:
     return f"{path}: {e.strerror}"
 
 
+def _unwritable(e: OSError) -> int:
+    """The input error for an output path that could not be written (a
+    directory that is a file, a missing parent): `path: why`."""
+    return _err(f"{e.filename}: {e.strerror}")
+
+
 def cmd_simulate(args) -> int:
     from .brain import Brain
     from .profiles import ProfileStore
@@ -47,36 +53,42 @@ def cmd_simulate(args) -> int:
     if args.trace:
         config.trace = True
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     history_path = out / f"session_{config.seed}.hh"
+    report_txt = out / f"report_{config.seed}.txt"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        history = open(history_path, "w", encoding="utf-8")
+    except OSError as e:
+        return _unwritable(e)
     if config.hands == 0:
-        history_path.write_text("", encoding="utf-8")
-        (out / f"report_{config.seed}.txt").write_text("hands played: 0\n", encoding="utf-8")
+        history.close()
+        try:
+            report_txt.write_text("hands played: 0\n", encoding="utf-8")
+        except OSError as e:
+            return _unwritable(e)
         print("0 hands simulated")
         return EXIT_OK
 
-    store = ProfileStore()
-    rsm = RsmTable()
-    brain = Brain(store, rsm_table=rsm, seed=config.seed, trace=config.trace)
-    history = open(history_path, "w", encoding="utf-8")
-    try:
+    with history:
+        store = ProfileStore()
+        rsm = RsmTable()
+        brain = Brain(store, rsm_table=rsm, seed=config.seed, trace=config.trace)
         result = run_fastfold_session(
             config, brain=brain, store=store,
             on_record=lambda r: history.write("\n".join(record_to_lines(r)) + "\n"),
         )
-    finally:
-        history.close()
-    report_txt = out / f"report_{config.seed}.txt"
-    report_csv = out / f"report_{config.seed}.csv"
-    report_txt.write_text(result.report.to_text() + "\n", encoding="utf-8")
-    report_csv.write_text(result.report.to_csv(), encoding="utf-8")
-    store.save(
-        str(out / f"profile_events_{config.seed}.log"),
-        str(out / f"profile_snapshot_{config.seed}.json"),
-        rsm_overlay=rsm.overlay_to_dict(),
-    )
-    if config.trace:
-        (out / f"trace_{config.seed}.txt").write_text("\n".join(result.trace_lines) + "\n", encoding="utf-8")
+    try:
+        report_txt.write_text(result.report.to_text() + "\n", encoding="utf-8")
+        (out / f"report_{config.seed}.csv").write_text(result.report.to_csv(), encoding="utf-8")
+        store.save(
+            str(out / f"profile_events_{config.seed}.log"),
+            str(out / f"profile_snapshot_{config.seed}.json"),
+            rsm_overlay=rsm.overlay_to_dict(),
+        )
+        if config.trace:
+            (out / f"trace_{config.seed}.txt").write_text("\n".join(result.trace_lines) + "\n", encoding="utf-8")
+    except OSError as e:
+        return _unwritable(e)
     print(result.report.to_text())
     print(f"\nhistory: {history_path}\nreport:  {report_txt}")
     return EXIT_OK
@@ -92,19 +104,29 @@ def cmd_replay(args) -> int:
         path = DATA_DIR / "hand6.scn"
     try:
         scenario = load_scenario(path)
-        result = run_scenario(scenario)
     except (OSError, UnicodeDecodeError) as e:
         return _err(_unreadable(path, e))
+    except (ScenarioError, ValueError) as e:
+        return _err(str(e))
+    out = Path(args.out) if args.out else None
+    if out:
+        try:  # before playing, so that a bad path fails before the trace
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            return _unwritable(e)
+    try:
+        result = run_scenario(scenario)
     except (ScenarioError, ValueError) as e:
         return _err(str(e))
     except IllegalActionError as e:
         return _err(f"{path}: the engine refused an action: {e}")
     print(result.trace_text())
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for (pid, stage), lines in result.snapshots.items():
-            (out / f"{scenario.name}_{pid}_{stage}.rng").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if out:
+        try:
+            for (pid, stage), lines in result.snapshots.items():
+                (out / f"{scenario.name}_{pid}_{stage}.rng").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        except OSError as e:
+            return _unwritable(e)
         print(f"grid snapshots written under {out}")
     if not result.passed:
         return EXIT_ASSERTION
@@ -133,7 +155,10 @@ def cmd_report(args) -> int:
     report = TrialReport.from_ledger(ledger)
     print(report.to_text())
     if args.out:
-        Path(args.out).write_text(report.to_csv(), encoding="utf-8")
+        try:
+            Path(args.out).write_text(report.to_csv(), encoding="utf-8")
+        except OSError as e:
+            return _unwritable(e)
     return EXIT_OK
 
 
@@ -158,7 +183,10 @@ def cmd_heatmap(args) -> int:
     except HeatmapError as e:
         return _err(str(e))
     out = args.out or (Path(args.snapshot).stem + "." + fmt)
-    Path(out).write_text(content, encoding="utf-8")
+    try:
+        Path(out).write_text(content, encoding="utf-8")
+    except OSError as e:
+        return _unwritable(e)
     print(f"wrote {out}")
     return EXIT_OK
 

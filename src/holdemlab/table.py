@@ -16,12 +16,20 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cards import STRAIGHT_OUTS, DealRng, card_str, hand_score, parse_cards
-from .events import ActionType, from_key
+from .events import _ACTION_KEYS, ActionType, from_key
 from .preflop import combo_percentile
 
 STREET_NAMES = ("preflop", "flop", "turn", "river")
-_PREV_STREET = {"flop": "preflop", "turn": "flop", "river": "turn"}
 STREET_CARDS = {"flop": 3, "turn": 4, "river": 5}
+
+# The engine compares actions against these module names at every action.
+_FOLD, _CHECK, _CALL = ActionType.FOLD, ActionType.CHECK, ActionType.CALL
+_BET, _RAISE, _ALL_IN = ActionType.BET, ActionType.RAISE, ActionType.ALL_IN
+_SIZED = (_BET, _RAISE, _ALL_IN)
+# A view's legal actions: unopened, and facing a bet with chips to raise or
+# without. A seat asked to act has chips, so it can always bet unopened.
+_LEGAL_FREE = ("fold", "check", "bet")
+_LEGAL_FACING, _LEGAL_FACING_SHORT = ("fold", "call", "raise"), ("fold", "call")
 
 
 class IllegalActionError(RuntimeError):
@@ -55,7 +63,7 @@ class SeatConfig:
     policy: Callable
 
 
-@dataclass(eq=False)  # a seat is compared by identity, never field by field
+@dataclass(eq=False, slots=True)  # a seat is compared by identity, never field by field
 class _Seat:
     idx: int
     player_id: str
@@ -66,10 +74,6 @@ class _Seat:
     all_in: bool = False
     street_committed: int = 0
     total_committed: int = 0
-
-    @property
-    def can_act(self) -> bool:
-        return self.in_hand and not self.all_in
 
 
 @dataclass(slots=True)
@@ -140,13 +144,21 @@ class HandRecord:
 def positions_for(active_seats: Sequence[int], button: int) -> dict[int, str]:
     """Position names clockwise from the button; heads-up button posts sb."""
     seats = sorted(active_seats)
-    n = len(seats)
     if button not in seats:
         raise ValueError("button must be an active seat")
-    start = seats.index(button)
-    ring = [seats[(start + 1 + i) % n] for i in range(n)]  # starts left of button
+    return _position_names(_clockwise_from(seats, button))
+
+
+def _clockwise_from(seats: list[int], button: int) -> list[int]:
+    """The sorted seats clockwise, starting left of the button (which ends it)."""
+    start = seats.index(button) + 1
+    return seats[start:] + seats[:start]
+
+
+def _position_names(ring: list[int]) -> dict[int, str]:
+    n = len(ring)
     if n == 2:
-        return {button: "sb", ring[0]: "bb"}
+        return {ring[1]: "sb", ring[0]: "bb"}
     names = ["sb", "bb"] + ["utg", "hj", "co"][: max(0, n - 3)] + ["btn"]
     return {seat: name for seat, name in zip(ring, names)}
 
@@ -165,52 +177,54 @@ def settle_pots(
     """Layered side-pot settlement. Every chip contributed lands in exactly
     one award; uncalled money layers fall back to their lone contributor.
     Odd cents go to winners earliest in odd_chip_order."""
-    awards = {s: 0 for s in contributions}
-    levels = sorted({c for c in contributions.values() if c > 0})
+    awards = dict.fromkeys(contributions, 0)
+    ranked = sorted(live, key=scores.__getitem__, reverse=True)  # best live hand first
+    amounts = sorted(contributions.values())
     prev = 0
-    for level in levels:
-        amount = sum(min(c, level) - min(c, prev) for c in contributions.values())
-        if amount == 0:
-            prev = level
-            continue
-        eligible = [s for s in live if contributions[s] >= level]
-        if not eligible:
+    for i, level in enumerate(amounts):
+        if level == prev:
+            continue  # no money, or a level already settled
+        # The layer from prev to level holds (level - prev) from each of the
+        # len(amounts) - i seats that contributed at least level.
+        reached = [s for s in ranked if contributions[s] >= level]
+        if reached:
+            best = scores[reached[0]]
+            winners = [s for s in reached if scores[s] == best]
+            share, rem = divmod((level - prev) * (len(amounts) - i), len(winners))
+            for s in winners:
+                awards[s] += share
+            if rem:
+                for s in [s for s in odd_chip_order if s in winners][:rem]:
+                    awards[s] += 1
+        else:
             # Money above every live stack: return to its contributors.
-            payers = [s for s, c in contributions.items() if c >= level]
-            for s in payers:
-                awards[s] += min(contributions[s], level) - prev
-            prev = level
-            continue
-        best = max(scores[s] for s in eligible)
-        winners = [s for s in eligible if scores[s] == best]
-        share, rem = divmod(amount, len(winners))
-        ordered = [s for s in odd_chip_order if s in winners]
-        for s in winners:
-            awards[s] += share
-        for s in ordered[:rem]:
-            awards[s] += 1
+            for s, c in contributions.items():
+                if c >= level:
+                    awards[s] += level - prev
         prev = level
     return awards
 
 
 def apportion_rake(awards: dict[int, int], rake_total: int) -> dict[int, int]:
     """Deduct rake from winners proportionally to what they dragged,
-    largest-remainder rounding, deterministic by seat order."""
+    largest-remainder rounding, deterministic by seat order. A seat that
+    dragged nothing pays nothing, so only the winners are apportioned."""
     pot = sum(awards.values())
-    paid = {s: 0 for s in awards}
+    paid = dict.fromkeys(awards, 0)
     if rake_total <= 0 or pot <= 0:
         return paid
-    quotas = {s: awards[s] * rake_total / pot for s in awards}
-    base = {s: int(quotas[s]) for s in awards}
+    winners = [s for s in awards if awards[s] > 0]
+    quotas = {s: awards[s] * rake_total / pot for s in winners}
+    base = {s: int(quotas[s]) for s in winners}
     rem = rake_total - sum(base.values())
-    order = sorted(awards, key=lambda s: (-(quotas[s] - base[s]), s))
-    for s in order[:rem]:
-        base[s] += 1
-    for s in awards:
+    if rem:
+        for s in sorted(winners, key=lambda s: (-(quotas[s] - base[s]), s))[:rem]:
+            base[s] += 1
+    for s in winners:
         paid[s] = min(base[s], awards[s])
     shortfall = rake_total - sum(paid.values())
     if shortfall:
-        for s in sorted(awards, key=lambda s: -awards[s]):
+        for s in sorted(winners, key=lambda s: -awards[s]):
             take = min(shortfall, awards[s] - paid[s])
             paid[s] += take
             shortfall -= take
@@ -231,7 +245,13 @@ class HandEngine:
     pot_before_cents, position, all_in)` once each action is applied and
     appended to `actions`; `on_street(street, board)` as each street is
     dealt; `on_showdown(reveals)`, a (seat, player_id, hole) triple per
-    live seat; and `on_end(record)` with the finished `HandRecord`."""
+    live seat; and `on_end(record)` with the finished `HandRecord`.
+
+    The betting state is kept as running values, updated where a seat
+    commits, folds or goes all-in, so no action rescans the seats: the pot,
+    the live seats, how many of them can still act and how many are
+    all-in, the aggressor of this street and of the one before, and each
+    seat's tuple of live opponents (reset on a fold)."""
 
     def __init__(
         self,
@@ -255,17 +275,19 @@ class HandEngine:
         self.deck = list(deck)
         self.rake_model = rake
         self.observer = observer
-        self.seats = [_Seat(i, cfg.player_id, cfg.stack_cents, cfg.policy) for i, cfg in enumerate(seats)]
-        for s in self.seats:
-            if s.stack <= 0:
-                s.in_hand = False
+        # A seat without chips sits out the hand.
+        self.seats = [
+            _Seat(i, cfg.player_id, cfg.stack_cents, cfg.policy, None, cfg.stack_cents > 0) for i, cfg in enumerate(seats)
+        ]
         self.board: list[int] = []
         self.actions: list[tuple[str, int, str, int]] = []
-        self.positions = positions_for([s.idx for s in self.seats if s.in_hand], button)
+        self._live = [s for s in self.seats if s.in_hand]
+        dealt = [s.idx for s in self._live]
+        if button not in dealt:
+            raise ValueError("button must be an active seat")
         # Seats dealt in, clockwise from the one left of the button.
-        ring = sorted(self.positions)
-        start = ring.index(button)
-        self._clockwise = [ring[(start + 1 + i) % len(ring)] for i in range(len(ring))]
+        self._clockwise = _clockwise_from(dealt, button)
+        self.positions = _position_names(self._clockwise)
         self.current_bet = 0
         self.min_raise_inc = bb_cents
         self.action_level = 0.0
@@ -273,10 +295,13 @@ class HandEngine:
         self.saw_flop = False
         self.num_limpers = 0
         self.preflop_raised = False
-        self.street_aggressor: dict[str, int | None] = {s: None for s in STREET_NAMES}
-        # Running state, kept in step with every commit and fold.
+        # Running state, kept in step with every commit, fold and all-in.
         self._pot = 0
-        self._live = [s for s in self.seats if s.in_hand]
+        self._n_can_act = len(self._live)  # live seats not all-in
+        self._n_all_in = 0  # live seats all-in
+        self._aggressor: int | None = None  # whose bet or raise set this street's level
+        self._prev_aggressor: int | None = None  # the same on the street before
+        self._live_ids: list[tuple[str, ...] | None] = [None] * len(self.seats)
         self._board_view: tuple[int, ...] = ()
 
     # -- helpers --------------------------------------------------------------
@@ -287,6 +312,11 @@ class HandEngine:
         seat.total_committed += pay
         self._pot += pay
 
+    def _set_all_in(self, seat: _Seat) -> None:
+        seat.all_in = True
+        self._n_can_act -= 1
+        self._n_all_in += 1
+
     def _order(self, street: str) -> list[_Seat]:
         clockwise = self._clockwise
         if street == "preflop":
@@ -295,7 +325,7 @@ class HandEngine:
         return [self.seats[i] for i in clockwise if self.seats[i].in_hand]
 
     def _emit_action(self, seat: _Seat, action: ActionType, pot_before: int) -> None:
-        name = action.key
+        name = _ACTION_KEYS[action]
         self.actions.append((self.street, seat.idx, name, seat.street_committed))
         if self.observer:
             self.observer.on_action(
@@ -309,16 +339,22 @@ class HandEngine:
                 seat.all_in,
             )
 
-    def legal_actions(self, seat: _Seat) -> tuple[str, ...]:
-        to_call = self.current_bet - seat.street_committed
-        if to_call <= 0:
-            return ("fold", "check", "bet") if seat.stack > 0 else ("fold", "check")
-        return ("fold", "call", "raise") if seat.stack > to_call else ("fold", "call")
-
     def build_view(self, seat: _Seat) -> PolicyView:
-        to_call = max(0, self.current_bet - seat.street_committed)
-        others = [s for s in self._live if s is not seat]
-        prev = self.street_aggressor.get(_PREV_STREET.get(self.street))
+        """The view of a seat that can act: it is live and not all-in, so
+        every all-in counted is an opponent's."""
+        stack = seat.stack
+        to_call = self.current_bet - seat.street_committed
+        if to_call > 0:
+            legal = _LEGAL_FACING if stack > to_call else _LEGAL_FACING_SHORT
+            facing_allin = self._n_all_in > 0
+        else:
+            to_call = 0
+            legal = _LEGAL_FREE
+            facing_allin = False
+        ids = self._live_ids[seat.idx]
+        if ids is None:
+            ids = self._live_ids[seat.idx] = tuple([s.player_id for s in self._live if s is not seat])
+        prev = self._prev_aggressor
         # Positional, in field order: a view is built for every action, and
         # binding two dozen keywords costs more than the rest of this method.
         return PolicyView(
@@ -328,45 +364,49 @@ class HandEngine:
             seat.hole,  # hole
             self._board_view,  # board
             self._pot,  # pot_cents
-            min(to_call, seat.stack),  # to_call_cents
+            min(to_call, stack),  # to_call_cents
             self.current_bet,  # current_bet_cents
             seat.street_committed,  # street_committed_cents
-            seat.stack,  # stack_cents
+            stack,  # stack_cents
             self.current_bet + self.min_raise_inc,  # min_raise_to_cents
             self.bb,  # bb_cents
             self.num_limpers,  # num_limpers
-            to_call > 0 and any([s.all_in for s in others]),  # facing_allin
+            facing_allin,  # facing_allin
             self.preflop_raised,  # preflop_raised
             prev,  # prev_street_aggressor
             prev == seat.idx,  # is_prev_street_aggressor
             self.action_level,  # action_level
-            tuple([s.player_id for s in others]),  # live_player_ids
-            self.legal_actions(seat),  # legal
+            ids,  # live_player_ids
+            legal,  # legal
         )
 
     # -- betting ----------------------------------------------------------------
 
     def _apply(self, seat: _Seat, action: ActionType, amount_cents: int) -> bool:
-        """Apply a validated action; returns True if the bet level rose."""
+        """Apply a validated action of a seat that can act and log it as
+        played; returns True if the bet level rose."""
         pot_before = self._pot
         to_call = self.current_bet - seat.street_committed
-        if action == ActionType.FOLD:
+        raised = False
+        if action == _FOLD:
             seat.in_hand = False
             self._live.remove(seat)
-        elif action == ActionType.CHECK:
-            if to_call > 0:
-                raise IllegalActionError(f"{seat.player_id} checked facing a bet")
-        elif action == ActionType.CALL:
+            self._n_can_act -= 1
+            self._live_ids = [None] * len(self.seats)
+        elif action == _CALL:
             if to_call <= 0:
                 raise IllegalActionError(f"{seat.player_id} called with nothing to call")
             self._commit(seat, min(to_call, seat.stack))
             if seat.stack == 0:
-                seat.all_in = True
-        elif action in (ActionType.BET, ActionType.RAISE, ActionType.ALL_IN):
+                self._set_all_in(seat)
+        elif action == _CHECK:
+            if to_call > 0:
+                raise IllegalActionError(f"{seat.player_id} checked facing a bet")
+        elif action in _SIZED:
             target = amount_cents
-            if action == ActionType.ALL_IN:
+            if action == _ALL_IN:
                 target = seat.street_committed + seat.stack
-            if action == ActionType.BET and to_call > 0:
+            if action == _BET and to_call > 0:
                 raise IllegalActionError(f"{seat.player_id} bet into a live bet")
             pay = target - seat.street_committed
             if pay <= 0 or pay > seat.stack:
@@ -377,81 +417,75 @@ class HandEngine:
                     raise IllegalActionError(f"{seat.player_id} raise to {target} does not exceed {self.current_bet}")
                 # short all-in that cannot even match: acts as a call
                 self._commit(seat, pay)
-                seat.all_in = True
-                self._emit_action(seat, ActionType.CALL, pot_before)
-                return False
-            min_to = self.current_bet + self.min_raise_inc
-            if target < min_to and not all_in:
-                raise IllegalActionError(f"{seat.player_id} raise to {target} below minimum {min_to}")
-            was_opening = self.current_bet == 0
-            inc = target - self.current_bet
-            if was_opening:
-                self.min_raise_inc = max(self.bb, inc)
-            elif inc >= self.min_raise_inc:
-                self.min_raise_inc = inc
-            self._commit(seat, pay)
-            if pot_before > 0:
-                self.action_level += pay / pot_before
-            self.current_bet = target
-            seat.all_in = all_in
-            if self.street == "preflop":
-                self.preflop_raised = True
-            self.street_aggressor[self.street] = seat.idx
-            if all_in:
-                name = ActionType.ALL_IN
+                self._set_all_in(seat)
+                action = _CALL
             else:
-                name = ActionType.BET if was_opening else ActionType.RAISE
-            self._emit_action(seat, name, pot_before)
-            return True
+                min_to = self.current_bet + self.min_raise_inc
+                if target < min_to and not all_in:
+                    raise IllegalActionError(f"{seat.player_id} raise to {target} below minimum {min_to}")
+                was_opening = self.current_bet == 0
+                inc = target - self.current_bet
+                if was_opening:
+                    self.min_raise_inc = max(self.bb, inc)
+                elif inc >= self.min_raise_inc:
+                    self.min_raise_inc = inc
+                self._commit(seat, pay)
+                if pot_before > 0:
+                    self.action_level += pay / pot_before
+                self.current_bet = target
+                if all_in:
+                    self._set_all_in(seat)
+                if self.street == "preflop":
+                    self.preflop_raised = True
+                self._aggressor = seat.idx
+                if all_in:
+                    action = _ALL_IN
+                else:
+                    action = _BET if was_opening else _RAISE
+                raised = True
         else:
             raise IllegalActionError(f"unknown action {action}")
         self._emit_action(seat, action, pot_before)
-        return False
+        return raised
 
     def _betting_round(self) -> None:
+        preflop = self.street == "preflop"
         order = self._order(self.street)
         live = self._live
         if len(live) <= 1:
             return
-        if self.street != "preflop":
+        if not preflop:
             self.current_bet = 0
             self.min_raise_inc = self.bb
             for s in self.seats:
                 s.street_committed = 0
-            if sum(1 for s in order if s.can_act) <= 1:
+            if self._n_can_act <= 1:
                 return  # nothing left to contest, run the board out
-        pending = deque(s for s in order if s.can_act)
+        # order holds only live seats; one that is not all-in can act.
+        pending = deque([s for s in order if not s.all_in])
         guard = 0
         while pending:
             guard += 1
             if guard > 500:
                 raise IllegalActionError("betting round failed to close")
             seat = pending.popleft()
-            # A seat that can act is live, so a second live seat is an opponent.
-            if not seat.can_act or len(live) <= 1:
+            if not seat.in_hand or seat.all_in or len(live) <= 1:
                 continue
-            to_call = self.current_bet - seat.street_committed
-            if to_call <= 0 and not any(o.can_act for o in live if o is not seat):
+            # This seat can act, so another that can is an opponent.
+            if self.current_bet <= seat.street_committed and self._n_can_act <= 1:
                 continue  # everyone else is all-in and matched; betting is moot
             action, amount = seat.policy(self.build_view(seat))
-            if self.street == "preflop" and action == ActionType.CALL and not self.preflop_raised:
+            if preflop and action == _CALL and not self.preflop_raised:
                 self.num_limpers += 1
-            reopened = self._apply(seat, action, amount)
-            if reopened:
-                start = order.index(seat)
-                pending = deque(
-                    order[(start + k) % len(order)]
-                    for k in range(1, len(order))
-                    if order[(start + k) % len(order)].can_act
-                )
+            if self._apply(seat, action, amount):
+                start = order.index(seat) + 1
+                pending = deque([s for s in order[start:] + order[: start - 1] if s.in_hand and not s.all_in])
 
     def _deal_holes(self) -> None:
         it = iter(self.deck)
-        for s in self.seats:
-            if s.in_hand:
-                a, b = next(it), next(it)
-                s.hole = (a, b)
-        self._deck_pos = 2 * len([s for s in self.seats if s.hole])
+        for s in self._live:
+            s.hole = (next(it), next(it))
+        self._deck_pos = 2 * len(self._live)
 
     def _deal_board(self, upto: int) -> None:
         while len(self.board) < upto:
@@ -460,32 +494,35 @@ class HandEngine:
         self._board_view = tuple(self.board)
 
     def _post_blinds(self) -> None:
-        sb_seat = next(s for s in self.seats if self.positions.get(s.idx) == "sb")
-        bb_seat = next(s for s in self.seats if self.positions.get(s.idx) == "bb")
-        for seat, amount in ((sb_seat, self.sb), (bb_seat, self.bb)):
+        ring = self._clockwise  # heads-up, the button (last) posts the small blind
+        sb_idx, bb_idx = (ring[1], ring[0]) if len(ring) == 2 else (ring[0], ring[1])
+        for idx, amount in ((sb_idx, self.sb), (bb_idx, self.bb)):
+            seat = self.seats[idx]
             self._commit(seat, min(amount, seat.stack))
             if seat.stack == 0:
-                seat.all_in = True
+                self._set_all_in(seat)
         self.current_bet = self.bb
         self.min_raise_inc = self.bb
 
     def run(self) -> HandRecord:
         if self.observer:
             self.observer.on_begin(self)
-        start_stacks = {s.idx: s.stack for s in self.seats}
+        seats = self.seats
+        start_stacks = [s.stack for s in seats]
         self._deal_holes()
         self._post_blinds()
         for street in STREET_NAMES:
             self.street = street
             if street != "preflop":
+                self._prev_aggressor, self._aggressor = self._aggressor, None
                 self._deal_board(STREET_CARDS[street])
                 if street == "flop":
                     self.saw_flop = True
                 if self.observer:
-                    self.observer.on_street(street, tuple(self.board))
+                    self.observer.on_street(street, self._board_view)
             if len(self._live) <= 1:
                 break
-            if sum(1 for s in self._live if s.can_act) >= 2 or street == "preflop":
+            if self._n_can_act >= 2 or street == "preflop":
                 self._betting_round()
             if len(self._live) <= 1:
                 break
@@ -494,42 +531,40 @@ class HandEngine:
         scores: dict[int, int] = {}
         if len(live) > 1:  # no street broke the loop, so the river is dealt
             for s in live:
-                scores[s.idx] = hand_score(s.hole + tuple(self.board))
+                scores[s.idx] = hand_score(s.hole + self._board_view)
                 showdown.append((s.idx, s.hole))
             if self.observer:
                 self.observer.on_showdown([(s.idx, s.player_id, s.hole) for s in live])
         else:
             scores[live[0].idx] = 1
-        contributions = {s.idx: s.total_committed for s in self.seats}
+        contributions = {s.idx: s.total_committed for s in seats}
         awards = settle_pots(contributions, {s.idx for s in live}, scores, self._clockwise)
         # Uncalled excess above the second-highest contribution is not raked.
         levels = sorted(contributions.values())
-        callable_cap = levels[-2] if len(levels) >= 2 else 0
-        raked_pot = sum(min(c, callable_cap) for c in contributions.values())
+        raked_pot = self._pot - (levels[-1] - levels[-2])
         rake_total = self.rake_model.rake_for(raked_pot, self.bb, self.saw_flop)
         rake_paid = apportion_rake(awards, rake_total)
         net: dict[int, int] = {}
-        for s in self.seats:
-            gain = awards.get(s.idx, 0) - rake_paid.get(s.idx, 0)
-            s.stack += gain
+        for s in seats:
+            s.stack += awards[s.idx] - rake_paid[s.idx]
             net[s.idx] = s.stack - start_stacks[s.idx]
         assert sum(net.values()) + sum(rake_paid.values()) == 0, "chip conservation violated"
         paid = [s for s in awards if awards[s] or rake_paid[s]]  # the seats an AWARD line lists
         record = HandRecord(
-            hand_id=self.hand_id,
-            table_id=self.table_id,
-            button=self.button,
-            sb_cents=self.sb,
-            bb_cents=self.bb,
-            seats=tuple([(s.idx, s.player_id, start_stacks[s.idx]) for s in self.seats]),
-            holes={s.idx: s.hole for s in self.seats if s.hole},
-            board=tuple(self.board),
-            actions=tuple(self.actions),
-            showdown=tuple(showdown),
-            awards={s: awards[s] for s in paid},
-            rake_paid={s: rake_paid[s] for s in paid},
-            net=net,
-            saw_flop=self.saw_flop,
+            self.hand_id,
+            self.table_id,
+            self.button,
+            self.sb,
+            self.bb,
+            tuple([(s.idx, s.player_id, start_stacks[s.idx]) for s in seats]),  # seats
+            {s.idx: s.hole for s in seats if s.hole},  # holes
+            self._board_view,  # board
+            tuple(self.actions),  # actions
+            tuple(showdown),  # showdown
+            {s: awards[s] for s in paid},  # awards
+            {s: rake_paid[s] for s in paid},  # rake_paid
+            net,
+            self.saw_flop,
         )
         if self.observer:
             self.observer.on_end(record)
@@ -825,27 +860,29 @@ _HEADER = re.compile(
 )
 
 
+# Each card index's two-character name, read by record_to_lines for every
+# HOLE, BOARD and SHOW line.
+_CARD_NAMES = tuple(card_str(i) for i in range(52))
+
+
 def record_to_lines(record: HandRecord) -> list[str]:
+    name = _CARD_NAMES
     lines = [
         f"{HISTORY_VERSION} hand={record.hand_id} table={record.table_id} btn={record.button} "
         f"sb={record.sb_cents} bb={record.bb_cents} flop={int(record.saw_flop)} fail={int(record.failure_injected)}"
     ]
-    for seat, pid, stack in record.seats:
-        lines.append(f"SEAT {seat} {pid} {stack}")
-    for seat in sorted(record.holes):
-        a, b = record.holes[seat]
-        lines.append(f"HOLE {seat} {card_str(a)}{card_str(b)}")
+    lines += [f"SEAT {seat} {pid} {stack}" for seat, pid, stack in record.seats]
+    holes = record.holes
+    lines += [f"HOLE {seat} {name[holes[seat][0]]}{name[holes[seat][1]]}" for seat in sorted(holes)]
     if record.board:
-        lines.append("BOARD " + "".join(card_str(c) for c in record.board))
-    for street, seat, action, committed in record.actions:
-        lines.append(f"ACT {street} {seat} {action} {committed}")
-    for seat, (a, b) in record.showdown:
-        lines.append(f"SHOW {seat} {card_str(a)}{card_str(b)}")
-    for seat in sorted(record.awards):
-        if record.awards[seat] or record.rake_paid.get(seat, 0):
-            lines.append(f"AWARD {seat} {record.awards[seat]} {record.rake_paid.get(seat, 0)}")
-    for seat in sorted(record.net):
-        lines.append(f"NET {seat} {record.net[seat]}")
+        lines.append("BOARD " + "".join([name[c] for c in record.board]))
+    lines += [f"ACT {street} {seat} {action} {committed}" for street, seat, action, committed in record.actions]
+    lines += [f"SHOW {seat} {name[a]}{name[b]}" for seat, (a, b) in record.showdown]
+    awards, rake_paid = record.awards, record.rake_paid
+    for seat in sorted(awards):
+        if awards[seat] or rake_paid.get(seat, 0):
+            lines.append(f"AWARD {seat} {awards[seat]} {rake_paid.get(seat, 0)}")
+    lines += [f"NET {seat} {record.net[seat]}" for seat in sorted(record.net)]
     lines.append("END")
     return lines
 
@@ -863,7 +900,7 @@ def write_history(records: Iterable[HandRecord], path: str) -> None:
 # Board fields are read two characters at a time through the one-card
 # entries. A field the tables miss goes through parse_cards, which accepts
 # more spellings ("ah", "AH") and words the errors.
-_CARD_OF = {card_str(i): i for i in range(52)}
+_CARD_OF = {text: i for i, text in enumerate(_CARD_NAMES)}
 _TWO_CARDS_OF = {a + b: (i, j) for a, i in _CARD_OF.items() for b, j in _CARD_OF.items()}
 
 

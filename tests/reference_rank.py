@@ -8,6 +8,8 @@ Each row of the shipped table (holdemlab.cards.rank_table) is what
 `straight_outs`. `scripts/make_rank_table.py` builds the table with it.
 The tests use `fold_scores` as the oracle for `cards.score_cards_batch`
 and the rest for `BoardContext`'s features on any board, flushes included.
+`rank_mask_tables` is the one-mask-at-a-time oracle for the lookup tables
+`cards` builds with numpy at import (STRAIGHT_TOP and TOP5).
 """
 from __future__ import annotations
 
@@ -246,3 +248,29 @@ def build_rank_row(ranks: Sequence[int]) -> np.ndarray:
     scores = fold_scores(pair_cards, board)
     outs = straight_outs(pair_cards, board) if len(board) < 5 else 0
     return pack_rank_entries(scores, made_classes(pair_cards, scores, board), outs)
+
+
+def rank_mask_tables() -> tuple[np.ndarray, np.ndarray]:
+    """STRAIGHT_TOP and TOP5, one 13-bit rank mask at a time: the top rank
+    of the best straight in the mask (the wheel's top is 3), or -1; and the
+    mask's five highest ranks packed into nibbles, highest at bit 16."""
+    straight = np.full(8192, -1, dtype=np.int64)
+    top5 = np.zeros(8192, dtype=np.int64)
+    wheel = (1 << 12) | 0b1111
+    for mask in range(8192):
+        packed = 0
+        n = 0
+        for r in range(12, -1, -1):
+            if mask >> r & 1 and n < 5:
+                packed |= r << (16 - 4 * n)
+                n += 1
+        top5[mask] = packed
+        for hi in range(12, 3, -1):
+            need = 0b11111 << (hi - 4)
+            if mask & need == need:
+                straight[mask] = hi
+                break
+        else:
+            if mask & wheel == wheel:
+                straight[mask] = 3
+    return straight, top5

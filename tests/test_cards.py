@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from holdemlab.cards import (
+    STRAIGHT_TOP,
+    TOP5,
     Card,
     DealRng,
     HandCategory,
@@ -22,7 +24,7 @@ from holdemlab.rangegrid import COMBO_CARDS, ComboGrid, combo_index
 from holdemlab.rsm import BoardContext
 
 from reference_eval import ref_eval7
-from reference_rank import fold_scores
+from reference_rank import fold_scores, rank_mask_tables
 from test_rsm import _suited_boards
 
 
@@ -52,6 +54,12 @@ class TestCardBasics:
             Card.parse("Xx")
         with pytest.raises(InvalidCardsError):
             Card(15, 0)
+
+
+def test_rank_mask_tables_equal_the_one_mask_at_a_time_oracle():
+    straight, top5 = rank_mask_tables()
+    assert STRAIGHT_TOP.dtype == straight.dtype and np.array_equal(STRAIGHT_TOP, straight)
+    assert TOP5.dtype == top5.dtype and np.array_equal(TOP5, top5)
 
 
 class TestEvaluate7:

@@ -428,6 +428,30 @@ class TestCli:
         assert captured.err == f"error: {prefix}{path}: {why}\n" and captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["input"]
 
+    @pytest.mark.parametrize("command", ["simulate", "replay", "report", "heatmap"])
+    def test_unwritable_output_exits_2_naming_the_path(self, tmp_path, capsys, command):
+        """An output directory that is a file, or an output file in a missing
+        directory, is an input error that names the path, not a traceback;
+        replay finds it out before it plays."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        orphan = tmp_path / "nodir" / "out"
+        snapshot = tmp_path / "grid.rng"
+        snapshot.write_text("AA 1\n")
+        *_, history = run_and_write(tmp_path, "session.hh", hands=5)
+        argv, path, why = {
+            "simulate": (["simulate", "--hands", "3", "--out", str(taken)], taken, "File exists"),
+            "replay": (["replay", "hand6.scn", "--out", str(taken)], taken, "File exists"),
+            "report": (["report", str(history), "--out", str(orphan)], orphan, "No such file or directory"),
+            "heatmap": (["heatmap", str(snapshot), "--out", str(orphan)], orphan, "No such file or directory"),
+        }[command]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {why}\n"
+        if command != "report":  # report prints the report before it writes the CSV
+            assert captured.out == ""
+        assert taken.read_text() == "" and not orphan.parent.exists()
+
     def test_malformed_history_names_file_and_line(self, tmp_path, capsys):
         *_, path = run_and_write(tmp_path, "session.hh", hands=5)
         lines = path.read_text().splitlines()

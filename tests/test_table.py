@@ -10,6 +10,7 @@ from holdemlab.table import (
     BotPolicy,
     HistoryFormatError,
     IllegalActionError,
+    PolicyView,
     RakeModel,
     SeatConfig,
     parse_history,
@@ -21,7 +22,8 @@ from holdemlab.table import (
     write_history,
 )
 
-from reference_eval import ref_settle
+from reference_eval import ref_eval7, ref_settle
+from reference_view import ref_view
 
 
 class AlwaysFold:
@@ -123,6 +125,121 @@ class TestSettlement:
         contributions = {0: 50, 1: 50, 2: 1}
         awards = settle_pots(contributions, {0, 1}, {0: 5, 1: 5, 2: 0}, [1, 2, 0])
         assert awards[1] == 51 and awards[0] == 50
+
+
+class RandomLegalTable:
+    """Seats that pick a random legal action, and the observer that checks
+    every view the engine builds against `ref_view`. Bets and raises are
+    sized anywhere from the minimum to all-in, and all-ins are pushed
+    whatever the price, so short all-ins that only call come up too."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.engine = None
+        self.views = 0
+
+    def seat(self, player_id):
+        return lambda view: self.act(player_id, view)
+
+    def act(self, player_id, view):
+        engine = self.engine
+        seat = next(s for s in engine.seats if s.player_id == player_id)
+        assert seat.in_hand and not seat.all_in, f"{player_id} asked to act but cannot"
+        others_act = any(s.in_hand and not s.all_in for s in engine.seats if s is not seat)
+        assert view.to_call_cents > 0 or others_act, f"{player_id} asked with nothing to contest"
+        if engine.street != "preflop":
+            assert self.can_act_at_deal[engine.street] >= 2, f"betting on a {engine.street} nobody can contest"
+        ref = ref_view(engine, seat)
+        for name in PolicyView.__dataclass_fields__:
+            assert getattr(view, name) == getattr(ref, name), (
+                f"hand {view.hand_id} {view.street} {player_id}: {name} {getattr(view, name)!r} != {getattr(ref, name)!r}"
+            )
+        self.views += 1
+        r = self.rng.random()
+        if r < 0.1:
+            return (ActionType.FOLD, 0)
+        if r < 0.22:
+            return (ActionType.ALL_IN, 0)
+        cap = view.street_committed_cents + view.stack_cents
+        if r < 0.45 and view.legal[-1] in ("bet", "raise"):
+            low = min(view.min_raise_to_cents, cap)
+            target = int(self.rng.integers(low, cap + 1))
+            return (ActionType.BET if view.legal[-1] == "bet" else ActionType.RAISE, target)
+        return (ActionType.CHECK, 0) if view.to_call_cents <= 0 else (ActionType.CALL, 0)
+
+    # -- observer ---------------------------------------------------------------
+
+    def on_begin(self, engine):
+        self.engine = engine
+        self.can_act_at_deal = {}
+
+    def on_action(self, *args):
+        pass
+
+    def on_street(self, street, board):
+        self.can_act_at_deal[street] = sum(1 for s in self.engine.seats if s.in_hand and not s.all_in)
+
+    def on_showdown(self, reveals):
+        pass
+
+    def on_end(self, record):
+        pass
+
+
+def random_stack(rng, bb):
+    kind = rng.random()
+    if kind < 0.1:
+        return 0
+    if kind < 0.35:
+        return int(rng.integers(1, 3 * bb + 1))
+    if kind < 0.75:
+        return int(rng.integers(1, 100 * bb))
+    return int(rng.integers(100 * bb, 2000 * bb))
+
+
+class TestViews:
+    def test_views_and_awards_match_the_reference_on_random_hands(self):
+        """Random legal play at 2-6 seats with stacks from one cent to deep
+        and some seats with no chips: every view equals the one computed from
+        scratch, and every hand's awards equal the settlement oracle's."""
+        rng = np.random.default_rng(424242)
+        tbl = RandomLegalTable(rng)
+        blinds_all_in = calls_all_in = showdowns = 0
+        for hand_id in range(1, 1501):
+            n = int(rng.integers(2, 7))
+            sb, bb = ((1, 2), (5, 10))[int(rng.integers(2))]
+            stacks = [random_stack(rng, bb) for _ in range(n)]
+            while sum(1 for c in stacks if c > 0) < 2:
+                stacks[int(rng.integers(n))] = random_stack(rng, bb) or bb
+            button = int(rng.choice([i for i, c in enumerate(stacks) if c > 0]))
+            seats = [SeatConfig(f"p{i}", stacks[i], tbl.seat(f"p{i}")) for i in range(n)]
+            deck = [int(c) for c in rng.permutation(52)]
+            record = play_hand(hand_id, "t", seats, button, sb, bb, deck, observer=tbl)
+            engine = tbl.engine
+
+            contributions = {s.idx: s.total_committed for s in engine.seats}
+            live = {s.idx for s in engine.seats if s.in_hand}
+            # ref_settle gives odd cents to the lowest seat; the engine gives
+            # them clockwise from the button's left, so relabel seats that way.
+            dealt = sorted(s.idx for s in engine.seats if s.hole)
+            start = dealt.index(button)
+            order = [dealt[(start + 1 + i) % len(dealt)] for i in range(len(dealt))]
+            order += [s.idx for s in engine.seats if not s.hole]
+            label = {seat: i for i, seat in enumerate(order)}
+            ranking = {label[s]: (0,) for s in live}
+            if len(live) > 1:
+                ranking = {label[s]: ref_eval7(engine.seats[s].hole, record.board) for s in live}
+                showdowns += 1
+            ref = ref_settle({label[s]: c for s, c in contributions.items()}, {label[s] for s in live}, ranking)
+            assert {s: record.awards.get(s, 0) for s in contributions} == {s: ref[label[s]] for s in contributions}, (
+                f"hand {hand_id}"
+            )
+            assert sum(record.net.values()) + record.total_rake() == 0
+            blinds_all_in += sum(1 for s in engine.seats if s.all_in and not any(a[1] == s.idx for a in record.actions))
+            calls_all_in += sum(1 for st, s, a, c in record.actions if a == "call" and engine.seats[s].all_in)
+        # The hands reach the cases the running counts must follow.
+        assert tbl.views > 5000
+        assert blinds_all_in > 50 and calls_all_in > 500 and showdowns > 500
 
 
 class TestReplay:
