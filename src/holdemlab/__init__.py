@@ -14,7 +14,6 @@ from .cards import (
     parse_cards,
 )
 from .rangegrid import (
-    ClassGrid169,
     ComboGrid,
     assign_preflop_range,
     load_range_file,
@@ -59,7 +58,6 @@ __all__ = [
     "equity_vs_range",
     "evaluate7",
     "parse_cards",
-    "ClassGrid169",
     "ComboGrid",
     "assign_preflop_range",
     "load_range_file",

@@ -115,7 +115,6 @@ class DecisionContext:
     hero_is_aggressor: bool
     legal: tuple[str, ...]
     live_player_ids: tuple[str, ...]
-    big_blind_bb: float = 1.0
     num_limpers: int = 0
     facing_allin: bool = False
     opponents: list[OpponentRead] = field(default_factory=list)
@@ -151,6 +150,7 @@ SOURCE_WEIGHTS = {"GA": 1.0, "SAD": 1.3, "Lawnmower": 1.1}
 EXPLOIT_THRESHOLD = 0.7
 SPR_COMMIT = 1.5
 BET_SIZES_POT = (0.33, 0.5, 0.75, 1.0)
+BIG_BLIND_BB = 1.0  # sizes are in big blinds; no bet is smaller than one
 # HAA perturbation bounds and the camouflage trigger
 VPIP_JITTER = 0.03
 AGGR_JITTER = 0.15
@@ -385,7 +385,7 @@ class Brain:
 
     def _size_from_menu(self, ctx: DecisionContext, pot_fraction: float) -> float:
         pick = min(BET_SIZES_POT, key=lambda m: abs(m - pot_fraction))
-        return max(ctx.big_blind_bb, round(pick * ctx.pot_bb, 2))
+        return max(BIG_BLIND_BB, round(pick * ctx.pot_bb, 2))
 
     def _ensure_reads(self, ctx: DecisionContext) -> None:
         """Give a decision the street's BoardContext and its live reads;
@@ -645,7 +645,7 @@ class Brain:
             act = ActionType.FOLD
         if act == ActionType.BET:
             size = min(size, ctx.hero_stack_bb)
-            size = max(size, min(ctx.big_blind_bb, ctx.hero_stack_bb))
+            size = max(size, min(BIG_BLIND_BB, ctx.hero_stack_bb))
         elif act == ActionType.RAISE:
             max_to = ctx.hero_stack_bb + 0.0  # engine treats raise-to beyond stack as all-in
             size = min(size, max_to + ctx.to_call_bb + ctx.pot_bb)  # loose cap; engine clamps exactly

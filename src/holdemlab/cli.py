@@ -86,7 +86,7 @@ def cmd_simulate(args) -> int:
             rsm_overlay=rsm.overlay_to_dict(),
         )
         if config.trace:
-            (out / f"trace_{config.seed}.txt").write_text("\n".join(result.trace_lines) + "\n", encoding="utf-8")
+            (out / f"trace_{config.seed}.txt").write_text("\n".join(brain.trace_lines) + "\n", encoding="utf-8")
     except OSError as e:
         return _unwritable(e)
     print(result.report.to_text())
@@ -148,6 +148,9 @@ def cmd_report(args) -> int:
     if not any(r.hero_seat_of(args.hero) is not None for r in records):
         return _err(f"{args.history}: hero {args.hero!r} is in no hand")
     bb = records[0].bb_cents
+    odd = next((r for r in records if r.bb_cents != bb), None)
+    if odd is not None:  # BB/100 needs one big blind
+        return _err(f"{args.history}: hand {odd.hand_id} has bb={odd.bb_cents}, the first hand bb={bb}")
     try:
         ledger = ledger_from_records(records, args.hero, bb, rakeback_rate=args.rakeback_rate)
     except LedgerError as e:

@@ -1,20 +1,19 @@
-"""Shared action/street vocabulary and the witnessed-event record."""
+"""The street and action vocabulary, in the engine's words, and the
+witnessed-event record.
+
+A witnessed action keeps the words the engine logs ("flop", "allin") from
+the table to the profile store and its event log. `ActionType` names the
+same actions for the policies that emit them; `from_key` reads an action
+word from outside text (scenario scripts, scripted seats).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TypeVar
 
-
-class Street(IntEnum):
-    PREFLOP = 0
-    FLOP = 1
-    TURN = 2
-    RIVER = 3
-
-    @property
-    def key(self) -> str:
-        return self.name.lower()
+STREETS = ("preflop", "flop", "turn", "river")  # in the order they are dealt
+STREET_CARDS = {"flop": 3, "turn": 4, "river": 5}  # board cards out once the street is dealt
+ACTIONS = ("fold", "check", "call", "bet", "raise", "allin")  # ActionType's words, in its order
 
 
 class ActionType(IntEnum):
@@ -27,38 +26,40 @@ class ActionType(IntEnum):
 
     @property
     def key(self) -> str:
-        return _ACTION_KEYS[self]
+        return ACTIONS[self]
 
 
-_ACTION_KEYS = tuple({"ALL_IN": "allin"}.get(a.name, a.name.lower()) for a in ActionType)
-
-_Keyed = TypeVar("_Keyed", Street, ActionType)
-_BY_KEY = {kind: {m.key: m for m in kind} for kind in (Street, ActionType)}
+_ACTION_OF = {word: ActionType(i) for i, word in enumerate(ACTIONS)}
 
 
-def from_key(kind: type[_Keyed], word: str) -> _Keyed:
-    """The `Street` or `ActionType` member whose `key` is `word`, in any
-    case ("flop", "allin"). An unknown word raises ValueError naming it."""
-    member = _BY_KEY[kind].get(word.lower())
-    if member is None:
-        raise ValueError(f"unknown {kind.__name__} {word!r}")
-    return member
+def from_key(word: str) -> ActionType:
+    """The `ActionType` whose word is `word`, in any case ("call", "ALLIN").
+    An unknown word raises ValueError naming it."""
+    action = _ACTION_OF.get(word.lower())
+    if action is None:
+        raise ValueError(f"unknown ActionType {word!r}")
+    return action
 
 
 @dataclass(frozen=True)
 class ActionEvent:
-    """One witnessed table action. Amounts are in big blinds; the event log
-    is append-only, so derived statistics stay recomputable from scratch."""
+    """One witnessed table action, in the engine's words. Amounts are in big
+    blinds; the event log is append-only, so derived statistics stay
+    recomputable from scratch."""
 
     hand_id: int
     player_id: str
-    street: Street
-    action: ActionType
+    street: str  # one of STREETS
+    action: str  # one of ACTIONS
     amount_bb: float  # total committed by this action, 0 for fold/check
     pot_before_bb: float
     position: str
-    timestamp: float = 0.0
+    timestamp: float
 
     def __post_init__(self):
+        if self.street not in STREETS:
+            raise ValueError(f"unknown street {self.street!r}")
+        if self.action not in ACTIONS:
+            raise ValueError(f"unknown action {self.action!r}")
         if self.amount_bb < 0 or self.pot_before_bb < 0:
             raise ValueError("amounts must be nonnegative")

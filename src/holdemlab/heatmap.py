@@ -26,10 +26,6 @@ def _shade(weight: float, wmax: float) -> tuple[int, int, int]:
     return tuple(int(round(l + (d - l) * t)) for l, d in zip(_LIGHT, _DARK))
 
 
-def _class_matrix(grid: ComboGrid) -> np.ndarray:
-    return grid.class_view().weights
-
-
 def _combo_matrix(grid: ComboGrid) -> np.ndarray:
     m = np.zeros((52, 52))
     for idx, (a, b) in enumerate(COMBO_CARDS):
@@ -39,7 +35,7 @@ def _combo_matrix(grid: ComboGrid) -> np.ndarray:
 
 def render_svg(grid: ComboGrid, *, mode: str = "169", title: str = "") -> str:
     if mode == "169":
-        matrix = _class_matrix(grid)
+        matrix = grid.class_view()
         labels = np.array(CLASS_NAMES).reshape(13, 13)
         cell = 34
     elif mode == "1326":
@@ -93,21 +89,25 @@ def render_svg(grid: ComboGrid, *, mode: str = "169", title: str = "") -> str:
     return "\n".join(out)
 
 
-def render_ppm(grid: ComboGrid, *, mode: str = "169", cell_px: int = 12) -> str:
+# A PPM cell's side, in pixels.
+PPM_CELL_PX = 12
+
+
+def render_ppm(grid: ComboGrid, *, mode: str = "169") -> str:
     """Plain ASCII PPM (P3). Dependency-free and easy to assert against."""
-    matrix = _class_matrix(grid) if mode == "169" else _combo_matrix(grid)
+    matrix = grid.class_view() if mode == "169" else _combo_matrix(grid)
     if mode not in ("169", "1326"):
         raise HeatmapError(f"unknown heatmap mode {mode!r}")
     n = matrix.shape[0]
     wmax = float(matrix.max())
-    size = n * cell_px
+    size = n * PPM_CELL_PX
     lines = ["P3", f"{size} {size}", "255"]
     for r in range(n):
         row_px: list[str] = []
         for c in range(n):
             rgb = _shade(float(matrix[r, c]), wmax)
-            row_px.extend(" ".join(map(str, rgb)) for _ in range(cell_px))
+            row_px.extend(" ".join(map(str, rgb)) for _ in range(PPM_CELL_PX))
         row = "  ".join(row_px)
-        for _ in range(cell_px):
+        for _ in range(PPM_CELL_PX):
             lines.append(row)
     return "\n".join(lines) + "\n"

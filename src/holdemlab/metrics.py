@@ -174,7 +174,10 @@ def _adjusted_at_seat(record: HandRecord, hero_seat: int) -> int:
             dealt = sorted(s for s, stack in stacks.items() if stack > 0)
             if record.button not in dealt:
                 raise LedgerError(f"hand {record.hand_id}: btn {record.button} is not a listed seat with chips")
-            position = positions_for(dealt, record.button).get(seat)
+            try:
+                position = positions_for(dealt, record.button).get(seat)
+            except ValueError as e:  # more seats dealt in than a table has
+                raise LedgerError(f"hand {record.hand_id}: {e}") from None
             preflop = min({"sb": record.sb_cents, "bb": record.bb_cents}.get(position, 0), stacks[seat])
         flop = preflop + street_total.get((seat, "flop"), 0)
         turn = flop + street_total.get((seat, "turn"), 0)
@@ -225,7 +228,11 @@ class SegmentReport:
     partial_segment: bool
 
 
-def segment_analysis(ledger: ResultLedger, segment_size: int = 10_000) -> SegmentReport:
+# A report splits its hands into segments of this many (one, if it has fewer).
+SEGMENT_HANDS = 10_000
+
+
+def segment_analysis(ledger: ResultLedger, segment_size: int) -> SegmentReport:
     if ledger.hands == 0:
         raise LedgerError("empty ledger")
     nets = np.array([r.net_cents for r in ledger.rows], dtype=float) / ledger.bb_cents
@@ -253,11 +260,11 @@ class TrialReport:
     segment: SegmentReport | None
 
     @classmethod
-    def from_ledger(cls, ledger: ResultLedger, segment_size: int = 10_000) -> "TrialReport":
+    def from_ledger(cls, ledger: ResultLedger) -> "TrialReport":
         t = ledger.totals()
         seg = None
         if ledger.hands >= 2:
-            seg = segment_analysis(ledger, segment_size=min(segment_size, max(1, ledger.hands)))
+            seg = segment_analysis(ledger, min(SEGMENT_HANDS, ledger.hands))
         return cls(
             hands=ledger.hands,
             bb_cents=ledger.bb_cents,

@@ -2,10 +2,11 @@
 
 Every witnessed action is appended to a per-store event log and folded into
 per-player statistics incrementally; the incremental state always equals a
-from-scratch recount of the log (the tests recount it). `save` writes the
-log and a snapshot of the statistics and multipliers; nothing in the
-program loads them back. Archetype classification is a pure
-threshold lookup on (VPIP, AF). The exploit search fires configured rules
+from-scratch recount of the log (the tests recount it). Events hold the
+engine's words for streets and actions (`events.STREETS`, `events.ACTIONS`),
+and `save` writes them as held, with a snapshot of the statistics and
+multipliers; nothing in the program loads them back. Archetype
+classification is a pure threshold lookup on (VPIP, AF). The exploit search fires configured rules
 whose statistic clears its trigger with enough samples, with conviction
 discounted for small samples. Showdown reveals refine per-player (and
 faintly, per-archetype) pre-flop range multipliers.
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .events import ActionEvent, ActionType, Street
+from .events import STREETS, ActionEvent
 from .rangegrid import CLASS_OF_COMBO, ComboGrid, combo_index
 
 
@@ -133,12 +134,11 @@ class Exploit:
 class ExploitRule:
     rule_id: str
     stat: str  # dotted path into PlayerStats
-    threshold: float
+    threshold: float  # the rule fires when the stat is at or above it
     baseline: float  # population prior the deviation is scored against
     min_sample: int
     pattern: str
-    direction: int = 1  # +1 fires when stat >= threshold, -1 when <=
-    extra: tuple[tuple[str, float, int], ...] = ()  # (stat, threshold, direction)
+    extra: tuple[tuple[str, float, int], ...] = ()  # (stat, threshold, direction: +1 for >=, -1 for <=)
 
 
 DEFAULT_EXPLOIT_RULES: tuple[ExploitRule, ...] = (
@@ -171,12 +171,12 @@ def _stat_value(stats: PlayerStats, path: str) -> tuple[float, int]:
     raise KeyError(path)
 
 
-def conviction_score(value: float, threshold: float, baseline: float, n: int, direction: int = 1) -> float:
+def conviction_score(value: float, threshold: float, baseline: float, n: int) -> float:
     """Deviation score times a small-sample discount, capped at 0.95."""
-    span = (threshold - baseline) * direction
+    span = threshold - baseline
     if span <= 0:
         return 0.0
-    deviation = max(0.0, min(1.0, (value - baseline) * direction / span))
+    deviation = max(0.0, min(1.0, (value - baseline) / span))
     discount = 1.0 - 1.0 / math.sqrt(max(n, 1))
     return min(0.95, deviation * discount)
 
@@ -192,28 +192,24 @@ class _HandTracker:
     def __init__(self, hand_id: int):
         self.hand_id = hand_id
         self.players: set[str] = set()
-        self.vpip_done: set[str] = set()
+        self.acted_preflop: set[str] = set()  # each opens one VPIP and one PFR opportunity
         self.vpip_hit: set[str] = set()
-        self.pfr_done: set[str] = set()
         self.pfr_hit: set[str] = set()
-        self.street = Street.PREFLOP
-        self.aggressor: dict[Street, str | None] = {s: None for s in Street}
-        self.street_has_bet = False
+        self.street = "preflop"
+        self.aggressor: dict[str, str | None] = dict.fromkeys(STREETS)  # set once the street has a bet
         self.street_actors_before_aggressor: set[str] = set()
         self.preflop_raises = 0
         self.preflop_first_raiser: str | None = None
         self.steal_situation = False
-        self.saw_flop: set[str] = set()
         self.folded: set[str] = set()
-
-    def cbet_street_aggressor(self) -> str | None:
-        prev = Street(self.street - 1) if self.street > Street.PREFLOP else None
-        return self.aggressor[prev] if prev is not None else None
 
 
 class ProfileStore:
     """Single-writer store of events, stats, overlays, and range multipliers;
-    archetypes by `classify`'s bands, exploits by DEFAULT_EXPLOIT_RULES."""
+    archetypes by `classify`'s bands, exploits by DEFAULT_EXPLOIT_RULES.
+    Events keep the engine's street and action words: the store compares
+    words, orders streets by `events.STREETS`, and `save` writes each event
+    as it holds it."""
 
     def __init__(self):
         self.stats: dict[str, PlayerStats] = {}
@@ -237,7 +233,7 @@ class ProfileStore:
         if self._hand is None or event.hand_id != self._hand.hand_id:
             self._hand = _HandTracker(event.hand_id)
             self._last_hand_id = event.hand_id
-        if event.street < self._hand.street:
+        if STREETS.index(event.street) < STREETS.index(self._hand.street):
             raise EventOrderError(f"street went backwards within hand {event.hand_id}")
         self.events.append(event)
         self._apply(event)
@@ -252,74 +248,66 @@ class ProfileStore:
 
         if ev.street != h.street:
             # New street: players still in the hand saw it.
-            if ev.street == Street.FLOP:
-                h.saw_flop = set(h.players) - set(h.folded)
-                for pid in h.saw_flop:
+            if ev.street == "flop":
+                for pid in h.players - h.folded:
                     self._stats_for(pid).wtsd.opportunities += 1
             h.street = ev.street
-            h.street_has_bet = False
             h.street_actors_before_aggressor = set()
 
-        facing_bet = h.street_has_bet
-        prev_aggressor = h.cbet_street_aggressor()
-
-        if ev.street == Street.PREFLOP:
-            voluntary = ev.action in (ActionType.CALL, ActionType.BET, ActionType.RAISE, ActionType.ALL_IN)
-            raised = ev.action in (ActionType.RAISE, ActionType.ALL_IN)
-            # First action opens the opportunity; a later voluntary action can
-            # still flip the hit (big-blind check, then call of a raise).
-            if ev.player_id not in h.vpip_done:
-                h.vpip_done.add(ev.player_id)
+        if ev.street == "preflop":
+            voluntary = ev.action in ("call", "bet", "raise", "allin")
+            raised = ev.action in ("raise", "allin")
+            # First action opens the opportunities; a later voluntary action
+            # can still flip a hit (big-blind check, then call of a raise).
+            if ev.player_id not in h.acted_preflop:
+                h.acted_preflop.add(ev.player_id)
                 stats.vpip.add(voluntary)
+                stats.pfr.add(raised)
                 if voluntary:
                     h.vpip_hit.add(ev.player_id)
-            elif voluntary and ev.player_id not in h.vpip_hit:
-                h.vpip_hit.add(ev.player_id)
-                stats.vpip.hits += 1
-            if ev.player_id not in h.pfr_done:
-                h.pfr_done.add(ev.player_id)
-                stats.pfr.add(raised)
                 if raised:
                     h.pfr_hit.add(ev.player_id)
-            elif raised and ev.player_id not in h.pfr_hit:
-                h.pfr_hit.add(ev.player_id)
-                stats.pfr.hits += 1
-            if ev.action in (ActionType.RAISE, ActionType.ALL_IN):
+            else:
+                if voluntary and ev.player_id not in h.vpip_hit:
+                    h.vpip_hit.add(ev.player_id)
+                    stats.vpip.hits += 1
+                if raised and ev.player_id not in h.pfr_hit:
+                    h.pfr_hit.add(ev.player_id)
+                    stats.pfr.hits += 1
+            if raised:
                 h.preflop_raises += 1
                 if h.preflop_first_raiser is None:
                     h.preflop_first_raiser = ev.player_id
                     h.steal_situation = ev.position in ("co", "btn", "sb")
             if h.steal_situation and h.preflop_raises == 1 and ev.position in ("sb", "bb"):
                 if ev.player_id != h.preflop_first_raiser:
-                    stats.fold_to_steal.add(ev.action == ActionType.FOLD)
+                    stats.fold_to_steal.add(ev.action == "fold")
         else:
-            if ev.action in (ActionType.BET, ActionType.RAISE, ActionType.ALL_IN):
+            bettor = h.aggressor[ev.street]  # None until this street has a bet
+            prev_aggressor = h.aggressor[STREETS[STREETS.index(ev.street) - 1]]
+            if ev.action in ("bet", "raise", "allin"):
                 stats.postflop_aggressive += 1
-            elif ev.action == ActionType.CALL:
+            elif ev.action == "call":
                 stats.postflop_calls += 1
             # Donk: leading into the previous street's aggressor before they act.
             if (
-                not facing_bet
+                bettor is None
                 and prev_aggressor is not None
                 and prev_aggressor != ev.player_id
                 and prev_aggressor not in h.street_actors_before_aggressor
-                and ev.player_id != prev_aggressor
             ):
-                if ev.action in (ActionType.BET, ActionType.ALL_IN):
+                if ev.action in ("bet", "allin"):
                     stats.donk.add(True)
-                elif ev.action == ActionType.CHECK:
+                elif ev.action == "check":
                     stats.donk.add(False)
             # Fold-to-cbet: facing the previous aggressor's continuation bet.
-            if facing_bet and prev_aggressor is not None and h.aggressor[ev.street] == prev_aggressor:
-                key = ev.street.key
-                if key in stats.fold_to_cbet and ev.player_id != prev_aggressor:
-                    stats.fold_to_cbet[key].add(ev.action == ActionType.FOLD)
+            if prev_aggressor is not None and bettor == prev_aggressor and ev.player_id != prev_aggressor:
+                stats.fold_to_cbet[ev.street].add(ev.action == "fold")
 
         h.street_actors_before_aggressor.add(ev.player_id)
-        if ev.action in (ActionType.BET, ActionType.RAISE, ActionType.ALL_IN):
-            h.street_has_bet = True
+        if ev.action in ("bet", "raise", "allin"):
             h.aggressor[ev.street] = ev.player_id
-        if ev.action == ActionType.FOLD:
+        if ev.action == "fold":
             h.folded.add(ev.player_id)
 
     def record_showdown(self, hand_id: int, player_id: str, cards_text: str) -> None:
@@ -349,7 +337,7 @@ class ProfileStore:
             value, n = _stat_value(stats, rule.stat)
             if n < rule.min_sample:
                 continue
-            if (value - rule.threshold) * rule.direction < 0:
+            if value < rule.threshold:
                 continue
             ok = True
             for extra_stat, extra_thr, extra_dir in rule.extra:
@@ -359,7 +347,7 @@ class ProfileStore:
                     break
             if not ok:
                 continue
-            conviction = conviction_score(value, rule.threshold, rule.baseline, n, rule.direction)
+            conviction = conviction_score(value, rule.threshold, rule.baseline, n)
             if conviction <= 0:
                 continue
             found.append(
@@ -404,20 +392,8 @@ class ProfileStore:
             f.write("# holdemlab event log v1\n")
             for ev in self.events:
                 f.write(
-                    "\t".join(
-                        [
-                            "act",
-                            str(ev.hand_id),
-                            ev.player_id,
-                            ev.street.key,
-                            ev.action.key,
-                            f"{ev.amount_bb:.6g}",
-                            f"{ev.pot_before_bb:.6g}",
-                            ev.position,
-                            f"{ev.timestamp:.6g}",
-                        ]
-                    )
-                    + "\n"
+                    f"act\t{ev.hand_id}\t{ev.player_id}\t{ev.street}\t{ev.action}\t{ev.amount_bb:.6g}"
+                    f"\t{ev.pot_before_bb:.6g}\t{ev.position}\t{ev.timestamp:.6g}\n"
                 )
             for hand_id, pid, cards in self.reveals:
                 f.write(f"reveal\t{hand_id}\t{pid}\t{cards}\n")

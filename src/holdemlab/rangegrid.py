@@ -95,13 +95,6 @@ def combos_with_any(cards: Iterable[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClassGrid169:
-    """13x13 aggregation of a combo grid (pairs diagonal, suited above)."""
-
-    weights: np.ndarray  # (13, 13)
-
-
-@dataclass(frozen=True)
 class ComboGrid:
     """Immutable weight vector over all 1,326 combos.
 
@@ -193,9 +186,9 @@ class ComboGrid:
             return ComboGrid._trusted(support / n, degenerate=True)
         return ComboGrid._trusted(w / t, degenerate=self.degenerate)
 
-    def class_view(self) -> ClassGrid169:
-        agg = np.bincount(CLASS_OF_COMBO, weights=self.weights, minlength=169)
-        return ClassGrid169(agg.reshape(13, 13))
+    def class_view(self) -> np.ndarray:
+        """The 13x13 class weights: pairs on the diagonal, suited above."""
+        return np.bincount(CLASS_OF_COMBO, weights=self.weights, minlength=169).reshape(13, 13)
 
 
 # ---------------------------------------------------------------------------

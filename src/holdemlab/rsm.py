@@ -250,13 +250,11 @@ class BoardContext:
         self._category_cache: dict[tuple[RsmTable, int], np.ndarray] = {}
         self._hero_masks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    _HERO_MASKS_MAX = 4
-
     def hero_masks(self, hero: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The combos that hold a hero or a board card, and the combos whose
         made hand beats the hero's: `rets.chib` reads both, and
-        `cards.equity_vs_range` reads the first as its dead combos. Kept for
-        the last few heroes' cards read on this board; the arrays are
+        `cards.equity_vs_range` reads the first as its dead combos. Kept per
+        hero's cards (a brain reads one hero on a board); the arrays are
         read-only."""
         key = tuple(hero)
         masks = self._hero_masks.get(key)
@@ -264,8 +262,6 @@ class BoardContext:
             kill = self.dead_mask | combos_with_any(key)
             beats_hero = self.scores > hand_score(key + self.board)
             kill.flags.writeable = beats_hero.flags.writeable = False
-            if len(self._hero_masks) >= self._HERO_MASKS_MAX:
-                self._hero_masks.pop(next(iter(self._hero_masks)))
             masks = self._hero_masks[key] = (kill, beats_hero)
         return masks
 

@@ -6,10 +6,11 @@ replays its script. The run emits a decision trace per reshaping step
 (template id, strength distribution, ChiB) plus per-street grid snapshots
 suitable for the heatmap renderer.
 
-A scenario seats players on `seat <idx> <player_id> <archetype|hero>
-<stack_bb> <hole>` lines numbered 0 to n - 1, each number and each player
-id once; one seat is the hero's (`seat <idx> hero hero ...`), and
-`button <idx>` names a seat. A hole is two cards, and `board` names 0, 3, 4
+A scenario seats two to six players on `seat <idx> <player_id>
+<archetype|hero> <stack_bb> <hole>` lines numbered 0 to n - 1, each number
+and each player id once; one seat is the hero's (`seat <idx> hero hero
+...`), every other names one of `rangegrid.ARCHETYPES`, and `button <idx>`
+names a seat. A hole is two cards, and `board` names 0, 3, 4
 or 5 distinct cards; no card is dealt twice. `blinds <sb> <bb>` are cents
 with bb >= 1 and 0 <= sb <= bb, a stack is a positive number of big
 blinds (at least one cent), `seed` is >= 0, and an `act` amount is a
@@ -27,12 +28,12 @@ import numpy as np
 
 from .brain import Brain
 from .cards import card_str, parse_cards, validate_board
-from .events import ActionType, from_key
+from .events import from_key
 from .profiles import ProfileStore
-from .rangegrid import grid_to_lines
+from .rangegrid import ARCHETYPES, grid_to_lines
 from .rsm import RsmTable
 from .session import HERO_ID, HeroSeatPolicy
-from .table import HandRecord, SeatConfig, _ScriptedSeatPolicy, _stacked_deck, play_hand
+from .table import MAX_SEATS, HandRecord, SeatConfig, _ScriptedSeatPolicy, _stacked_deck, play_hand
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
@@ -107,8 +108,12 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
                 if seed < 0:
                     raise ValueError(f"seed {seed} is not >= 0")
             elif parts[0] == "seat":
+                if len(seats) == MAX_SEATS:
+                    raise ValueError(f"too many seats: a table seats at most {MAX_SEATS} players")
                 if parts[3] == "hero" and parts[2] != HERO_ID:
                     raise ValueError(f"the hero seat's player id must be {HERO_ID!r}")
+                if parts[3] != "hero" and parts[3] not in ARCHETYPES:
+                    raise ValueError(f"unknown archetype {parts[3]!r}; want hero or one of {', '.join(ARCHETYPES)}")
                 stack_bb = _positive(parts[4], "stack")
                 hole = tuple(parse_cards(parts[5]))
                 if len(hole) != 2:
@@ -118,7 +123,7 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
             elif parts[0] == "board":
                 board = validate_board(parse_cards("".join(parts[1:])))
             elif parts[0] == "act":
-                action = from_key(ActionType, parts[2]).key
+                action = from_key(parts[2]).key
                 amount = _positive(parts[3], f"{parts[1]}: {action} amount") if len(parts) > 3 else None
                 if amount is None and action in ("bet", "raise"):
                     raise ValueError(f"{parts[1]}: {action} needs an amount")
@@ -130,8 +135,8 @@ def parse_scenario(text: str, *, source: str = "<scenario>") -> ScenarioFile:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except (IndexError, ValueError) as e:
             raise ScenarioError(f"{source}:{lineno}: {e}") from None
-    if not seats:
-        raise ScenarioError(f"{source}: no seats")
+    if len(seats) < 2:
+        raise ScenarioError(f"{source}: need at least two seated players, found {len(seats)}")
     _check_seats(seats, seat_lines, source)
     for seat, lineno in zip(seats, seat_lines):
         if round(seat.stack_bb * bb) < 1:
@@ -219,10 +224,8 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
-def run_scenario(scenario: ScenarioFile, *, rsm: RsmTable | None = None) -> ScenarioResult:
-    store = ProfileStore()
-    rsm = rsm or RsmTable()
-    brain = Brain(store, rsm_table=rsm, seed=scenario.seed)
+def run_scenario(scenario: ScenarioFile) -> ScenarioResult:
+    brain = Brain(ProfileStore(), rsm_table=RsmTable(), seed=scenario.seed)
     hero = scenario.hero
     policy = HeroSeatPolicy(brain)
     brain.begin_hand(

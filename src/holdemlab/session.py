@@ -15,7 +15,7 @@ from typing import Callable
 
 from .brain import Brain, DecisionContext
 from .cards import DealRng, card_str
-from .events import ActionEvent, ActionType, Street, from_key
+from .events import ActionEvent, ActionType
 from .learning import apply_learning, records_from_snapshots
 from .metrics import ResultLedger, TrialReport, all_in_adjusted
 from .profiles import ProfileStore
@@ -197,8 +197,8 @@ class HeroSeatPolicy:
             ActionEvent(
                 hand_id=engine.hand_id,
                 player_id=player_id,
-                street=from_key(Street, street),
-                action=from_key(ActionType, action),
+                street=street,
+                action=action,
                 amount_bb=committed_cents / bb,
                 pot_before_bb=pot_before_cents / bb,
                 position=position,
@@ -287,7 +287,6 @@ def derive_context(view: PolicyView) -> DecisionContext:
         hero_is_aggressor=view.is_prev_street_aggressor,
         legal=view.legal,
         live_player_ids=view.live_player_ids,
-        big_blind_bb=1.0,
         num_limpers=view.num_limpers,
         facing_allin=view.facing_allin,
     )
@@ -300,7 +299,6 @@ class SessionResult:
     report: TrialReport
     showdowns_seen: int
     learning_deltas: int
-    trace_lines: list[str]
     rebuys: int
 
 
@@ -406,7 +404,6 @@ def run_fastfold_session(
         report=report,
         showdowns_seen=showdowns,
         learning_deltas=deltas,
-        trace_lines=list(brain.trace_lines),
         rebuys=rebuys,
     )
 

@@ -16,11 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cards import STRAIGHT_OUTS, DealRng, card_str, hand_score, parse_cards
-from .events import _ACTION_KEYS, ActionType, from_key
+from .events import ACTIONS, STREET_CARDS, STREETS, ActionType, from_key
 from .preflop import combo_percentile
-
-STREET_NAMES = ("preflop", "flop", "turn", "river")
-STREET_CARDS = {"flop": 3, "turn": 4, "river": 5}
 
 # The engine compares actions against these module names at every action.
 _FOLD, _CHECK, _CALL = ActionType.FOLD, ActionType.CHECK, ActionType.CALL
@@ -142,7 +139,8 @@ class HandRecord:
 
 
 def positions_for(active_seats: Sequence[int], button: int) -> dict[int, str]:
-    """Position names clockwise from the button; heads-up button posts sb."""
+    """Position names clockwise from the button; heads-up button posts sb.
+    Two to six seats have names; more raise ValueError."""
     seats = sorted(active_seats)
     if button not in seats:
         raise ValueError("button must be an active seat")
@@ -155,8 +153,14 @@ def _clockwise_from(seats: list[int], button: int) -> list[int]:
     return seats[start:] + seats[:start]
 
 
+# Players a table deals in, at most: one per position name.
+MAX_SEATS = 6
+
+
 def _position_names(ring: list[int]) -> dict[int, str]:
     n = len(ring)
+    if n > MAX_SEATS:
+        raise ValueError(f"{n} players dealt in; a table seats at most {MAX_SEATS}")
     if n == 2:
         return {ring[1]: "sb", ring[0]: "bb"}
     names = ["sb", "bb"] + ["utg", "hj", "co"][: max(0, n - 3)] + ["btn"]
@@ -247,6 +251,11 @@ class HandEngine:
     dealt; `on_showdown(reveals)`, a (seat, player_id, hole) triple per
     live seat; and `on_end(record)` with the finished `HandRecord`.
 
+    Every seat with chips is dealt in and named a position, so fewer than
+    two of them or more than MAX_SEATS raise ValueError. `board` is the tuple of board cards
+    dealt so far: a hand saw the flop when it is not empty. Streets and
+    actions are logged in the words of `events.STREETS` and `events.ACTIONS`.
+
     The betting state is kept as running values, updated where a seat
     commits, folds or goes all-in, so no action rescans the seats: the pot,
     the live seats, how many of them can still act and how many are
@@ -265,8 +274,6 @@ class HandEngine:
         rake: RakeModel,
         observer=None,
     ):
-        if len(seats) < 2:
-            raise ValueError("need at least two seated players")
         self.hand_id = hand_id
         self.table_id = table_id
         self.button = button
@@ -279,10 +286,12 @@ class HandEngine:
         self.seats = [
             _Seat(i, cfg.player_id, cfg.stack_cents, cfg.policy, None, cfg.stack_cents > 0) for i, cfg in enumerate(seats)
         ]
-        self.board: list[int] = []
+        self.board: tuple[int, ...] = ()
         self.actions: list[tuple[str, int, str, int]] = []
         self._live = [s for s in self.seats if s.in_hand]
         dealt = [s.idx for s in self._live]
+        if len(dealt) < 2:
+            raise ValueError("need at least two seated players with chips")
         if button not in dealt:
             raise ValueError("button must be an active seat")
         # Seats dealt in, clockwise from the one left of the button.
@@ -292,7 +301,6 @@ class HandEngine:
         self.min_raise_inc = bb_cents
         self.action_level = 0.0
         self.street = "preflop"
-        self.saw_flop = False
         self.num_limpers = 0
         self.preflop_raised = False
         # Running state, kept in step with every commit, fold and all-in.
@@ -302,7 +310,6 @@ class HandEngine:
         self._aggressor: int | None = None  # whose bet or raise set this street's level
         self._prev_aggressor: int | None = None  # the same on the street before
         self._live_ids: list[tuple[str, ...] | None] = [None] * len(self.seats)
-        self._board_view: tuple[int, ...] = ()
 
     # -- helpers --------------------------------------------------------------
 
@@ -325,7 +332,7 @@ class HandEngine:
         return [self.seats[i] for i in clockwise if self.seats[i].in_hand]
 
     def _emit_action(self, seat: _Seat, action: ActionType, pot_before: int) -> None:
-        name = _ACTION_KEYS[action]
+        name = ACTIONS[action]
         self.actions.append((self.street, seat.idx, name, seat.street_committed))
         if self.observer:
             self.observer.on_action(
@@ -335,7 +342,7 @@ class HandEngine:
                 name,
                 seat.street_committed,
                 pot_before,
-                self.positions.get(seat.idx, "?"),
+                self.positions[seat.idx],
                 seat.all_in,
             )
 
@@ -360,9 +367,9 @@ class HandEngine:
         return PolicyView(
             self.hand_id,  # hand_id
             self.street,  # street
-            self.positions.get(seat.idx, "?"),  # position
+            self.positions[seat.idx],  # position
             seat.hole,  # hole
-            self._board_view,  # board
+            self.board,  # board
             self._pot,  # pot_cents
             min(to_call, stack),  # to_call_cents
             self.current_bet,  # current_bet_cents
@@ -485,13 +492,7 @@ class HandEngine:
         it = iter(self.deck)
         for s in self._live:
             s.hole = (next(it), next(it))
-        self._deck_pos = 2 * len(self._live)
-
-    def _deal_board(self, upto: int) -> None:
-        while len(self.board) < upto:
-            self.board.append(self.deck[self._deck_pos])
-            self._deck_pos += 1
-        self._board_view = tuple(self.board)
+        self._board_from = 2 * len(self._live)  # the board follows the holes in the deck
 
     def _post_blinds(self) -> None:
         ring = self._clockwise  # heads-up, the button (last) posts the small blind
@@ -511,15 +512,14 @@ class HandEngine:
         start_stacks = [s.stack for s in seats]
         self._deal_holes()
         self._post_blinds()
-        for street in STREET_NAMES:
+        for street in STREETS:
             self.street = street
             if street != "preflop":
                 self._prev_aggressor, self._aggressor = self._aggressor, None
-                self._deal_board(STREET_CARDS[street])
-                if street == "flop":
-                    self.saw_flop = True
+                start = self._board_from
+                self.board = tuple(self.deck[start : start + STREET_CARDS[street]])
                 if self.observer:
-                    self.observer.on_street(street, self._board_view)
+                    self.observer.on_street(street, self.board)
             if len(self._live) <= 1:
                 break
             if self._n_can_act >= 2 or street == "preflop":
@@ -531,7 +531,7 @@ class HandEngine:
         scores: dict[int, int] = {}
         if len(live) > 1:  # no street broke the loop, so the river is dealt
             for s in live:
-                scores[s.idx] = hand_score(s.hole + self._board_view)
+                scores[s.idx] = hand_score(s.hole + self.board)
                 showdown.append((s.idx, s.hole))
             if self.observer:
                 self.observer.on_showdown([(s.idx, s.player_id, s.hole) for s in live])
@@ -542,7 +542,8 @@ class HandEngine:
         # Uncalled excess above the second-highest contribution is not raked.
         levels = sorted(contributions.values())
         raked_pot = self._pot - (levels[-1] - levels[-2])
-        rake_total = self.rake_model.rake_for(raked_pot, self.bb, self.saw_flop)
+        saw_flop = bool(self.board)
+        rake_total = self.rake_model.rake_for(raked_pot, self.bb, saw_flop)
         rake_paid = apportion_rake(awards, rake_total)
         net: dict[int, int] = {}
         for s in seats:
@@ -558,13 +559,13 @@ class HandEngine:
             self.bb,
             tuple([(s.idx, s.player_id, start_stacks[s.idx]) for s in seats]),  # seats
             {s.idx: s.hole for s in seats if s.hole},  # holes
-            self._board_view,  # board
+            self.board,  # board
             tuple(self.actions),  # actions
             tuple(showdown),  # showdown
             {s: awards[s] for s in paid},  # awards
             {s: rake_paid[s] for s in paid},  # rake_paid
             net,
-            self.saw_flop,
+            saw_flop,
         )
         if self.observer:
             self.observer.on_end(record)
@@ -611,7 +612,7 @@ class _ScriptedSeatPolicy:
         street, action, amount = self.moves.popleft()
         if street is not None and street != view.street:
             raise IllegalActionError(f"script expected street {street}, engine at {view.street}")
-        at = from_key(ActionType, action)
+        at = from_key(action)
         if at in (ActionType.BET, ActionType.RAISE, ActionType.ALL_IN):
             return (at, amount)
         return (at, 0)
@@ -681,7 +682,7 @@ class BotTargets:
     # Chart widening that compensates big-blind free checks and folds to
     # raises, so realized VPIP lands on target (tuned empirically at the
     # default blind structure).
-    chart_widen: float = 1.10
+    chart_widen: float
 
 
 ARCHETYPE_TARGETS: dict[str, BotTargets] = {
@@ -920,7 +921,8 @@ def parse_history(path: str) -> list[HandRecord]:
     HistoryFormatError naming it. Tags are tested most common first, and
     repeated street, action, player and table names share one string. The
     header must match _HEADER; each record's seats, actions and showdown
-    become tuples at its END line.
+    become tuples at its END line, where its NET lines must name each of its
+    SEAT lines' seats once (the error names the record's header line).
 
     An ACT line seen before reuses its parsed tuple. At fixed blinds bet
     sizes repeat: a 10,000-hand simulate history (seed 2023) has 121k ACT
@@ -962,8 +964,11 @@ def parse_history(path: str) -> list[HandRecord]:
                 elif tag == "NET":
                     _, seat, amount = parts
                     net[int(seat)] = int(amount)
+                    nets += 1
                 elif tag == "END":
                     (_,) = parts
+                    if not nets == len(net) == len(seats) or net.keys() != {s[0] for s in seats}:
+                        raise HistoryFormatError(f"line {opened}: the NET lines must name each SEAT line's seat once")
                     records.append(
                         HandRecord(
                             *head, tuple(seats), holes, board, tuple(actions), tuple(showdown), awards, rake_paid, net, *flags
@@ -996,6 +1001,7 @@ def parse_history(path: str) -> list[HandRecord]:
                     head = (int(hand_id), intern(table_id, table_id), int(btn), int(sb), int(bb))
                     flags = (bool(int(flop)), fail is not None and bool(int(fail)))
                     seats, holes, board, actions, showdown, awards, rake_paid, net = [], {}, (), [], [], {}, {}, {}
+                    nets = 0
                     opened = lineno
                 else:
                     raise HistoryFormatError(f"line {lineno}: unknown tag {tag!r}")

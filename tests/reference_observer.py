@@ -12,7 +12,7 @@ differently.
 from __future__ import annotations
 
 from holdemlab.cards import card_str
-from holdemlab.events import ActionEvent, ActionType, Street, from_key
+from holdemlab.events import ActionEvent
 from holdemlab.session import HERO_ID
 
 
@@ -43,8 +43,8 @@ class ReferenceObserver:
             ActionEvent(
                 hand_id=self.hand_id,
                 player_id=player_id,
-                street=from_key(Street, street),
-                action=from_key(ActionType, action),
+                street=street,
+                action=action,
                 amount_bb=committed_cents / bb,
                 pot_before_bb=pot_before_cents / bb,
                 position=position,

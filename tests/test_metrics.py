@@ -100,7 +100,7 @@ class TestSegments:
         ledger = ResultLedger(bb_cents=2)
         for h, n in enumerate(nets, start=1):
             ledger.add_hand(h, int(n), 0)
-        seg = segment_analysis(ledger)
+        seg = segment_analysis(ledger, 10_000)
         expected = Z_95 * (np.std(nets / 2, ddof=1)) / math.sqrt(len(nets)) * 100
         assert seg.ci_half_width_bb100 == pytest.approx(expected, rel=0.05)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holdemlab.cards import parse_cards
-from holdemlab.events import ActionEvent, ActionType, Street, from_key
+from holdemlab.events import ActionEvent
 from holdemlab.profiles import (
     EventOrderError,
     PlayerStats,
@@ -30,7 +30,7 @@ def ev(hand_id, pid, street, action, amount=0.0, pot=1.5, pos="utg", ts=0.0):
     return ActionEvent(hand_id, pid, street, action, amount, pot, pos, ts)
 
 
-P, F, C, B, R = Street.PREFLOP, ActionType.FOLD, ActionType.CALL, ActionType.BET, ActionType.RAISE
+P, F, C, B, R = "preflop", "fold", "call", "bet", "raise"
 
 
 class TestRecording:
@@ -51,7 +51,7 @@ class TestRecording:
 
     def test_bb_check_then_later_call_upgrades_vpip(self):
         store = ProfileStore()
-        store.record_event(ev(1, "a", P, ActionType.CHECK, 0.0, pos="bb"))
+        store.record_event(ev(1, "a", P, "check", 0.0, pos="bb"))
         store.record_event(ev(1, "b", P, R, 3.0))
         store.record_event(ev(1, "a", P, C, 3.0, pos="bb"))
         store.finish_hand()
@@ -72,17 +72,22 @@ class TestRecording:
         with pytest.raises(EventOrderError):
             store.record_event(ev(3, "a", P, F))
 
+    @pytest.mark.parametrize("street, action, word", [("Flop", C, "street 'Flop'"), (P, "allIn", "action 'allIn'")])
+    def test_event_holds_the_engines_words(self, street, action, word):
+        with pytest.raises(ValueError, match=f"^unknown {word}$"):
+            ev(1, "a", street, action)
+
     def test_backwards_street_rejected(self):
         store = ProfileStore()
-        store.record_event(ev(1, "a", Street.FLOP, ActionType.CHECK))
+        store.record_event(ev(1, "a", "flop", "check"))
         with pytest.raises(EventOrderError):
             store.record_event(ev(1, "a", P, C))
 
     def test_af_counts_postflop_only(self):
         store = ProfileStore()
         store.record_event(ev(1, "a", P, R, 3.0))
-        store.record_event(ev(1, "a", Street.FLOP, B, 2.0))
-        store.record_event(ev(1, "a", Street.TURN, C, 4.0))
+        store.record_event(ev(1, "a", "flop", B, 2.0))
+        store.record_event(ev(1, "a", "turn", C, 4.0))
         store.finish_hand()
         s = store.player_stats("a")
         assert s.postflop_aggressive == 1 and s.postflop_calls == 1
@@ -106,11 +111,11 @@ def synthetic_log(rng, hands=100, players=("a", "b", "c")):
                 events.append(ev(h, pid, P, R, 3.0, 1.5, pos))
                 aggressor = pid
         if rng.random() < 0.6 and aggressor:
-            events.append(ev(h, aggressor, Street.FLOP, B, 2.0, 6.0, "utg"))
+            events.append(ev(h, aggressor, "flop", B, 2.0, 6.0, "utg"))
             for pid in order:
                 if pid != aggressor:
                     act = C if rng.random() < 0.5 else F
-                    events.append(ev(h, pid, Street.FLOP, act, 2.0 if act == C else 0, 8.0, "sb"))
+                    events.append(ev(h, pid, "flop", act, 2.0 if act == C else 0, 8.0, "sb"))
     return events
 
 
@@ -268,8 +273,7 @@ class TestPersistence:
         for line in log.read_text().splitlines()[1:]:
             kind, *f = line.split("\t")
             if kind == "act":
-                street, action = from_key(Street, f[2]), from_key(ActionType, f[3])
-                acts.append(ActionEvent(int(f[0]), f[1], street, action, float(f[4]), float(f[5]), f[6], float(f[7])))
+                acts.append(ActionEvent(int(f[0]), f[1], f[2], f[3], float(f[4]), float(f[5]), f[6], float(f[7])))
             else:
                 assert kind == "reveal"
                 reveals.append((int(f[0]), f[1], f[2]))

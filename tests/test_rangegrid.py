@@ -38,7 +38,7 @@ class TestComboIndexing:
 
 def class_weight(grid, name):
     """A class's cell in the grid's 13x13 class view."""
-    return float(grid.class_view().weights.flat[CLASS_NAMES.index(name)])
+    return float(grid.class_view().flat[CLASS_NAMES.index(name)])
 
 
 def total_is_one(grid):
@@ -54,10 +54,10 @@ class TestClassView:
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = ComboGrid(rng.random(1326)).normalized()
-            assert g.class_view().weights.sum() == pytest.approx(g.total(), abs=1e-9)
+            assert g.class_view().sum() == pytest.approx(g.total(), abs=1e-9)
 
     def test_empty_grid_gives_zero_view(self):
-        assert ComboGrid(np.zeros(1326)).class_view().weights.sum() == 0.0
+        assert ComboGrid(np.zeros(1326)).class_view().sum() == 0.0
 
 
 class TestStrip:

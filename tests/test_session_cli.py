@@ -228,9 +228,9 @@ class TestHeatmaps:
 
     def test_ppm_shape(self):
         g = parse_range_lines(["AA 1.0"])
-        ppm = render_ppm(g, mode="169", cell_px=2)
+        ppm = render_ppm(g, mode="169")
         head = ppm.splitlines()[:3]
-        assert head[0] == "P3" and head[1] == "26 26" and head[2] == "255"
+        assert head[0] == "P3" and head[1] == "156 156" and head[2] == "255"
 
     def test_title_is_escaped(self):
         import xml.etree.ElementTree as ET
@@ -365,6 +365,52 @@ class TestCli:
         assert cli_main(["replay", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
 
+    def test_replay_refuses_a_seventh_seat_naming_its_line(self, tmp_path, capsys):
+        """A table seats six; the seventh seat would play without a position
+        name, even one that only folds."""
+        from importlib import resources
+
+        text = resources.files("holdemlab").joinpath("data/hand6.scn").read_text()
+        seventh = "seat 6 folder_x Rock 100 Kh2h"
+        text = text.replace("seat 5 folder_co Fish 100 Qs8c", "seat 5 folder_co Fish 100 Qs8c\n" + seventh)
+        path = tmp_path / "seven.scn"
+        path.write_text(text.replace("act folder_hj fold", "act folder_x fold\nact folder_hj fold"))
+        lineno = path.read_text().splitlines().index(seventh) + 1
+        assert cli_main(["replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:{lineno}: too many seats: a table seats at most 6 players\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("seats", [0, 1])
+    def test_replay_refuses_fewer_than_two_seats_naming_the_file(self, tmp_path, capsys, seats):
+        path = tmp_path / "alone.scn"
+        path.write_text("\n".join(["seat 0 hero hero 100 AhKd"][:seats] + ["board 9d 5s 2c 2d Ks"]) + "\n")
+        assert cli_main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: need at least two seated players, found {seats}\n"
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("whale_bb Whale", "whale_bb Wahle"), ("folder_hj TightReg", "folder_hj TightRge")],
+        ids=["acting-seat", "folding-seat"],
+    )
+    def test_replay_refuses_an_unknown_archetype_naming_the_line(self, tmp_path, capsys, old, new):
+        """Checked when parsed, also for a seat that only folds and so never
+        has a range assigned."""
+        from importlib import resources
+
+        from holdemlab.rangegrid import ARCHETYPES
+
+        lines = resources.files("holdemlab").joinpath("data/hand6.scn").read_text().splitlines()
+        (lineno,) = [i for i, line in enumerate(lines, start=1) if old in line]
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+        path = tmp_path / "bad.scn"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["replay", str(path)]) == 2
+        word = new.split()[1]
+        assert capsys.readouterr().err == (
+            f"error: {path}:{lineno}: unknown archetype {word!r}; want hero or one of {', '.join(ARCHETYPES)}\n"
+        )
+
     def test_replay_refused_scripted_action_exits_2_naming_the_file(self, tmp_path, capsys):
         from importlib import resources
 
@@ -460,6 +506,17 @@ class TestCli:
         bad.write_text("\n".join(lines) + "\n")
         assert cli_main(["report", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: line 4: unknown tag 'GARBAGE'")
+
+    def test_report_refuses_a_history_that_mixes_big_blinds(self, tmp_path, capsys):
+        """BB/100 divides every hand by one big blind; the first hand whose
+        blind differs from the first hand's is named."""
+        *_, path = run_and_write(tmp_path, "session.hh", hands=5)
+        text = path.read_text()
+        assert " bb=2 " in text.splitlines()[0]
+        path.write_text(text.replace(" bb=2 ", " bb=4 ", 1))
+        assert cli_main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: hand 2 has bb=2, the first hand bb=4\n" and captured.out == ""
 
     def test_report_hero_in_no_hand_exits_2(self, tmp_path, capsys):
         *_, path = run_and_write(tmp_path, "session.hh", hands=5)

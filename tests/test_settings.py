@@ -32,6 +32,7 @@ REMOVED = (
     "brain:BrainConfig.value_bet_rs",
     "brain:BrainConfig.value_raise_margin",
     "brain:BrainConfig.vpip_jitter",
+    "brain:DecisionContext.big_blind_bb",
     "brain:Recommendation.think_time_ms",
     "brain:StyleState.aggr_delta",
     "brain:StyleState.bad_beat_streak",
@@ -40,10 +41,14 @@ REMOVED = (
     "brain:StyleState.vpip_delta",
     "cards:score_cards_batch.board",
     "cards:score_cards_batch.holes",
+    "events:ActionEvent.timestamp",
+    "heatmap:render_ppm.cell_px",
     "learning:apply_learning.audit",
     "learning:apply_learning.delta_correct",
     "learning:apply_learning.delta_reinforce",
     "learning:replay_with_perfect_info.store",
+    "metrics:TrialReport.from_ledger.segment_size",
+    "metrics:segment_analysis.segment_size",
     "profiles:ArchetypeThresholds.lag_af",
     "profiles:ArchetypeThresholds.loose_vpip",
     "profiles:ArchetypeThresholds.medium_vpip",
@@ -52,10 +57,12 @@ REMOVED = (
     "profiles:ArchetypeThresholds.rock_vpip",
     "profiles:ArchetypeThresholds.tight_vpip",
     "profiles:ArchetypeThresholds.whale_vpip",
+    "profiles:ExploitRule.direction",
     "profiles:ProfileStore.__init__.exploit_rules",
     "profiles:ProfileStore.__init__.thresholds",
     "profiles:ProfileStore.load.**kwargs",
     "profiles:classify.thresholds",
+    "profiles:conviction_score.direction",
     "profiles:recount_stats.reveals",
     "rets:PipelineStep.__init__.categories",
     "rets:PipelineStep.__init__.grid",
@@ -64,10 +71,16 @@ REMOVED = (
     "rets:PipelineStep.__init__.ret",
     "rets:load_ret_set.path",
     "rsm:RsmTable.__init__.clamp",
+    "scenario:run_scenario.rsm",
     "scenario:run_scenario.trace",
     "session:SessionConfig.bot_stack_bb",
+    "table:BotTargets.chart_widen",
     "table:SeatConfig.policy",
 )
+
+# The most settable values the package may have. A change that adds one
+# raises this number and says why in CHANGES.md.
+MAX_SETTINGS = 100
 
 
 def test_settings_script_lists_each_value_once():
@@ -83,3 +96,4 @@ def test_settings_script_lists_each_value_once():
         names
     )
     assert not set(REMOVED) & set(names)
+    assert len(names) <= MAX_SETTINGS

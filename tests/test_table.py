@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holdemlab.cards import DealRng, hand_score, parse_cards
-from holdemlab.events import ActionType, from_key
+from holdemlab.events import ActionType
 from holdemlab.table import (
     ARCHETYPE_TARGETS,
     BotPolicy,
@@ -58,6 +58,22 @@ class TestPositions:
     def test_heads_up_button_is_sb(self):
         pos = positions_for([0, 1], button=0)
         assert pos == {0: "sb", 1: "bb"}
+
+    def test_seven_seats_have_no_names(self):
+        with pytest.raises(ValueError, match="^7 players dealt in; a table seats at most 6$"):
+            positions_for(range(7), button=0)
+
+    def test_engine_deals_in_two_to_six(self):
+        seats = [SeatConfig(f"p{i}", 200, Station()) for i in range(7)]
+        with pytest.raises(ValueError, match="^7 players dealt in; a table seats at most 6$"):
+            play_hand(1, "t", seats, 0, 1, 2, DealRng(0, 2).shuffled_deck())
+        seats[3].stack_cents = 0  # a seat without chips is not dealt in
+        record = play_hand(1, "t", seats, 0, 1, 2, DealRng(0, 2).shuffled_deck())
+        assert len(record.seats) == 7 and 3 not in record.holes
+        for seat in seats[1:]:
+            seat.stack_cents = 0
+        with pytest.raises(ValueError, match="^need at least two seated players with chips$"):
+            play_hand(1, "t", seats, 0, 1, 2, DealRng(0, 2).shuffled_deck())
 
 
 class TestPlayHand:
@@ -402,6 +418,25 @@ class TestHistoryParser:
         with pytest.raises(HistoryFormatError, match=r"^line 1: invalid literal for int\(\) with base 10: 'x'"):
             self.parse(tmp_path, lines)
 
+    @pytest.mark.parametrize("edit", ["net-missing", "net-twice", "net-unseated", "seat-renumbered"])
+    def test_net_lines_name_each_seat_once(self, tmp_path, edit):
+        lines = self.lines()
+        net = self.line_of(lines, "NET 0 ")
+        seat = self.line_of(lines, "SEAT 0 ")
+        if edit == "net-missing":
+            del lines[net]
+        elif edit == "net-twice":
+            lines.insert(net, lines[net])
+        elif edit == "net-unseated":
+            lines[net] = lines[net].replace("NET 0 ", "NET 9 ")
+        else:
+            lines[seat] = lines[seat].replace("SEAT 0 ", "SEAT 1 ")
+        with pytest.raises(HistoryFormatError, match=r"^line 1: the NET lines must name each SEAT line's seat once$"):
+            self.parse(tmp_path, lines)
+        good = self.lines()  # the error names the header of the record at fault
+        with pytest.raises(HistoryFormatError, match=rf"^line {len(good) + 1}: the NET lines"):
+            self.parse(tmp_path, good + lines)
+
     def test_unterminated_record_at_end(self, tmp_path):
         lines = self.lines()
         with pytest.raises(HistoryFormatError, match=rf"^line {len(lines) + 1}: unterminated record"):
@@ -461,7 +496,6 @@ class TestBots:
     def test_realized_vpip_tracks_target(self):
         """Law-of-large-numbers check: each archetype's realized VPIP lands
         within 2 percentage points of its target over 20,000+ hands."""
-        from holdemlab.events import Street
         from holdemlab.profiles import ProfileStore
         from holdemlab.events import ActionEvent
 
@@ -479,7 +513,7 @@ class TestBots:
             def on_action(self, street, seat, pid, action, committed, pot_before, position, all_in):
                 store.record_event(
                     ActionEvent(
-                        self.hand_id, pid, from_key(Street, street), from_key(ActionType, action),
+                        self.hand_id, pid, street, action,
                         committed / 2, pot_before / 2, position, 0.0,
                     )
                 )
