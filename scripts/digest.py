@@ -20,7 +20,12 @@ each demo are hashed. Last come two inputs of the benchmark
 (holdembench/workloads.py): the hero's advice, one line per decision, over
 its seeded `advise` hands, and the seed-2023 `report` history, which its
 scripted seats play through the engine. That history holds pre-flop, flop
-and turn all-in locks with short stacks, which `simulate` rarely reaches.
+and turn all-in locks with short stacks, which `simulate` rarely reaches,
+so it is written to DIR and reported on too, pinning the all-in adjusted
+line of those locks:
+
+    holdemlab report report_history_2023.hh --out report_history_2023.csv
+
 One `sha256  name` line is printed per output, sorted by name; diff the
 lines of two checkouts.
 """
@@ -78,11 +83,13 @@ def digests(out: Path, advise_hands: int) -> dict[str, str]:
     (out / "failure.ini").write_text(FAILURE_INI, encoding="utf-8")
     cli(out, "simulate", "--config", "failure.ini", "--hands", str(FAILURE_HANDS), "--seed", str(SEED), "--trace", "--out", "failure")
     workloads = bench_workloads()
+    history = f"report_history_{SEED}"
+    (out / f"{history}.hh").write_text(workloads.report_history(SEED)[0], encoding="utf-8")
     texts = {
         "report.stdout": cli(out, "report", f"simulate/session_{SEED}.hh", "--out", "report.csv"),
+        f"{history}.stdout": cli(out, "report", f"{history}.hh", "--out", f"{history}.csv"),
         "replay.stdout": cli(out, "replay", "hand6.scn", "--out", "replay"),
         f"advise_{SEED}_{advise_hands}.lines": "\n".join(advise_lines(workloads, SEED, advise_hands)),
-        f"report_history_{SEED}.hh": workloads.report_history(SEED)[0],
     }
     for demo in sorted((ROOT / "demos").glob("*.py")):
         texts[f"{demo.stem}.stdout"] = run(out, str(demo))

@@ -8,7 +8,8 @@ hand's actual result for its expectation at the moment the money went in:
 the street on which the hero, or every opponent who reached showdown, had
 put in a whole stack. That expectation ignores uncalled excess and side
 pots, so with unequal stakes the column is approximate (see
-`all_in_adjusted`).
+`all_in_adjusted`). Only hands that could lock are searched: if every
+showdown seat acted on the river, the hand keeps its actual net.
 """
 from __future__ import annotations
 
@@ -138,7 +139,10 @@ def all_in_adjusted(record: HandRecord, hero_id: str) -> int:
     end its total reaches its starting stack (from the start of the hand if
     a blind covered it). The hand locks on the earlier of the hero's street
     and the last opponent's; the equity is taken against every showdown hand
-    on the board dealt by then.
+    on the board dealt by then. When every showdown seat acted on the river,
+    none was all-in before it, and the actual net is returned without the
+    search. Only a record in which a seat acts after all its chips are in,
+    which no engine writes, reads differently for that exit.
 
     Known limit: `pot` is every chip awarded, uncalled excess included, and
     one equity is applied to every side pot, so the value is off whenever the
@@ -159,6 +163,15 @@ def _adjusted_at_seat(record: HandRecord, hero_seat: int) -> int:
     """all_in_adjusted for the hero's seat, once it is found."""
     actual = record.net.get(hero_seat, 0)
     if len(record.showdown) < 2 or hero_seat not in (holes := dict(record.showdown)) or not record.actions:
+        return actual
+    # A seat all-in before the river cannot act on it: if every showdown seat
+    # acts in the trailing run of river actions, nothing locked earlier.
+    on_river = set()
+    for street, seat, _, _ in reversed(record.actions):
+        if street != "river":
+            break
+        on_river.add(seat)
+    if on_river >= holes.keys():
         return actual
     # Every action carries its seat's street total, so the last one per seat
     # and street is what the seat put in on that street.

@@ -383,8 +383,8 @@ def run_fastfold_session(
         adjusted = all_in_adjusted(record, HERO_ID)
         ledger.add_hand(hand_id, net, rake_hero, adjusted)
 
-        bad_beat_last = _was_bad_beat(record, hero_seat, brain)
         hero_showed = any(s == hero_seat for s, _ in record.showdown)
+        bad_beat_last = hero_showed and _was_bad_beat(record, hero_seat, brain)
         if hero_showed and len(record.showdown) > 1:
             showdowns += 1
             if config.learning:
@@ -425,11 +425,9 @@ def _hero_hole(deck: list[int], hero_seat: int, seats) -> tuple[int, int]:
 
 
 def _was_bad_beat(record: HandRecord, hero_seat: int, brain: Brain) -> bool:
-    """Lost a showdown while holding a monster at the river. The river's
-    context comes from the brain's hand, which read it if the hero decided
-    there."""
-    if hero_seat not in dict(record.showdown):
-        return False
+    """Whether the hero, who showed down, lost holding a monster at the river.
+    The river's context comes from the brain's hand, which read it if the
+    hero decided there."""
     if record.net.get(hero_seat, 0) >= 0:
         return False
     if len(record.board) < 5:

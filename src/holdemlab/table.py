@@ -922,7 +922,8 @@ def parse_history(path: str) -> list[HandRecord]:
     repeated street, action, player and table names share one string. The
     header must match _HEADER; each record's seats, actions and showdown
     become tuples at its END line, where its NET lines must name each of its
-    SEAT lines' seats once (the error names the record's header line).
+    SEAT lines' seats once and its AWARD, HOLE and SHOW lines none but those
+    seats (the errors name the record's header line).
 
     An ACT line seen before reuses its parsed tuple. At fixed blinds bet
     sizes repeat: a 10,000-hand simulate history (seed 2023) has 121k ACT
@@ -967,8 +968,11 @@ def parse_history(path: str) -> list[HandRecord]:
                     nets += 1
                 elif tag == "END":
                     (_,) = parts
-                    if not nets == len(net) == len(seats) or net.keys() != {s[0] for s in seats}:
+                    listed = {s[0] for s in seats}
+                    if not nets == len(net) == len(seats) or net.keys() != listed:
                         raise HistoryFormatError(f"line {opened}: the NET lines must name each SEAT line's seat once")
+                    if not (listed.issuperset(awards) and listed.issuperset(holes)) or showdown and not listed.issuperset(dict(showdown)):
+                        raise HistoryFormatError(f"line {opened}: AWARD, HOLE and SHOW lines must name a SEAT line's seat")
                     records.append(
                         HandRecord(
                             *head, tuple(seats), holes, board, tuple(actions), tuple(showdown), awards, rake_paid, net, *flags

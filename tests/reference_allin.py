@@ -24,7 +24,7 @@ def adjusted_at_seat_by_walk(record: HandRecord, hero_seat: int) -> int:
     street_board_len = {"preflop": 0, "flop": 3, "turn": 4, "river": 5}
     stacks = {seat: stack for seat, _, stack in record.seats}
     committed = {seat: 0 for seat, _, _ in record.seats}
-    live = {seat for seat, _, _ in record.seats}
+    live = {seat for seat, _, stack in record.seats if stack > 0}  # the engine deals in seats with chips
     pos = positions_for(sorted(live), record.button)
     for seat, name in pos.items():
         if name == "sb":

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from holdemlab.cards import DealRng, _unrank_combinations, hand_score, parse_cards
+from holdemlab import metrics
 from holdemlab.metrics import (
     FailureCostModel,
     LedgerError,
@@ -250,10 +251,9 @@ class TestLockFinderOracle:
     def test_flop_lock_with_a_listed_seat_of_no_chips(self):
         # seat 1 is listed with no chips, so the engine deals it out and
         # seat 3 posts the big blind with its only chip; seat 2 jams the
-        # flop and the hero covers both. The walk names the blinds over
-        # every listed seat, so the flop-lock value is counted here instead:
-        # the hero's pot share over every turn and river, with the scalar
-        # evaluator and exact fractions.
+        # flop and the hero covers both. The flop-lock value is counted here
+        # without the walk: the hero's pot share over every turn and river,
+        # with the scalar evaluator and exact fractions.
         record = scripted_hand(
             ("hero", 500, Script()), ("busted", 0, Script()), ("v", 300, Script(flop=JAM)), ("short", 1, Script())
         )
@@ -318,6 +318,53 @@ class TestLockFinderOracle:
         assert len(record.showdown) == 2 and record.actions[-2][2] == "allin"
         assert_matches_walk(record)
         assert all_in_adjusted(record, "hero") == record.net[0]
+
+
+class TestRiverExit:
+    """A showdown in which every showdown seat acted on the river keeps the
+    actual net without a lock search."""
+
+    def test_short_stack_hands_match_the_walk(self):
+        # 2-6 seats of 1-400 cents, some listing a seat with no chips; each
+        # seat jams on a random street or never
+        rng = np.random.default_rng(26)
+        plans = [{}, {"preflop": JAM}, {"flop": JAM}, {"turn": JAM}, {"river": JAM}]
+        exits = locks = 0
+        for hand_id in range(1, 301):
+            n = int(rng.integers(2, 7))
+            stacks = [int(s) for s in rng.integers(1, 401, size=n)]
+            if n > 2 and rng.random() < 0.25:
+                stacks[int(rng.integers(n))] = 0
+            seats = [SeatConfig(f"p{i}", stack, Script(**plans[int(rng.integers(5))])) for i, stack in enumerate(stacks)]
+            button = int(rng.choice([i for i, stack in enumerate(stacks) if stack > 0]))
+            record = play_hand(hand_id, "t", seats, button, 1, 2, DealRng(hand_id).shuffled_deck())
+            on_river = {seat for street, seat, _, _ in record.actions if street == "river"}
+            exits += len(record.showdown) > 1 and on_river >= dict(record.showdown).keys()
+            for seat, _, _ in record.seats:
+                adjusted = _adjusted_at_seat(record, seat)
+                assert adjusted == adjusted_at_seat_by_walk(record, seat), (hand_id, seat)
+                locks += adjusted != record.net[seat]
+        assert exits > 0 and locks > 0
+
+    @pytest.mark.parametrize(
+        "seats",
+        [
+            (("hero", 300, Script()), ("v1", 300, Script()), ("v2", 300, Script())),  # checked down three-way
+            (("hero", 300, Script(river=JAM)), ("villain", 300, Script())),  # all in on the river
+        ],
+    )
+    def test_no_lock_search_when_every_showdown_seat_acted_on_the_river(self, monkeypatch, seats):
+        record = scripted_hand(*seats)
+        assert len(record.showdown) == len(seats)
+        assert {seat for street, seat, _, _ in record.actions if street == "river"} == dict(record.showdown).keys()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the lock search ran")
+
+        for name in ("_equity_multiway", "positions_for", "bisect_left"):
+            monkeypatch.setattr(metrics, name, unreachable)
+        for seat, _, _ in record.seats:
+            assert _adjusted_at_seat(record, seat) == record.net[seat]
 
 
 class TestZeroSum:

@@ -437,6 +437,17 @@ class TestHistoryParser:
         with pytest.raises(HistoryFormatError, match=rf"^line {len(good) + 1}: the NET lines"):
             self.parse(tmp_path, good + lines)
 
+    @pytest.mark.parametrize("prefix, unseated", [("AWARD 0 ", "AWARD 7 "), ("HOLE 1 ", "HOLE 8 "), ("SHOW 5 ", "SHOW 8 ")])
+    def test_award_hole_and_show_lines_name_a_listed_seat(self, tmp_path, prefix, unseated):
+        lines = self.lines()
+        i = self.line_of(lines, prefix)
+        lines[i] = lines[i].replace(prefix, unseated)
+        with pytest.raises(HistoryFormatError, match=r"^line 1: AWARD, HOLE and SHOW lines must name a SEAT line's seat$"):
+            self.parse(tmp_path, lines)
+        good = self.lines()
+        with pytest.raises(HistoryFormatError, match=rf"^line {len(good) + 1}: AWARD, HOLE and SHOW"):
+            self.parse(tmp_path, good + lines)
+
     def test_unterminated_record_at_end(self, tmp_path):
         lines = self.lines()
         with pytest.raises(HistoryFormatError, match=rf"^line {len(lines) + 1}: unterminated record"):
