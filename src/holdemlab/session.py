@@ -113,14 +113,14 @@ class SessionConfig:
 
     def check(self, name_of: Callable[[str], str]) -> None:
         """Raise ValueError at the first value out of range, naming its INI key as name_of(key)."""
-        buyin = self.hero_buyin_bb * self.bb_cents  # in cents; rounds to at least 1 above 0.5
+        buyin = self.hero_buyin_bb * self.bb_cents  # in cents
         for key, value, ok, want in (
             ("hands", self.hands, self.hands >= 0, ">= 0"),
             ("seed", self.seed, self.seed >= 0, ">= 0"),
             ("pool_size", self.pool_size, self.pool_size >= 5, ">= 5 (five opponents a hand)"),
             ("bb_cents", self.bb_cents, self.bb_cents >= 1, ">= 1"),
             ("sb_cents", self.sb_cents, 0 <= self.sb_cents <= self.bb_cents, f"in [0, bb_cents={self.bb_cents}]"),
-            ("hero_buyin_bb", self.hero_buyin_bb, 0.5 < buyin < float("inf"), f"a buy-in of at least one cent at bb_cents={self.bb_cents}"),
+            ("hero_buyin_bb", self.hero_buyin_bb, 2 * self.bb_cents <= buyin < float("inf"), "a finite buy-in of at least 2 bb (the rebuy line)"),
             ("rakeback_rate", self.rakeback_rate, 0 <= self.rakeback_rate <= 1, "in [0, 1]"),
             ("rake_percentage", self.rake.percentage, 0 <= self.rake.percentage <= 1, "in [0, 1]"),
             ("failure_rate", self.failure_rate, 0 <= self.failure_rate <= 1, "in [0, 1]"),
@@ -175,7 +175,8 @@ class HeroSeatPolicy:
     raise or all-in. A villain's bet is a donk when the initiative is
     another seat's, carried into this street, that has not yet acted on
     it. An all-in from posting a blind freezes the read too; sessions
-    never reach one (the hero rebuys below 2 bb, bots sit with 60)."""
+    never reach one (the hero buys in with at least 2 bb and rebuys below
+    2 bb, bots sit with 60)."""
 
     def __init__(self, brain: Brain):
         self.brain = brain
@@ -253,10 +254,7 @@ class HeroSeatPolicy:
             cents = max(min(cents, view.stack_cents), min(bb, view.stack_cents))
             return (ActionType.BET, view.street_committed_cents + cents)
         if rec.action == ActionType.RAISE:
-            target = int(round(rec.size_bb * bb))
-            cap = view.street_committed_cents + view.stack_cents
-            target = min(max(target, view.min_raise_to_cents), cap)
-            return (ActionType.RAISE, target)
+            return (ActionType.RAISE, view.raise_to(int(round(rec.size_bb * bb))))
         return (rec.action, 0)
 
 
@@ -266,8 +264,7 @@ def derive_context(view: PolicyView) -> DecisionContext:
     bb = float(view.bb_cents)
     pot_bb = view.pot_cents / bb
     to_call_bb = view.to_call_cents / bb
-    spr_pot = max(pot_bb, 0.5)
-    eff_stack_bb = view.stack_cents / bb
+    stack_bb = view.stack_cents / bb
     pot_odds = to_call_bb / (pot_bb + to_call_bb) if to_call_bb > 0 else 0.0
     return DecisionContext(
         hand_id=view.hand_id,
@@ -277,9 +274,9 @@ def derive_context(view: PolicyView) -> DecisionContext:
         pot_bb=pot_bb,
         to_call_bb=to_call_bb,
         min_raise_to_bb=view.min_raise_to_cents / bb,
-        hero_stack_bb=view.stack_cents / bb,
-        effective_stack_bb=eff_stack_bb,
-        spr=eff_stack_bb / spr_pot if spr_pot > 0 else float("inf"),
+        hero_stack_bb=stack_bb,
+        effective_stack_bb=stack_bb,
+        spr=stack_bb / max(pot_bb, 0.5),
         pot_odds=pot_odds,
         action_level=view.action_level,
         position=view.position,
@@ -309,14 +306,16 @@ def run_fastfold_session(
     on_record: Callable[[HandRecord], None] | None = None,
 ) -> SessionResult:
     """Play config.hands of seeded fast-fold poker and account for them.
-    A given brain observes through its own store; a `store` given with it
-    must be that store."""
+    A config that fails `SessionConfig.check` raises its ValueError. A
+    given brain observes and learns through its own store; a `store` given
+    with it must be that store. Every seat has chips, as the hero buys in
+    with at least 2 bb and rebuys below 2 bb and a bot sits with 60 bb or
+    more; so the engine deals seat i the deck's cards 2i and 2i+1, and the
+    hero's hole is read from the deck before play starts."""
+    config.check(str)
     if brain is None:
-        store = store or ProfileStore()
-        brain = Brain(store, rsm_table=RsmTable(), seed=config.seed, trace=config.trace)
-    elif store is None:
-        store = brain.store
-    elif store is not brain.store:
+        brain = Brain(store or ProfileStore(), rsm_table=RsmTable(), seed=config.seed, trace=config.trace)
+    elif store is not None and store is not brain.store:
         raise ValueError("store must be the brain's own store")
     rsm = brain.rsm
     pool = build_bot_pool(config)
@@ -334,7 +333,9 @@ def run_fastfold_session(
         return hero_policy(view)
     ledger = ResultLedger(bb_cents=config.bb_cents, rakeback_rate=config.rakeback_rate)
 
-    hero_stack = int(round(config.hero_buyin_bb * config.bb_cents))
+    buyin = int(round(config.hero_buyin_bb * config.bb_cents))
+    hero_stack = buyin
+    lo, hi = BOT_STACK_BB
     rebuys = 0
     showdowns = 0
     deltas = 0
@@ -342,28 +343,19 @@ def run_fastfold_session(
 
     for hand_id in range(1, config.hands + 1):
         if hero_stack < 2 * config.bb_cents:
-            hero_stack = int(round(config.hero_buyin_bb * config.bb_cents))
+            hero_stack = buyin
             rebuys += 1
         opponents = [pool[int(i)] for i in seat_rng.generator.choice(len(pool), size=5, replace=False)]
         hero_seat = seat_rng.randint(6)
         button = seat_rng.randint(6)
-        seats: list[SeatConfig] = []
-        bot_iter = iter(opponents)
-        lo, hi = BOT_STACK_BB
-        for idx in range(6):
-            if idx == hero_seat:
-                seats.append(SeatConfig(HERO_ID, hero_stack, hero_or_timeout))
-            else:
-                bot = next(bot_iter)
-                stack_bb = lo + (hi - lo) * seat_rng.random()
-                seats.append(SeatConfig(bot.player_id, int(round(stack_bb * config.bb_cents)), bot))
+        seats = [
+            SeatConfig(bot.player_id, int(round((lo + (hi - lo) * seat_rng.random()) * config.bb_cents)), bot)
+            for bot in opponents
+        ]
+        seats.insert(hero_seat, SeatConfig(HERO_ID, hero_stack, hero_or_timeout))
         deck = deal_rng.shuffled_deck()
-        brain.begin_hand(
-            hand_id,
-            _hero_hole(deck, hero_seat, seats),
-            [(s.player_id, None) for s in seats if s.player_id != HERO_ID],
-            bad_beat_last_hand=bad_beat_last,
-        )
+        hole = (deck[2 * hero_seat], deck[2 * hero_seat + 1])  # every seat has chips (see above)
+        brain.begin_hand(hand_id, hole, [(bot.player_id, None) for bot in opponents], bad_beat_last_hand=bad_beat_last)
         timed_out = False
         record = play_hand(
             hand_id,
@@ -379,21 +371,21 @@ def run_fastfold_session(
         record.failure_injected = timed_out
         net = record.net[hero_seat]
         hero_stack += net
-        rake_hero = record.rake_paid.get(hero_seat, 0)
-        adjusted = all_in_adjusted(record, HERO_ID)
-        ledger.add_hand(hand_id, net, rake_hero, adjusted)
+        ledger.add_hand(hand_id, net, record.rake_paid.get(hero_seat, 0), all_in_adjusted(record, HERO_ID))
 
+        # A showdown lists two or more seats on a five-card board. A bad beat
+        # is a loss there with a monster; the river's context comes from the
+        # brain's hand, which read it if the hero decided there.
         hero_showed = any(s == hero_seat for s, _ in record.showdown)
-        bad_beat_last = hero_showed and _was_bad_beat(record, hero_seat, brain)
-        if hero_showed and len(record.showdown) > 1:
+        bad_beat_last = (
+            hero_showed and net < 0 and rsm.query(hole, BoardContext.cached(record.board, brain.board_contexts)) >= 8
+        )
+        if hero_showed:
             showdowns += 1
             if config.learning:
-                reveals = {
-                    record.player_of(s): h for s, h in record.showdown if s != hero_seat
-                }
-                recs = records_from_snapshots(brain.snapshots, reveals, record.holes[hero_seat], rsm)
-                events = apply_learning(recs, rsm, store)
-                deltas += len(events)
+                reveals = {seats[s].player_id: h for s, h in record.showdown if s != hero_seat}
+                recs = records_from_snapshots(brain.snapshots, reveals, hole, rsm)
+                deltas += len(apply_learning(recs, rsm, brain.store))
         if on_record:
             on_record(record)
 
@@ -406,31 +398,3 @@ def run_fastfold_session(
         learning_deltas=deltas,
         rebuys=rebuys,
     )
-
-
-def _hero_hole(deck: list[int], hero_seat: int, seats) -> tuple[int, int]:
-    """The hero's hole cards in the shuffled deck, dealt as the engine deals
-    them (two cards per seat with chips, in seat order), so begin_hand can
-    see them before play starts."""
-    dealt = 0
-    hole = None
-    for idx in range(len(seats)):
-        if seats[idx].stack_cents > 0:
-            pair = (deck[dealt], deck[dealt + 1])
-            if idx == hero_seat:
-                hole = pair
-            dealt += 2
-    assert hole is not None
-    return hole
-
-
-def _was_bad_beat(record: HandRecord, hero_seat: int, brain: Brain) -> bool:
-    """Whether the hero, who showed down, lost holding a monster at the river.
-    The river's context comes from the brain's hand, which read it if the
-    hero decided there."""
-    if record.net.get(hero_seat, 0) >= 0:
-        return False
-    if len(record.board) < 5:
-        return False
-    ctx = BoardContext.cached(record.board, brain.board_contexts)
-    return int(brain.rsm.query(record.holes[hero_seat], ctx)) >= 8

@@ -98,6 +98,11 @@ class PolicyView:
     live_player_ids: tuple[str, ...]
     legal: tuple[str, ...]
 
+    def raise_to(self, target: int) -> int:
+        """A raise to `target` cents on this street made legal: at least the
+        minimum raise, at most all-in."""
+        return min(max(target, self.min_raise_to_cents), self.street_committed_cents + self.stack_cents)
+
 
 @dataclass(slots=True)
 class HandRecord:
@@ -784,7 +789,7 @@ class BotPolicy:
         free = to_call <= 0
         if not view.preflop_raised:
             if pct < self.pfr:
-                target = min(view.street_committed_cents + view.stack_cents, 3 * view.bb_cents + view.num_limpers * view.bb_cents)
+                target = view.raise_to(3 * view.bb_cents + view.num_limpers * view.bb_cents)
                 if target > view.current_bet_cents:
                     return (ActionType.RAISE, target)
                 return (ActionType.CALL, 0) if not free else (ActionType.CHECK, 0)
@@ -794,11 +799,7 @@ class BotPolicy:
         # facing a raise (or reraise)
         heavy = view.current_bet_cents > 4 * view.bb_cents
         if pct < self.pfr * 0.22 and not view.facing_allin:
-            target = min(
-                view.street_committed_cents + view.stack_cents,
-                max(view.min_raise_to_cents, 3 * view.current_bet_cents),
-            )
-            return (ActionType.RAISE, target)
+            return (ActionType.RAISE, view.raise_to(3 * view.current_bet_cents))
         discipline = 0.70 if self.af >= 1.5 else 0.92
         cont = vpip_chart * discipline * (0.5 if heavy else 1.0)
         if pct < cont:
@@ -813,11 +814,7 @@ class BotPolicy:
             price = view.to_call_cents / (pot + view.to_call_cents)
             if s >= 6.5:
                 if r < min(0.75, self.af / 4.5) and "raise" in view.legal:
-                    target = min(
-                        view.street_committed_cents + view.stack_cents,
-                        max(view.min_raise_to_cents, view.current_bet_cents * 3),
-                    )
-                    return (ActionType.RAISE, target)
+                    return (ActionType.RAISE, view.raise_to(view.current_bet_cents * 3))
                 return (ActionType.CALL, 0)
             if s >= 3.0:
                 stickiness = 1.0 - self.fold_to_cbet * (1.0 - s / 9.0)
@@ -825,11 +822,7 @@ class BotPolicy:
                     return (ActionType.CALL, 0)
                 return (ActionType.FOLD, 0)
             if r < 0.03 * self.af and "raise" in view.legal and not view.facing_allin:
-                target = min(
-                    view.street_committed_cents + view.stack_cents,
-                    max(view.min_raise_to_cents, view.current_bet_cents * 3),
-                )
-                return (ActionType.RAISE, target)
+                return (ActionType.RAISE, view.raise_to(view.current_bet_cents * 3))
             if r < (1.0 - self.fold_to_cbet) * 0.6 and price < 0.34:
                 return (ActionType.CALL, 0)
             return (ActionType.FOLD, 0)
@@ -837,7 +830,7 @@ class BotPolicy:
         can_donk = view.prev_street_aggressor is not None and not view.is_prev_street_aggressor
         bet_cents = max(view.bb_cents, int(pot * (0.5 + 0.25 * min(1.0, self.af / 3))))
         bet_cents = min(bet_cents, view.stack_cents)
-        if can_donk and (s >= 2.5 or s >= 1.4) and r < self.donk:
+        if can_donk and s >= 1.4 and r < self.donk:
             return (ActionType.BET, bet_cents)
         if s >= 5.5 and r < 0.35 + self.af / 6:
             return (ActionType.BET, bet_cents)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -268,7 +270,21 @@ class TestDispatch:
         text = resources.files("holdemlab").joinpath("data/ret_dispatch.txt").read_text(encoding="utf-8")
         rows = [line for line in text.splitlines() if line.split("#", 1)[0].strip()]
         d = RetDispatch.parse(text.splitlines(), rets, source="ret_dispatch.txt")
-        assert len(d.rules) == len(rows) == 15
+        assert len(d.rules) == len(rows) == 11
+
+    def test_every_shipped_row_decides_a_selection(self, rets):
+        """Removing any one shipped row changes the template of at least one
+        situation, over every street, archetype, action, aggressor and
+        position: no row repeats what another row already selects."""
+        from holdemlab.rangegrid import ARCHETYPES
+        from holdemlab.rets import _DISPATCH_VOCABULARY as V
+
+        situations = list(itertools.product(V["street"], ARCHETYPES, V["action"], V["aggressor"], V["position"]))
+        shipped = RetDispatch.shipped(rets)
+        selected = [shipped.select(*s) for s in situations]
+        for i, rule in enumerate(shipped.rules):
+            without = RetDispatch(shipped.rules[:i] + shipped.rules[i + 1 :], rets)
+            assert any(without.select(*s) != ret_id for s, ret_id in zip(situations, selected)), rule
 
 
 class TestTracker:

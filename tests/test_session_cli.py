@@ -15,6 +15,7 @@ from holdemlab.rangegrid import CLASS_NAMES, ComboGrid, parse_range_lines
 from holdemlab.session import SessionConfig, run_fastfold_session
 from holdemlab.metrics import all_in_adjusted
 from holdemlab.profiles import ProfileStore
+from holdemlab.rsm import BoardContext, RsmTable
 from holdemlab.table import parse_history, replay_hand, write_history
 
 
@@ -76,6 +77,52 @@ class TestSessionDeterminism:
         records = []
         run_fastfold_session(cfg, on_record=records.append)
         assert any(r.failure_injected for r in records)
+
+
+def _run_watching_begin_hand(config):
+    """The session's records, and the hole and bad-beat flag that each
+    hand's begin_hand was given."""
+    brain = Brain(ProfileStore(), seed=config.seed)
+    begin, given, records = brain.begin_hand, [], []
+
+    def watch(hand_id, hole, opponents, *, bad_beat_last_hand):
+        given.append((tuple(hole), bad_beat_last_hand))
+        return begin(hand_id, hole, opponents, bad_beat_last_hand=bad_beat_last_hand)
+
+    brain.begin_hand = watch
+    result = run_fastfold_session(config, brain=brain, on_record=records.append)
+    assert len(given) == len(records) == config.hands
+    return result, records, given
+
+
+class TestHandFacts:
+    """The loop reads the hero's hole from the deck and flags a bad beat
+    from the hand it just played; these check both against the records."""
+
+    def test_hero_hole_is_the_dealt_hole_at_the_smallest_buy_in(self):
+        config = SessionConfig(hands=300, seed=3, hero_buyin_bb=2.0)
+        result, records, given = _run_watching_begin_hand(config)
+        assert result.rebuys > 0
+        closing = 4  # the buy-in: 2 bb of 2 cents
+        for record, (hole, _) in zip(records, given):
+            seat = record.hero_seat_of("hero")
+            assert record.holes[seat] == hole
+            assert all(stack > 0 for _, _, stack in record.seats)
+            start = next(stack for s, _, stack in record.seats if s == seat)
+            assert start == (closing if closing >= 4 else 4)  # kept, or rebought below 2 bb
+            closing = start + record.net[seat]
+
+    @pytest.mark.parametrize("seed", [2023, 7])
+    def test_bad_beat_flag_is_the_previous_hands_loss_with_a_monster(self, seed):
+        rsm = RsmTable()
+        _, records, given = _run_watching_begin_hand(SessionConfig(hands=3000, seed=seed, learning=False))
+        assert given[0][1] is False
+        for record, (_, flag) in zip(records, given[1:]):
+            seat = record.hero_seat_of("hero")
+            showed = any(s == seat for s, _ in record.showdown)
+            want = showed and record.net[seat] < 0 and rsm.query(record.holes[seat], BoardContext(record.board)) >= 8
+            assert flag == want, record.hand_id
+        assert sum(flag for _, flag in given) >= 1
 
 
 class _RecordingBrain:
@@ -571,7 +618,8 @@ class TestCli:
             ("pool_size", "0", "0 is not >= 5 (five opponents a hand)"),
             ("pool_size", "4", "4 is not >= 5 (five opponents a hand)"),
             ("bb_cents", "0", "0 is not >= 1"),
-            ("hero_buyin_bb", "0", "0.0 is not a buy-in of at least one cent at bb_cents=2"),
+            ("hero_buyin_bb", "0", "0.0 is not a finite buy-in of at least 2 bb (the rebuy line)"),
+            ("hero_buyin_bb", "1.5", "1.5 is not a finite buy-in of at least 2 bb (the rebuy line)"),
             ("hands", "-5", "-5 is not >= 0"),
             ("--hands", "-3", "-3 is not >= 0"),
             ("seed", "-1", "-1 is not >= 0"),
