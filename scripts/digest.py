@@ -26,6 +26,10 @@ line of those locks:
 
     holdemlab report report_history_2023.hh --out report_history_2023.csv
 
+The report rounds each adjusted result to cents, so the equity of every lock
+in that history (`metrics._equity_multiway`, as the report computes it) is
+hashed too, one `repr` a line.
+
 One `sha256  name` line is printed per output, sorted by name; diff the
 lines of two checkouts.
 """
@@ -78,6 +82,25 @@ def advise_lines(workloads, seed: int, hands: int) -> list[str]:
     return lines
 
 
+def lock_equities(history: Path) -> str:
+    """repr of each all-in lock's equity in the history, in report order."""
+    from holdemlab import metrics, table
+
+    records = table.parse_history(str(history))
+    equity_multiway, seen = metrics._equity_multiway, []
+
+    def recorded(*args, **kwargs):
+        seen.append(equity_multiway(*args, **kwargs))
+        return seen[-1]
+
+    metrics._equity_multiway = recorded
+    try:
+        metrics.ledger_from_records(records, "hero", records[0].bb_cents)
+    finally:
+        metrics._equity_multiway = equity_multiway
+    return "\n".join(map(repr, seen))
+
+
 def digests(out: Path, advise_hands: int) -> dict[str, str]:
     cli(out, "simulate", "--hands", str(HANDS), "--seed", str(SEED), "--trace", "--out", "simulate")
     (out / "failure.ini").write_text(FAILURE_INI, encoding="utf-8")
@@ -90,6 +113,7 @@ def digests(out: Path, advise_hands: int) -> dict[str, str]:
         f"{history}.stdout": cli(out, "report", f"{history}.hh", "--out", f"{history}.csv"),
         "replay.stdout": cli(out, "replay", "hand6.scn", "--out", "replay"),
         f"advise_{SEED}_{advise_hands}.lines": "\n".join(advise_lines(workloads, SEED, advise_hands)),
+        f"{history}.lock_equities": lock_equities(out / f"{history}.hh"),
     }
     for demo in sorted((ROOT / "demos").glob("*.py")):
         texts[f"{demo.stem}.stdout"] = run(out, str(demo))

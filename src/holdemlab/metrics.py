@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cards import pot_equity
+from .cards import card_str, pot_equity
 from .table import HandRecord, positions_for
 
 Z_95 = 1.959963984540054
@@ -147,7 +147,10 @@ def all_in_adjusted(record: HandRecord, hero_id: str) -> int:
     Known limit: `pot` is every chip awarded, uncalled excess included, and
     one equity is applied to every side pot, so the value is off whenever the
     stakes differ. Hero 4d3d with 300 cents against 9h9s with 120, jam and
-    call pre-flop, gives -213 against an actual -123."""
+    call pre-flop, gives -213 against an actual -123.
+
+    A locked hand whose showdown hands and board repeat a card raises
+    LedgerError: its equity would be taken on a deck short of that card."""
     hero_seat = record.hero_seat_of(hero_id)
     if hero_seat is None:
         raise LedgerError(f"{hero_id} not in hand {record.hand_id}")
@@ -203,6 +206,10 @@ def _adjusted_at_seat(record: HandRecord, hero_seat: int) -> int:
     if lock >= len(_LOCK_BOARD_LEN):
         return actual
 
+    dealt = [c for _, hole in record.showdown for c in hole] + list(record.board)
+    if len(set(dealt)) < len(dealt):
+        repeated = next(c for c in dealt if dealt.count(c) > 1)
+        raise LedgerError(f"hand {record.hand_id}: {card_str(repeated)} repeats among the showdown hands and the board")
     board = record.board[: _LOCK_BOARD_LEN[lock]]
     villains = [h for s, h in record.showdown if s != hero_seat]
     equity = _equity_multiway(holes[hero_seat], villains, board, seed=record.hand_id)

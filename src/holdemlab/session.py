@@ -355,7 +355,7 @@ def run_fastfold_session(
         seats.insert(hero_seat, SeatConfig(HERO_ID, hero_stack, hero_or_timeout))
         deck = deal_rng.shuffled_deck()
         hole = (deck[2 * hero_seat], deck[2 * hero_seat + 1])  # every seat has chips (see above)
-        brain.begin_hand(hand_id, hole, [(bot.player_id, None) for bot in opponents], bad_beat_last_hand=bad_beat_last)
+        brain.begin_hand(hand_id, hole, (), bad_beat_last_hand=bad_beat_last)
         timed_out = False
         record = play_hand(
             hand_id,

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from holdemlab.cards import (
     HandCategory,
     InvalidCardsError,
     UndefinedRangeError,
+    _unrank_combinations,
     card_index,
     card_str,
     equity_exhaustive,
@@ -246,6 +248,52 @@ class TestRankTablePath:
                     holes = [rng.choice(used, 2) for _ in range(20)]  # pocket copies of one card too
                     holes += [[rng.choice(used), rng.integers(52)] for _ in range(20)]
                     self._check(runs, board, holes)
+
+    def test_lock_and_advise_shapes_agree_with_hand_score(self):
+        """The shapes the program scores: a pre-flop lock's 12,000 sampled
+        runouts, listed flop locks (990 runouts heads-up, 903 three-way) and
+        an advise sweep's 40 runouts for the hero and 40 combos. Where a hand
+        shares a card with a runout (advise masks those), it is not
+        compared. Flops of three suited cards and runouts that bring a suit
+        to three or four are among them."""
+
+        def check(runs, board, holes):
+            got = score_cards_batch(runs, board, holes)
+            assert got.shape == (len(holes), len(runs))
+            compared = 0
+            for hole, line in zip(holes, got.tolist()):
+                for row, score in zip(runs.tolist(), line):
+                    if not {*hole} & {*row}:
+                        assert score == hand_score((*hole, *row, *board))
+                        compared += 1
+            return compared
+
+        def most_of_a_suit(runs, board):
+            return {max(np.bincount([c & 3 for c in (*row, *board)], minlength=4)) for row in runs.tolist()}
+
+        holes = [cards("AsAh"), cards("KdKc")]
+        deck = [c for c in range(52) if c not in {*holes[0], *holes[1]}]
+        picks = np.random.Generator(np.random.PCG64(2023)).choice(math.comb(48, 5), size=12_000, replace=False)
+        runs = np.array(deck)[_unrank_combinations(48, 5, picks)]
+        assert {3, 4} <= most_of_a_suit(runs, ())
+        assert check(runs, (), holes) == 24_000
+        for flop, holes in (
+            (cards("9h5h2h"), [cards("AhKs"), cards("QcQd")]),
+            (cards("9d5s2d"), [cards("Ad3d"), cards("JsJc"), cards("7h6h")]),
+        ):
+            dead = {*flop, *(c for hole in holes for c in hole)}
+            runs = np.array(list(itertools.combinations([c for c in range(52) if c not in dead], 2)))
+            assert len(runs) == {2: 990, 3: 903}[len(holes)]
+            assert {3, 4} <= most_of_a_suit(runs, flop)
+            assert check(runs, flop, holes) == len(holes) * len(runs)
+        rng = np.random.default_rng(41)
+        flop = cards("Th8h3h")
+        hero = cards("AcJh")
+        live = [c for c in range(52) if c not in {*flop, *hero}]
+        runs = np.array([rng.choice(live, size=2, replace=False) for _ in range(40)])
+        combos = [rng.choice(live, size=2, replace=False).tolist() for _ in range(40)]
+        assert {3, 4} <= most_of_a_suit(runs, flop)
+        assert check(runs, flop, [hero, *combos]) > 1_400
 
 
 class TestDealRng:

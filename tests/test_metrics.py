@@ -167,6 +167,7 @@ class TestAllInAdjusted:
             # pre-flop locks sample 12,000 runouts; flop and turn locks list theirs
             ("AsAh", ["KdKc"], "", 7, 0.81625),
             ("AsAh", ["KdKc", "7h6h"], "", 11, 0.6148055555555555),
+            ("2c2d", ["AsQh", "KcJc", "9h8h"], "", 3, 0.21177083333333332),
             ("9h9s", ["4d3d"], "9d5s2c", 0, 0.7262626262626263),
             ("9h9s", ["4d3d", "AcKc"], "9d5s2c", 3, 0.7131782945736435),
             ("JhTh", ["AdAc"], "9h8c2h3s", 5, 0.3409090909090909),
@@ -402,6 +403,33 @@ class TestRunoutUnranking:
             got = _unrank_combinations(len(deck), k, np.arange(len(combos)))
             assert got.shape == (len(combos), k)
             assert [tuple(row) for row in got.tolist()] == combos
+
+    @pytest.mark.parametrize("n", range(44, 48))
+    def test_every_rank_matches_itertools_for_one_and_two_cards(self, n):
+        # the turn and river runouts of an equity sweep or a lock
+        for k in (0, 1, 2):
+            combos = list(itertools.combinations(range(n), k))
+            got = _unrank_combinations(n, k, np.arange(len(combos)))
+            assert [tuple(row) for row in got.tolist()] == combos
+
+    @pytest.mark.parametrize("n", range(44, 51))
+    def test_five_card_ranks_match_the_block_count(self, n):
+        """Pre-flop runouts from every deck size a lock can leave: the rank
+        of a combination is the number of combinations before it, counted
+        block by block (those with a smaller element where it first
+        differs), so each unranked row must count back to its pick."""
+        total = math.comb(n, 5)
+        picks = np.random.Generator(np.random.PCG64(n)).choice(total, size=300, replace=False)
+        picks = np.concatenate([[0, total - 1], picks])
+        got = _unrank_combinations(n, 5, picks)
+        assert got[0].tolist() == [0, 1, 2, 3, 4] and got[1].tolist() == list(range(n - 5, n))
+        for row, pick in zip(got.tolist(), picks.tolist()):
+            assert row == sorted(set(row)) and 0 <= row[0] and row[-1] < n
+            before, prev = 0, -1
+            for j, x in enumerate(row):
+                before += sum(math.comb(n - 1 - y, 4 - j) for y in range(prev + 1, x))
+                prev = x
+            assert before == pick
 
     def test_seeded_preflop_sample_matches_the_listed_runouts(self):
         deck = [c for c in range(52) if c not in (0, 13, 26, 39)]  # 48 cards, as heads-up pre-flop

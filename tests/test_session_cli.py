@@ -565,6 +565,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: hand 2 has bb=2, the first hand bb=4\n" and captured.out == ""
 
+    def test_report_refuses_a_lock_whose_showdown_repeats_a_card(self, tmp_path, capsys):
+        """A pre-flop lock from the benchmark's seed-2023 report history, with
+        the hero's HOLE and SHOW rewritten to the villain's 6hTd: its equity
+        would be taken on a deck that lacks the repeated card, so the hand is
+        refused by number."""
+        lines = [
+            "HHv1 hand=890 table=bench btn=5 sb=1 bb=2 flop=1 fail=0",
+            "SEAT 0 p4 298", "SEAT 1 p3 171", "SEAT 2 p2 412", "SEAT 3 p1 364", "SEAT 4 p5 420", "SEAT 5 hero 241",
+            "HOLE 0 Kc5h", "HOLE 1 7sQc", "HOLE 2 JdTh", "HOLE 3 6hTd", "HOLE 4 3c8s", "HOLE 5 JcQh",
+            "BOARD 4d9hQd5s9s",
+            "ACT preflop 2 fold 0", "ACT preflop 3 call 2", "ACT preflop 4 fold 0", "ACT preflop 5 allin 241",
+            "ACT preflop 0 fold 1", "ACT preflop 1 fold 2", "ACT preflop 3 call 241",
+            "SHOW 3 6hTd", "SHOW 5 JcQh",
+            "AWARD 5 485 6",
+            "NET 0 -1", "NET 1 -2", "NET 2 0", "NET 3 -241", "NET 4 0", "NET 5 238",
+            "END",
+        ]
+        path = tmp_path / "lock.hh"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["report", str(path)]) == 0
+        capsys.readouterr()
+        bad = "\n".join(lines).replace("HOLE 5 JcQh", "HOLE 5 6hTd").replace("SHOW 5 JcQh", "SHOW 5 6hTd")
+        path.write_text(bad + "\n")
+        assert cli_main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: hand 890: 6h repeats among the showdown hands and the board\n"
+        assert captured.out == ""
+
     def test_report_hero_in_no_hand_exits_2(self, tmp_path, capsys):
         *_, path = run_and_write(tmp_path, "session.hh", hands=5)
         assert cli_main(["report", str(path), "--hero", "nobody"]) == 2
