@@ -167,10 +167,10 @@ class TestAllInAdjusted:
             # pre-flop locks sample 12,000 runouts; flop and turn locks list theirs
             ("AsAh", ["KdKc"], "", 7, 0.81625),
             ("AsAh", ["KdKc", "7h6h"], "", 11, 0.6148055555555555),
-            ("2c2d", ["AsQh", "KcJc", "9h8h"], "", 3, 0.21177083333333332),
             ("9h9s", ["4d3d"], "9d5s2c", 0, 0.7262626262626263),
             ("9h9s", ["4d3d", "AcKc"], "9d5s2c", 3, 0.7131782945736435),
             ("JhTh", ["AdAc"], "9h8c2h3s", 5, 0.3409090909090909),
+            ("2c2d", ["AsQh", "KcJc", "9h8h"], "", 3, 0.21177083333333332),
         ],
     )
     def test_lock_equity_is_pinned(self, hero, villains, board, seed, equity):
