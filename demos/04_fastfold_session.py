@@ -20,7 +20,7 @@ result = run_fastfold_session(config, brain=brain, store=store)
 print(result.report.to_text())
 print(f"\nshowdowns learned from: {result.showdowns_seen}")
 print(f"strength-table deltas applied: {result.learning_deltas}")
-print(f"overlay buckets touched: {len(rsm.overlay)}")
+print(f"overlay buckets touched: {len(rsm.overlay_to_dict())}")
 print(f"hero rebuys: {result.rebuys}")
 
 # The profiler has formed opinions by now; show the sharpest reads.

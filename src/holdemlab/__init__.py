@@ -18,7 +18,7 @@ from .rangegrid import (
     assign_preflop_range,
     load_range_file,
 )
-from .rsm import BoardContext, RsCategory, RsmTable, board_texture
+from .rsm import BoardContext, RsCategory, RsmTable
 from .rets import (
     RET,
     OpponentRangeTracker,
@@ -64,7 +64,6 @@ __all__ = [
     "BoardContext",
     "RsCategory",
     "RsmTable",
-    "board_texture",
     "RET",
     "OpponentRangeTracker",
     "RetDispatch",

@@ -60,15 +60,6 @@ def cmd_simulate(args) -> int:
         history = open(history_path, "w", encoding="utf-8")
     except OSError as e:
         return _unwritable(e)
-    if config.hands == 0:
-        history.close()
-        try:
-            report_txt.write_text("hands played: 0\n", encoding="utf-8")
-        except OSError as e:
-            return _unwritable(e)
-        print("0 hands simulated")
-        return EXIT_OK
-
     with history:
         store = ProfileStore()
         rsm = RsmTable()

@@ -31,6 +31,7 @@ from .cards import (
     rank_table_entries,
     validate_board,
 )
+from .events import STREETS
 from .rangegrid import COMBO_CARDS, DATA_DIR, N_COMBOS, combo_index, combos_with_any
 
 
@@ -49,22 +50,9 @@ class RsCategory(IntEnum):
 
     @property
     def label(self) -> str:
-        return _CATEGORY_LABELS[int(self)]
+        """The member's name in title case without underscores: HardlyAnything."""
+        return self.name.title().replace("_", "")
 
-
-_CATEGORY_LABELS = [
-    "Niente",
-    "HardlyAnything",
-    "Weak",
-    "Fair",
-    "Decent",
-    "Good",
-    "Great",
-    "Excellent",
-    "Monster",
-    "Nuts",
-    "Alcatraz",
-]
 
 N_CATEGORIES = 11
 
@@ -97,18 +85,6 @@ class DrawTier(IntEnum):
     COMBO = 3  # flush draw plus straight outs
 
 
-@dataclass(frozen=True)
-class BoardTexture:
-    paired: bool
-    flush_level: str  # rainbow / twotone / suited
-    connectivity: str  # low / med / high
-    high_card: str  # low / mid / high
-
-    @property
-    def wet(self) -> bool:
-        return self.flush_level == "suited" or self.connectivity == "high"
-
-
 # Rank windows a straight can use (index 0 = deuce), the wheel included, as
 # rank masks; and by a board's rank mask, the most of its ranks one window
 # holds.
@@ -116,28 +92,6 @@ _STRAIGHT_WINDOWS = np.array([0b11111 << lo for lo in range(9)] + [(1 << 12) | 0
 _BEST_IN_WINDOW = (
     sum((np.arange(8192)[:, None] & _STRAIGHT_WINDOWS) >> r & 1 for r in range(13)).max(axis=1).tolist()
 )
-
-
-def board_texture(board: Sequence[int]) -> BoardTexture:
-    board = validate_board(board)
-    if len(board) < 3:
-        raise InvalidCardsError("texture needs a dealt board")
-    ranks = {c >> 2 for c in board}
-    suit_counts = [0, 0, 0, 0]
-    for c in board:
-        suit_counts[c & 3] += 1
-    paired = len(ranks) < len(board)
-    ms = max(suit_counts)
-    flush_level = "rainbow" if ms <= 1 else ("twotone" if ms == 2 else "suited")
-    best_in_window = _BEST_IN_WINDOW[sum(1 << r for r in ranks)]
-    connectivity = "high" if best_in_window >= 3 else ("med" if best_in_window == 2 else "low")
-    top = max(ranks)
-    high_card = "high" if top >= 9 else ("mid" if top >= 6 else "low")
-    return BoardTexture(paired, flush_level, connectivity, high_card)
-
-
-def street_kind(board: Sequence[int]) -> str:
-    return {3: "flop", 4: "turn", 5: "river"}[len(board)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +194,14 @@ class BoardContext:
         self.board = validate_board(board)
         if len(self.board) < 3:
             raise InvalidCardsError("relative strength is undefined pre-flop")
-        self.street = street_kind(self.board)
-        self.texture = board_texture(self.board)
+        self.street = STREETS[len(self.board) - 2]
+        # The texture the category tables read: a pair, three or more cards
+        # of one suit, and wet (suited, or three ranks in one straight window).
+        ranks = {c >> 2 for c in self.board}
+        suits = [c & 3 for c in self.board]
+        self.paired = len(ranks) < len(self.board)
+        self.suited = max(map(suits.count, range(4))) >= 3
+        self.wet = self.suited or _BEST_IN_WINDOW[sum(1 << r for r in ranks)] >= 3
         self.dead_mask = combos_with_any(self.board)
         self.scores, self.made, self.draw, self._column_scores, self._flushed = _combo_features(self.board)
         self.scores[self.dead_mask] = -1
@@ -326,6 +286,11 @@ class RsmRulesError(ValueError):
     pass
 
 
+# The draw streets and adjustments the category tables read: the river is
+# anchored to the percentile, so it has no draw row.
+_READ_ROWS = {"draw": ("flop", "turn"), "adjust": ("wet_pairs", "suited_bigmade")}
+
+
 @dataclass
 class RsmRules:
     made_value: dict[MadeClass, float]
@@ -353,6 +318,11 @@ class RsmRules:
                     raise KeyError(parts[0])
             except (KeyError, ValueError, IndexError):
                 raise RsmRulesError(f"{source}:{lineno}: cannot parse {line!r}") from None
+            read = _READ_ROWS.get(parts[0])
+            if read is not None and parts[1] not in read:
+                raise RsmRulesError(
+                    f"{source}:{lineno}: the table never reads {parts[0]} {parts[1]!r}; want {' or '.join(read)}"
+                )
         missing = [m.name for m in MadeClass if m not in made]
         if missing:
             raise RsmRulesError(f"{source}: missing made-class values: {missing}")
@@ -364,8 +334,21 @@ class RsmRules:
         return cls.parse(text.splitlines(), source="rsm_rules.txt")
 
 
-def bucket_key(street: str, made: MadeClass, draw: DrawTier, wet: bool) -> str:
+def bucket_key(street: str, made: int, draw: int, wet: bool) -> str:
     return f"{street}|{MadeClass(made).name}|{DrawTier(draw).name}|{'wet' if wet else 'dry'}"
+
+
+_POSTFLOP = STREETS[1:]  # the streets of the overlay's first axis
+
+
+def _bucket_cell(bucket: str) -> tuple[int, int, int, int]:
+    """The overlay cell [street, wet, made, draw] that `bucket_key` writes
+    as `bucket`; ValueError for a key it cannot write on a post-flop street."""
+    try:
+        street, made, draw, wet = bucket.split("|")
+        return _POSTFLOP.index(street), ("dry", "wet").index(wet), int(MadeClass[made]), int(DrawTier[draw])
+    except (KeyError, ValueError):
+        raise ValueError(f"bad bucket {bucket!r}: not a key bucket_key writes for the flop, turn or river") from None
 
 
 _ONE_PAIR_CLASSES = (
@@ -393,53 +376,25 @@ _DRAW = np.arange(4)[None, None, :]
 class RsmTable:
     """Rule base plus an additive learned overlay, queried per (hole, board).
 
-    Queries are deterministic for a fixed table state. Deltas accumulate per
-    feature bucket and are clamped so learning cannot push a bucket more
-    than `clamp` categories from its base. Writers must be serialized by the
-    owner; concurrent readers are safe.
+    Queries are deterministic for a fixed table state. The overlay is one
+    float array of learned deltas indexed [street, wet, made class, draw
+    tier]; bucket keys (`bucket_key`) name its cells only where learning
+    meets the table: `bucket_for`, `apply_delta` and the profile snapshot's
+    `overlay_to_dict`. Deltas are clamped so learning cannot push a bucket
+    more than `clamp` categories from its base. Writers must be serialized
+    by the owner; concurrent readers are safe.
     """
 
     clamp = 1.5
 
     def __init__(self, rules: RsmRules | None = None):
         self.rules = rules or RsmRules.shipped()
-        self.overlay: dict[str, float] = {}
-        self.version = 0  # bumped on every overlay change; keys caches
-        self._bucket_parts: dict[str, tuple[str, ...]] = {}  # bucket key -> its "|" fields
+        self.version = 0  # bumped on every delta; keys the contexts' category caches
+        self._deltas = np.zeros((len(_POSTFLOP), 2, 16, 4))  # [street, wet, made, draw]
         self._made_values = np.array([self.rules.made_value[MadeClass(m)] for m in range(16)])
-        self._memo_version = -1
-        self._memo_entries: dict[tuple, np.ndarray | None] = {}
+        self._category_tables: dict[tuple[str, bool, bool], np.ndarray] = {}  # emptied by every delta
 
     # -- values ------------------------------------------------------------
-
-    def _memo(self) -> dict:
-        """Overlay slices and category tables built for the current overlay
-        version; a new version starts an empty memo."""
-        if self._memo_version != self.version:
-            self._memo_version, self._memo_entries = self.version, {}
-        return self._memo_entries
-
-    def _overlay_table(self, street: str, wet: bool) -> np.ndarray | None:
-        """(made, draw) delta lattice for one street/texture slice, or None
-        when no bucket of the slice has a delta."""
-        memo = self._memo()
-        key = ("overlay", street, wet)
-        if key not in memo:
-            wet_tag = "wet" if wet else "dry"
-            parts = self._bucket_parts
-            table = None
-            for bucket, delta in self.overlay.items():
-                split = parts.get(bucket)
-                if split is None:
-                    split = parts[bucket] = tuple(bucket.split("|"))
-                b_street, made_name, draw_name, wtag = split
-                if b_street != street or wtag != wet_tag:
-                    continue
-                if table is None:
-                    table = np.zeros((16, 4))
-                table[int(MadeClass[made_name]), int(DrawTier[draw_name])] += delta
-            memo[key] = table
-        return memo[key]
 
     def _categories(
         self, vals: np.ndarray, state: np.ndarray, made: np.ndarray, draw: np.ndarray, street: str, wet: bool
@@ -449,21 +404,19 @@ class RsmTable:
         their (made, draw) bucket is added and the value clipped to [0, 10]."""
         vals = np.where(state >= _NUT, np.maximum(vals, 9.0), vals)
         vals = np.where(state == _CRIPPLED, 10.0, vals)
-        overlay = self._overlay_table(street, wet)
-        if overlay is not None:
-            vals = vals + overlay[made, draw]
+        deltas = self._deltas[_POSTFLOP.index(street), int(wet)]
+        if deltas.any():  # a slice without a delta adds nothing
+            vals = vals + deltas[made, draw]
         vals = np.minimum(np.maximum(vals, 0.0), 10.0)
         return np.floor(vals + 0.5).astype(np.int64)
 
-    def _category_table(self, street: str, texture: BoardTexture) -> np.ndarray:
+    def _category_table(self, street: str, wet: bool, suited: bool) -> np.ndarray:
         """Flop or turn category of each (combo state, made class, draw
         tier), flattened to 3 x 16 x 4 entries. A base value is the made
         class's or the draw's, whichever is higher, with the wet-board pair
         and suited-board big-hand adjustments."""
-        wet, suited = texture.wet, texture.flush_level == "suited"
-        memo = self._memo()
-        key = ("categories", street, wet, suited)
-        table = memo.get(key)
+        key = (street, wet, suited)
+        table = self._category_tables.get(key)
         if table is None:
             dv = np.array([self.rules.draw_value.get((street, tier), 0.0) for tier in DrawTier])
             vals = np.maximum(self._made_values[_MADE], dv[_DRAW])
@@ -472,7 +425,7 @@ class RsmTable:
                 vals = np.where(_IS_ONE_PAIR[_MADE], vals + adjust["wet_pairs"], vals)
             if suited and "suited_bigmade" in adjust:
                 vals = np.where(_IS_BIG_MADE[_MADE], vals + adjust["suited_bigmade"], vals)
-            table = memo[key] = self._categories(vals, _STATE, _MADE, _DRAW, street, wet).ravel()
+            table = self._category_tables[key] = self._categories(vals, _STATE, _MADE, _DRAW, street, wet).ravel()
         return table
 
     def categories_many(self, ctx: BoardContext) -> np.ndarray:
@@ -483,23 +436,23 @@ class RsmTable:
         (normal, nut, or crippled: a nut of quads or better on a paired
         board), made class and draw tier, so they are gathered from a
         category table the RsmTable builds per (street, wet texture, suited
-        board) and keeps until its overlay version changes. On the river
-        the base value is the combo's percentile among live combos."""
+        board) and keeps until the next delta. On the river the base value
+        is the combo's percentile among live combos."""
         key = (self, self.version)  # holds the table, so no later table can take its id
         cached = ctx._category_cache.get(key)
         if cached is not None:
             return cached
         is_nut = ctx.scores == ctx.max_score
         state = is_nut.astype(np.int64)
-        if ctx.texture.paired:
+        if ctx.paired:
             state += is_nut & ((ctx.scores >> 20) >= _QUADS)
         if ctx.street == "river":
             # Complete board: anchor to the percentile among live opposing
             # combos, a pure function of absolute strength, so a better made
             # hand can never map lower than a worse one once draws are dead.
-            cats = self._categories(ctx.percentile * 9.0, state, ctx.made, ctx.draw, ctx.street, ctx.texture.wet)
+            cats = self._categories(ctx.percentile * 9.0, state, ctx.made, ctx.draw, ctx.street, ctx.wet)
         else:
-            table = self._category_table(ctx.street, ctx.texture)  # flattened (3, 16, 4)
+            table = self._category_table(ctx.street, ctx.wet, ctx.suited)  # flattened (3, 16, 4)
             cats = table[state * 64 + ctx.made * 4 + ctx.draw]
         cats = np.where(ctx.dead_mask, -1, cats)
         cats.flags.writeable = False
@@ -517,27 +470,28 @@ class RsmTable:
 
     def bucket_for(self, hole: Sequence[int], ctx: BoardContext) -> str:
         idx = combo_index(hole[0], hole[1])
-        return bucket_key(
-            ctx.street, MadeClass(int(ctx.made[idx])), DrawTier(int(ctx.draw[idx])), ctx.texture.wet
-        )
+        return bucket_key(ctx.street, int(ctx.made[idx]), int(ctx.draw[idx]), ctx.wet)
 
     # -- learning ----------------------------------------------------------
 
     def apply_delta(self, bucket: str, delta: float) -> float:
         """Accumulate a correction for one feature bucket. Each delta and the
-        accumulated overlay are bounded by the clamp; violating deltas are
-        rejected. Returns the new overlay value."""
+        accumulated overlay are bounded by the clamp; violating deltas and
+        keys `bucket_key` cannot write are rejected before anything changes.
+        Returns the new overlay value."""
         if abs(delta) > self.clamp + 1e-12:
             raise ValueError(f"delta {delta} exceeds clamp {self.clamp}")
-        new = float(np.clip(self.overlay.get(bucket, 0.0) + delta, -self.clamp, self.clamp))
-        if new == 0.0:
-            self.overlay.pop(bucket, None)
-        else:
-            self.overlay[bucket] = new
+        cell = _bucket_cell(bucket)
+        new = self._deltas[cell] = float(np.clip(self._deltas[cell] + delta, -self.clamp, self.clamp))
         self.version += 1
+        self._category_tables.clear()
         return new
 
     # -- persistence ---------------------------------------------------------
 
     def overlay_to_dict(self) -> dict[str, float]:
-        return dict(self.overlay)
+        """The bucket key and delta of every cell with a delta."""
+        return {
+            bucket_key(_POSTFLOP[s], m, d, w): float(self._deltas[s, w, m, d])
+            for s, w, m, d in np.argwhere(self._deltas).tolist()
+        }

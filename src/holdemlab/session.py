@@ -99,20 +99,16 @@ class SessionConfig:
             for key in parser["bots"]:
                 if key in parser.defaults():  # configparser gives every section the [DEFAULT] keys
                     raise ValueError(f"{path}: [DEFAULT] {key} would also be read as an archetype; set it in [session]")
-                if key not in archetypes:
-                    raise ValueError(f"{path}: [bots] unknown archetype {key!r}; want one of {', '.join(ARCHETYPE_TARGETS)}")
-                weight = mix[archetypes[key]] = read("bots", key, "getfloat")
-                if not weight >= 0:
-                    raise ValueError(f"{path}: [bots] {key}: weight {weight} is not >= 0")
-            if not sum(mix.values()) > 0:
-                raise ValueError(f"{path}: [bots] gives no archetype a positive weight")
+                mix[archetypes.get(key, key)] = read("bots", key, "getfloat")
             values["bot_mix"] = mix
         config = cls(rake=rake, **values)
-        config.check(lambda key: f"{path}: [{name}] {key}")
+        config.check(lambda key: f"{path}: {key}" if key == "[bots]" else f"{path}: [{name}] {key}")
         return config
 
     def check(self, name_of: Callable[[str], str]) -> None:
-        """Raise ValueError at the first value out of range, naming its INI key as name_of(key)."""
+        """Raise ValueError at the first value out of range, naming its INI key
+        as name_of(key); a bot_mix weight is named as the lower-case archetype
+        after name_of("[bots]"), the INI section of the weights."""
         buyin = self.hero_buyin_bb * self.bb_cents  # in cents
         for key, value, ok, want in (
             ("hands", self.hands, self.hands >= 0, ">= 0"),
@@ -130,6 +126,14 @@ class SessionConfig:
         ):
             if not ok:
                 raise ValueError(f"{name_of(key)}: {value} is not {want}")
+        bots = name_of("[bots]")
+        for archetype, weight in self.bot_mix.items():
+            if archetype not in ARCHETYPE_TARGETS:
+                raise ValueError(f"{bots} unknown archetype {archetype!r}; want one of {', '.join(ARCHETYPE_TARGETS)}")
+            if not 0 <= weight < float("inf"):
+                raise ValueError(f"{bots} {archetype.lower()}: weight {weight} is not finite and >= 0")
+        if not sum(self.bot_mix.values()) > 0:
+            raise ValueError(f"{bots} gives no archetype a positive weight")
 
 
 # The [session] keys of an INI config, by the parser method that reads each.

@@ -171,7 +171,7 @@ class TestApplyLearning:
         ]
         events = apply_learning(recs, rsm)
         assert all(e.reason == "reinforce" for e in events)
-        assert abs(rsm.overlay.get(bucket, 0.0)) <= n * DELTA_REINFORCE + 1e-12
+        assert abs(rsm.overlay_to_dict().get(bucket, 0.0)) <= n * DELTA_REINFORCE + 1e-12
 
     def test_range_miss_dispatches_to_profiles(self):
         rsm = RsmTable()
@@ -290,8 +290,25 @@ class TestSessionLearning:
         brain = Brain(store, rsm_table=rsm, seed=cfg.seed)
         result = run_fastfold_session(cfg, brain=brain, store=store)
         assert result.learning_deltas > 0
-        assert rsm.overlay  # deltas landed in buckets
-        assert all(abs(v) <= rsm.clamp for v in rsm.overlay.values())
+        overlay = rsm.overlay_to_dict()
+        assert overlay  # deltas landed in buckets
+        assert all(abs(v) <= rsm.clamp for v in overlay.values())
+
+    def test_learned_overlay_is_pinned(self):
+        """The overlay a 2,000-hand seed-2023 session learns, as the profile
+        snapshot writes it: 64 buckets after 430 deltas."""
+        import hashlib
+        import json
+
+        from holdemlab.brain import Brain
+
+        store, rsm = ProfileStore(), RsmTable()
+        brain = Brain(store, rsm_table=rsm, seed=2023)
+        run_fastfold_session(SessionConfig(hands=2000, seed=2023, learning=True), brain=brain, store=store)
+        overlay = rsm.overlay_to_dict()
+        assert (len(overlay), rsm.version) == (64, 430)
+        digest = hashlib.sha256(json.dumps(overlay, sort_keys=True).encode()).hexdigest()
+        assert digest == "dd80bf3134dc8a88a5c5f621d3aa07e6b7b87d73f7ac4ce58a1389ec1fe1d4b3"
 
     def test_showdown_records_carry_their_snapshots_context(self, monkeypatch):
         """Each record reads its board under the context its snapshot was

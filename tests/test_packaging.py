@@ -11,13 +11,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_data_file_matches_a_package_data_glob():
+    """Every data file is shipped, and every glob ships a file."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     globs = config["tool"]["setuptools"]["package-data"]["holdemlab"]
     package = Path(holdemlab.__file__).parent
-    shipped = {path for glob in globs for path in package.glob(glob)}
+    shipped = {glob: {path for path in package.glob(glob) if path.is_file()} for glob in globs}
     files = {path for path in (package / "data").rglob("*") if path.is_file()}
-    assert files and files <= shipped, sorted(str(p.relative_to(package)) for p in files - shipped)
+    every = set().union(*shipped.values())
+    assert files and files <= every, sorted(str(p.relative_to(package)) for p in files - every)
+    assert [glob for glob, paths in shipped.items() if not paths] == []
 
 
 def test_rank_table_generator_rebuilds_the_shipped_table(tmp_path):

@@ -5,14 +5,12 @@ from holdemlab.cards import InvalidCardsError, parse_cards, score_cards_batch
 from holdemlab.rangegrid import COMBO_CARDS
 from holdemlab.rsm import (
     BoardContext,
-    BoardTexture,
     DrawTier,
     MadeClass,
     RsCategory,
     RsmRules,
     RsmRulesError,
     RsmTable,
-    board_texture,
     bucket_key,
 )
 from reference_percentile import percentile_by_sorting
@@ -49,31 +47,29 @@ class TestScale:
 
 class TestBoardTexture:
     def test_case_study_flop_is_dry_rainbow(self):
-        t = board_texture(FLOP)
-        assert not t.paired and t.flush_level == "rainbow" and not t.wet
+        assert not FLOP_CTX.paired and not FLOP_CTX.suited and not FLOP_CTX.wet
 
     def test_draw_heavy_board(self):
-        t = board_texture(cards("JsTs7c"))
-        assert t.flush_level == "twotone"
-        assert t.connectivity == "high"
-        assert t.wet
+        ctx = BoardContext(cards("JsTs7c"))  # two-tone, three ranks in one straight window
+        assert not ctx.suited and ctx.wet
 
     def test_dry_board(self):
-        t = board_texture(cards("Kd8c2h"))
-        assert t.connectivity == "low" and not t.wet
+        ctx = BoardContext(cards("Kd8c2h"))
+        assert not ctx.wet
 
     def test_every_board_maps_to_one_class(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             b = rng.choice(52, size=int(rng.choice([3, 4, 5])), replace=False).tolist()
-            t = board_texture(b)
-            assert t.flush_level in ("rainbow", "twotone", "suited")
-            assert t.connectivity in ("low", "med", "high")
+            ctx = BoardContext(b)
+            assert {type(ctx.paired), type(ctx.suited), type(ctx.wet)} == {bool}
+            assert ctx.wet or not ctx.suited  # a suited board is wet
+            assert ctx.street == ("flop", "turn", "river")[len(b) - 3]
 
 
 def _reference_texture(board):
-    """board_texture as first written: the straight-window count from ten
-    frozenset intersections."""
+    """The texture as first written, with the straight-window count from
+    ten frozenset intersections: (paired, flush level, connectivity)."""
     windows = [frozenset(range(lo, lo + 5)) for lo in range(0, 9)] + [frozenset({12, 0, 1, 2, 3})]
     ranks = {c >> 2 for c in board}
     suit_counts = [0, 0, 0, 0]
@@ -83,13 +79,13 @@ def _reference_texture(board):
     flush_level = "rainbow" if ms <= 1 else ("twotone" if ms == 2 else "suited")
     best_in_window = max(len(w & ranks) for w in windows)
     connectivity = "high" if best_in_window >= 3 else ("med" if best_in_window == 2 else "low")
-    top = max(ranks)
-    high_card = "high" if top >= 9 else ("mid" if top >= 6 else "low")
-    return BoardTexture(len(ranks) < len(board), flush_level, connectivity, high_card)
+    return len(ranks) < len(board), flush_level, connectivity
 
 
 class TestBoardTextureTable:
     def test_every_flop_and_seeded_turns_and_rivers_match_the_window_sets(self):
+        """A context's paired, suited and wet facts equal the reference's:
+        suited is the suited flush level, wet is suited or high connectivity."""
         from itertools import combinations
 
         rng = np.random.default_rng(2121)
@@ -98,9 +94,11 @@ class TestBoardTextureTable:
         boards += [tuple(rng.choice(52, size=n, replace=False).tolist()) for n in (4, 5) for _ in range(3000)]
         seen = set()
         for board in boards:
-            texture = board_texture(board)
-            assert texture == _reference_texture(board), board
-            seen.add((len(board), texture.connectivity))
+            ctx = BoardContext(board)
+            paired, flush_level, connectivity = _reference_texture(board)
+            suited = flush_level == "suited"
+            assert (ctx.paired, ctx.suited, ctx.wet) == (paired, suited, suited or connectivity == "high"), board
+            seen.add((len(board), connectivity))
         assert len(seen) == 9, seen  # low, med and high on every street
 
 
@@ -341,18 +339,18 @@ def _reference_values(table, ctx):
         vals = np.maximum(vals, dv[draw])
         one_pair = [MadeClass.PAIR_WEAK, MadeClass.PAIR_MID, MadeClass.PAIR_TOP_WEAK,
                     MadeClass.PAIR_TOP_GOOD, MadeClass.OVERPAIR_MID, MadeClass.OVERPAIR_BIG]
-        if ctx.texture.wet and "wet_pairs" in rules.adjustments:
+        if ctx.wet and "wet_pairs" in rules.adjustments:
             vals = np.where(np.isin(made, one_pair), vals + rules.adjustments["wet_pairs"], vals)
-        if ctx.texture.flush_level == "suited" and "suited_bigmade" in rules.adjustments:
+        if ctx.suited and "suited_bigmade" in rules.adjustments:
             big = [MadeClass.TWO_PAIR, MadeClass.TRIPS, MadeClass.SET]
             vals = np.where(np.isin(made, big), vals + rules.adjustments["suited_bigmade"], vals)
     is_nut = ctx.scores == ctx.max_score
     vals = np.where(is_nut, np.maximum(vals, 9.0), vals)
-    cripple = is_nut & ((ctx.scores >> 20) >= int(HandCategory.QUADS)) & ctx.texture.paired
+    cripple = is_nut & ((ctx.scores >> 20) >= int(HandCategory.QUADS)) & ctx.paired
     vals = np.where(cripple, 10.0, vals)
     overlay = np.zeros(len(made))
-    wet_tag = "wet" if ctx.texture.wet else "dry"
-    for bucket, delta in table.overlay.items():
+    wet_tag = "wet" if ctx.wet else "dry"
+    for bucket, delta in table.overlay_to_dict().items():
         street, made_name, draw_name, tag = bucket.split("|")
         if street == ctx.street and tag == wet_tag:
             cell = (made == MadeClass[made_name]) & (draw == DrawTier[draw_name])
@@ -392,11 +390,11 @@ class TestCategoryTables:
         seen = {"wet": 0, "suited": 0, "nut": 0, "crippled": 0, "moved": 0}
         for board in self._boards():
             ctx = BoardContext(board)
-            seen["wet"] += ctx.texture.wet
-            seen["suited"] += ctx.texture.flush_level == "suited"
+            seen["wet"] += ctx.wet
+            seen["suited"] += ctx.suited
             nut = ctx.scores == ctx.max_score
             seen["nut"] += int(nut.sum())
-            seen["crippled"] += int((nut & ((ctx.scores >> 20) >= int(HandCategory.QUADS)) & ctx.texture.paired).sum())
+            seen["crippled"] += int((nut & ((ctx.scores >> 20) >= int(HandCategory.QUADS)) & ctx.paired).sum())
             for table in (plain, learned):
                 assert np.array_equal(table.categories_many(ctx), _reference_categories(table, ctx)), board
             live = np.flatnonzero(~ctx.dead_mask)
@@ -525,7 +523,7 @@ class TestDeltas:
         bucket = bucket_key("flop", MadeClass.PAIR_TOP_GOOD, DrawTier.NONE, False)
         table.apply_delta(bucket, 0.3)
         table.apply_delta(bucket, -0.3)
-        assert table.overlay == {}
+        assert table.overlay_to_dict() == {}
 
     def test_clamp_rejects_oversized_delta(self):
         table = RsmTable()
@@ -537,7 +535,42 @@ class TestDeltas:
         b = "flop|SET|NONE|dry"
         for _ in range(5):
             table.apply_delta(b, 0.5)
-        assert table.overlay[b] == pytest.approx(1.5)
+        assert table.overlay_to_dict()[b] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize(
+        "bucket",
+        ["flop|SETT|NONE|dry", "preflop|SET|NONE|dry", "flop|SET|NONE", "flop|SET|NONE|damp", "flop|SET|NONE|dry|x",
+         "Flop|SET|NONE|dry", "flop|10|NONE|dry", ""],
+    )
+    def test_malformed_bucket_is_refused_before_anything_changes(self, bucket):
+        """A key bucket_key cannot write for a post-flop street raises at
+        apply_delta, not at the next query, and leaves the table as it was."""
+        table = RsmTable()
+        table.apply_delta("flop|SET|NONE|dry", 0.5)
+        before = table.query(cards("5h5d"), FLOP_CTX)
+        with pytest.raises(ValueError, match="bad bucket"):
+            table.apply_delta(bucket, 0.5)
+        assert table.version == 1 and table.overlay_to_dict() == {"flop|SET|NONE|dry": 0.5}
+        assert table.query(cards("5h5d"), FLOP_CTX) == before
+
+    def test_every_overlay_key_parses_back_to_its_own_cell(self):
+        """With a distinct delta in every cell, each key overlay_to_dict
+        writes is the bucket_key of its cell and parses back to that cell."""
+        from holdemlab.rsm import _bucket_cell
+
+        table = RsmTable()
+        cells = {}
+        for s, street in enumerate(("flop", "turn", "river")):
+            for w, wet in enumerate((False, True)):
+                for made in MadeClass:
+                    for draw in DrawTier:
+                        key = bucket_key(street, made, draw, wet)
+                        cells[key] = (s, w, int(made), int(draw)), table.apply_delta(key, (1 + len(cells)) / 1000)
+        overlay = table.overlay_to_dict()
+        assert len(overlay) == 3 * 2 * 16 * 4 == len(cells)
+        for key, value in overlay.items():
+            cell, delta = cells[key]
+            assert _bucket_cell(key) == cell and value == delta, key
 
     def test_new_table_in_a_freed_tables_place_gets_its_own_categories(self):
         # One context outlives many tables. A table created where a freed one
@@ -569,3 +602,19 @@ class TestRules:
     def test_bad_line_reports_number(self):
         with pytest.raises(RsmRulesError, match=":1:"):
             RsmRules.parse(["banana 3"])
+
+    @pytest.mark.parametrize(
+        "row, want",
+        [
+            ("adjust wet_pair -0.45", "the table never reads adjust 'wet_pair'; want wet_pairs or suited_bigmade"),
+            ("draw river WEAK 1.0", "the table never reads draw 'river'; want flop or turn"),
+        ],
+    )
+    def test_a_row_the_table_never_reads_is_refused(self, row, want):
+        """A row that would change nothing, such as a misspelt adjustment or
+        a river draw, fails at its line rather than being ignored."""
+        from holdemlab.rangegrid import DATA_DIR
+
+        lines = (DATA_DIR / "rsm_rules.txt").read_text(encoding="utf-8").splitlines() + [row]
+        with pytest.raises(RsmRulesError, match=f"^rules.txt:{len(lines)}: {want}$"):
+            RsmRules.parse(lines, source="rules.txt")

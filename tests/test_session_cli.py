@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -301,9 +302,19 @@ class TestCli:
         assert (a / "report_77.csv").read_bytes() == (b / "report_77.csv").read_bytes()
 
     def test_simulate_zero_hands(self, tmp_path):
+        """A 0-hand run takes the normal path: it writes every file another
+        run writes, with an empty history, a zero report and no learning."""
         out = tmp_path / "z"
         assert cli_main(["simulate", "--hands", "0", "--seed", "1", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "profile_events_1.log", "profile_snapshot_1.json", "report_1.csv", "report_1.txt", "session_1.hh",
+        ]
         assert (out / "session_1.hh").read_text() == ""
+        assert (out / "report_1.txt").read_text().startswith("hands played: 0\n")
+        assert "hands,0,\n" in (out / "report_1.csv").read_text()
+        assert json.loads((out / "profile_snapshot_1.json").read_text())["rsm_overlay"] == {}
+        assert cli_main(["simulate", "--hands", "0", "--seed", "1", "--trace", "--out", str(out)]) == 0
+        assert (out / "trace_1.txt").exists()
 
     def test_replay_shipped_scenario(self, tmp_path, capsys):
         out = tmp_path / "snaps"
@@ -622,11 +633,12 @@ class TestCli:
             ("hands = 5\n[session]\nseed = 3\n", "File contains no section headers. file: "),
             ("[session]\nhands = ten\n", "[session] hands: invalid literal for int()"),
             ("[sesion]\nhands = 5\n", "unknown section [sesion]"),
-            ("[bots]\nrock = 0\nfish = -1\n", "[bots] fish: weight -1.0 is not >= 0"),
+            ("[bots]\nrock = 0\nfish = -1\n", "[bots] fish: weight -1.0 is not finite and >= 0"),
             ("[bots]\nrock = 0\n", "[bots] gives no archetype a positive weight"),
+            ("[bots]\nrock = inf\n", "[bots] rock: weight inf is not finite and >= 0"),
         ],
         ids=["misspelt-key", "default-key-in-bots", "unknown-archetype", "no-section-header", "bad-int",
-             "unknown-section", "negative-weight", "no-positive-weight"],
+             "unknown-section", "negative-weight", "no-positive-weight", "infinite-weight"],
     )
     def test_bad_config_exits_2_before_writing(self, tmp_path, capsys, text, names):
         """A config the session cannot read is a ValueError naming the file
@@ -677,6 +689,24 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: bad config: {names}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mix, want",
+        [
+            ({"Rock": -1.0, "Fish": 2.0}, "[bots] rock: weight -1.0 is not finite and >= 0"),
+            ({"Rock": 0.0}, "[bots] gives no archetype a positive weight"),
+            ({"Rok": 1.0}, "[bots] unknown archetype 'Rok'; want one of "),
+            ({"Rock": float("nan")}, "[bots] rock: weight nan is not finite and >= 0"),
+        ],
+        ids=["negative-weight", "no-positive-weight", "unknown-archetype", "nan-weight"],
+    )
+    def test_bad_bot_mix_fails_before_the_first_hand(self, mix, want):
+        """A bot mix given through the API is checked as an INI one is:
+        run_fastfold_session raises before it plays or builds a pool."""
+        played = []
+        with pytest.raises(ValueError, match=re.escape(want)):
+            run_fastfold_session(SessionConfig(hands=3, bot_mix=mix), on_record=played.append)
+        assert played == []
 
     def test_config_from_default_section_and_rake_keys(self, tmp_path):
         ini = tmp_path / "cfg.ini"
