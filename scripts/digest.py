@@ -2,7 +2,7 @@
 """Print the sha256 of every output of the seed-2023 run, so that two
 checkouts can be shown to write the same bytes.
 
-    python3 scripts/digest.py [--advise-hands 1000] [--keep DIR]
+    python3 scripts/digest.py [--advise-hands 1000] [--keep DIR] [--against REV]
 
 The program is imported from the checkout's src/. Each command runs in a
 fresh interpreter in the output directory DIR, as a user would run it:
@@ -31,7 +31,12 @@ in that history (`metrics._equity_multiway`, as the report computes it) is
 hashed too, one `repr` a line.
 
 One `sha256  name` line is printed per output, sorted by name; diff the
-lines of two checkouts.
+lines of two checkouts. With `--against REV`, REV is checked out with `git
+worktree add --detach` into a temporary directory, its own scripts/digest.py
+runs there in a fresh interpreter (so each tree's program is imported from
+its own src/), and only the lines that differ are printed: `-` for REV's,
+`+` for this checkout's. The exit status is 1 if any differ, and the
+worktree is removed.
 """
 from __future__ import annotations
 
@@ -124,16 +129,43 @@ def digests(out: Path, advise_hands: int) -> dict[str, str]:
     return sums
 
 
+def lines_at(rev: str, advise_hands: int) -> list[str]:
+    """The digest lines of revision `rev`, from its own scripts/digest.py in
+    a fresh interpreter in a temporary worktree."""
+    git = ["git", "-C", str(ROOT)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(tree), rev], check=True)
+        try:
+            done = subprocess.run(
+                [sys.executable, str(tree / "scripts" / "digest.py"), "--advise-hands", str(advise_hands)],
+                cwd=tmp, capture_output=True, text=True,
+            )
+        finally:
+            subprocess.run([*git, "worktree", "remove", "--force", str(tree)], check=True)
+    if done.returncode != 0:
+        sys.exit(f"digest of {rev} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout.splitlines()
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--advise-hands", type=int, default=1000, help="advised hands")
     p.add_argument("--keep", help="write the outputs here instead of a temporary directory")
+    p.add_argument("--against", metavar="REV", help="print only the lines that differ from revision REV's")
     args = p.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(args.keep or tmp).resolve()
         out.mkdir(parents=True, exist_ok=True)
-        for name, digest in sorted(digests(out, args.advise_hands).items()):
-            print(f"{digest}  {name}")
+        ours = [f"{digest}  {name}" for name, digest in sorted(digests(out, args.advise_hands).items())]
+    if not args.against:
+        print("\n".join(ours))
+        return
+    theirs = lines_at(args.against, args.advise_hands)
+    differ = [f"-{line}" for line in theirs if line not in ours] + [f"+{line}" for line in ours if line not in theirs]
+    for line in sorted(differ, key=lambda line: (line.split("  ", 1)[1], line[0] == "+")):
+        print(line)
+    sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":

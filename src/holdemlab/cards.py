@@ -1,10 +1,10 @@
 """Card primitives, deck shuffling, hand evaluation, and equity oracles.
 
-Cards are small value objects; hot paths work on integer card indices
-(0..51, rank-major). `hand_score` scores one hand of 5..7 cards from
-precomputed rank-mask tables. `score_cards_batch` scores many two-card
-hands on many runouts of one board from the rank table, which is what
-equity sweeps and all-in locks need. The fold that builds the table's
+A card is an integer index (0..51, rank-major) named by CARD_NAMES.
+`hand_score` scores one hand of 5..7 cards from precomputed rank-mask
+tables. `score_cards_batch` scores many two-card hands on many runouts of
+one board from the rank table, which is what equity sweeps and all-in
+locks need. The fold that builds the table's
 rows is kept as the reference in tests/reference_rank.py.
 """
 from __future__ import annotations
@@ -38,40 +38,27 @@ class UndefinedRangeError(ValueError):
     """Raised when an equity query is made against an empty-support range."""
 
 
-@dataclass(frozen=True, order=True)
-class Card:
-    """A playing card. Ordering is (rank, suit) with suits in c<d<h<s order."""
-
-    rank: int  # 2..14, where 11=J, 12=Q, 13=K, 14=A
-    suit: int  # 0..3 indexing into "cdhs"
-
-    def __post_init__(self) -> None:
-        if not (2 <= self.rank <= 14) or not (0 <= self.suit <= 3):
-            raise InvalidCardsError(f"bad card ({self.rank},{self.suit})")
-
-    @property
-    def index(self) -> int:
-        return (self.rank - 2) * 4 + self.suit
-
-    @classmethod
-    def parse(cls, text: str) -> "Card":
-        t = text.strip()
-        if len(t) != 2:
-            raise InvalidCardsError(f"cannot parse card {text!r}")
-        try:
-            rank = RANK_CHARS.index(t[0].upper()) + 2
-            suit = SUIT_CHARS.index(t[1].lower())
-        except ValueError:
-            raise InvalidCardsError(f"cannot parse card {text!r}") from None
-        return cls(rank, suit)
+# Each card index's two-character name ("2c" .. "As"): rank, then suit.
+CARD_NAMES = tuple(r + s for r in RANK_CHARS for s in SUIT_CHARS)
+# Every spelling card_index accepts, to its card: rank and suit in either case.
+CARD_OF = {
+    r + s: i
+    for i, name in enumerate(CARD_NAMES)
+    for r in (name[0], name[0].lower())
+    for s in (name[1], name[1].upper())
+}
 
 
 def card_index(text: str) -> int:
-    return Card.parse(text).index
+    """The index of a card's name, read with surrounding whitespace stripped."""
+    idx = CARD_OF.get(text.strip())
+    if idx is None:
+        raise InvalidCardsError(f"cannot parse card {text!r}")
+    return idx
 
 
 def card_str(idx: int) -> str:
-    return RANK_CHARS[idx >> 2] + SUIT_CHARS[idx & 3]
+    return CARD_NAMES[idx]
 
 
 def parse_cards(text: str) -> list[int]:

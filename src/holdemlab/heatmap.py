@@ -95,9 +95,9 @@ PPM_CELL_PX = 12
 
 def render_ppm(grid: ComboGrid, *, mode: str = "169") -> str:
     """Plain ASCII PPM (P3). Dependency-free and easy to assert against."""
-    matrix = grid.class_view() if mode == "169" else _combo_matrix(grid)
     if mode not in ("169", "1326"):
         raise HeatmapError(f"unknown heatmap mode {mode!r}")
+    matrix = grid.class_view() if mode == "169" else _combo_matrix(grid)
     n = matrix.shape[0]
     wmax = float(matrix.max())
     size = n * PPM_CELL_PX

@@ -14,9 +14,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cards import DATA_DIR, DECK_SIZE, N_COMBOS, InvalidCardsError, card_str, parse_cards
+from .cards import DATA_DIR, DECK_SIZE, N_COMBOS, RANK_CHARS, InvalidCardsError, card_str, parse_cards
 
-RANKS_DESC = "AKQJT98765432"
+RANKS_DESC = RANK_CHARS[::-1]
 
 
 class RangeConfigError(ValueError):

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .cards import STRAIGHT_OUTS, DealRng, card_str, hand_score, parse_cards
+from .cards import CARD_NAMES, CARD_OF, STRAIGHT_OUTS, DealRng, hand_score, parse_cards
 from .events import ACTIONS, STREET_CARDS, STREETS, ActionType, from_key
 from .preflop import combo_percentile
 
@@ -257,7 +257,8 @@ class HandEngine:
     live seat; and `on_end(record)` with the finished `HandRecord`.
 
     Every seat with chips is dealt in and named a position, so fewer than
-    two of them or more than MAX_SEATS raise ValueError. `board` is the tuple of board cards
+    two of them or more than MAX_SEATS raise ValueError, as do two seats
+    with one player id. `board` is the tuple of board cards
     dealt so far: a hand saw the flop when it is not empty. Streets and
     actions are logged in the words of `events.STREETS` and `events.ACTIONS`.
 
@@ -299,6 +300,8 @@ class HandEngine:
             raise ValueError("need at least two seated players with chips")
         if button not in dealt:
             raise ValueError("button must be an active seat")
+        if len({s.player_id for s in self.seats}) != len(self.seats):
+            raise ValueError("two seats have one player id")
         # Seats dealt in, clockwise from the one left of the button.
         self._clockwise = _clockwise_from(dealt, button)
         self.positions = _position_names(self._clockwise)
@@ -854,13 +857,8 @@ _HEADER = re.compile(
 )
 
 
-# Each card index's two-character name, read by record_to_lines for every
-# HOLE, BOARD and SHOW line.
-_CARD_NAMES = tuple(card_str(i) for i in range(52))
-
-
 def record_to_lines(record: HandRecord) -> list[str]:
-    name = _CARD_NAMES
+    name = CARD_NAMES
     lines = [
         f"{HISTORY_VERSION} hand={record.hand_id} table={record.table_id} btn={record.button} "
         f"sb={record.sb_cents} bb={record.bb_cents} flop={int(record.saw_flop)} fail={int(record.failure_injected)}"
@@ -891,11 +889,10 @@ def write_history(records: Iterable[HandRecord], path: str) -> None:
 # most card fields are HOLE and SHOW pairs, seven a hand. Reading those two
 # characters at a time too makes parse_history take 1.2x as long on a
 # 10,000-hand simulate history; the table costs 0.5 ms and 0.2 MB at import.
-# Board fields are read two characters at a time through the one-card
-# entries. A field the tables miss goes through parse_cards, which accepts
-# more spellings ("ah", "AH") and words the errors.
-_CARD_OF = {text: i for i, text in enumerate(_CARD_NAMES)}
-_TWO_CARDS_OF = {a + b: (i, j) for a, i in _CARD_OF.items() for b, j in _CARD_OF.items()}
+# Board fields are read two characters at a time through cards.CARD_OF. A
+# field that neither table reads goes through parse_cards, which words the
+# errors.
+_TWO_CARDS_OF = {a + b: (i, j) for i, a in enumerate(CARD_NAMES) for j, b in enumerate(CARD_NAMES)}
 
 
 def _field_cards(text: str) -> tuple[int, ...]:
@@ -903,7 +900,7 @@ def _field_cards(text: str) -> tuple[int, ...]:
     if pair is not None:
         return pair
     try:
-        return tuple([_CARD_OF[text[i : i + 2]] for i in range(0, len(text), 2)])
+        return tuple([CARD_OF[text[i : i + 2]] for i in range(0, len(text), 2)])
     except KeyError:
         return tuple(parse_cards(text))
 
@@ -915,8 +912,10 @@ def parse_history(path: str) -> list[HandRecord]:
     repeated street, action, player and table names share one string. The
     header must match _HEADER; each record's seats, actions and showdown
     become tuples at its END line, where its NET lines must name each of its
-    SEAT lines' seats once and its AWARD, HOLE and SHOW lines none but those
-    seats (the errors name the record's header line).
+    SEAT lines' seats once, its SEAT lines each player once, its AWARD, HOLE
+    and SHOW lines each of those seats at most once and no other, and its
+    SHOW lines the seat's HOLE cards (the errors name the record's header
+    line).
 
     An ACT line seen before reuses its parsed tuple. At fixed blinds bet
     sizes repeat: a 10,000-hand simulate history (seed 2023) has 121k ACT
@@ -955,6 +954,7 @@ def parse_history(path: str) -> list[HandRecord]:
                 elif tag == "HOLE":
                     _, seat, pair = parts
                     holes[int(seat)] = cards(pair)
+                    keyed += 1
                 elif tag == "NET":
                     _, seat, amount = parts
                     net[int(seat)] = int(amount)
@@ -964,8 +964,14 @@ def parse_history(path: str) -> list[HandRecord]:
                     listed = {s[0] for s in seats}
                     if not nets == len(net) == len(seats) or net.keys() != listed:
                         raise HistoryFormatError(f"line {opened}: the NET lines must name each SEAT line's seat once")
+                    if len({s[1] for s in seats}) != len(seats):
+                        raise HistoryFormatError(f"line {opened}: the SEAT lines must name each player once")
                     if not (listed.issuperset(awards) and listed.issuperset(holes)) or showdown and not listed.issuperset(dict(showdown)):
                         raise HistoryFormatError(f"line {opened}: AWARD, HOLE and SHOW lines must name a SEAT line's seat")
+                    if keyed != len(holes) + len(awards) or showdown and len(dict(showdown)) != len(showdown):
+                        raise HistoryFormatError(f"line {opened}: AWARD, HOLE and SHOW lines must name a seat once each")
+                    if showdown and not dict(showdown).items() <= holes.items():
+                        raise HistoryFormatError(f"line {opened}: a SHOW line must show its seat's HOLE cards")
                     records.append(
                         HandRecord(
                             *head, tuple(seats), holes, board, tuple(actions), tuple(showdown), awards, rake_paid, net, *flags
@@ -977,6 +983,7 @@ def parse_history(path: str) -> list[HandRecord]:
                     seat = int(seat)
                     awards[seat] = int(amount)
                     rake_paid[seat] = int(rake)
+                    keyed += 1
                 elif tag == "BOARD":
                     _, dealt = parts
                     board = cards(dealt)
@@ -998,7 +1005,7 @@ def parse_history(path: str) -> list[HandRecord]:
                     head = (int(hand_id), intern(table_id, table_id), int(btn), int(sb), int(bb))
                     flags = (bool(int(flop)), fail is not None and bool(int(fail)))
                     seats, holes, board, actions, showdown, awards, rake_paid, net = [], {}, (), [], [], {}, {}, {}
-                    nets = 0
+                    nets = keyed = 0  # NET lines; HOLE and AWARD lines
                     opened = lineno
                 else:
                     raise HistoryFormatError(f"line {lineno}: unknown tag {tag!r}")

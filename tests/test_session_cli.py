@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -279,6 +280,17 @@ class TestHeatmaps:
         ppm = render_ppm(g, mode="169")
         head = ppm.splitlines()[:3]
         assert head[0] == "P3" and head[1] == "156 156" and head[2] == "255"
+
+    def test_ppm_refuses_an_unknown_mode_before_any_work(self, monkeypatch):
+        from holdemlab import heatmap
+
+        def built(*_):
+            raise AssertionError("a matrix was built for an unknown mode")
+
+        monkeypatch.setattr(heatmap, "_combo_matrix", built)
+        monkeypatch.setattr(ComboGrid, "class_view", built)
+        with pytest.raises(heatmap.HeatmapError, match=r"^unknown heatmap mode 'bad'$"):
+            render_ppm(ComboGrid.uniform(), mode="bad")
 
     def test_title_is_escaped(self):
         import xml.etree.ElementTree as ET
@@ -715,6 +727,34 @@ class TestCli:
         assert (config.hands, config.seed, config.learning, config.table_id) == (7, 1, False, "t1")
         assert (config.rake.percentage, config.rake.cap_bb) == (0.05, 2.5)
         assert config.bot_mix == SessionConfig().bot_mix
+
+
+class TestSeed2023Bytes:
+    # sha256 of every file that `simulate --hands 500 --seed 2023 --trace`
+    # and `report` on its history write, and of the report's stdout. A
+    # change that moves output bytes on purpose updates these and lists
+    # each old -> new value in CHANGES.md.
+    PINNED = {
+        "report.csv": "1d3f3d03f46cd3cece1c0d03b8e964eba2abbb34afbacf970e889adc1be89875",
+        "report.stdout": "1e72fe4cd12eee5a0a30559ba979348e9764bee2cab0773e34da235b7501dd3d",
+        "simulate/profile_events_2023.log": "5db8795c594e5054a146aa4916b4705fa4a208fa66b725af8b9899aa40f54cbf",
+        "simulate/profile_snapshot_2023.json": "0f53cd0f0aef1c5e98e8e78ea8a7b4c738418963e886b42f21483ae9e06ab32f",
+        "simulate/report_2023.csv": "1d3f3d03f46cd3cece1c0d03b8e964eba2abbb34afbacf970e889adc1be89875",
+        "simulate/report_2023.txt": "1e72fe4cd12eee5a0a30559ba979348e9764bee2cab0773e34da235b7501dd3d",
+        "simulate/session_2023.hh": "8a23451ff44015a00b065d3a5ab58d9d2238dd079b1869d263e5d785ef45cb08",
+        "simulate/trace_2023.txt": "8d00def8e50fb66b1914331ec9c8121bade6d22b2be5b25e812fb79fe63a82dd",
+    }
+
+    def test_outputs_keep_their_bytes(self, tmp_path, capsys):
+        argv = ["simulate", "--hands", "500", "--seed", "2023", "--trace", "--out", str(tmp_path / "simulate")]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert cli_main(["report", str(tmp_path / "simulate" / "session_2023.hh"), "--out", str(tmp_path / "report.csv")]) == 0
+        sums = {"report.stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+        for path in tmp_path.rglob("*"):
+            if path.is_file():
+                sums[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert sums == self.PINNED
 
 
 class TestReportAcrossProcesses:

@@ -75,6 +75,15 @@ class TestPositions:
         with pytest.raises(ValueError, match="^need at least two seated players with chips$"):
             play_hand(1, "t", seats, 0, 1, 2, DealRng(0, 2).shuffled_deck())
 
+    @pytest.mark.parametrize("stack", [200, 0])
+    def test_engine_refuses_two_seats_with_one_player_id(self, stack):
+        """The record lists every seat, one without chips too, and
+        `hero_seat_of` finds a player by id."""
+        seats = six_seats(Station)
+        seats[4] = SeatConfig("p1", stack, Station())
+        with pytest.raises(ValueError, match="^two seats have one player id$"):
+            play_hand(1, "t", seats, 0, 1, 2, DealRng(0, 2).shuffled_deck())
+
 
 class TestPlayHand:
     def test_walk_when_everyone_folds(self):
@@ -448,6 +457,30 @@ class TestHistoryParser:
         with pytest.raises(HistoryFormatError, match=rf"^line {len(good) + 1}: AWARD, HOLE and SHOW"):
             self.parse(tmp_path, good + lines)
 
+    @pytest.mark.parametrize("at, line, added, why", [
+        ("SEAT 1 ", "SEAT 1 p0 200", False, "the SEAT lines must name each player once"),
+        ("HOLE 0 ", "HOLE 0 2c3c", True, "AWARD, HOLE and SHOW lines must name a seat once each"),
+        ("SHOW 0 ", "SHOW 0 KcKs", True, "AWARD, HOLE and SHOW lines must name a seat once each"),
+        ("AWARD 0 ", "AWARD 0 10 2", True, "AWARD, HOLE and SHOW lines must name a seat once each"),
+        ("SHOW 0 ", "SHOW 0 AcAd", False, "a SHOW line must show its seat's HOLE cards"),
+    ], ids=["player-on-two-seats", "hole-twice", "show-twice", "award-twice", "show-not-hole"])
+    def test_a_seat_or_player_named_twice_is_refused(self, tmp_path, capsys, at, line, added, why):
+        """A record writes a seat's HOLE, SHOW and AWARD line once, and each
+        player on one seat; a second line would be lost or counted twice.
+        `holdemlab report` exits 2 naming the record's header."""
+        from holdemlab.cli import main as cli_main
+
+        lines = self.lines()
+        i = self.line_of(lines, at)
+        lines[i : i + 1] = [lines[i], line] if added else [line]
+        with pytest.raises(HistoryFormatError, match=rf"^line 1: {why}$"):
+            self.parse(tmp_path, lines)
+        good = self.lines()
+        with pytest.raises(HistoryFormatError, match=rf"^line {len(good) + 1}: {why}$"):
+            self.parse(tmp_path, good + lines)
+        assert cli_main(["report", str(tmp_path / "hh.txt"), "--hero", "p0"]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'hh.txt'}: line {len(good) + 1}: {why}\n"
+
     def test_unterminated_record_at_end(self, tmp_path):
         lines = self.lines()
         with pytest.raises(HistoryFormatError, match=rf"^line {len(lines) + 1}: unterminated record"):
@@ -466,11 +499,11 @@ class TestHistoryParser:
     def test_other_card_spellings_parse_as_parse_cards(self, tmp_path):
         lines = self.lines()
         hole, board, show = (self.line_of(lines, tag) for tag in ("HOLE 0", "BOARD", "SHOW 0"))
-        lines[hole] = "HOLE 0 ahKD"
+        lines[hole] = "HOLE 0 kCkS"
         lines[board] = "BOARD 5H6dah6h9S"
         lines[show] = "SHOW 0 kcKS"
         (record,) = self.parse(tmp_path, lines)
-        assert record.holes[0] == tuple(parse_cards("ahKD"))
+        assert record.holes[0] == tuple(parse_cards("kCkS"))
         assert record.board == tuple(parse_cards("5H6dah6h9S"))
         assert record.showdown[0] == (0, tuple(parse_cards("kcKS")))
 
